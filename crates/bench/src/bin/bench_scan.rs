@@ -14,7 +14,7 @@
 //! segments so every table yields many morsels), `S2_RUNS` (timed runs per
 //! query per thread count, default 3), `S2_WAREHOUSES` (default 2).
 //! Flags: `--json` (machine-readable output only), `--threads N` (sweep a
-//! single thread count instead of 1/2/4/8 — used by `scripts/bench_gate.sh`).
+//! single thread count instead of 1/2/4/8).
 
 use std::sync::Arc;
 use std::time::Instant;

@@ -1,6 +1,6 @@
 //! Workspace elasticity baseline (paper §3.1–§3.2): how fast can read-only
 //! workspaces be provisioned as the fleet grows, and how does crash
-//! recovery scale with WAL length under the parallel replay path?
+//! recovery scale with WAL length?
 //!
 //! Two sweeps:
 //!
@@ -9,15 +9,13 @@
 //!   provisioned concurrently; total and per-workspace wall time reported.
 //! - **Recovery vs WAL length**: one partition, several tables, fixed data
 //!   size; update churn multiplies the WAL length (1×/2×/4×) without
-//!   growing the data. Serial and parallel `recover_with` are timed over
-//!   the same logs. `sublinear_ok` holds when 4× the churn costs the
-//!   parallel path less than 3.5× the 1× recovery time — replay work per
-//!   byte must not grow with log length.
+//!   growing the data. One `Partition::recover` is timed per churn level.
+//!   `sublinear_ok` holds when 4× the churn costs less than 3.5× the 1×
+//!   recovery time — replay work per byte must not grow with log length.
 //!
-//! `--json > BENCH_workspace.json` produces the committed baseline guarded
-//! by `scripts/bench_gate.sh`. Knobs: `S2_RUNS` (timed runs per config,
-//! default 3), `S2_WS_ROWS` (rows per table, default 400), `S2_WS_TABLES`
-//! (tables in the recovery sweep, default 8).
+//! `--json` prints the result as one JSON object. Knobs: `S2_RUNS` (timed
+//! runs per config, default 3), `S2_WS_ROWS` (rows per table, default 400),
+//! `S2_WS_TABLES` (tables in the recovery sweep, default 8).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -105,8 +103,7 @@ fn provisioning_sweep(rows: i64) -> Vec<ProvisionPoint> {
 struct RecoveryPoint {
     churn: u64,
     wal_bytes: u64,
-    serial_ms: f64,
-    parallel_ms: f64,
+    recover_ms: f64,
 }
 
 /// Fixed data size, churn-scaled WAL: `tables × rows` inserts once, then
@@ -148,19 +145,18 @@ fn build_log(tables: usize, rows: i64, churn: u64) -> (Vec<u8>, Arc<MemFileStore
     (bytes, files)
 }
 
-fn time_recover(bytes: &[u8], files: &Arc<MemFileStore>, parallel: bool, runs: usize) -> f64 {
+fn time_recover(bytes: &[u8], files: &Arc<MemFileStore>, runs: usize) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..runs {
         let log = Log::in_memory();
         log.append_raw(bytes);
         let t0 = Instant::now();
-        let p = Partition::recover_with(
+        let p = Partition::recover(
             "bench_rec",
             Arc::new(log),
             Arc::clone(files) as Arc<dyn DataFileStore>,
             None,
             None,
-            parallel,
         )
         .unwrap();
         let ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -176,9 +172,8 @@ fn recovery_sweep(tables: usize, rows: i64, runs: usize) -> Vec<RecoveryPoint> {
         .map(|&churn| {
             let (bytes, files) = build_log(tables, rows, churn);
             let wal_bytes = bytes.len() as u64;
-            let serial_ms = time_recover(&bytes, &files, false, runs);
-            let parallel_ms = time_recover(&bytes, &files, true, runs);
-            RecoveryPoint { churn, wal_bytes, serial_ms, parallel_ms }
+            let recover_ms = time_recover(&bytes, &files, runs);
+            RecoveryPoint { churn, wal_bytes, recover_ms }
         })
         .collect()
 }
@@ -200,8 +195,8 @@ fn main() {
     let provisioning = provisioning_sweep(rows * tables as i64);
     let recovery = recovery_sweep(tables, rows, runs);
 
-    let base = recovery.first().map_or(1.0, |r| r.parallel_ms);
-    let worst = recovery.last().map_or(1.0, |r| r.parallel_ms);
+    let base = recovery.first().map_or(1.0, |r| r.recover_ms);
+    let worst = recovery.last().map_or(1.0, |r| r.recover_ms);
     let ratio_4x = if base > 0.0 { worst / base } else { 1.0 };
     let sublinear_ok = ratio_4x < 3.5;
 
@@ -219,8 +214,8 @@ fn main() {
             .iter()
             .map(|r| {
                 format!(
-                    "{{\"churn\":{},\"wal_bytes\":{},\"serial_ms\":{:.3},\"parallel_ms\":{:.3}}}",
-                    r.churn, r.wal_bytes, r.serial_ms, r.parallel_ms
+                    "{{\"churn\":{},\"wal_bytes\":{},\"recover_ms\":{:.3}}}",
+                    r.churn, r.wal_bytes, r.recover_ms
                 )
             })
             .collect();
@@ -245,12 +240,12 @@ fn main() {
     println!("\nrecovery (fixed data, churn-scaled WAL):");
     for r in &recovery {
         println!(
-            "  churn {}x: {:>9} WAL bytes, serial {:8.2} ms, parallel {:8.2} ms",
-            r.churn, r.wal_bytes, r.serial_ms, r.parallel_ms
+            "  churn {}x: {:>9} WAL bytes, recover {:8.2} ms",
+            r.churn, r.wal_bytes, r.recover_ms
         );
     }
     println!(
-        "\nparallel recovery 4x/1x ratio: {ratio_4x:.2} (sublinear_ok: {sublinear_ok}, \
+        "\nrecovery 4x/1x ratio: {ratio_4x:.2} (sublinear_ok: {sublinear_ok}, \
          host parallelism {host})"
     );
 }

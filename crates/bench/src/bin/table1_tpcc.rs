@@ -57,6 +57,9 @@ fn one_run(
     }
 }
 
+/// Group-commit leader flush window for the contended runs.
+const FLUSH_WINDOW_US: u64 = 200;
+
 struct MtRun {
     clients: usize,
     tpm: f64,
@@ -67,8 +70,8 @@ struct MtRun {
 }
 
 /// One contended run: `clients` terminals on one warehouse, no think time,
-/// against a fresh sync-replicated cluster with the group pipeline on.
-fn contended_run(clients: usize, duration: Duration, flush_us: u64) -> MtRun {
+/// against a fresh sync-replicated cluster.
+fn contended_run(clients: usize, duration: Duration) -> MtRun {
     let scale =
         TpccScale { warehouses: 1, districts: 10, customers: 100, items: 500, preload_orders: 20 };
     let cluster = Cluster::new(
@@ -83,8 +86,7 @@ fn contended_run(clients: usize, duration: Duration, flush_us: u64) -> MtRun {
     )
     .expect("cluster");
     s2_workloads::tpcc::backend::load_cluster(&cluster, &scale, 7).expect("load");
-    cluster.set_group_commit(true);
-    cluster.set_group_flush_window_us(flush_us);
+    cluster.set_group_flush_window_us(FLUSH_WINDOW_US);
 
     let latency = s2_obs::global().histogram("wal.commit.latency_us");
     latency.reset();
@@ -116,7 +118,6 @@ fn contended_run(clients: usize, duration: Duration, flush_us: u64) -> MtRun {
 
 fn contended_mode(spec: &str, json: bool) {
     let duration = Duration::from_secs(env_u64("S2_DURATION_SECS", 3));
-    let flush_us = env_u64("S2_GROUP_FLUSH_US", 200);
     let counts: Vec<usize> =
         spec.split(',').filter_map(|s| s.trim().parse().ok()).filter(|&n| n > 0).collect();
     if counts.is_empty() {
@@ -126,10 +127,10 @@ fn contended_mode(spec: &str, json: bool) {
     if !json {
         println!(
             "== Contended TPC-C: group-commit pipeline, 1 warehouse, sync replication \
-             ({duration:?}/run, flush window {flush_us}us) =="
+             ({duration:?}/run, flush window {FLUSH_WINDOW_US}us) =="
         );
     }
-    let runs: Vec<MtRun> = counts.iter().map(|&n| contended_run(n, duration, flush_us)).collect();
+    let runs: Vec<MtRun> = counts.iter().map(|&n| contended_run(n, duration)).collect();
     if json {
         let items: Vec<String> = runs
             .iter()

@@ -236,13 +236,6 @@ impl Cluster {
         self.sets.len()
     }
 
-    /// Toggle the group-commit pipeline on every master (tests, benches).
-    pub fn set_group_commit(&self, on: bool) {
-        for set in &self.sets {
-            set.master().set_group_commit(on);
-        }
-    }
-
     /// Set every master's group-commit flush window: how long a leader waits
     /// for its batch to grow before appending (0 = append immediately).
     pub fn set_group_flush_window_us(&self, us: u64) {
@@ -647,11 +640,11 @@ impl ClusterTxn {
             acks.push((pid, end_lp));
         }
         if cluster.sync_commits() {
-            // With group commit on, `lp` is the batch end: every commit in
-            // the batch waits on the same position, so the replica's single
-            // ack of the batch releases all of them at once — one condvar
-            // wake per batch, not one spin loop per commit — and the wait
-            // overlaps the next batch's append on the commit path.
+            // `lp` is the group-commit batch end: every commit in the batch
+            // waits on the same position, so the replica's single ack of the
+            // batch releases all of them at once — one condvar wake per
+            // batch — and the wait overlaps the next batch's append on the
+            // commit path.
             for (pid, lp) in acks {
                 let timer = s2_obs::histogram!("cluster.replication.ack_latency_us").start_timer();
                 if !cluster.sets[pid].wait_replicated(lp, Duration::from_secs(10)) {

@@ -25,7 +25,7 @@ pub mod segfile;
 pub mod table;
 pub mod txn;
 
-pub use partition::{parallel_recovery_enabled, Partition, PartitionSnapshot};
+pub use partition::{Partition, PartitionSnapshot};
 pub use record::{
     EngineRecord, RowOp, REC_COMMIT, REC_CREATE_TABLE, REC_FLUSH, REC_MERGE, REC_MOVE,
 };

@@ -28,14 +28,7 @@ use crate::table::{SegmentCore, Table, TableSnapshot};
 /// Snapshot blob magic ("S2PS").
 const PARTITION_SNAPSHOT_MAGIC: u32 = 0x5350_3253;
 
-/// Whether [`Partition::recover`] replays the WAL in parallel
-/// (`S2_PARALLEL_RECOVERY`, default on; `0` pins the serial path). Read on
-/// every recovery — restarts are rare and tests flip it at runtime.
-pub fn parallel_recovery_enabled() -> bool {
-    std::env::var("S2_PARALLEL_RECOVERY").map_or(true, |v| v != "0")
-}
-
-/// Per-table state threaded through one parallel-replay worker: `Move`
+/// Per-table state threaded through one replay worker: `Move`
 /// tombstones batched for a single copy-on-write install per surviving
 /// segment at queue end.
 #[derive(Default)]
@@ -96,21 +89,6 @@ impl Partition {
     /// Last committed timestamp.
     pub fn commit_ts(&self) -> Timestamp {
         self.commit_ts.load(Ordering::Acquire)
-    }
-
-    /// Whether commits go through the group-commit pipeline
-    /// (`S2_GROUP_COMMIT`, default on).
-    pub fn group_commit_enabled(&self) -> bool {
-        self.group.enabled()
-    }
-
-    /// Toggle the group-commit pipeline at runtime (tests, benches, sim).
-    /// Serialized against commits; any queued records are appended first so
-    /// no submission is stranded by the switch.
-    pub fn set_group_commit(&self, on: bool) {
-        let _g = self.commit_lock.lock();
-        self.group.flush_queued(&self.log);
-        self.group.set_enabled(on);
     }
 
     /// Set the leader flush window: how long a group-commit leader waits for
@@ -215,14 +193,14 @@ impl Partition {
 
     /// Commit a user transaction's buffered writes: resolve rowstore versions
     /// at a fresh timestamp and log the redo record. Returns (commit
-    /// timestamp, log position — the position replication must ack for the
-    /// commit to be durable, paper §3; with group commit on, the batch end,
-    /// already synced to the local log).
+    /// timestamp, log position). The position is the end of the group-commit
+    /// batch holding the record, already synced to the local log — the one
+    /// replication must ack for the commit to be durable (paper §3).
     ///
-    /// With group commit on, the commit lock covers only timestamp resolution
-    /// and queueing the redo record; the append + fsync happen in the
-    /// group-commit leader with the lock released, so the next commit's
-    /// timestamp resolves while this batch is being made durable.
+    /// The commit lock covers only timestamp resolution and queueing the
+    /// redo record; the append + fsync happen in the group-commit leader
+    /// with the lock released, so the next commit's timestamp resolves while
+    /// this batch is being made durable.
     pub(crate) fn commit_txn(
         &self,
         txn: TxnId,
@@ -231,11 +209,9 @@ impl Partition {
     ) -> Result<(Timestamp, LogPosition)> {
         // Timed from before the lock to local durability: commit latency is
         // the full enqueue->durable span the committer experiences, including
-        // waiting behind the group ahead of us and the batch fsync. (It used
-        // to stop before any sync, under-reporting by the whole fsync cost.)
+        // waiting behind the group ahead of us and the batch fsync.
         let timer = s2_obs::histogram!("wal.commit.latency_us").start_timer();
-        let mut ticket = None;
-        let (ts, mut end_lp) = {
+        let (ts, ticket) = {
             let _g = self.commit_lock.lock();
             let ts = self.commit_ts() + 1;
             for (tid, keys) in keys_by_table {
@@ -248,24 +224,16 @@ impl Partition {
             // redo record exists: the commit was never acknowledged and must
             // be invisible after recovery.
             s2_common::fault::crash_point("core.commit.log");
-            let end_lp = if self.group.enabled() {
-                ticket = Some(self.group.submit(rec.kind(), rec.encode()));
-                0
-            } else {
-                let (_, end_lp) = self.log.append(rec.kind(), &rec.encode());
-                end_lp
-            };
+            let ticket = self.group.submit(rec.kind(), rec.encode());
             self.commit_ts.store(ts, Ordering::Release);
             s2_obs::counter!("core.txn.commits").inc();
-            (ts, end_lp)
+            (ts, ticket)
         };
-        if let Some(t) = ticket {
-            // Park outside the commit lock until a leader has appended and
-            // fsynced the batch containing our record. The returned position
-            // is the batch end — one replication ack there covers every
-            // commit in the batch.
-            end_lp = self.group.wait_durable(&self.log, t)?;
-        }
+        // Park outside the commit lock until a leader has appended and
+        // fsynced the batch containing our record. The returned position is
+        // the batch end — one replication ack there covers every commit in
+        // the batch.
+        let end_lp = self.group.wait_durable(&self.log, ticket)?;
         timer.stop();
         Ok((ts, end_lp))
     }
@@ -791,10 +759,9 @@ impl Partition {
         self.last_snapshot_lp.fetch_max(lp, Ordering::AcqRel);
     }
 
-    /// Restore partition state from a snapshot blob. `build_indexes: false`
-    /// defers index registration to a post-replay [`Table::rebuild_indexes`]
-    /// pass (parallel recovery).
-    fn load_snapshot_state(&self, data: &[u8], build_indexes: bool) -> Result<()> {
+    /// Restore partition state from a snapshot blob. Index registration is
+    /// left to the post-replay [`Table::rebuild_indexes`] pass.
+    fn load_snapshot_state(&self, data: &[u8]) -> Result<()> {
         let mut r = ByteReader::new(data);
         let magic = r.get_u32()?;
         if magic != PARTITION_SNAPSHOT_MAGIC {
@@ -839,7 +806,7 @@ impl Partition {
                 }
                 let items: Vec<(SegmentMeta, &SegmentFile, &[Row])> =
                     items_owned.iter().map(|(m, f, rws)| (m.clone(), f, rws.as_slice())).collect();
-                table.install_run_opts(items, build_indexes)?;
+                table.install_run_opts(items, false)?;
             }
             {
                 let mut state = table.state.write();
@@ -880,11 +847,8 @@ impl Partition {
     /// This is the node-restart path, the replica-provisioning path and the
     /// PITR path (with `upto_lp` bounding replay).
     ///
-    /// The replay strategy comes from `S2_PARALLEL_RECOVERY` (default on):
-    /// the parallel path fans decode and per-table application across the
-    /// shared worker pool, then rebuilds indexes and delete vectors in a
-    /// single pass. Both paths produce byte-identical snapshots (asserted by
-    /// the `recovery_parallel` proptests).
+    /// Replay fans decode and per-table application across the shared worker
+    /// pool ([`Partition::replay`]), then rebuilds indexes in a single pass.
     pub fn recover(
         name: impl Into<String>,
         log: Arc<Log>,
@@ -892,63 +856,29 @@ impl Partition {
         snapshot: Option<&Snapshot>,
         upto_lp: Option<LogPosition>,
     ) -> Result<Arc<Partition>> {
-        Self::recover_with(name, log, file_store, snapshot, upto_lp, parallel_recovery_enabled())
-    }
-
-    /// [`Partition::recover`] with the replay strategy pinned (tests compare
-    /// the two paths directly without racing on the environment).
-    pub fn recover_with(
-        name: impl Into<String>,
-        log: Arc<Log>,
-        file_store: Arc<dyn DataFileStore>,
-        snapshot: Option<&Snapshot>,
-        upto_lp: Option<LogPosition>,
-        parallel: bool,
-    ) -> Result<Arc<Partition>> {
         let p = Partition::new(name, log, file_store);
         let start_lp = match snapshot {
             Some(s) => {
-                p.load_snapshot_state(&s.data, !parallel)?;
+                p.load_snapshot_state(&s.data)?;
                 p.last_snapshot_lp.store(s.lp, Ordering::Release);
                 s.lp
             }
             None => 0,
         };
         let end_lp = upto_lp.unwrap_or_else(|| p.log.end_lp()).min(p.log.end_lp());
-        if parallel {
-            if end_lp > start_lp {
-                p.replay_parallel(start_lp, end_lp)?;
-            } else {
-                p.rebuild_all_indexes(s2_pool::effective_threads(0))?;
-            }
-        } else if end_lp > start_lp {
-            let bytes = p.log.read_range(start_lp, end_lp)?;
-            for rec in RecordIter::new(&bytes, start_lp) {
-                let rec = match rec {
-                    Ok(rec) => rec,
-                    Err(e) => {
-                        // A corrupt frame ends replay: everything past the
-                        // longest checksummed prefix is a torn tail from a
-                        // crash mid-write. Nothing there was ever
-                        // acknowledged — acks only cover synced,
-                        // CRC-complete prefixes — so stopping is lossless.
-                        s2_obs::counter!("core.recover.torn_tail_stops").add(1);
-                        s2_obs::event("core.recover_truncated", format!("{e}"));
-                        break;
-                    }
-                };
-                let engine_rec = EngineRecord::decode(rec.kind, rec.payload)?;
-                p.apply_record(engine_rec)?;
-            }
+        let threads = s2_pool::effective_threads(0);
+        if end_lp > start_lp {
+            p.replay(start_lp, end_lp, threads)?;
         }
+        p.rebuild_all_indexes(threads)?;
         Ok(p)
     }
 
-    /// Parallel WAL replay (paper §3.1 restart; idiom after oxibase's
-    /// two-phase `replay_wal` + `populate_all_indexes`):
+    /// WAL replay (paper §3.1 restart; idiom after oxibase's two-phase
+    /// `replay_wal` + `populate_all_indexes`):
     ///
-    /// 1. **Frame scan** (serial): walk the checksummed frames exactly like
-    ///    the serial path, stopping at the first torn frame.
+    /// 1. **Frame scan** (serial): walk the checksummed frames, stopping at
+    ///    the first torn one.
     /// 2. **Decode** (parallel): `EngineRecord::decode` fans across the
     ///    worker pool in input-ordered batches; the first error is surfaced
     ///    in log order.
@@ -962,14 +892,15 @@ impl Partition {
     ///    `Move` tombstones (delete bits only ever get set and segment ids
     ///    are never reused, so one copy-on-write install per surviving
     ///    segment at the end is equivalent to per-record installs).
-    /// 5. **Index rebuild** (parallel): one pass per table over its live
-    ///    segments, replacing the per-record index maintenance.
-    fn replay_parallel(
+    ///
+    /// The caller then rebuilds every table's indexes in one pass, replacing
+    /// per-record index maintenance.
+    fn replay(
         self: &Arc<Partition>,
         start_lp: LogPosition,
         end_lp: LogPosition,
+        threads: usize,
     ) -> Result<()> {
-        let threads = s2_pool::effective_threads(0);
         let pool = s2_pool::ScanPool::global();
         let bytes = Arc::new(self.log.read_range(start_lp, end_lp)?);
         // Phase 1: serial frame scan. Frames are (kind, payload range); the
@@ -984,8 +915,11 @@ impl Partition {
                     frames.push((rec.kind, off, off + rec.payload.len()));
                 }
                 Err(e) => {
-                    // Torn tail: same stop rule (and same telemetry) as the
-                    // serial path.
+                    // A corrupt frame ends replay: everything past the
+                    // longest checksummed prefix is a torn tail from a
+                    // crash mid-write. Nothing there was ever acknowledged
+                    // — acks only cover synced, CRC-complete prefixes — so
+                    // stopping is lossless.
                     s2_obs::counter!("core.recover.torn_tail_stops").add(1);
                     s2_obs::event("core.recover_truncated", format!("{e}"));
                     break;
@@ -1048,8 +982,7 @@ impl Partition {
             r?;
         }
         self.bump_commit_ts(max_ts);
-        // Phase 5: single-pass index rebuild, fanned per table.
-        self.rebuild_all_indexes(threads)
+        Ok(())
     }
 
     /// Rebuild every table's global indexes from its live segments.
@@ -1093,7 +1026,7 @@ impl Partition {
         self.apply_record_inner(rec, None)
     }
 
-    /// [`Partition::apply_record`] with an optional parallel-replay context:
+    /// [`Partition::apply_record`] with an optional replay context:
     /// when present, index registration is deferred (rebuilt in one pass
     /// afterwards), `Move` tombstones are batched into the context, and the
     /// commit-timestamp bump is skipped (the replay driver folds the maximum

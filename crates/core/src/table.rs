@@ -258,7 +258,7 @@ impl Table {
     }
 
     /// [`Table::install_run`] with index registration optionally deferred.
-    /// Parallel recovery passes `build_indexes: false` and registers every
+    /// Recovery passes `build_indexes: false` and registers every
     /// surviving segment once at the end via [`Table::rebuild_indexes`],
     /// instead of indexing intermediate segments that a later merge drops.
     pub(crate) fn install_run_opts(
@@ -302,8 +302,7 @@ impl Table {
     /// (recovery phase 2, the oxibase-style `populate_all_indexes`). Every
     /// physical row of every live segment is registered — same as the live
     /// path, which indexes rows at install time and filters deleted rows at
-    /// probe time — so probes behave identically to a serially recovered
-    /// partition.
+    /// probe time.
     pub(crate) fn rebuild_indexes(&self) -> Result<()> {
         let mut state = self.state.write();
         let mut fresh = TableIndexes::new(&self.options);

@@ -438,8 +438,8 @@ impl Txn {
     }
 
     /// Commit. Returns (commit timestamp, log position replication must ack
-    /// — with group commit on, the containing batch's end position, already
-    /// fsynced by the group-commit leader before this returns).
+    /// — the containing group-commit batch's end position, already fsynced
+    /// by the batch leader before this returns).
     pub fn commit(mut self) -> Result<(Timestamp, LogPosition)> {
         self.check_active()?;
         self.finished = true;

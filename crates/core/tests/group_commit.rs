@@ -7,10 +7,11 @@
 //! - **monotonic timestamps**: commit timestamps across N racing
 //!   committers are distinct and gapless — strictly monotonic per
 //!   partition;
-//! - **on/off equivalence**: the same single-threaded op sequence produces
-//!   byte-identical log contents and an identical recovered state whether
-//!   the group pipeline is on or off.
+//! - **model equivalence**: a single-threaded op sequence recovers to the
+//!   state of a `BTreeMap` model, and the log holds exactly one `Commit`
+//!   frame per commit, in timestamp order.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::thread;
 
@@ -19,8 +20,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use s2_common::schema::ColumnDef;
 use s2_common::{DataType, Row, Schema, TableOptions, Value};
-use s2_core::{MemFileStore, Partition};
-use s2_wal::Log;
+use s2_core::{EngineRecord, MemFileStore, Partition, REC_COMMIT};
+use s2_wal::{Log, RecordIter};
 
 fn kv_schema() -> Schema {
     Schema::new(vec![ColumnDef::new("k", DataType::Int64), ColumnDef::new("v", DataType::Int64)])
@@ -35,9 +36,8 @@ fn kv_options() -> TableOptions {
         .with_segment_rows(32)
 }
 
-fn new_partition(group_on: bool) -> (Arc<Partition>, u32) {
+fn new_partition() -> (Arc<Partition>, u32) {
     let p = Partition::new("gc_p0", Arc::new(Log::in_memory()), Arc::new(MemFileStore::new()));
-    p.set_group_commit(group_on);
     let t = p.create_table("t", kv_schema(), kv_options()).unwrap();
     p.log.sync().unwrap();
     (p, t)
@@ -54,7 +54,7 @@ fn recover_prefix(p: &Arc<Partition>, upto: u64) -> Arc<Partition> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// N committer threads race on one partition with the pipeline on.
+    /// N committer threads race on one partition.
     /// Afterwards: (a) every acked key survives recovery from the durable
     /// prefix alone, (b) the commit timestamps handed back are distinct and
     /// gapless (strictly monotonic per partition).
@@ -64,7 +64,7 @@ proptest! {
         commits_per_thread in 1usize..=10,
         window_us in prop_oneof![1 => Just(0u64), 1 => Just(50), 1 => Just(200)],
     ) {
-        let (p, t) = new_partition(true);
+        let (p, t) = new_partition();
         p.set_group_flush_window_us(window_us);
 
         let mut handles = Vec::new();
@@ -113,61 +113,61 @@ proptest! {
         txn.rollback();
     }
 
-    /// The same deterministic single-threaded op sequence, run once with the
-    /// pipeline on and once off, leaves byte-identical logs and recovers to
-    /// identical states: the pipeline changes batching, never content.
+    /// A deterministic single-threaded op sequence recovers to exactly the
+    /// state a `BTreeMap` model predicts, and the log holds one `Commit`
+    /// frame per `commit()` call, carrying the timestamps handed back, in
+    /// order: the pipeline changes batching, never content.
     #[test]
-    fn group_on_off_equivalence(seed in any::<u64>(), n_ops in 10usize..=60) {
-        let (p_on, t_on) = new_partition(true);
-        let (p_off, t_off) = new_partition(false);
-        for (p, t) in [(&p_on, t_on), (&p_off, t_off)] {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut present: Vec<i64> = Vec::new();
-            for _ in 0..n_ops {
-                let mut txn = p.begin();
-                let roll: u32 = rng.random_range(0..10);
-                if roll < 5 || present.is_empty() {
-                    let k: i64 = rng.random_range(0..1_000_000);
-                    if !present.contains(&k) {
-                        txn.insert(t, Row::new(vec![Value::Int(k), Value::Int(k + 1)])).unwrap();
-                        present.push(k);
-                    }
-                } else if roll < 8 {
-                    let k = present[rng.random_range(0..present.len())];
+    fn op_sequence_matches_model_one_frame_per_commit(seed in any::<u64>(), n_ops in 10usize..=60) {
+        let (p, t) = new_partition();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut model: BTreeMap<i64, i64> = BTreeMap::new();
+        let mut acked_ts: Vec<u64> = Vec::new();
+        for _ in 0..n_ops {
+            let mut txn = p.begin();
+            let roll: u32 = rng.random_range(0..10);
+            if roll < 5 || model.is_empty() {
+                let k: i64 = rng.random_range(0..1_000_000);
+                if let std::collections::btree_map::Entry::Vacant(slot) = model.entry(k) {
+                    txn.insert(t, Row::new(vec![Value::Int(k), Value::Int(k + 1)])).unwrap();
+                    slot.insert(k + 1);
+                }
+            } else {
+                let k = *model.keys().nth(rng.random_range(0..model.len())).unwrap();
+                if roll < 8 {
                     let v: i64 = rng.random_range(-1000..1000);
                     txn.update_unique(t, &[Value::Int(k)],
                         Row::new(vec![Value::Int(k), Value::Int(v)])).unwrap();
+                    model.insert(k, v);
                 } else {
-                    let k = present.swap_remove(rng.random_range(0..present.len()));
                     txn.delete_unique(t, &[Value::Int(k)]).unwrap();
+                    model.remove(&k);
                 }
-                txn.commit().unwrap();
             }
+            let (ts, end_lp) = txn.commit().unwrap();
+            prop_assert!(end_lp <= p.log.durable_lp(), "commit returned before its fsync");
+            acked_ts.push(ts);
         }
-        let end_on = p_on.log.end_lp();
-        let end_off = p_off.log.end_lp();
-        prop_assert_eq!(end_on, end_off, "log lengths diverge");
-        prop_assert_eq!(
-            p_on.log.read_range(0, end_on).unwrap(),
-            p_off.log.read_range(0, end_off).unwrap(),
-            "log bytes diverge between group-commit on and off"
-        );
 
-        let ra = recover_prefix(&p_on, end_on);
-        let rb = recover_prefix(&p_off, end_off);
-        let (sa, sb) = (ra.read_snapshot(), rb.read_snapshot());
-        let (ta, tb) = (sa.table(t_on).unwrap(), sb.table(t_off).unwrap());
-        prop_assert_eq!(ta.live_row_count(), tb.live_row_count());
-        let rows_a: Vec<(i64, i64)> = ta
+        let end = p.log.end_lp();
+        let bytes = p.log.read_range(0, end).unwrap();
+        let logged_ts: Vec<u64> = RecordIter::new(&bytes, 0)
+            .map(|rec| rec.unwrap())
+            .filter(|rec| rec.kind == REC_COMMIT)
+            .map(|rec| EngineRecord::decode(rec.kind, rec.payload).unwrap().commit_ts().unwrap())
+            .collect();
+        prop_assert_eq!(&logged_ts, &acked_ts, "one Commit frame per commit, in timestamp order");
+        prop_assert!(acked_ts.windows(2).all(|w| w[0] < w[1]), "timestamps strictly increase");
+
+        let recovered = recover_prefix(&p, end);
+        let snap = recovered.read_snapshot();
+        let rows: BTreeMap<i64, i64> = snap
+            .table(t)
+            .unwrap()
             .rowstore_rows()
             .iter()
             .map(|(_, r)| (r.get(0).as_int().unwrap(), r.get(1).as_int().unwrap()))
             .collect();
-        let rows_b: Vec<(i64, i64)> = tb
-            .rowstore_rows()
-            .iter()
-            .map(|(_, r)| (r.get(0).as_int().unwrap(), r.get(1).as_int().unwrap()))
-            .collect();
-        prop_assert_eq!(rows_a, rows_b, "recovered states diverge");
+        prop_assert_eq!(rows, model, "recovered state diverges from the model");
     }
 }

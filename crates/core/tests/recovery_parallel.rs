@@ -1,8 +1,11 @@
-//! Parallel crash recovery must be observationally identical to serial
-//! replay (§3.1 restart path): over randomized workloads — inserts, updates
-//! and deletes across several tables, forced flushes and merges — both
-//! strategies must produce byte-identical engine snapshots, equal index
-//! probe results, and must stop at exactly the same torn-tail prefix.
+//! Crash recovery (§3.1 restart path: two-phase parallel replay + one index
+//! rebuild) must be observationally identical to the replica tail path —
+//! restore the snapshot (or start empty), then stream the remaining records
+//! one at a time through `Partition::apply_record`. Over randomized
+//! workloads — inserts, updates and deletes across several tables, forced
+//! flushes and merges — both must produce byte-identical engine snapshots,
+//! equal index probe results, and must stop at exactly the same torn-tail
+//! prefix.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -12,8 +15,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use s2_common::schema::ColumnDef;
 use s2_common::{DataType, Row, Schema, TableId, TableOptions, Value};
-use s2_core::{MemFileStore, Partition};
-use s2_wal::{Log, Snapshot};
+use s2_core::{EngineRecord, MemFileStore, Partition};
+use s2_wal::{Log, RecordIter, Snapshot};
 
 fn kv_schema() -> Schema {
     Schema::new(vec![
@@ -117,25 +120,43 @@ fn log_bytes(p: &Arc<Partition>) -> Vec<u8> {
     p.log.read_range(0, p.log.end_lp()).unwrap()
 }
 
-fn recover_mode(
+fn recover(
     bytes: &[u8],
     files: &Arc<MemFileStore>,
     snap: Option<&Snapshot>,
     upto: Option<u64>,
-    parallel: bool,
 ) -> Arc<Partition> {
     let log = Log::in_memory();
     log.append_raw(bytes);
     // Same name as the workload partition: data-file keys embed it.
-    Partition::recover_with(
+    Partition::recover(
         "rp_p0",
         Arc::new(log),
         Arc::clone(files) as Arc<dyn s2_core::DataFileStore>,
         snap,
         upto,
-        parallel,
     )
     .unwrap()
+}
+
+/// The reference: a partition restored to the snapshot position (empty
+/// without one) that then applies the rest of the log record by record, the
+/// way a replica or workspace follows its primary's tail. Stops silently at
+/// the first frame that fails its checksum.
+fn tail_apply(
+    bytes: &[u8],
+    files: &Arc<MemFileStore>,
+    snap: Option<&Snapshot>,
+    upto: Option<u64>,
+) -> Arc<Partition> {
+    let start = snap.map_or(0, |s| s.lp);
+    let p = recover(bytes, files, snap, Some(start));
+    let end = upto.map_or(bytes.len(), |u| (u as usize).min(bytes.len()));
+    for rec in RecordIter::new(&bytes[start as usize..end], start) {
+        let Ok(rec) = rec else { break };
+        p.apply_record(EngineRecord::decode(rec.kind, rec.payload).unwrap()).unwrap();
+    }
+    p
 }
 
 fn fingerprint(p: &Arc<Partition>) -> Vec<u8> {
@@ -189,53 +210,53 @@ fn torn_tail_counter() -> u64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Full-log recovery: parallel and serial replay produce byte-identical
-    /// engine snapshots, and both match the live primary they replay.
+    /// Full-log recovery produces the same engine snapshot, byte for byte,
+    /// as tail-applying the log, and both match the live primary.
     #[test]
-    fn parallel_replay_matches_serial(seed in any::<u64>()) {
+    fn recover_matches_tail_apply(seed in any::<u64>()) {
         let w = run_workload(seed, None);
         let bytes = log_bytes(&w.p);
-        let ser = recover_mode(&bytes, &w.files, None, None, false);
-        let par = recover_mode(&bytes, &w.files, None, None, true);
-        prop_assert_eq!(fingerprint(&ser), fingerprint(&par));
-        assert_same_state(&ser, &par, &w.tables, w.max_key);
-        assert_same_state(&w.p, &par, &w.tables, w.max_key);
+        let reference = tail_apply(&bytes, &w.files, None, None);
+        let rec = recover(&bytes, &w.files, None, None);
+        prop_assert_eq!(fingerprint(&reference), fingerprint(&rec));
+        assert_same_state(&reference, &rec, &w.tables, w.max_key);
+        assert_same_state(&w.p, &rec, &w.tables, w.max_key);
     }
 
-    /// Recovery from a mid-history snapshot plus the log suffix: both modes
-    /// agree byte-for-byte, with and without a PITR `upto_lp` bound.
+    /// Recovery from a mid-history snapshot plus the log suffix agrees with
+    /// the reference byte-for-byte, with and without a PITR `upto_lp` bound.
     #[test]
-    fn parallel_replay_with_snapshot_and_pitr(seed in any::<u64>()) {
+    fn recover_from_snapshot_and_pitr(seed in any::<u64>()) {
         let w = run_workload(seed, Some(4));
         let bytes = log_bytes(&w.p);
         let snap = w.snap.as_ref().unwrap();
 
         // Snapshot + full suffix.
-        let ser = recover_mode(&bytes, &w.files, Some(snap), None, false);
-        let par = recover_mode(&bytes, &w.files, Some(snap), None, true);
-        prop_assert_eq!(fingerprint(&ser), fingerprint(&par));
-        assert_same_state(&w.p, &par, &w.tables, w.max_key);
+        let reference = tail_apply(&bytes, &w.files, Some(snap), None);
+        let rec = recover(&bytes, &w.files, Some(snap), None);
+        prop_assert_eq!(fingerprint(&reference), fingerprint(&rec));
+        assert_same_state(&w.p, &rec, &w.tables, w.max_key);
 
         // PITR: replay bounded at a committed-transaction boundary.
         let upto = w.boundaries[w.boundaries.len() / 2];
-        let ser = recover_mode(&bytes, &w.files, None, Some(upto), false);
-        let par = recover_mode(&bytes, &w.files, None, Some(upto), true);
-        prop_assert_eq!(fingerprint(&ser), fingerprint(&par));
-        assert_same_state(&ser, &par, &w.tables, w.max_key);
+        let reference = tail_apply(&bytes, &w.files, None, Some(upto));
+        let rec = recover(&bytes, &w.files, None, Some(upto));
+        prop_assert_eq!(fingerprint(&reference), fingerprint(&rec));
+        assert_same_state(&reference, &rec, &w.tables, w.max_key);
 
         // Snapshot + PITR bound past the snapshot position.
         if let Some(&upto) = w.boundaries.iter().find(|&&b| b > snap.lp) {
-            let ser = recover_mode(&bytes, &w.files, Some(snap), Some(upto), false);
-            let par = recover_mode(&bytes, &w.files, Some(snap), Some(upto), true);
-            prop_assert_eq!(fingerprint(&ser), fingerprint(&par));
-            assert_same_state(&ser, &par, &w.tables, w.max_key);
+            let reference = tail_apply(&bytes, &w.files, Some(snap), Some(upto));
+            let rec = recover(&bytes, &w.files, Some(snap), Some(upto));
+            prop_assert_eq!(fingerprint(&reference), fingerprint(&rec));
+            assert_same_state(&reference, &rec, &w.tables, w.max_key);
         }
     }
 
-    /// A corrupt frame mid-log stops both strategies at exactly the same
-    /// prefix — the state equals a clean recovery of the bytes before the
-    /// corruption — and fires `core.recover.torn_tail_stops` exactly once
-    /// per recovery in both modes.
+    /// A corrupt frame mid-log stops recovery at exactly the corruption
+    /// point — the state equals a clean recovery of the bytes before it,
+    /// and the reference stopped at the same frame — and fires
+    /// `core.recover.torn_tail_stops` exactly once.
     #[test]
     fn torn_tail_stops_at_same_prefix(seed in any::<u64>()) {
         let w = run_workload(seed, None);
@@ -249,58 +270,21 @@ proptest! {
         corrupt[cut + 4] ^= 0xFF;
 
         let before = torn_tail_counter();
-        let ser = recover_mode(&corrupt, &w.files, None, None, false);
-        let after_ser = torn_tail_counter();
-        prop_assert_eq!(after_ser - before, 1, "serial replay: one torn-tail stop");
-        let par = recover_mode(&corrupt, &w.files, None, None, true);
-        let after_par = torn_tail_counter();
-        prop_assert_eq!(after_par - after_ser, 1, "parallel replay: one torn-tail stop");
+        let rec = recover(&corrupt, &w.files, None, None);
+        prop_assert_eq!(torn_tail_counter() - before, 1, "one torn-tail stop");
 
-        // Both stopped at the corruption point: identical to a clean
-        // recovery of the prefix.
-        let clean = recover_mode(&bytes[..cut], &w.files, None, None, false);
-        prop_assert_eq!(fingerprint(&ser), fingerprint(&par));
-        prop_assert_eq!(fingerprint(&clean), fingerprint(&par));
-        assert_same_state(&ser, &par, &w.tables, w.max_key);
+        let clean = recover(&bytes[..cut], &w.files, None, None);
+        let reference = tail_apply(&corrupt, &w.files, None, None);
+        prop_assert_eq!(fingerprint(&clean), fingerprint(&rec));
+        prop_assert_eq!(fingerprint(&reference), fingerprint(&rec));
+        assert_same_state(&reference, &rec, &w.tables, w.max_key);
 
         // A cleanly truncated tail (crash mid-append) is NOT corruption:
         // replay stops silently at the last whole frame, no counter.
         let trunc = &bytes[..(cut + 5).min(bytes.len())];
         let before = torn_tail_counter();
-        let ser = recover_mode(trunc, &w.files, None, None, false);
-        let par = recover_mode(trunc, &w.files, None, None, true);
+        let rec = recover(trunc, &w.files, None, None);
         prop_assert_eq!(torn_tail_counter(), before, "clean truncation fires no torn-tail stop");
-        prop_assert_eq!(fingerprint(&ser), fingerprint(&par));
+        prop_assert_eq!(fingerprint(&tail_apply(trunc, &w.files, None, None)), fingerprint(&rec));
     }
-}
-
-/// `S2_PARALLEL_RECOVERY` picks the strategy at each `recover` call:
-/// `0` forces serial, anything else (or unset) enables parallel replay.
-/// Either way the recovered state is the same.
-#[test]
-fn env_switch_selects_strategy() {
-    let w = run_workload(7, None);
-    let bytes = log_bytes(&w.p);
-
-    std::env::set_var("S2_PARALLEL_RECOVERY", "0");
-    assert!(!s2_core::parallel_recovery_enabled());
-    let log = Log::in_memory();
-    log.append_raw(&bytes);
-    let via_env = Partition::recover(
-        "rp_p0",
-        Arc::new(log),
-        Arc::clone(&w.files) as Arc<dyn s2_core::DataFileStore>,
-        None,
-        None,
-    )
-    .unwrap();
-
-    std::env::set_var("S2_PARALLEL_RECOVERY", "1");
-    assert!(s2_core::parallel_recovery_enabled());
-    std::env::remove_var("S2_PARALLEL_RECOVERY");
-    assert!(s2_core::parallel_recovery_enabled(), "parallel replay is the default");
-
-    let par = recover_mode(&bytes, &w.files, None, None, true);
-    assert_eq!(fingerprint(&via_env), fingerprint(&par));
-    assert_same_state(&w.p, &par, &w.tables, w.max_key);
 }

@@ -752,7 +752,8 @@ impl ColumnReader {
     }
 
     /// Evaluate `pred` directly on the compressed representation
-    /// (paper §5.2 "encoded filter").
+    /// (paper §5.2 "encoded filter"): compile it into the code domain, then
+    /// read the passing rows off the row mask.
     ///
     /// Returns `Ok(None)` if this encoding does not support encoded
     /// execution; the caller falls back to a regular (decode-then-filter)
@@ -762,96 +763,12 @@ impl ColumnReader {
         pred: &mut dyn FnMut(&Value) -> bool,
         sel: Option<&[u32]>,
     ) -> Result<Option<Vec<u32>>> {
-        let null_passes = pred(&Value::Null);
-        match &self.inner {
-            Inner::DictStr { dict_len, width, codes_off, .. } => {
-                let mut table = Vec::with_capacity(*dict_len);
-                for code in 0..*dict_len {
-                    table.push(pred(&Value::str(self.dict_str_entry(code))));
-                }
-                Ok(Some(self.filter_by_code_table(&table, null_passes, *width, *codes_off, sel)))
-            }
-            Inner::DictInt { dict_len, dict_off, width, codes_off } => {
-                let mut table = Vec::with_capacity(*dict_len);
-                for code in 0..*dict_len {
-                    table.push(pred(&Value::Int(self.i64_at(dict_off + code * 8))));
-                }
-                Ok(Some(self.filter_by_code_table(&table, null_passes, *width, *codes_off, sel)))
-            }
-            Inner::Rle { n_runs, values_off, ends_off } => {
-                let mut out = Vec::new();
-                let mut run_pass = Vec::with_capacity(*n_runs);
-                for run in 0..*n_runs {
-                    run_pass.push(pred(&Value::Int(self.i64_at(values_off + run * 8))));
-                }
-                match sel {
-                    None => {
-                        let mut start = 0u32;
-                        for (run, pass) in run_pass.iter().enumerate() {
-                            let end = self.u32_at(ends_off + run * 4);
-                            if *pass {
-                                for row in start..end {
-                                    let passes =
-                                        if self.is_null(row as usize) { null_passes } else { true };
-                                    if passes {
-                                        out.push(row);
-                                    }
-                                }
-                            } else if null_passes && self.nulls.is_some() {
-                                for row in start..end {
-                                    if self.is_null(row as usize) {
-                                        out.push(row);
-                                    }
-                                }
-                            }
-                            start = end;
-                        }
-                    }
-                    Some(sel) => {
-                        for &row in sel {
-                            let passes = if self.is_null(row as usize) {
-                                null_passes
-                            } else {
-                                let run = self.rle_run_of(row as usize, *n_runs, *ends_off);
-                                run_pass[run]
-                            };
-                            if passes {
-                                out.push(row);
-                            }
-                        }
-                    }
-                }
-                Ok(Some(out))
-            }
-            _ => Ok(None),
-        }
-    }
-
-    fn filter_by_code_table(
-        &self,
-        table: &[bool],
-        null_passes: bool,
-        width: u8,
-        codes_off: usize,
-        sel: Option<&[u32]>,
-    ) -> Vec<u32> {
-        let mut out = Vec::new();
-        let mut consider = |row: u32| {
-            let passes = if self.is_null(row as usize) {
-                null_passes
-            } else {
-                let code = read_packed(&self.data, codes_off, width, row as usize) as usize;
-                table[code]
-            };
-            if passes {
-                out.push(row);
-            }
-        };
-        match sel {
-            None => (0..self.rows as u32).for_each(&mut consider),
-            Some(sel) => sel.iter().copied().for_each(&mut consider),
-        }
-        out
+        let Some(compiled) = self.compile_predicate(pred) else { return Ok(None) };
+        let mask = self.predicate_mask(&compiled);
+        Ok(Some(match sel {
+            Some(sel) => sel.iter().copied().filter(|&r| mask.get(r as usize)).collect(),
+            None => mask.iter_ones().map(|r| r as u32).collect(),
+        }))
     }
 }
 

@@ -42,20 +42,10 @@ pub enum ClauseStrategy {
     /// Decode the clause's columns for the current selection, then
     /// evaluate the predicate on the decoded values.
     Regular,
-    /// Evaluate on compressed data by probing each distinct domain value
-    /// through the scalar predicate (legacy encoded filter).
-    Encoded,
     /// Compile the predicate into a per-dictionary-entry accept bitmap
     /// once, then answer every row with a code lookup — no `Value` is
-    /// ever built (encoded-domain execution, `S2_ENCODED_EXEC`).
+    /// ever built.
     EncodedBitmap,
-}
-
-impl ClauseStrategy {
-    /// True for both encoded variants (strategy choice, stats).
-    pub fn is_encoded(self) -> bool {
-        !matches!(self, ClauseStrategy::Regular)
-    }
 }
 
 /// One planned residual clause: which conjunct, the chosen strategy, and
@@ -111,22 +101,15 @@ pub fn global() -> &'static DecisionCache {
     GLOBAL.get_or_init(DecisionCache::default)
 }
 
-/// Fingerprint a residual filter plus the planning-relevant options. Uses
+/// Fingerprint a residual filter plus the planning-relevant option. Uses
 /// the structural `Debug` form — stable within a process, which is the
 /// cache's lifetime.
-pub fn fingerprint(
-    residual: &[Expr],
-    use_encoded: bool,
-    encoded_exec: bool,
-    sample_rows: usize,
-) -> u64 {
+pub fn fingerprint(residual: &[Expr], use_encoded: bool) -> u64 {
     let mut h = DefaultHasher::new();
     for clause in residual {
         format!("{clause:?}").hash(&mut h);
     }
     use_encoded.hash(&mut h);
-    encoded_exec.hash(&mut h);
-    sample_rows.hash(&mut h);
     h.finish()
 }
 
@@ -224,8 +207,11 @@ mod tests {
     #[test]
     fn keys_distinguish_table_segment_filter() {
         let c = DecisionCache::default();
-        let plan =
-            vec![PlannedClause { idx: 1, strategy: ClauseStrategy::Encoded, selectivity: 0.1 }];
+        let plan = vec![PlannedClause {
+            idx: 1,
+            strategy: ClauseStrategy::EncodedBitmap,
+            selectivity: 0.1,
+        }];
         c.put(1, 10, 99, 0, plan.clone());
         assert!(c.get(2, 10, 99, 0).is_none());
         assert!(c.get(1, 11, 99, 0).is_none());
@@ -246,13 +232,11 @@ mod tests {
 
     #[test]
     fn fingerprint_distinguishes_filters() {
-        let a = fingerprint(&[Expr::eq(0, 1i64)], true, true, 1024);
-        let b = fingerprint(&[Expr::eq(0, 2i64)], true, true, 1024);
-        let c = fingerprint(&[Expr::eq(0, 1i64)], false, true, 1024);
-        let d = fingerprint(&[Expr::eq(0, 1i64)], true, false, 1024);
+        let a = fingerprint(&[Expr::eq(0, 1i64)], true);
+        let b = fingerprint(&[Expr::eq(0, 2i64)], true);
+        let c = fingerprint(&[Expr::eq(0, 1i64)], false);
         assert_ne!(a, b);
         assert_ne!(a, c);
-        assert_ne!(a, d);
-        assert_eq!(a, fingerprint(&[Expr::eq(0, 1i64)], true, true, 1024));
+        assert_eq!(a, fingerprint(&[Expr::eq(0, 1i64)], true));
     }
 }

@@ -24,20 +24,20 @@
 //!   key or aggregate references are never decoded
 //!   ([`ScanStats::decode_skipped_rows`]).
 //!
-//! Byte-identity with the decode-first pipeline (`scan` +
-//! [`crate::kernels::hash_aggregate`]) is load-bearing and test-enforced:
-//! accumulators are *global* (never per-segment partials merged after the
-//! fact, which would reorder non-associative f64 additions) and are
-//! updated in exactly the legacy row order — snapshots in order, segments
-//! in order, then rowstore rows. Reordering the per-row/per-aggregate
-//! loop nest is safe because each (group, aggregate) accumulator still
-//! sees its rows in the same ascending order either way.
+//! Byte-identity with `scan` + [`crate::kernels::hash_aggregate`] is
+//! load-bearing and test-enforced: accumulators are *global* (never
+//! per-segment partials merged after the fact, which would reorder
+//! non-associative f64 additions) and are updated in exactly the scan's
+//! row order — snapshots in order, segments in order, then rowstore rows.
+//! Reordering the per-row/per-aggregate loop nest is safe because each
+//! (group, aggregate) accumulator still sees its rows in the same
+//! ascending order either way.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use s2_common::{DataType, Result, Row, Schema, Value};
+use s2_common::{DataType, Result, Value};
 use s2_core::{SegmentSnap, TableSnapshot};
 use s2_encoding::ColumnVector;
 
@@ -156,17 +156,14 @@ pub fn scan_aggregate(
                 &mut stats,
             )?;
         }
-        if !prep.rowstore_rows.is_empty() {
-            aggregate_rowstore(
-                &schema,
-                &prep.rowstore_rows,
-                &prep.residual,
-                projection,
-                group_by,
-                aggregates,
-                &mut gt,
-                &mut stats,
-            )?;
+        if let Some(tail) = scan::rowstore_tail(
+            &schema,
+            &prep.rowstore_rows,
+            &prep.residual,
+            projection,
+            &mut stats,
+        )? {
+            aggregate_rowstore(&tail, group_by, aggregates, &mut gt)?;
         }
     }
     let batch = assemble_aggregate_output(group_by.len(), gt.order, gt.states, aggregates)?;
@@ -417,7 +414,7 @@ fn dict_group_slots(
 
 /// Accumulate one aggregate over `n` rows with a per-function lane that
 /// maintains only the fields its `finish` reads — updates are observably
-/// identical to [`AggState::update`] in legacy row order, per group.
+/// identical to [`AggState::update`] in scan row order, per group.
 fn update_per_row(
     states: &mut [Vec<AggState>],
     ai: usize,
@@ -510,49 +507,16 @@ fn null_at(ev: &EvalVec, i: usize) -> bool {
     }
 }
 
-/// Fold the rowstore (L0) rows in: replicate the scan's rowstore batch +
-/// residual filtering, then run the literal `hash_aggregate` per-row update
-/// over the filtered batch so OLTP rows take exactly the legacy path.
-#[allow(clippy::too_many_arguments)]
+/// Fold the filtered, projected rowstore (L0) rows in with the literal
+/// `hash_aggregate` per-row update.
 fn aggregate_rowstore(
-    schema: &Schema,
-    rows: &[Row],
-    residual: &[Expr],
-    projection: &[usize],
+    tail: &Batch,
     group_by: &[Expr],
     aggregates: &[Aggregate],
     gt: &mut GroupTable,
-    stats: &mut ScanStats,
 ) -> Result<()> {
-    let mut needed: Vec<usize> = projection.to_vec();
-    for c in residual {
-        needed.extend(c.referenced_columns());
-    }
-    needed.sort_unstable();
-    needed.dedup();
-    let types: Vec<DataType> = needed.iter().map(|&c| schema.column(c).data_type).collect();
-    let batch = Batch::from_rows(rows, &needed, &types)?;
-    let pos: HashMap<usize, usize> = needed.iter().enumerate().map(|(i, &c)| (c, i)).collect();
-    let mut sel: Option<Vec<u32>> = None;
-    for clause in residual {
-        let remapped = clause.remap_columns(&|c| pos[&c]);
-        sel = Some(batch.filter(&remapped, sel.as_deref())?);
-        stats.regular_filters += 1;
-    }
-    let sel = match sel {
-        Some(s) => s,
-        None => (0..batch.rows() as u32).collect(),
-    };
-    if sel.is_empty() {
-        return Ok(());
-    }
-    stats.rows_output += sel.len();
-    let gathered = batch.gather(&sel);
-    let cols: Vec<ColumnVector> =
-        projection.iter().map(|c| gathered.columns[pos[c]].clone()).collect();
-    let pbatch = Batch::new(cols);
-    for ri in 0..pbatch.rows() {
-        let get = |c: usize| pbatch.value(c, ri);
+    for ri in 0..tail.rows() {
+        let get = |c: usize| tail.value(c, ri);
         let key: Vec<Value> = group_by.iter().map(|g| g.eval(&get)).collect::<Result<_>>()?;
         let slot = gt.slot_of(key) as usize;
         for (s, a) in gt.states[slot].iter_mut().zip(aggregates) {

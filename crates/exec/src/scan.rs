@@ -9,17 +9,15 @@
 //! on a sample (§5.2); (3) selectively decode only the projected columns for
 //! the rows that survived (late materialization).
 //!
-//! Step (2) has two execution modes. With `S2_ENCODED_EXEC` on (the
-//! default, [`ScanOptions::encoded_exec`]), clauses over dictionary/RLE
-//! columns compile into the code domain once per segment — one accept bit
-//! per dictionary entry or run ([`s2_encoding::CodePredicate`]) — and every
-//! row is answered by a code lookup into that bitmap; remaining clauses run
-//! through the vectorized evaluator ([`crate::veval`]) over typed column
-//! lanes. With it off, the legacy paths run: per-distinct-value predicate
-//! probes on encoded data and row-at-a-time `Expr::eval` on decoded data.
-//! Both modes produce byte-identical selections. Aggregations directly over
-//! a scan can additionally bypass materialization entirely via the fused
-//! encoded-domain path in [`crate::encoded`].
+//! In step (2), clauses over dictionary/RLE columns compile into the code
+//! domain once per segment — one accept bit per dictionary entry or run
+//! ([`s2_encoding::CodePredicate`]) — and every row is answered by a code
+//! lookup into that bitmap; remaining clauses, and every clause over
+//! rowstore rows, run through the vectorized evaluator ([`crate::veval`])
+//! over typed column lanes, so a row is filtered the same way whichever LSM
+//! level holds it. Aggregations directly over a scan can additionally bypass
+//! materialization entirely via the fused encoded-domain path in
+//! [`crate::encoded`].
 //!
 //! Parallelism: step (1) and the per-segment *skip* checks run on the
 //! calling thread (they are cheap and their order defines the stats), then
@@ -37,7 +35,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use s2_common::{DataType, Result, Row, Value};
+use s2_common::{DataType, Result, Row, Schema, Value};
 use s2_core::{SegmentSnap, TableSnapshot};
 use s2_encoding::ColumnVector;
 
@@ -45,12 +43,22 @@ use crate::batch::Batch;
 use crate::cache::{self, ClauseStrategy, PlannedClause};
 use crate::expr::Expr;
 use crate::pool::{self, ScanPool};
+use crate::veval;
 
 /// Scans whose total candidate rows are at or below this run inline on the
 /// calling thread even when a pool is available: the handoff + wakeup cost
 /// of a sub-morsel scan exceeds the scan itself (the `live_revenue` bench
 /// point regressed 2.4× at threads≥2 before this gate).
 pub const SMALL_SCAN_INLINE_ROWS: usize = 4096;
+
+/// Rows sampled per segment for §5.2 clause costing.
+const SAMPLE_ROWS: usize = 1024;
+
+/// Index probes are skipped when the probe keys exceed `rows /
+/// INDEX_KEY_DIVISOR` (paper §5.1: "dynamically disables the use of a
+/// secondary index if the number of keys to look up is too high relative to
+/// the table size").
+const INDEX_KEY_DIVISOR: usize = 64;
 
 /// Knobs controlling the adaptive machinery — each maps to an ablation bench.
 #[derive(Debug, Clone)]
@@ -61,12 +69,6 @@ pub struct ScanOptions {
     pub use_encoded: bool,
     /// Dynamically reorder filter clauses by `(1-P)/cost`.
     pub adaptive_reorder: bool,
-    /// Rows sampled per segment for costing.
-    pub sample_rows: usize,
-    /// Index disabled when probe keys exceed `rows / index_key_divisor`
-    /// (paper §5.1: "dynamically disables the use of a secondary index if
-    /// the number of keys to look up is too high relative to the table size").
-    pub index_key_divisor: usize,
     /// Executing threads for segment morsels and partition fan-out
     /// (0 = `S2_SCAN_THREADS` env, falling back to available parallelism;
     /// 1 = strictly serial on the calling thread).
@@ -74,13 +76,6 @@ pub struct ScanOptions {
     /// Reuse cached per-segment planning decisions (clause order + filter
     /// strategy) instead of re-sampling on every scan.
     pub decision_cache: bool,
-    /// Encoded-domain execution: compile predicates into per-segment code
-    /// bitmaps, evaluate remaining clauses through the vectorized
-    /// evaluator, and let aggregates run fused over codes/lanes
-    /// (`crate::encoded`). Defaults from `S2_ENCODED_EXEC` (unset/`1` =
-    /// on, `0` = legacy decode-first evaluation). Results are
-    /// byte-identical either way.
-    pub encoded_exec: bool,
 }
 
 impl Default for ScanOptions {
@@ -89,18 +84,10 @@ impl Default for ScanOptions {
             use_index: true,
             use_encoded: true,
             adaptive_reorder: true,
-            sample_rows: 1024,
-            index_key_divisor: 64,
             threads: 0,
             decision_cache: true,
-            encoded_exec: encoded_exec_default(),
         }
     }
-}
-
-/// Read the `S2_ENCODED_EXEC` runtime switch (default on).
-fn encoded_exec_default() -> bool {
-    std::env::var("S2_ENCODED_EXEC").map_or(true, |v| v != "0")
 }
 
 /// Counters describing what a scan actually did.
@@ -252,35 +239,7 @@ pub fn scan(
     }
 
     // ---- rowstore level (always on the calling thread) -------------------
-    if !rowstore_rows.is_empty() {
-        // Build a batch over projection + residual-filter columns.
-        let mut needed: Vec<usize> = projection.to_vec();
-        for c in &residual {
-            needed.extend(c.referenced_columns());
-        }
-        needed.sort_unstable();
-        needed.dedup();
-        let types: Vec<DataType> = needed.iter().map(|&c| schema.column(c).data_type).collect();
-        let batch = Batch::from_rows(&rowstore_rows, &needed, &types)?;
-        let pos: HashMap<usize, usize> = needed.iter().enumerate().map(|(i, &c)| (c, i)).collect();
-        let mut sel: Option<Vec<u32>> = None;
-        for clause in &residual {
-            let remapped = clause.remap_columns(&|c| pos[&c]);
-            sel = Some(batch.filter(&remapped, sel.as_deref())?);
-            stats.regular_filters += 1;
-        }
-        let sel = match sel {
-            Some(s) => s,
-            None => (0..batch.rows() as u32).collect(),
-        };
-        if !sel.is_empty() {
-            stats.rows_output += sel.len();
-            let gathered = batch.gather(&sel);
-            let cols: Vec<ColumnVector> =
-                projection.iter().map(|c| gathered.columns[pos[c]].clone()).collect();
-            out_batches.push(Batch::new(cols));
-        }
-    }
+    out_batches.extend(rowstore_tail(&schema, &rowstore_rows, &residual, projection, &mut stats)?);
 
     let result = if out_batches.is_empty() {
         Batch::empty(&proj_types)
@@ -289,6 +248,48 @@ pub fn scan(
     };
     record_scan_stats(&stats);
     Ok((result, stats))
+}
+
+/// Filter and project the live rowstore (L0) rows: `None` when no row
+/// passes. Clauses run through the same vectorized evaluator as decoded
+/// segment columns ([`eval_regular`]), so a predicate's outcome (rows or
+/// error) does not change when its rows are flushed.
+pub(crate) fn rowstore_tail(
+    schema: &Schema,
+    rows: &[Row],
+    residual: &[Expr],
+    projection: &[usize],
+    stats: &mut ScanStats,
+) -> Result<Option<Batch>> {
+    if rows.is_empty() {
+        return Ok(None);
+    }
+    // Build a batch over projection + residual-filter columns.
+    let mut needed: Vec<usize> = projection.to_vec();
+    for c in residual {
+        needed.extend(c.referenced_columns());
+    }
+    needed.sort_unstable();
+    needed.dedup();
+    let types: Vec<DataType> = needed.iter().map(|&c| schema.column(c).data_type).collect();
+    let mut batch = Batch::from_rows(rows, &needed, &types)?;
+    let pos: HashMap<usize, usize> = needed.iter().enumerate().map(|(i, &c)| (c, i)).collect();
+    for clause in residual {
+        let remapped = clause.remap_columns(&|c| pos[&c]);
+        let mask = veval::filter_mask(&batch.columns, batch.rows(), &remapped)?;
+        stats.regular_filters += 1;
+        let sel: Vec<u32> = mask.iter_ones().map(|i| i as u32).collect();
+        if sel.len() < batch.rows() {
+            batch = batch.gather(&sel);
+        }
+    }
+    if batch.rows() == 0 {
+        return Ok(None);
+    }
+    stats.rows_output += batch.rows();
+    let cols: Vec<ColumnVector> =
+        projection.iter().map(|c| batch.columns[pos[c]].clone()).collect();
+    Ok(Some(Batch::new(cols)))
 }
 
 /// Run the caller-thread front half of a scan: split the filter, probe
@@ -307,7 +308,7 @@ pub(crate) fn prepare_scan(
 
     // ---- step 1a: secondary-index probe --------------------------------
     let total_rows = snapshot.live_row_count().max(1);
-    let key_budget = (total_rows / opts.index_key_divisor).max(4);
+    let key_budget = (total_rows / INDEX_KEY_DIVISOR).max(4);
     let mut probe_result = None;
     let mut consumed: Vec<usize> = Vec::new(); // conjunct indices answered by the index
     if opts.use_index {
@@ -524,7 +525,7 @@ pub(crate) fn apply_clauses(
     // Cache lookup: only adaptive plans are cached (non-adaptive planning
     // does no sampling, so there is nothing worth remembering).
     let use_cache = opts.decision_cache && opts.adaptive_reorder;
-    let fp = cache::fingerprint(residual, opts.use_encoded, opts.encoded_exec, opts.sample_rows);
+    let fp = cache::fingerprint(residual, opts.use_encoded);
     let deleted = seg.deleted.count_ones();
     let cached: Option<Vec<PlannedClause>> = if use_cache {
         cache::global().get(table_key, seg.core.meta.id, fp, deleted)
@@ -549,8 +550,8 @@ pub(crate) fn apply_clauses(
             }
             let mut costed: Vec<Costed> = Vec::with_capacity(residual.len());
             let sample: Vec<u32> = match &sel {
-                Some(s) => s.iter().copied().take(opts.sample_rows.max(16)).collect(),
-                None => (0..seg_rows.min(opts.sample_rows.max(16)) as u32).collect(),
+                Some(s) => s.iter().copied().take(SAMPLE_ROWS).collect(),
+                None => (0..seg_rows.min(SAMPLE_ROWS) as u32).collect(),
             };
             for (idx, clause) in residual.iter().enumerate() {
                 let cols = clause.referenced_columns();
@@ -569,7 +570,11 @@ pub(crate) fn apply_clauses(
                             .encoded_domain_size()
                             .is_some_and(|domain| domain * 4 <= sel_len(&sel).max(1))
                 };
-                let strategy = strategy_for(can_encode, opts.encoded_exec);
+                let strategy = if can_encode {
+                    ClauseStrategy::EncodedBitmap
+                } else {
+                    ClauseStrategy::Regular
+                };
                 if !opts.adaptive_reorder {
                     costed.push(Costed {
                         clause: PlannedClause { idx, strategy, selectivity: 0.5 },
@@ -590,10 +595,7 @@ pub(crate) fn apply_clauses(
                     ClauseStrategy::EncodedBitmap => {
                         eval_encoded_bitmap(seg, clause, cols[0], Some(&sample), &mut scratch)?
                     }
-                    ClauseStrategy::Encoded => eval_encoded(seg, clause, cols[0], Some(&sample))?,
-                    ClauseStrategy::Regular => {
-                        eval_regular(seg, clause, &cols, Some(&sample), opts.encoded_exec)?
-                    }
+                    ClauseStrategy::Regular => eval_regular(seg, clause, &cols, Some(&sample))?,
                 };
                 let sample_cost = t0.elapsed().as_nanos() as f64;
                 let scale = sel_len(&sel).max(1) as f64 / sample.len().max(1) as f64;
@@ -627,15 +629,10 @@ pub(crate) fn apply_clauses(
             break;
         }
         let p = &planned[i];
-        if p.strategy.is_encoded() {
+        if p.strategy == ClauseStrategy::EncodedBitmap {
             let clause = &residual[p.idx];
             let col = clause.referenced_columns()[0];
-            sel = Some(match p.strategy {
-                ClauseStrategy::EncodedBitmap => {
-                    eval_encoded_bitmap(seg, clause, col, sel.as_deref(), stats)?
-                }
-                _ => eval_encoded(seg, clause, col, sel.as_deref())?,
-            });
+            sel = Some(eval_encoded_bitmap(seg, clause, col, sel.as_deref(), stats)?);
             stats.encoded_filters += 1;
             i += 1;
             continue;
@@ -644,7 +641,7 @@ pub(crate) fn apply_clauses(
         let mut group_end = i + 1;
         if opts.adaptive_reorder && p.selectivity >= GROUP_PASS_RATE {
             while group_end < planned.len()
-                && !planned[group_end].strategy.is_encoded()
+                && planned[group_end].strategy == ClauseStrategy::Regular
                 && planned[group_end].selectivity >= GROUP_PASS_RATE
             {
                 group_end += 1;
@@ -657,12 +654,12 @@ pub(crate) fn apply_clauses(
                 .reduce(Expr::and)
                 .expect("at least two clauses");
             let cols = combined.referenced_columns();
-            sel = Some(eval_regular(seg, &combined, &cols, sel.as_deref(), opts.encoded_exec)?);
+            sel = Some(eval_regular(seg, &combined, &cols, sel.as_deref())?);
             stats.group_filters += 1;
         } else {
             let clause = &residual[p.idx];
             let cols = clause.referenced_columns();
-            sel = Some(eval_regular(seg, clause, &cols, sel.as_deref(), opts.encoded_exec)?);
+            sel = Some(eval_regular(seg, clause, &cols, sel.as_deref())?);
             stats.regular_filters += 1;
         }
         i = group_end;
@@ -670,26 +667,13 @@ pub(crate) fn apply_clauses(
     Ok(sel)
 }
 
-/// Choose a clause's evaluation strategy from what the data allows
-/// (`can_encode`) and the execution mode.
-fn strategy_for(can_encode: bool, encoded_exec: bool) -> ClauseStrategy {
-    match (can_encode, encoded_exec) {
-        (true, true) => ClauseStrategy::EncodedBitmap,
-        (true, false) => ClauseStrategy::Encoded,
-        (false, _) => ClauseStrategy::Regular,
-    }
-}
-
 /// Regular filter: decode the clause's columns for the selected rows, then
-/// evaluate the predicate on the decoded values — row-at-a-time
-/// (`Expr::eval` via `Batch::filter`) or through the vectorized evaluator
-/// when encoded execution is on. Both produce the same selection.
+/// evaluate the predicate over the decoded lanes ([`crate::veval`]).
 fn eval_regular(
     seg: &SegmentSnap,
     clause: &Expr,
     cols: &[usize],
     sel: Option<&[u32]>,
-    vectorized: bool,
 ) -> Result<Vec<u32>> {
     let mut vectors = Vec::with_capacity(cols.len());
     for &c in cols {
@@ -697,47 +681,19 @@ fn eval_regular(
     }
     let pos: HashMap<usize, usize> = cols.iter().enumerate().map(|(i, &c)| (c, i)).collect();
     let remapped = clause.remap_columns(&|c| pos[&c]);
-    let local: Vec<u32> = if vectorized {
-        let rows = sel.map_or(seg.core.meta.row_count, <[u32]>::len);
-        let mask = crate::veval::filter_mask(&vectors, rows, &remapped)?;
-        mask.iter_ones().map(|i| i as u32).collect()
-    } else {
-        let batch = Batch::new(vectors);
-        batch.filter(&remapped, None)?
-    };
+    let rows = sel.map_or(seg.core.meta.row_count, <[u32]>::len);
+    let mask = veval::filter_mask(&vectors, rows, &remapped)?;
     Ok(match sel {
-        Some(sel) => local.into_iter().map(|i| sel[i as usize]).collect(),
-        None => local,
+        Some(sel) => mask.iter_ones().map(|i| sel[i]).collect(),
+        None => mask.iter_ones().map(|i| i as u32).collect(),
     })
-}
-
-/// Encoded filter: evaluate the predicate on the compressed domain
-/// (dictionary entries / runs) without decoding (paper §5.2).
-fn eval_encoded(
-    seg: &SegmentSnap,
-    clause: &Expr,
-    col: usize,
-    sel: Option<&[u32]>,
-) -> Result<Vec<u32>> {
-    let reader = seg.core.reader.column(col)?;
-    let mut pred = |v: &Value| {
-        let get = |c: usize| {
-            debug_assert_eq!(c, col);
-            v.clone()
-        };
-        clause.eval_bool(&get).unwrap_or(false)
-    };
-    match reader.encoded_filter(&mut pred, sel)? {
-        Some(rows) => Ok(rows),
-        None => eval_regular(seg, clause, &[col], sel, false),
-    }
 }
 
 /// Encoded-domain bitmap filter (`ClauseStrategy::EncodedBitmap`): compile
 /// the predicate into one accept bit per dictionary entry / run value, then
 /// answer every candidate row with a code lookup — no `Value` is built per
-/// row. Falls back to the vectorized regular filter when the column's
-/// encoding cannot compile (plain/bit-packed data).
+/// row. Falls back to the regular filter when the column's encoding cannot
+/// compile (plain/bit-packed data).
 fn eval_encoded_bitmap(
     seg: &SegmentSnap,
     clause: &Expr,
@@ -753,16 +709,12 @@ fn eval_encoded_bitmap(
         };
         clause.eval_bool(&get).unwrap_or(false)
     };
-    match reader.compile_predicate(&mut pred) {
-        Some(compiled) => {
-            let mask = reader.predicate_mask(&compiled);
+    match reader.encoded_filter(&mut pred, sel)? {
+        Some(rows) => {
             stats.encoded_clause_total += 1;
-            Ok(match sel {
-                Some(sel) => sel.iter().copied().filter(|&r| mask.get(r as usize)).collect(),
-                None => mask.iter_ones().map(|r| r as u32).collect(),
-            })
+            Ok(rows)
         }
-        None => eval_regular(seg, clause, &[col], sel, true),
+        None => eval_regular(seg, clause, &[col], sel),
     }
 }
 

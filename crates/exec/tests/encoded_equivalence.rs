@@ -1,11 +1,12 @@
-//! Encoded-domain execution equivalence (the PR's correctness contract):
-//! `S2_ENCODED_EXEC=1` (compiled code-domain predicates, vectorized
-//! evaluation, fused encoded aggregation) must be *byte-identical* to the
-//! decode-first scalar path — same rows, same order, same `Debug`
-//! rendering of every value — over randomized multi-segment tables that
-//! hit every encoding (bit-packed ints, RLE runs, int and string
-//! dictionaries, plain doubles/strings, LZ strings) with NULLs, deletes
-//! and a rowstore tail.
+//! Encoded-domain execution equivalence: the scan's compiled code-domain
+//! predicates and vectorized evaluation must be *byte-identical* to an
+//! unfiltered scan followed by the scalar `Batch::filter`, and the fused
+//! encoded aggregation to `scan` + `hash_aggregate` — same rows, same
+//! order, same `Debug` rendering of every value — over randomized
+//! multi-segment tables that hit every encoding (bit-packed ints, RLE
+//! runs, int and string dictionaries, plain doubles/strings, LZ strings)
+//! with NULLs, deletes and a rowstore tail. A scan's outcome must also not
+//! depend on which LSM level holds a row: flushing the tail changes nothing.
 
 use std::sync::Arc;
 
@@ -34,6 +35,8 @@ fn next(state: &mut u64) -> u64 {
 ///   3 runs    Int     long runs, wide range -> RleInt
 ///   4 tag     Str     long unique strings   -> LzStr
 ///   5 nint    Int     random, many NULLs    -> BitPackInt + null bitmap
+///                     (never 0 in the flushed batches; the tail holds the
+///                     only 0, for the guarded-division case)
 ///   6 sparse  Int     4 huge distinct       -> DictInt
 fn build_table(seed: u64) -> (Arc<Partition>, u32) {
     let mut rng = seed;
@@ -74,7 +77,7 @@ fn build_table(seed: u64) -> (Arc<Partition>, u32) {
             let nint = if next(&mut rng).is_multiple_of(3) {
                 Value::Null
             } else {
-                Value::Int((next(&mut rng) % 100) as i64)
+                Value::Int(1 + (next(&mut rng) % 99) as i64)
             };
             txn.insert(
                 t,
@@ -101,9 +104,9 @@ fn build_table(seed: u64) -> (Arc<Partition>, u32) {
         let _ = txn.delete_unique(t, &[Value::Int(victim)]).unwrap();
     }
     txn.commit().unwrap();
-    // Rowstore tail: unflushed rows take the legacy row loop in both modes.
+    // Rowstore tail: unflushed rows, `nint` counting up from 0.
     let mut txn = p.begin();
-    for _ in 0..(next(&mut rng) % 40) {
+    for i in 0..(1 + next(&mut rng) % 40) as i64 {
         txn.insert(
             t,
             Row::new(vec![
@@ -112,7 +115,7 @@ fn build_table(seed: u64) -> (Arc<Partition>, u32) {
                 Value::Double(id as f64),
                 Value::Int(-1),
                 Value::str("tag-tail"),
-                Value::Null,
+                Value::Int(i),
                 Value::Int(sparse_vals[0]),
             ]),
         )
@@ -123,8 +126,8 @@ fn build_table(seed: u64) -> (Arc<Partition>, u32) {
     (p, t)
 }
 
-fn opts(encoded_exec: bool) -> ScanOptions {
-    ScanOptions { threads: 1, encoded_exec, ..Default::default() }
+fn opts() -> ScanOptions {
+    ScanOptions { threads: 1, ..Default::default() }
 }
 
 /// Exact per-row `Debug` rendering — the byte-identity witness.
@@ -159,27 +162,87 @@ fn filter_suite() -> Vec<Option<Expr>> {
     ]
 }
 
+/// `nint = 0 OR 100 / nint > 5`: only a per-row `OR` short-circuit keeps the
+/// `nint = 0` row from dividing by zero, and the vectorized evaluator has
+/// none — so the scan errors, wherever that row lives.
+fn guarded_division() -> Expr {
+    Expr::Or(vec![
+        Expr::eq(5, 0i64),
+        Expr::Cmp(
+            CmpOp::Gt,
+            Box::new(Expr::Arith(
+                s2_exec::ArithOp::Div,
+                Box::new(Expr::Literal(Value::Int(100))),
+                Box::new(Expr::Column(5)),
+            )),
+            Box::new(Expr::Literal(Value::Int(5))),
+        ),
+    ])
+}
+
+/// A scan's observable outcome: rendered rows, or the error message.
+fn outcome(r: s2_common::Result<(Batch, s2_exec::ScanStats)>) -> Result<Vec<String>, String> {
+    r.map(|(b, _)| rows_dbg(&b)).map_err(|e| e.to_string())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Scans: encoded-domain filtering returns byte-identical batches to
-    /// the decode-first path for every clause strategy.
+    /// Scans: a filtered scan returns exactly the rows that the scalar
+    /// `Batch::filter` keeps from an unfiltered scan, for every clause
+    /// strategy.
     #[test]
-    fn scan_encoded_matches_decoded(seed in any::<u64>()) {
+    fn scan_filter_matches_scalar_filter(seed in any::<u64>()) {
         let (p, t) = build_table(seed);
         let snap = p.read_snapshot();
         let ts = snap.table(t).unwrap();
         let proj: Vec<usize> = (0..7).collect();
-        for filter in &filter_suite() {
-            let (off, _) = scan(ts, &proj, filter.as_ref(), &opts(false)).unwrap();
-            let (on, _) = scan(ts, &proj, filter.as_ref(), &opts(true)).unwrap();
-            prop_assert_eq!(rows_dbg(&off), rows_dbg(&on), "filter {:?}", filter);
+        let (all, _) = scan(ts, &proj, None, &opts()).unwrap();
+        for filter in filter_suite().iter().flatten() {
+            let expected = all.gather(&all.filter(filter, None).unwrap());
+            let (got, _) = scan(ts, &proj, Some(filter), &opts()).unwrap();
+            prop_assert_eq!(rows_dbg(&expected), rows_dbg(&got), "filter {:?}", filter);
+        }
+    }
+
+    /// Flush invariance: `scan` and `scan_aggregate` return the same rows —
+    /// or the same error — whether the tail rows sit in the rowstore or in
+    /// a freshly flushed segment.
+    #[test]
+    fn flush_does_not_change_scan_outcome(seed in any::<u64>()) {
+        let (p, t) = build_table(seed);
+        let proj: Vec<usize> = (0..7).collect();
+        let group_by = [Expr::Column(1)];
+        let aggregates = [
+            Aggregate { func: AggFunc::Count, input: Expr::Literal(Value::Int(1)) },
+            Aggregate { func: AggFunc::Sum, input: Expr::Column(2) },
+        ];
+        let mut filters = filter_suite();
+        filters.push(Some(guarded_division()));
+        let run = |filter: &Option<Expr>| {
+            let snap = p.read_snapshot();
+            let ts = snap.table(t).unwrap();
+            let rows = outcome(scan(ts, &proj, filter.as_ref(), &opts()));
+            let agg = outcome(scan_aggregate(
+                std::slice::from_ref(ts),
+                &proj,
+                filter.as_ref(),
+                &group_by,
+                &aggregates,
+                &opts(),
+            ));
+            (rows, agg)
+        };
+        let before: Vec<_> = filters.iter().map(run).collect();
+        prop_assert!(p.flush_table(t, true).unwrap() > 0, "the tail flushes into a segment");
+        for (filter, before) in filters.iter().zip(before) {
+            prop_assert_eq!(before, run(filter), "filter {:?}", filter);
         }
     }
 
     /// Aggregates: the fused encoded aggregation (dict-code groups, RLE
     /// run arithmetic, typed lanes, rowstore tail) is byte-identical to
-    /// scan + hash_aggregate in both modes.
+    /// scan + hash_aggregate.
     #[test]
     fn aggregate_fused_matches_hash(seed in any::<u64>()) {
         let (p, t) = build_table(seed);
@@ -230,7 +293,7 @@ proptest! {
             ], Some(Expr::eq(6, 10_000_019i64).and(Expr::cmp(2, CmpOp::Ge, 50.0)))),
         ];
         for (group_by, aggregates, filter) in &cases {
-            let (base, _) = scan(ts, &proj, filter.as_ref(), &opts(false)).unwrap();
+            let (base, _) = scan(ts, &proj, filter.as_ref(), &opts()).unwrap();
             let legacy = hash_aggregate(&base, group_by, aggregates);
             let fused = scan_aggregate(
                 std::slice::from_ref(ts),
@@ -238,7 +301,7 @@ proptest! {
                 filter.as_ref(),
                 group_by,
                 aggregates,
-                &opts(true),
+                &opts(),
             );
             match (&legacy, &fused) {
                 (Ok(l), Ok((f, _))) => prop_assert_eq!(
@@ -292,10 +355,10 @@ fn rle_sum_overflow_guard_falls_back() {
     let snap = p.read_snapshot();
     let ts = snap.table(t).unwrap();
     let aggs = vec![Aggregate { func: AggFunc::Sum, input: Expr::Column(1) }];
-    let (base, _) = scan(ts, &[0, 1], None, &opts(false)).unwrap();
+    let (base, _) = scan(ts, &[0, 1], None, &opts()).unwrap();
     let legacy = hash_aggregate(&base, &[], &aggs).unwrap();
     let (fused, _) =
-        scan_aggregate(std::slice::from_ref(ts), &[0, 1], None, &[], &aggs, &opts(true)).unwrap();
+        scan_aggregate(std::slice::from_ref(ts), &[0, 1], None, &[], &aggs, &opts()).unwrap();
     assert_eq!(rows_dbg(&legacy), rows_dbg(&fused));
 }
 
@@ -311,15 +374,9 @@ fn encoded_stats_advance() {
     // the clause must reach the compiled-bitmap path instead of an index
     // probe.
     let filter = Expr::eq(6, 77_000_003i64);
-    let (_, stats) = scan_aggregate(
-        std::slice::from_ref(ts),
-        &[0, 1, 2],
-        Some(&filter),
-        &[],
-        &aggs,
-        &opts(true),
-    )
-    .unwrap();
+    let (_, stats) =
+        scan_aggregate(std::slice::from_ref(ts), &[0, 1, 2], Some(&filter), &[], &aggs, &opts())
+            .unwrap();
     assert!(stats.encoded_clause_total > 0, "dict filter must compile: {stats:?}");
     assert!(stats.encoded_agg_rows > 0, "fused aggregation must run: {stats:?}");
     assert!(stats.decode_skipped_rows > 0, "COUNT(1) needs no decode: {stats:?}");

@@ -145,19 +145,17 @@ pub fn execute_with_stats(
             // keys on dictionary codes, typed accumulation lanes, no
             // intermediate batch. Bit-identical to scan + hash_aggregate.
             if let Plan::Scan { table, projection, filter } = input.as_ref() {
-                if opts.scan.encoded_exec {
-                    let snaps = ctx.snapshots(table)?;
-                    let (batch, s) = s2_exec::scan_aggregate(
-                        &snaps,
-                        projection,
-                        filter.as_ref(),
-                        group_by,
-                        aggregates,
-                        &opts.scan,
-                    )?;
-                    stats.scan.merge(&s);
-                    return Ok(batch);
-                }
+                let snaps = ctx.snapshots(table)?;
+                let (batch, s) = s2_exec::scan_aggregate(
+                    &snaps,
+                    projection,
+                    filter.as_ref(),
+                    group_by,
+                    aggregates,
+                    &opts.scan,
+                )?;
+                stats.scan.merge(&s);
+                return Ok(batch);
             }
             let batch = execute_with_stats(input, ctx, opts, stats)?;
             hash_aggregate(&batch, group_by, aggregates)

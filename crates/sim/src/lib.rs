@@ -44,8 +44,8 @@ pub use outage::{
 pub use plan::{FaultPlan, SiteConfig};
 pub use runner::{run_group_many, run_many, RunSummary};
 pub use scenario::{
-    harness_lock, install_quiet_panic_hook, run_group_scenario, run_scenario, GroupMode,
-    ScenarioReport, Violation, PARTITION,
+    harness_lock, install_quiet_panic_hook, run_group_scenario, run_scenario, ScenarioReport,
+    Violation, PARTITION,
 };
 pub use sqlgen::{run_sql_many, SqlSummary};
 pub use storage::{BlobReadFileStore, SimFileStore};

@@ -6,8 +6,7 @@
 //! ```
 //!
 //! `--scenario crash` (default) runs the crash-recovery sweep; `group`
-//! forces the group-commit pipeline on with boosted `wal.group.*` kill
-//! points; `outage` runs blob-outage drills against the resilience layer;
+//! runs the same sweep with boosted `wal.group.*` kill points; `outage` runs blob-outage drills against the resilience layer;
 //! `workspace` drills elastic workspace fleets (provision/detach churn with
 //! kill points, transient bursts, a total blob outage, convergence to the
 //! primary); `sql` runs generated queries through the full s2-sql pipeline

@@ -26,9 +26,8 @@ pub struct Oracle {
     /// Highest commit position acknowledged as durable to the "client".
     pub acked_lp: LogPosition,
     /// Model state of a commit that is *in flight*: `commit()` was called
-    /// but has not returned. With the group-commit pipeline a crash can
-    /// strike after the leader made the batch durable but before the
-    /// committer woke — the record legally survives recovery even though
+    /// but has not returned. A crash can strike after the group-commit
+    /// leader made the batch durable but before the committer woke — the record legally survives recovery even though
     /// the client was never acknowledged. Recovery reconciles against this
     /// (see `scenario::reconcile_pending`) and always clears it.
     pub pending: Option<Model>,

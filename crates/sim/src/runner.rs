@@ -9,8 +9,6 @@ pub struct RunSummary {
     pub scenarios: usize,
     /// Scenarios that ran with a synchronous replica (failover mode).
     pub replica_scenarios: usize,
-    /// Scenarios whose commits went through the group-commit pipeline.
-    pub group_scenarios: usize,
     /// Committed transactions across all scenarios.
     pub commits: u64,
     /// Injected crashes survived.
@@ -29,11 +27,10 @@ impl RunSummary {
     /// One-line human summary.
     pub fn summary_line(&self) -> String {
         format!(
-            "{} scenarios ({} replicated, {} group-commit): {} commits, {} crashes, \
+            "{} scenarios ({} replicated): {} commits, {} crashes, \
              {} recoveries, {} injected errors, {} PITR checks, {} violations",
             self.scenarios,
             self.replica_scenarios,
-            self.group_scenarios,
             self.commits,
             self.crashes,
             self.recoveries,
@@ -49,8 +46,8 @@ pub fn run_many(base_seed: u64, count: usize, verbose: bool) -> RunSummary {
     sweep(base_seed, count, verbose, run_scenario)
 }
 
-/// Run `count` group-commit crash drills (pipeline forced on, `wal.group.*`
-/// kill points boosted) on seeds `base_seed..base_seed+count`.
+/// Run `count` group-commit crash drills (`wal.group.*` kill points boosted)
+/// on seeds `base_seed..base_seed+count`.
 pub fn run_group_many(base_seed: u64, count: usize, verbose: bool) -> RunSummary {
     sweep(base_seed, count, verbose, run_group_scenario)
 }
@@ -68,7 +65,6 @@ fn sweep(
         match run(seed) {
             Ok(r) => {
                 sum.replica_scenarios += r.replica_mode as usize;
-                sum.group_scenarios += r.group_commit as usize;
                 sum.commits += r.commits;
                 sum.crashes += r.crashes;
                 sum.recoveries += r.recoveries;
@@ -76,14 +72,8 @@ fn sweep(
                 sum.pitr_checks += r.pitr_checks;
                 if verbose {
                     eprintln!(
-                        "seed {seed}: ok ({} steps, {} commits, {} crashes, {} pitr, \
-                         replica={}, group={})",
-                        r.steps,
-                        r.commits,
-                        r.crashes,
-                        r.pitr_checks,
-                        r.replica_mode,
-                        r.group_commit
+                        "seed {seed}: ok ({} steps, {} commits, {} crashes, {} pitr, replica={})",
+                        r.steps, r.commits, r.crashes, r.pitr_checks, r.replica_mode
                     );
                 }
             }

@@ -68,21 +68,8 @@ pub struct ScenarioReport {
     pub pitr_checks: u64,
     /// Whether this scenario ran with a synchronous replica (failover mode).
     pub replica_mode: bool,
-    /// Whether commits went through the group-commit pipeline.
-    pub group_commit: bool,
     /// The full injection trace (`site#hit:crash` / `site#hit:error`).
     pub trace: Vec<String>,
-}
-
-/// How a scenario chooses the commit path.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub enum GroupMode {
-    /// Coin-flip per seed: the default sweep covers both the group-commit
-    /// pipeline and the legacy per-commit append path.
-    Random,
-    /// Force the group-commit pipeline on and boost its crash sites — the
-    /// dedicated `--scenario group` drill.
-    Forced,
 }
 
 /// An invariant violation: the seed reproduces it exactly.
@@ -172,10 +159,6 @@ struct Engine {
     /// happened only if this is non-zero).
     vacuumed: usize,
     commits: u64,
-    /// Whether commits run through the group-commit pipeline. Recovery
-    /// builds fresh partitions (which default to the env setting), so the
-    /// choice is re-applied after every restart/promotion.
-    group_on: bool,
 }
 
 enum RecErr {
@@ -187,26 +170,22 @@ enum RecErr {
 
 /// Run one scenario. `Err` carries the violation with its replayable trace.
 pub fn run_scenario(seed: u64) -> Result<ScenarioReport, Violation> {
-    run_scenario_mode(seed, GroupMode::Random)
+    run_scenario_boosted(seed, 1.0)
 }
 
-/// Run one group-commit crash drill: the pipeline is forced on and the
-/// `wal.group.*` crash sites fire at boosted rates.
+/// Run one group-commit crash drill: the same scenario with the
+/// `wal.group.*` crash sites firing at 4x their usual rate.
 pub fn run_group_scenario(seed: u64) -> Result<ScenarioReport, Violation> {
-    run_scenario_mode(seed, GroupMode::Forced)
+    run_scenario_boosted(seed, 4.0)
 }
 
-fn run_scenario_mode(seed: u64, mode: GroupMode) -> Result<ScenarioReport, Violation> {
+fn run_scenario_boosted(seed: u64, group_boost: f64) -> Result<ScenarioReport, Violation> {
     let _guard = harness_lock();
     install_quiet_panic_hook();
     install_logical_event_clock();
 
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5157_5353_494d_5531);
     let replica_mode = rng.random_bool(0.5);
-    // Drawn unconditionally so both modes consume the same PRNG stream: a
-    // seed replays the identical workload whether forced or not.
-    let group_coin = rng.random_bool(0.5);
-    let group_on = mode == GroupMode::Forced || group_coin;
     let steps = rng.random_range(40..90_usize);
     let key_space: i64 = rng.random_range(8..48);
     let cfg = StorageConfig {
@@ -238,7 +217,6 @@ fn run_scenario_mode(seed: u64, mode: GroupMode) -> Result<ScenarioReport, Viola
         .with_unique("pk", vec![0])
         .with_flush_threshold(rng.random_range(4..16_usize))
         .with_segment_rows(rng.random_range(4..24_usize));
-    master.set_group_commit(group_on);
     let table = master
         .create_table("t", schema, options)
         .map_err(|e| viol(format!("create_table: {e}"), vec![]))?;
@@ -258,14 +236,12 @@ fn run_scenario_mode(seed: u64, mode: GroupMode) -> Result<ScenarioReport, Viola
         restarts: 0,
         vacuumed: 0,
         commits: 0,
-        group_on,
     };
     if replica_mode {
         engine.replica =
             Some(new_sync_replica(&engine.master, &engine.files).map_err(|m| viol(m, vec![]))?);
     }
 
-    let group_boost = if mode == GroupMode::Forced { 4.0 } else { 1.0 };
     let plan = Arc::new(build_plan(seed, &mut rng, group_boost));
     s2_common::fault::install(Arc::clone(&plan) as Arc<dyn FaultHook>);
     let _fault_guard = FaultGuard;
@@ -312,7 +288,6 @@ fn run_scenario_mode(seed: u64, mode: GroupMode) -> Result<ScenarioReport, Viola
         injected_errors: plan.error_count(),
         pitr_checks,
         replica_mode,
-        group_commit: group_on,
         trace: plan.trace(),
     })
 }
@@ -484,10 +459,10 @@ fn step_txn(e: &mut Engine, o: &mut Oracle, rng: &mut StdRng, commit: bool) -> R
         return Ok(());
     }
     // Stash the would-be post-commit state before calling into the engine:
-    // with the group-commit pipeline a kill point can fire after the leader
-    // made the record durable but before `commit()` returns, so the record
-    // may survive recovery even though this call never completes. Recovery
-    // reconciles against the stash (durable-but-unacknowledged is legal).
+    // a kill point can fire after the group-commit leader made the record
+    // durable but before `commit()` returns, so the record may survive
+    // recovery even though this call never completes. Recovery reconciles
+    // against the stash (durable-but-unacknowledged is legal).
     o.pending = Some(scratch.clone());
     let (_ts, end_lp) = match txn.commit() {
         Ok(v) => v,
@@ -499,9 +474,7 @@ fn step_txn(e: &mut Engine, o: &mut Oracle, rng: &mut StdRng, commit: bool) -> R
     o.pending = None;
     o.record_commit(end_lp, scratch);
     e.commits += 1;
-    // The client sometimes waits for durability (sync / replica ack) before
-    // treating the commit as acknowledged; only acknowledged commits are
-    // required to survive a crash.
+    // Only acknowledged commits are required to survive a crash.
     if e.replica.is_some() {
         // Replica-mode acks only come from replica application: the failover
         // survivor is the replica's applied prefix, so local durability
@@ -510,18 +483,11 @@ fn step_txn(e: &mut Engine, o: &mut Oracle, rng: &mut StdRng, commit: bool) -> R
             let applied = drain_replica(e)?;
             o.ack_up_to(applied);
         }
-    } else if e.group_on {
-        // Group commit returned ⇒ the leader's fsync covered this record:
-        // the commit is acknowledged-durable the moment it returns. This is
-        // the durability oracle for the pipeline — any crash after this
-        // point that loses the record is a violation.
+    } else {
+        // `commit()` returned ⇒ the leader's fsync covered this record: the
+        // commit is acknowledged-durable the moment it returns. Any crash
+        // after this point that loses the record is a violation.
         o.ack_up_to(end_lp);
-    } else if rng.random_bool(0.5) {
-        match e.master.log.sync() {
-            Ok(durable) => o.ack_up_to(durable),
-            Err(er) if injected(&er) => {}
-            Err(er) => return Err(format!("post-commit sync failed: {er}")),
-        }
     }
     Ok(())
 }
@@ -785,9 +751,6 @@ fn local_restart(
         Err(er) => return Err(RecErr::Violation(format!("max_uploaded_lp: {er}"))),
     }
 
-    // Recovery builds a fresh partition, which defaults to the env setting:
-    // re-apply this scenario's commit-path choice.
-    recovered.set_group_commit(e.group_on);
     e.master = recovered;
     e.restarts += 1;
     o.rewind_to(vp);
@@ -824,9 +787,6 @@ fn promote(e: &mut Engine, o: &mut Oracle) -> Result<(), String> {
         }
         Err(er) => return Err(format!("max_uploaded_lp during failover: {er}")),
     }
-    // The promoted replica was built by `empty_replica_partition` with the
-    // env-default commit path: re-apply this scenario's choice.
-    partition.set_group_commit(e.group_on);
     e.master = partition;
     e.restarts += 1;
     o.rewind_to(applied);

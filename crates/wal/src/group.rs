@@ -1,5 +1,5 @@
 //! Group commit: per-partition commit batching with leader/follower handoff
-//! (paper §3; ROADMAP open item 2).
+//! (paper §3). Every commit goes through this queue.
 //!
 //! Committers `submit` their redo record under the partition commit lock and
 //! then park in [`GroupCommit::wait_durable`] *outside* it. The first parked
@@ -28,7 +28,7 @@
 //! followers on its way out of the world — they re-elect and finish the job.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use s2_common::sync::{rank, Condvar, Mutex};
@@ -55,7 +55,6 @@ struct GroupState {
 pub struct GroupCommit {
     state: Mutex<GroupState>,
     wakeup: Condvar,
-    enabled: AtomicBool,
     flush_window_us: AtomicU64,
 }
 
@@ -66,14 +65,8 @@ impl Default for GroupCommit {
 }
 
 impl GroupCommit {
-    /// New queue. `S2_GROUP_COMMIT=0` selects the legacy per-commit append
-    /// path (default on); `S2_GROUP_FLUSH_US` sets the leader flush window.
+    /// New, empty queue with a zero flush window.
     pub fn new() -> GroupCommit {
-        let enabled = std::env::var("S2_GROUP_COMMIT")
-            .map(|v| !matches!(v.as_str(), "0" | "false" | "off"))
-            .unwrap_or(true);
-        let window =
-            std::env::var("S2_GROUP_FLUSH_US").ok().and_then(|v| v.parse().ok()).unwrap_or(0u64);
         GroupCommit {
             state: Mutex::new(
                 &rank::WAL_GROUP,
@@ -87,19 +80,8 @@ impl GroupCommit {
                 },
             ),
             wakeup: Condvar::new(),
-            enabled: AtomicBool::new(enabled),
-            flush_window_us: AtomicU64::new(window),
+            flush_window_us: AtomicU64::new(0),
         }
-    }
-
-    /// Whether the group-commit path is active.
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Acquire)
-    }
-
-    /// Toggle the group-commit path at runtime (benches, tests, sim).
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Release);
     }
 
     /// How long a leader waits for its batch to grow before appending.

@@ -71,47 +71,6 @@ fn ch_sql_forms_match_hand_built_plans_byte_for_byte() {
     }
 }
 
-/// Encoded-domain execution (`S2_ENCODED_EXEC=1`) must be byte-identical
-/// to the decode-first path over the full TPC-H suite: same rows, same
-/// order, same formatting, for every query.
-#[test]
-fn tpch_encoded_exec_matches_decoded_byte_for_byte() {
-    let data = tpch::generate(0.002, 9001);
-    let cluster = small_cluster();
-    tpch::load::load_cluster(&cluster, &data).unwrap();
-    let mut off = ExecOptions::default();
-    off.scan.encoded_exec = false;
-    let mut on = ExecOptions::default();
-    on.scan.encoded_exec = true;
-    let decoded = ClusterRunner { cluster: &cluster, opts: off };
-    let encoded = ClusterRunner { cluster: &cluster, opts: on };
-
-    for q in 1..=22 {
-        let a = run_query(q, &decoded).unwrap_or_else(|e| panic!("q{q} decoded: {e}"));
-        let b = run_query(q, &encoded).unwrap_or_else(|e| panic!("q{q} encoded: {e}"));
-        assert_eq!(bytes_of(&a), bytes_of(&b), "q{q}: encoded vs decoded output");
-    }
-}
-
-/// Same contract over the CH analytics suite (dict-heavy group keys, live
-/// rowstore tails from the TPC-C load).
-#[test]
-fn ch_encoded_exec_matches_decoded_byte_for_byte() {
-    let cluster = small_cluster();
-    let scale = tpcc::TpccScale::tiny(2);
-    tpcc::backend::load_cluster(&cluster, &scale, 33).unwrap();
-    let mut off = ExecOptions::default();
-    off.scan.encoded_exec = false;
-    let mut on = ExecOptions::default();
-    on.scan.encoded_exec = true;
-
-    for (name, plan) in s2_workloads::ch::queries() {
-        let a = cluster.execute(&plan, &off).unwrap_or_else(|e| panic!("{name} decoded: {e}"));
-        let b = cluster.execute(&plan, &on).unwrap_or_else(|e| panic!("{name} encoded: {e}"));
-        assert_eq!(bytes_of(&a), bytes_of(&b), "{name}: encoded vs decoded output");
-    }
-}
-
 #[test]
 fn tpch_sql_explains_show_pushdown_and_cost_annotations() {
     let data = tpch::generate(0.002, 7);

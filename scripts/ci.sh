@@ -53,17 +53,16 @@ echo "== sim: blob-outage drills (25 seeded drills) =="
 # Failing seeds replay with --scenario outage --seed N --scenarios 1.
 cargo run -p s2-sim --release "${CARGO_FLAGS[@]}" -- --scenario outage --seed 42 --scenarios 25
 
-echo "== workspace: elastic fleets + parallel recovery =="
+echo "== workspace: elastic fleets + crash recovery =="
 # Workspace fleet drills: provision/detach churn with kill points at
 # workspace.provision / pitr.restore / workspace.detach, transient blob
 # bursts, a total outage (provisioning pauses, attached workspaces keep
 # serving) and recovery (fleet converges byte-for-byte to the primary).
 # Failing seeds replay with --scenario workspace --seed N --scenarios 1.
 cargo test -q -p s2-cluster --test workspace "${CARGO_FLAGS[@]}"
-# Parallel crash recovery must be byte-identical to serial replay — the
-# proptests run with the runtime switch pinned both ways.
-S2_PARALLEL_RECOVERY=0 cargo test -q -p s2-core --test recovery_parallel "${CARGO_FLAGS[@]}"
-S2_PARALLEL_RECOVERY=1 cargo test -q -p s2-core --test recovery_parallel "${CARGO_FLAGS[@]}"
+# Crash recovery must be byte-identical to streaming the same log through
+# the replica tail-apply path.
+cargo test -q -p s2-core --test recovery_parallel "${CARGO_FLAGS[@]}"
 cargo run -p s2-sim --release "${CARGO_FLAGS[@]}" -- --scenario workspace --seed 42 --scenarios 25
 
 echo "== tpcc: group-commit pipeline (contended smoke + crash drills) =="
@@ -71,12 +70,8 @@ echo "== tpcc: group-commit pipeline (contended smoke + crash drills) =="
 # 8 racing terminals plus the fsyncs-strictly-under-commits batching check.
 cargo test -q --release --test tpcc_contended "${CARGO_FLAGS[@]}"
 # Randomized committer interleavings: acked ⇒ durable, monotonic commit
-# timestamps, and byte-identical on/off log equivalence.
+# timestamps, recovered state == model with one Commit frame per commit.
 cargo test -q --release -p s2-core --test group_commit "${CARGO_FLAGS[@]}"
-# The wal/core suites must pass with the pipeline pinned both ways (the
-# runtime switch keeps the legacy per-commit path on S2_GROUP_COMMIT=0).
-S2_GROUP_COMMIT=0 cargo test -q -p s2-wal -p s2-core "${CARGO_FLAGS[@]}"
-S2_GROUP_COMMIT=1 cargo test -q -p s2-wal -p s2-core "${CARGO_FLAGS[@]}"
 # Group-commit crash drills: wal.group.{append,sync,handoff} kill points at
 # boosted rates; a crash between batch append and fsync must never surface
 # an acked commit, and a leader killed mid-handoff must not strand parked
@@ -93,18 +88,17 @@ cargo test -q -p s2-sql "${CARGO_FLAGS[@]}"
 cargo test -q -p s2-workloads --test sql_equivalence "${CARGO_FLAGS[@]}"
 cargo run -p s2-sim --release "${CARGO_FLAGS[@]}" -- --scenario sql --seed 42 --scenarios 12
 
-echo "== encoded: domain-execution equivalence pinned both ways =="
-# Encoded-domain execution's contract: randomized multi-segment tables
-# (every encoding x NULLs x deletes) and the fused scan+aggregate path are
-# byte-identical to decode-first scalar execution, and the exec/workloads
-# suites pass with the runtime switch pinned off and on.
+echo "== encoded: domain-execution equivalence =="
+# Encoded-domain execution's contract: over randomized multi-segment tables
+# (every encoding x NULLs x deletes) a filtered scan equals an unfiltered
+# scan + scalar filter, the fused scan+aggregate equals scan +
+# hash_aggregate, and flushing the rowstore tail changes no outcome.
 cargo test -q -p s2-exec --test encoded_equivalence "${CARGO_FLAGS[@]}"
-cargo test -q -p s2-workloads --test sql_equivalence "${CARGO_FLAGS[@]}" -- \
-  tpch_encoded_exec_matches_decoded ch_encoded_exec_matches_decoded
-S2_ENCODED_EXEC=0 cargo test -q -p s2-exec "${CARGO_FLAGS[@]}"
-S2_ENCODED_EXEC=1 cargo test -q -p s2-exec "${CARGO_FLAGS[@]}"
-# Perf gate: Q1/Q6 at one thread must stay within 15% of the committed
-# BENCH_scan.json baseline (scripts/bench_gate.sh re-runs the bench).
-scripts/bench_gate.sh
+
+echo "== ledger =="
+# ledger/ is its own workspace, so `cargo test --workspace` never compiles
+# it: this is the check that the perf driver still builds and passes against
+# the engine's public API. `ledger compare` is the perf comparator.
+cargo test "${CARGO_FLAGS[@]}" --manifest-path ledger/Cargo.toml
 
 echo "CI green."

@@ -71,7 +71,6 @@ fn contended_tpcc_consistency_and_grouped_fsyncs() {
     )
     .expect("cluster");
     load_cluster(&cluster, &scale, 7).expect("load");
-    cluster.set_group_commit(true);
     cluster.set_group_flush_window_us(200);
 
     let commits0 = s2db_repro::obs::counter!("core.txn.commits").get();
