@@ -13,8 +13,7 @@
 //! Knobs: `S2_SF` (default 0.02), `S2_SEGMENT_ROWS` (default 4096 — small
 //! segments so every table yields many morsels), `S2_RUNS` (timed runs per
 //! query per thread count, default 3), `S2_WAREHOUSES` (default 2).
-//! Flags: `--json` (machine-readable output only), `--threads N` (sweep a
-//! single thread count instead of 1/2/4/8).
+//! Flags: `--json` (machine-readable output only).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -100,24 +99,13 @@ fn ch_cluster(warehouses: i64) -> Arc<Cluster> {
     cluster
 }
 
-/// `--threads N` restricts the sweep to a single thread count.
-fn parse_threads() -> Option<usize> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--threads" {
-            return args.next().and_then(|v| v.parse().ok());
-        }
-    }
-    None
-}
-
 fn main() {
     let json = s2_bench::json_enabled();
     let sf = env_f64("S2_SF", 0.02);
     let segment_rows = env_u64("S2_SEGMENT_ROWS", 4096) as usize;
     let runs = env_u64("S2_RUNS", 3) as usize;
     let warehouses = env_u64("S2_WAREHOUSES", 2) as i64;
-    let thread_counts: Vec<usize> = parse_threads().map_or(THREAD_COUNTS.to_vec(), |t| vec![t]);
+    let thread_counts = THREAD_COUNTS;
     let host = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     if !json {

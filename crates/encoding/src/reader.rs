@@ -109,22 +109,20 @@ enum Inner {
 }
 
 /// A filter clause compiled into one segment column's code domain
-/// (paper §5.2 "encoded filter"): one accept bit per dictionary entry or
-/// run, plus the predicate's verdict on NULL. Built once per segment by
-/// [`ColumnReader::compile_predicate`], evaluated bitmap-first over every
-/// row by [`ColumnReader::predicate_mask`].
+/// (paper §5.2 "encoded filter"): the predicate's verdict on each entry of
+/// [`ColumnReader::domain_vector`] — one accept bit per dictionary entry or
+/// run, then one for NULL. Evaluated bitmap-first over every row by
+/// [`ColumnReader::predicate_mask`].
 #[derive(Debug, Clone)]
 pub struct CodePredicate {
-    /// `accept[d]` = the predicate passes for domain entry `d`.
     accept: BitVec,
-    /// Whether a NULL row passes.
-    null_passes: bool,
 }
 
 impl CodePredicate {
-    /// Number of accepted domain entries (filter costing / tests).
-    pub fn accepted(&self) -> usize {
-        self.accept.count_ones()
+    /// Wrap the verdicts: `accept[d]` = the predicate passes for entry `d`
+    /// of the column's [`ColumnReader::domain_vector`].
+    pub fn new(accept: BitVec) -> CodePredicate {
+        CodePredicate { accept }
     }
 }
 
@@ -311,44 +309,38 @@ impl ColumnReader {
         }
     }
 
+    /// The column's code domain as one lane: every dictionary entry (or run
+    /// value) in code order, then a NULL. A predicate evaluated over this
+    /// lane is a [`CodePredicate`]. `None` when the encoding has no
+    /// compressed domain.
+    pub fn domain_vector(&self) -> Option<ColumnVector> {
+        let n = self.encoded_domain_size()?;
+        let mut b = VectorBuilder::new(self.data_type(), n + 1);
+        match &self.inner {
+            Inner::DictStr { .. } => (0..n).for_each(|code| b.push_str(self.dict_str_entry(code))),
+            Inner::DictInt { dict_off: off, .. } | Inner::Rle { values_off: off, .. } => {
+                (0..n).for_each(|d| b.push_int(self.i64_at(off + d * 8)))
+            }
+            _ => unreachable!("encoded_domain_size covers exactly these encodings"),
+        }
+        b.push_null();
+        Some(b.finish())
+    }
+
     /// Compile `pred` into the column's code domain (paper §5.2): the
-    /// predicate is evaluated once per dictionary entry (or run value) into
-    /// an accept bitmap, after which per-row evaluation is a single bitmap
+    /// predicate is evaluated once per [`Self::domain_vector`] entry into an
+    /// accept bitmap, after which per-row evaluation is a single bitmap
     /// probe via [`Self::predicate_mask`]. Returns `None` when the encoding
     /// has no compressed domain to compile against.
     pub fn compile_predicate(&self, pred: &mut dyn FnMut(&Value) -> bool) -> Option<CodePredicate> {
-        let null_passes = pred(&Value::Null);
-        let accept = match &self.inner {
-            Inner::DictStr { dict_len, .. } => {
-                let mut a = BitVec::zeros(*dict_len);
-                for code in 0..*dict_len {
-                    if pred(&Value::str(self.dict_str_entry(code))) {
-                        a.set(code);
-                    }
-                }
-                a
+        let domain = self.domain_vector()?;
+        let mut accept = BitVec::zeros(domain.len());
+        for d in 0..domain.len() {
+            if pred(&domain.value(d)) {
+                accept.set(d);
             }
-            Inner::DictInt { dict_len, dict_off, .. } => {
-                let mut a = BitVec::zeros(*dict_len);
-                for code in 0..*dict_len {
-                    if pred(&Value::Int(self.i64_at(dict_off + code * 8))) {
-                        a.set(code);
-                    }
-                }
-                a
-            }
-            Inner::Rle { n_runs, values_off, .. } => {
-                let mut a = BitVec::zeros(*n_runs);
-                for run in 0..*n_runs {
-                    if pred(&Value::Int(self.i64_at(values_off + run * 8))) {
-                        a.set(run);
-                    }
-                }
-                a
-            }
-            _ => return None,
-        };
-        Some(CodePredicate { accept, null_passes })
+        }
+        Some(CodePredicate { accept })
     }
 
     /// Evaluate a [`CodePredicate`] bitmap-first over every row: one bit per
@@ -382,8 +374,9 @@ impl ColumnReader {
             _ => unreachable!("predicate_mask requires a compile_predicate encoding"),
         };
         if let Some(nulls) = &self.nulls {
+            let null_passes = p.accept.get(p.accept.len() - 1);
             for row in nulls.iter_ones() {
-                mask.set_to(row, p.null_passes);
+                mask.set_to(row, null_passes);
             }
         }
         mask
@@ -763,12 +756,16 @@ impl ColumnReader {
         pred: &mut dyn FnMut(&Value) -> bool,
         sel: Option<&[u32]>,
     ) -> Result<Option<Vec<u32>>> {
-        let Some(compiled) = self.compile_predicate(pred) else { return Ok(None) };
-        let mask = self.predicate_mask(&compiled);
-        Ok(Some(match sel {
+        Ok(self.compile_predicate(pred).map(|p| self.predicate_rows(&p, sel)))
+    }
+
+    /// The rows of `sel` (every row when `None`) that pass `p`, ascending.
+    pub fn predicate_rows(&self, p: &CodePredicate, sel: Option<&[u32]>) -> Vec<u32> {
+        let mask = self.predicate_mask(p);
+        match sel {
             Some(sel) => sel.iter().copied().filter(|&r| mask.get(r as usize)).collect(),
             None => mask.iter_ones().map(|r| r as u32).collect(),
-        }))
+        }
     }
 }
 

@@ -42,9 +42,9 @@ pub enum ClauseStrategy {
     /// Decode the clause's columns for the current selection, then
     /// evaluate the predicate on the decoded values.
     Regular,
-    /// Compile the predicate into a per-dictionary-entry accept bitmap
-    /// once, then answer every row with a code lookup — no `Value` is
-    /// ever built.
+    /// Evaluate the predicate once over the column's code domain into a
+    /// per-dictionary-entry accept bitmap, then answer every row with a
+    /// code lookup — no `Value` is ever built.
     EncodedBitmap,
 }
 

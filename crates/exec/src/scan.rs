@@ -9,13 +9,14 @@
 //! on a sample (§5.2); (3) selectively decode only the projected columns for
 //! the rows that survived (late materialization).
 //!
-//! In step (2), clauses over dictionary/RLE columns compile into the code
-//! domain once per segment — one accept bit per dictionary entry or run
-//! ([`s2_encoding::CodePredicate`]) — and every row is answered by a code
-//! lookup into that bitmap; remaining clauses, and every clause over
-//! rowstore rows, run through the vectorized evaluator ([`crate::veval`])
-//! over typed column lanes, so a row is filtered the same way whichever LSM
-//! level holds it. Aggregations directly over a scan can additionally bypass
+//! In step (2), every clause is answered by the vectorized evaluator
+//! ([`crate::veval`]), so a row is filtered the same way — same verdict,
+//! same error — whichever LSM level and encoding hold it. Clauses over
+//! dictionary/RLE columns evaluate once per segment over the code domain —
+//! one accept bit per dictionary entry or run ([`s2_encoding::CodePredicate`])
+//! — and every row is answered by a code lookup into that bitmap; remaining
+//! clauses, and every clause over rowstore rows, evaluate over decoded typed
+//! column lanes. Aggregations directly over a scan can additionally bypass
 //! materialization entirely via the fused encoded-domain path in
 //! [`crate::encoded`].
 //!
@@ -37,7 +38,7 @@ use std::time::Instant;
 
 use s2_common::{DataType, Result, Row, Schema, Value};
 use s2_core::{SegmentSnap, TableSnapshot};
-use s2_encoding::ColumnVector;
+use s2_encoding::{CodePredicate, ColumnVector};
 
 use crate::batch::Batch;
 use crate::cache::{self, ClauseStrategy, PlannedClause};
@@ -689,11 +690,14 @@ fn eval_regular(
     })
 }
 
-/// Encoded-domain bitmap filter (`ClauseStrategy::EncodedBitmap`): compile
-/// the predicate into one accept bit per dictionary entry / run value, then
-/// answer every candidate row with a code lookup — no `Value` is built per
-/// row. Falls back to the regular filter when the column's encoding cannot
-/// compile (plain/bit-packed data).
+/// Encoded-domain bitmap filter (`ClauseStrategy::EncodedBitmap`): run the
+/// clause once over the column's code domain — every dictionary entry / run
+/// value as one [`crate::veval`] lane — into an accept bitmap, then answer
+/// every candidate row with a code lookup; no `Value` is built per row.
+/// Falls back to the regular filter when the encoding has no code domain
+/// (plain/bit-packed data), and when the clause errors on some domain entry:
+/// only the candidate rows decide whether the scan fails, and an entry may
+/// be held by deleted or already-filtered rows alone.
 fn eval_encoded_bitmap(
     seg: &SegmentSnap,
     clause: &Expr,
@@ -702,20 +706,15 @@ fn eval_encoded_bitmap(
     stats: &mut ScanStats,
 ) -> Result<Vec<u32>> {
     let reader = seg.core.reader.column(col)?;
-    let mut pred = |v: &Value| {
-        let get = |c: usize| {
-            debug_assert_eq!(c, col);
-            v.clone()
-        };
-        clause.eval_bool(&get).unwrap_or(false)
-    };
-    match reader.encoded_filter(&mut pred, sel)? {
-        Some(rows) => {
+    if let Some(domain) = reader.domain_vector() {
+        let over_domain = clause.remap_columns(&|_| 0);
+        let entries = domain.len();
+        if let Ok(accept) = veval::filter_mask(&[domain], entries, &over_domain) {
             stats.encoded_clause_total += 1;
-            Ok(rows)
+            return Ok(reader.predicate_rows(&CodePredicate::new(accept), sel));
         }
-        None => eval_regular(seg, clause, &[col], sel),
     }
+    eval_regular(seg, clause, &[col], sel)
 }
 
 #[cfg(test)]

@@ -35,8 +35,6 @@ fn next(state: &mut u64) -> u64 {
 ///   3 runs    Int     long runs, wide range -> RleInt
 ///   4 tag     Str     long unique strings   -> LzStr
 ///   5 nint    Int     random, many NULLs    -> BitPackInt + null bitmap
-///                     (never 0 in the flushed batches; the tail holds the
-///                     only 0, for the guarded-division case)
 ///   6 sparse  Int     4 huge distinct       -> DictInt
 fn build_table(seed: u64) -> (Arc<Partition>, u32) {
     let mut rng = seed;
@@ -77,7 +75,7 @@ fn build_table(seed: u64) -> (Arc<Partition>, u32) {
             let nint = if next(&mut rng).is_multiple_of(3) {
                 Value::Null
             } else {
-                Value::Int(1 + (next(&mut rng) % 99) as i64)
+                Value::Int((next(&mut rng) % 100) as i64)
             };
             txn.insert(
                 t,
@@ -104,9 +102,9 @@ fn build_table(seed: u64) -> (Arc<Partition>, u32) {
         let _ = txn.delete_unique(t, &[Value::Int(victim)]).unwrap();
     }
     txn.commit().unwrap();
-    // Rowstore tail: unflushed rows, `nint` counting up from 0.
+    // Rowstore tail: unflushed rows.
     let mut txn = p.begin();
-    for i in 0..(1 + next(&mut rng) % 40) as i64 {
+    for _ in 0..(next(&mut rng) % 40) {
         txn.insert(
             t,
             Row::new(vec![
@@ -115,7 +113,7 @@ fn build_table(seed: u64) -> (Arc<Partition>, u32) {
                 Value::Double(id as f64),
                 Value::Int(-1),
                 Value::str("tag-tail"),
-                Value::Int(i),
+                Value::Null,
                 Value::Int(sparse_vals[0]),
             ]),
         )
@@ -162,21 +160,23 @@ fn filter_suite() -> Vec<Option<Expr>> {
     ]
 }
 
-/// `nint = 0 OR 100 / nint > 5`: only a per-row `OR` short-circuit keeps the
-/// `nint = 0` row from dividing by zero, and the vectorized evaluator has
-/// none — so the scan errors, wherever that row lives.
-fn guarded_division() -> Expr {
+/// Values the flush-invariance guard row holds that no flushed row of
+/// [`build_table`] does: its bit-packed `id` and its RLE `runs`. Its DictInt
+/// `sparse` value is one most flushed segments hold too.
+const GUARD_ID: i64 = 1_000_000;
+const GUARD_RUNS: i64 = -7;
+const GUARD_SPARSE: i64 = 10_000_019;
+
+/// `col = v OR 100 / (col - v) > 5`: only a per-row `OR` short-circuit keeps
+/// a row holding `v` from dividing by zero, and the vectorized evaluator has
+/// none — so the scan errors, wherever and however encoded that row lives.
+fn guarded_division(col: usize, v: i64) -> Expr {
+    let lit = |i: i64| Box::new(Expr::Literal(Value::Int(i)));
+    let arith = |op, a, b| Box::new(Expr::Arith(op, a, b));
+    let col_minus_v = arith(s2_exec::ArithOp::Sub, Box::new(Expr::Column(col)), lit(v));
     Expr::Or(vec![
-        Expr::eq(5, 0i64),
-        Expr::Cmp(
-            CmpOp::Gt,
-            Box::new(Expr::Arith(
-                s2_exec::ArithOp::Div,
-                Box::new(Expr::Literal(Value::Int(100))),
-                Box::new(Expr::Column(5)),
-            )),
-            Box::new(Expr::Literal(Value::Int(5))),
-        ),
+        Expr::eq(col, v),
+        Expr::Cmp(CmpOp::Gt, arith(s2_exec::ArithOp::Div, lit(100), col_minus_v), lit(5)),
     ])
 }
 
@@ -207,10 +207,27 @@ proptest! {
 
     /// Flush invariance: `scan` and `scan_aggregate` return the same rows —
     /// or the same error — whether the tail rows sit in the rowstore or in
-    /// a freshly flushed segment.
+    /// a freshly flushed segment, for the whole filter suite plus a guarded
+    /// division that a tail row trips on a bit-packed, a dictionary and an
+    /// RLE column.
     #[test]
     fn flush_does_not_change_scan_outcome(seed in any::<u64>()) {
         let (p, t) = build_table(seed);
+        let mut txn = p.begin();
+        txn.insert(
+            t,
+            Row::new(vec![
+                Value::Int(GUARD_ID),
+                Value::str("tail"),
+                Value::Double(0.5),
+                Value::Int(GUARD_RUNS),
+                Value::str("tag-guard"),
+                Value::Null,
+                Value::Int(GUARD_SPARSE),
+            ]),
+        )
+        .unwrap();
+        txn.commit().unwrap();
         let proj: Vec<usize> = (0..7).collect();
         let group_by = [Expr::Column(1)];
         let aggregates = [
@@ -218,7 +235,9 @@ proptest! {
             Aggregate { func: AggFunc::Sum, input: Expr::Column(2) },
         ];
         let mut filters = filter_suite();
-        filters.push(Some(guarded_division()));
+        for (col, v) in [(0, GUARD_ID), (6, GUARD_SPARSE), (3, GUARD_RUNS)] {
+            filters.push(Some(guarded_division(col, v)));
+        }
         let run = |filter: &Option<Expr>| {
             let snap = p.read_snapshot();
             let ts = snap.table(t).unwrap();
@@ -235,8 +254,11 @@ proptest! {
         };
         let before: Vec<_> = filters.iter().map(run).collect();
         prop_assert!(p.flush_table(t, true).unwrap() > 0, "the tail flushes into a segment");
-        for (filter, before) in filters.iter().zip(before) {
-            prop_assert_eq!(before, run(filter), "filter {:?}", filter);
+        for (filter, before) in filters.iter().zip(&before) {
+            prop_assert_eq!(before, &run(filter), "filter {:?}", filter);
+        }
+        for guarded in &before[filter_suite().len()..] {
+            prop_assert!(guarded.0.is_err() && guarded.1.is_err(), "{:?}", guarded);
         }
     }
 
@@ -360,6 +382,45 @@ fn rle_sum_overflow_guard_falls_back() {
     let (fused, _) =
         scan_aggregate(std::slice::from_ref(ts), &[0, 1], None, &[], &aggs, &opts()).unwrap();
     assert_eq!(rows_dbg(&legacy), rows_dbg(&fused));
+}
+
+/// Only live rows decide whether a scan fails: a dictionary entry that
+/// divides by zero but is held by deleted rows alone does not, exactly as
+/// if the column were decoded row by row.
+#[test]
+fn dead_dictionary_entry_cannot_fail_a_scan() {
+    let p = Partition::new("pd", Arc::new(Log::in_memory()), Arc::new(MemFileStore::new()));
+    let schema = Schema::new(vec![
+        ColumnDef::new("id", DataType::Int64),
+        ColumnDef::new("sparse", DataType::Int64),
+    ])
+    .unwrap();
+    let topts = TableOptions::new().with_sort_key(vec![0]).with_unique("pk", vec![0]);
+    let t = p.create_table("dead", schema, topts).unwrap();
+    let sparse_vals = [10_000_019i64, 77_000_003, 123_456_789, 500_000_029];
+    let mut txn = p.begin();
+    for id in 0..200i64 {
+        txn.insert(t, Row::new(vec![Value::Int(id), Value::Int(sparse_vals[(id % 4) as usize])]))
+            .unwrap();
+    }
+    txn.commit().unwrap();
+    p.flush_table(t, true).unwrap();
+    let filter = guarded_division(1, sparse_vals[0]);
+    let run = || {
+        let snap = p.read_snapshot();
+        scan(snap.table(t).unwrap(), &[0, 1], Some(&filter), &opts())
+    };
+    assert!(run().is_err(), "live rows hold the dividing-by-zero entry");
+    let mut txn = p.begin();
+    for id in (0..200i64).step_by(4) {
+        assert!(txn.delete_unique(t, &[Value::Int(id)]).unwrap());
+    }
+    txn.commit().unwrap();
+    let (got, _) = run().unwrap();
+    let snap = p.read_snapshot();
+    let (all, _) = scan(snap.table(t).unwrap(), &[0, 1], None, &opts()).unwrap();
+    let expected = all.gather(&all.filter(&filter, None).unwrap());
+    assert_eq!(rows_dbg(&expected), rows_dbg(&got));
 }
 
 /// The new obs counters actually advance: compiled clause bitmaps, fused

@@ -5,13 +5,14 @@
 //! cargo run -p s2-sim -- --scenario outage --seed 7 --scenarios 10
 //! ```
 //!
-//! `--scenario crash` (default) runs the crash-recovery sweep; `group`
-//! runs the same sweep with boosted `wal.group.*` kill points; `outage` runs blob-outage drills against the resilience layer;
-//! `workspace` drills elastic workspace fleets (provision/detach churn with
-//! kill points, transient bursts, a total blob outage, convergence to the
-//! primary); `sql` runs generated queries through the full s2-sql pipeline
-//! against a plain-Rust oracle. Exit code 0 means every scenario upheld
-//! every invariant; 1 means at least one violation (each printed with its
+//! `--scenario crash` (default) runs the crash-recovery sweep; `group` runs
+//! the same sweep with boosted `wal.group.*` kill points; `outage` runs
+//! blob-outage drills against the resilience layer; `workspace` drills
+//! elastic workspace fleets (provision/detach churn with kill points,
+//! transient bursts, a total blob outage, convergence to the primary); `sql`
+//! runs generated queries through the full s2-sql pipeline against a
+//! plain-Rust oracle. Exit code 0 means every scenario upheld every
+//! invariant; 1 means at least one violation (each printed with its
 //! replayable seed and decision trace).
 
 fn main() {

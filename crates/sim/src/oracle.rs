@@ -27,9 +27,10 @@ pub struct Oracle {
     pub acked_lp: LogPosition,
     /// Model state of a commit that is *in flight*: `commit()` was called
     /// but has not returned. A crash can strike after the group-commit
-    /// leader made the batch durable but before the committer woke — the record legally survives recovery even though
-    /// the client was never acknowledged. Recovery reconciles against this
-    /// (see `scenario::reconcile_pending`) and always clears it.
+    /// leader made the batch durable but before the committer woke — the
+    /// record legally survives recovery even though the client was never
+    /// acknowledged. Recovery reconciles against this (see
+    /// `scenario::reconcile_pending`) and always clears it.
     pub pending: Option<Model>,
 }
 
