@@ -172,7 +172,7 @@ impl CdwEngine {
         if parts.is_empty() {
             Ok(Batch::empty(&types))
         } else {
-            Batch::concat(&parts)
+            Batch::concat(parts)
         }
     }
 

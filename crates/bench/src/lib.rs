@@ -61,7 +61,8 @@ pub fn sql_flag() -> Option<String> {
 
 /// Run an ad-hoc `--sql` query against `ctx`: print the annotated `EXPLAIN`
 /// tree, then execute and print the results under the statement's output
-/// column names.
+/// column names, followed by the per-operator profile (self time and rows
+/// out per operator kind).
 pub fn run_adhoc_sql(ctx: &dyn s2_query::QueryContext, sql: &str) {
     let compiled = match s2_sql::plan(ctx, sql) {
         Ok(c) => c,
@@ -82,11 +83,14 @@ pub fn run_adhoc_sql(ctx: &dyn s2_query::QueryContext, sql: &str) {
         return;
     }
     let t0 = Instant::now();
-    match s2_query::execute(&compiled.plan, ctx, &ExecOptions::default()) {
+    let mut stats = s2_query::ExecStats::default();
+    match s2_query::execute_with_stats(&compiled.plan, ctx, &ExecOptions::default(), &mut stats) {
         Ok(batch) => {
             let names: Vec<&str> = compiled.fields.iter().map(|(n, _)| n.as_str()).collect();
             println!("== results: {} rows in {:?} ==", batch.rows(), t0.elapsed());
             print!("{}", s2_query::format_batch(&batch, &names));
+            println!("== profile ==");
+            print!("{}", stats.profile());
         }
         Err(e) => {
             eprintln!("execution error: {e}");

@@ -48,12 +48,33 @@ pub fn combine(a: u64, b: u64) -> u64 {
     mix(a.rotate_left(17) ^ b.wrapping_mul(K1))
 }
 
+/// Hash of an `Int` value ([`crate::value::Value::hash64`] without the
+/// `Value`): typed key lanes hash whole columns through this.
+#[inline]
+pub fn hash_i64(v: i64) -> u64 {
+    hash_bytes(&v.to_le_bytes())
+}
+
+/// Hash of a `Double` value. Integral doubles hash like the equal `Int` so
+/// `a == b` implies equal hashes across the numeric cross-type comparison.
+#[inline]
+pub fn hash_f64(v: f64) -> u64 {
+    if v.fract() == 0.0 && v >= i64::MIN as f64 && v <= i64::MAX as f64 {
+        hash_i64(v as i64)
+    } else {
+        hash_bytes(&v.to_bits().to_le_bytes())
+    }
+}
+
+/// Seed of [`hash_values`]: the hash of the empty sequence.
+pub const VALUES_SEED: u64 = K0;
+
 /// Hash an ordered sequence of values into one 64-bit key hash.
 pub fn hash_values<'a, I>(values: I) -> u64
 where
     I: IntoIterator<Item = &'a crate::value::Value>,
 {
-    let mut h = K0;
+    let mut h = VALUES_SEED;
     for v in values {
         h = combine(h, v.hash64());
     }

@@ -10,8 +10,11 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::error::{Error, Result};
-use crate::hash::hash_bytes;
+use crate::hash::{hash_bytes, hash_f64, hash_i64};
 use crate::schema::DataType;
+
+/// [`Value::hash64`] of `Value::Null`.
+pub const NULL_HASH: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// A scalar value flowing through the storage and query engines.
 #[derive(Debug, Clone)]
@@ -78,17 +81,9 @@ impl Value {
     /// (which store only hashes, never values — paper §4.1).
     pub fn hash64(&self) -> u64 {
         match self {
-            Value::Null => 0x9e37_79b9_7f4a_7c15,
-            Value::Int(v) => hash_bytes(&v.to_le_bytes()),
-            // Integral doubles hash like the equal Int so `a == b` implies
-            // equal hashes across the numeric cross-type comparison.
-            Value::Double(v) => {
-                if v.fract() == 0.0 && *v >= i64::MIN as f64 && *v <= i64::MAX as f64 {
-                    hash_bytes(&(*v as i64).to_le_bytes())
-                } else {
-                    hash_bytes(&v.to_bits().to_le_bytes())
-                }
-            }
+            Value::Null => NULL_HASH,
+            Value::Int(v) => hash_i64(*v),
+            Value::Double(v) => hash_f64(*v),
             Value::Str(s) => hash_bytes(s.as_bytes()),
         }
     }

@@ -19,4 +19,4 @@ pub mod vector;
 
 pub use encode::{choose_encoding, encode_column, EncodedColumn, Encoding};
 pub use reader::{CodePredicate, ColumnReader};
-pub use vector::{ColumnVector, VectorBuilder};
+pub use vector::{ColumnVector, VectorBuilder, NO_ROW};

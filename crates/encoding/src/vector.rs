@@ -8,6 +8,9 @@
 
 use s2_common::{BitVec, DataType, Error, Result, Value};
 
+/// Row id that [`ColumnVector::gather_padded`] turns into a NULL row.
+pub const NO_ROW: u32 = u32::MAX;
+
 /// A decoded column for a batch of rows.
 #[derive(Debug, Clone)]
 pub enum ColumnVector {
@@ -78,14 +81,20 @@ impl ColumnVector {
         self.len() == 0
     }
 
-    /// Whether row `i` is NULL.
+    /// The NULL bitmap (`None` when no row is NULL).
     #[inline]
-    pub fn is_null(&self, i: usize) -> bool {
+    pub fn nulls(&self) -> Option<&BitVec> {
         match self {
             ColumnVector::Int { nulls, .. }
             | ColumnVector::Double { nulls, .. }
-            | ColumnVector::Str { nulls, .. } => nulls.as_ref().is_some_and(|n| n.get(i)),
+            | ColumnVector::Str { nulls, .. } => nulls.as_ref(),
         }
+    }
+
+    /// Whether row `i` is NULL.
+    #[inline]
+    pub fn is_null(&self, i: usize) -> bool {
+        self.nulls().is_some_and(|n| n.get(i))
     }
 
     /// Integer at row `i` ignoring nullness (callers check [`Self::is_null`]).
@@ -137,20 +146,70 @@ impl ColumnVector {
 
     /// Gather the given rows into a new vector.
     pub fn gather(&self, sel: &[u32]) -> ColumnVector {
-        let mut b = VectorBuilder::new(self.data_type(), sel.len());
-        for &i in sel {
-            let i = i as usize;
-            if self.is_null(i) {
-                b.push_null();
-            } else {
-                match self {
-                    ColumnVector::Int { values, .. } => b.push_int(values[i]),
-                    ColumnVector::Double { values, .. } => b.push_double(values[i]),
-                    ColumnVector::Str { .. } => b.push_str(self.str_at(i)),
+        self.gather_impl::<false>(sel)
+    }
+
+    /// [`Self::gather`] where a [`NO_ROW`] entry yields a NULL row (the
+    /// padded side of an outer join).
+    pub fn gather_padded(&self, sel: &[u32]) -> ColumnVector {
+        self.gather_impl::<true>(sel)
+    }
+
+    /// One typed copy loop per lane: the type `match` runs once, null-free
+    /// lanes copy values only. Null rows hold 0 / the empty string in the
+    /// source, so copying the payload keeps that invariant.
+    fn gather_impl<const PAD: bool>(&self, sel: &[u32]) -> ColumnVector {
+        fn lane<const PAD: bool, T: Copy + Default>(values: &[T], sel: &[u32]) -> Vec<T> {
+            sel.iter()
+                .map(|&i| if PAD && i == NO_ROW { T::default() } else { values[i as usize] })
+                .collect()
+        }
+        fn null_bits<const PAD: bool>(nulls: Option<&BitVec>, sel: &[u32]) -> Option<BitVec> {
+            if nulls.is_none() && !(PAD && sel.contains(&NO_ROW)) {
+                return None;
+            }
+            let mut out = BitVec::zeros(sel.len());
+            let mut any = false;
+            for (o, &i) in sel.iter().enumerate() {
+                if (PAD && i == NO_ROW) || nulls.is_some_and(|n| n.get(i as usize)) {
+                    out.set(o);
+                    any = true;
+                }
+            }
+            any.then_some(out)
+        }
+        match self {
+            ColumnVector::Int { values, nulls } => ColumnVector::Int {
+                values: lane::<PAD, i64>(values, sel),
+                nulls: null_bits::<PAD>(nulls.as_ref(), sel),
+            },
+            ColumnVector::Double { values, nulls } => ColumnVector::Double {
+                values: lane::<PAD, f64>(values, sel),
+                nulls: null_bits::<PAD>(nulls.as_ref(), sel),
+            },
+            ColumnVector::Str { offsets, bytes, nulls } => {
+                let span = |i: u32| {
+                    if PAD && i == NO_ROW {
+                        0..0
+                    } else {
+                        offsets[i as usize] as usize..offsets[i as usize + 1] as usize
+                    }
+                };
+                let total: usize = sel.iter().map(|&i| span(i).len()).sum();
+                let mut out_offsets = Vec::with_capacity(sel.len() + 1);
+                out_offsets.push(0u32);
+                let mut out_bytes = Vec::with_capacity(total);
+                for &i in sel {
+                    out_bytes.extend_from_slice(&bytes[span(i)]);
+                    out_offsets.push(out_bytes.len() as u32);
+                }
+                ColumnVector::Str {
+                    offsets: out_offsets,
+                    bytes: out_bytes,
+                    nulls: null_bits::<PAD>(nulls.as_ref(), sel),
                 }
             }
         }
-        b.finish()
     }
 }
 
@@ -298,6 +357,26 @@ mod tests {
         assert_eq!(g.value(0), Value::Int(9));
         assert_eq!(g.value(1), Value::Int(0));
         assert_eq!(g.value(2), Value::Int(5));
+    }
+
+    #[test]
+    fn gather_keeps_nulls_and_pads() {
+        for (vals, dt) in [
+            (vec![Value::Int(7), Value::Null, Value::Int(9)], DataType::Int64),
+            (vec![Value::Double(0.5), Value::Null, Value::Double(-0.0)], DataType::Double),
+            (vec![Value::str("ab"), Value::Null, Value::str("")], DataType::Str),
+        ] {
+            let v = ColumnVector::from_values(&vals, dt).unwrap();
+            let g = v.gather(&[2, 1, 1, 0]);
+            let got: Vec<Value> = (0..4).map(|i| g.value(i)).collect();
+            assert_eq!(got, [vals[2].clone(), Value::Null, Value::Null, vals[0].clone()]);
+            let g = v.gather(&[2, 0]);
+            assert!(!g.is_null(0) && !g.is_null(1), "no null selected -> no null lane");
+            let p = v.gather_padded(&[0, NO_ROW, 2]);
+            let got: Vec<Value> = (0..3).map(|i| p.value(i)).collect();
+            assert_eq!(got, [vals[0].clone(), Value::Null, vals[2].clone()]);
+            assert_eq!(p.data_type(), dt);
+        }
     }
 
     #[test]

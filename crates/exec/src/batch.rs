@@ -4,6 +4,7 @@ use s2_common::{DataType, Error, Result, Row, Value};
 use s2_encoding::{ColumnVector, VectorBuilder};
 
 use crate::expr::Expr;
+use crate::veval;
 
 /// A batch of rows in columnar form.
 #[derive(Debug, Clone)]
@@ -62,59 +63,46 @@ impl Batch {
     }
 
     /// Concatenate batches with identical schemas (bulk column appends —
-    /// this sits on the scatter/gather hot path).
-    pub fn concat(batches: &[Batch]) -> Result<Batch> {
+    /// this sits on the scatter/gather hot path). A single batch is handed
+    /// back as is.
+    pub fn concat(mut batches: Vec<Batch>) -> Result<Batch> {
+        if batches.len() == 1 {
+            return Ok(batches.remove(0));
+        }
         let Some(first) = batches.first() else {
             return Err(Error::InvalidArgument("concat of zero batches".into()));
         };
-        if batches.len() == 1 {
-            return Ok(first.clone());
-        }
         if batches.iter().any(|b| b.width() != first.width()) {
             return Err(Error::InvalidArgument("concat width mismatch".into()));
         }
-        let mut columns = Vec::with_capacity(first.width());
-        for ci in 0..first.width() {
-            columns.push(concat_column(batches, ci)?);
-        }
+        let columns =
+            (0..first.width()).map(|ci| concat_column(&batches, ci)).collect::<Result<_>>()?;
         Ok(Batch { columns })
     }
 
     /// Evaluate `expr` (column refs = batch positions) for every row,
-    /// producing a new vector of the given type.
+    /// producing a new vector of the given type. Vectorized
+    /// ([`crate::veval`]): `AND`/`OR` evaluate every operand over every row.
     pub fn eval_expr(&self, expr: &Expr, out_type: DataType) -> Result<ColumnVector> {
-        let mut b = VectorBuilder::new(out_type, self.rows());
-        for ri in 0..self.rows() {
-            let get = |c: usize| self.value(c, ri);
-            let v = expr.eval(&get)?;
-            b.push(&v)?;
-        }
-        Ok(b.finish())
+        let rows = self.rows();
+        let lane = veval::eval_vector(&self.columns, rows, expr)?;
+        Ok(lane.into_column(rows, Some(out_type))?.into_owned())
     }
 
-    /// Filter rows by `expr`, returning passing row indexes.
+    /// Filter rows by `expr`, returning passing row indexes (of `sel`, when
+    /// given). Vectorized like [`Self::eval_expr`]; NULL verdicts drop.
     pub fn filter(&self, expr: &Expr, sel: Option<&[u32]>) -> Result<Vec<u32>> {
-        let mut out = Vec::new();
-        let mut consider = |ri: u32| -> Result<()> {
-            let get = |c: usize| self.value(c, ri as usize);
-            if expr.eval_bool(&get)? {
-                out.push(ri);
-            }
-            Ok(())
-        };
         match sel {
             None => {
-                for ri in 0..self.rows() as u32 {
-                    consider(ri)?;
-                }
+                let mask = veval::filter_mask(&self.columns, self.rows(), expr)?;
+                Ok(mask.iter_ones().map(|r| r as u32).collect())
             }
             Some(sel) => {
-                for &ri in sel {
-                    consider(ri)?;
-                }
+                let sub = self.gather(sel);
+                let mask = veval::filter_mask(&sub.columns, sel.len(), expr)?;
+                Ok(mask.iter_ones().map(|i| sel[i]).collect())
             }
         }
-        Ok(out)
     }
 }
 
@@ -122,11 +110,7 @@ impl Batch {
 fn concat_column(batches: &[Batch], ci: usize) -> Result<ColumnVector> {
     use s2_common::BitVec;
     let total: usize = batches.iter().map(Batch::rows).sum();
-    let any_nulls = batches.iter().any(|b| match &b.columns[ci] {
-        ColumnVector::Int { nulls, .. }
-        | ColumnVector::Double { nulls, .. }
-        | ColumnVector::Str { nulls, .. } => nulls.is_some(),
-    });
+    let any_nulls = batches.iter().any(|b| b.columns[ci].nulls().is_some());
     let mut nulls = if any_nulls { Some(BitVec::zeros(total)) } else { None };
     let mut base = 0usize;
     let fill_nulls = |col: &ColumnVector, rows: usize, nulls: &mut Option<BitVec>, base: usize| {
@@ -233,7 +217,7 @@ mod tests {
     #[test]
     fn concat() {
         let a = batch();
-        let c = Batch::concat(&[a.clone(), a]).unwrap();
+        let c = Batch::concat(vec![a.clone(), a]).unwrap();
         assert_eq!(c.rows(), 20);
         assert_eq!(c.value(0, 15), Value::Int(5));
     }

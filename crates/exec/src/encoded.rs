@@ -16,10 +16,10 @@
 //!   length instead of iterating rows — guarded by an exact-integer
 //!   shadow computation so the result is bit-identical to sequential f64
 //!   accumulation (any run that could round falls back to per-row adds).
-//! - **Typed lanes.** Aggregate inputs are evaluated through the
-//!   vectorized evaluator ([`crate::veval`]) and accumulated with
-//!   per-function loops that touch only the fields the function's
-//!   `finish` reads.
+//! - **Typed lanes.** Every other key, every aggregate input and the
+//!   rowstore rows go through the shared `GroupTable`: the vectorized
+//!   evaluator ([`crate::veval`]) into typed key lanes and per-function
+//!   accumulators — the code `hash_aggregate` runs.
 //! - **Late materialization to nothing.** Projected columns that no group
 //!   key or aggregate references are never decoded
 //!   ([`ScanStats::decode_skipped_rows`]).
@@ -33,8 +33,6 @@
 //! (group, aggregate) accumulator still sees its rows in the same
 //! ascending order either way.
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use s2_common::{DataType, Result, Value};
@@ -43,9 +41,9 @@ use s2_encoding::ColumnVector;
 
 use crate::batch::Batch;
 use crate::expr::Expr;
-use crate::kernels::{assemble_aggregate_output, AggFunc, AggState, Aggregate};
+use crate::kernels::{AggFunc, Aggregate, GroupTable, SlotMap};
 use crate::scan::{self, ScanOptions, ScanStats};
-use crate::veval::{self, EvalVec};
+use crate::veval;
 
 /// Largest flat code-space (product of per-column `dict_len + 1`) the
 /// dictionary group path will allocate a slot table for; larger spaces fall
@@ -56,52 +54,6 @@ const MAX_GID_SPACE: usize = 1 << 16;
 /// representable in f64 (with margin): run-multiplied sums must stay inside
 /// this bound to be bit-identical to sequential accumulation.
 const MAX_EXACT_SUM: i128 = 1 << 52;
-
-/// Global grouping state shared across segments, partitions and the
-/// rowstore: one accumulator row per distinct key, in first-seen order
-/// (matching `hash_aggregate`'s insertion order).
-struct GroupTable {
-    groups: HashMap<Vec<Value>, u32>,
-    order: Vec<Vec<Value>>,
-    states: Vec<Vec<AggState>>,
-    n_aggs: usize,
-}
-
-impl GroupTable {
-    fn new(n_aggs: usize) -> GroupTable {
-        GroupTable { groups: HashMap::new(), order: Vec::new(), states: Vec::new(), n_aggs }
-    }
-
-    fn slot_of(&mut self, key: Vec<Value>) -> u32 {
-        match self.groups.entry(key) {
-            Entry::Occupied(e) => *e.get(),
-            Entry::Vacant(e) => {
-                let slot = self.order.len() as u32;
-                self.order.push(e.key().clone());
-                self.states.push(vec![AggState::new(); self.n_aggs]);
-                e.insert(slot);
-                slot
-            }
-        }
-    }
-}
-
-/// Per-row slot lookup: a global aggregate has one slot for every row, a
-/// grouped one a per-row vector.
-enum SlotMap {
-    Uniform(u32),
-    PerRow(Vec<u32>),
-}
-
-impl SlotMap {
-    #[inline]
-    fn get(&self, i: usize) -> usize {
-        match self {
-            SlotMap::Uniform(s) => *s as usize,
-            SlotMap::PerRow(v) => v[i] as usize,
-        }
-    }
-}
 
 /// How one aggregate consumes one segment.
 enum AggPlan {
@@ -131,7 +83,7 @@ pub fn scan_aggregate(
     opts: &ScanOptions,
 ) -> Result<(Batch, ScanStats)> {
     let mut stats = ScanStats::default();
-    let mut gt = GroupTable::new(aggregates.len());
+    let mut gt = GroupTable::new(group_by.len(), aggregates);
     for snapshot in snapshots {
         stats.segments_total += snapshot.segments.len();
         let schema = snapshot.schema().clone();
@@ -163,10 +115,10 @@ pub fn scan_aggregate(
             projection,
             &mut stats,
         )? {
-            aggregate_rowstore(&tail, group_by, aggregates, &mut gt)?;
+            gt.consume(&tail.columns, tail.rows(), group_by, aggregates)?;
         }
     }
-    let batch = assemble_aggregate_output(group_by.len(), gt.order, gt.states, aggregates)?;
+    let batch = gt.finish()?;
     scan::record_scan_stats(&stats);
     Ok((batch, stats))
 }
@@ -192,25 +144,22 @@ fn aggregate_segment(
     stats.encoded_agg_rows += n;
     let sel_ref = sel.as_deref();
 
-    // A global aggregate's single group exists as soon as any row does
-    // (matching hash_aggregate, which inserts the empty key at row one).
-    let uniform_slot: Option<u32> =
-        if group_by.is_empty() { Some(gt.slot_of(Vec::new())) } else { None };
+    // A global aggregate has one slot; dictionary-coded keys get their
+    // slots from the codes (no decode of the key columns); any other key
+    // is grouped after decoding, below.
+    let global = group_by.is_empty();
+    let slots: Option<SlotMap> = if global {
+        Some(gt.slots(&[], n)?)
+    } else {
+        dict_group_slots(seg, sel_ref, n, projection, group_by, gt)?.map(SlotMap::PerRow)
+    };
 
     // Plan each aggregate's fast path before deciding what to decode.
     let plans: Vec<AggPlan> = aggregates
         .iter()
         .enumerate()
-        .map(|(ai, a)| plan_fast_agg(seg, sel_ref, n, projection, a, uniform_slot, gt, ai))
+        .map(|(ai, a)| plan_fast_agg(seg, sel_ref, n, projection, a, global, gt, ai))
         .collect::<Result<_>>()?;
-
-    // Dictionary-code grouping (no decode of the key columns).
-    let dict_slots: Option<Vec<u32>> = if uniform_slot.is_some() {
-        None
-    } else {
-        dict_group_slots(seg, sel_ref, n, projection, group_by, gt)?
-    };
-    let general_group = uniform_slot.is_none() && dict_slots.is_none();
 
     // Decode only what the per-row work references.
     let mut need = vec![false; projection.len()];
@@ -221,7 +170,7 @@ fn aggregate_segment(
             }
         }
     }
-    if general_group {
+    if slots.is_none() {
         for g in group_by {
             for c in g.referenced_columns() {
                 need[c] = true;
@@ -239,36 +188,19 @@ fn aggregate_segment(
         })
         .collect::<Result<_>>()?;
 
-    let slots: SlotMap = if let Some(s) = uniform_slot {
-        SlotMap::Uniform(s)
-    } else if let Some(v) = dict_slots {
-        SlotMap::PerRow(v)
-    } else {
-        // General grouping: vectorized key evaluation, per-row hash lookup.
-        let evs: Vec<EvalVec> =
-            group_by.iter().map(|g| veval::eval_vector(&cols, n, g)).collect::<Result<_>>()?;
-        let mut v = Vec::with_capacity(n);
-        for i in 0..n {
-            let key: Vec<Value> = evs.iter().map(|e| e.value_at(i)).collect();
-            v.push(gt.slot_of(key));
-        }
-        SlotMap::PerRow(v)
+    // General grouping: typed key lanes into the group table, every
+    // aggregate per row (the fast plans need the single global slot).
+    let Some(slots) = slots else {
+        return gt.consume(&cols, n, group_by, aggregates);
     };
-
-    for (ai, (a, plan)) in aggregates.iter().zip(&plans).enumerate() {
+    for ((acc, a), plan) in gt.accs.iter_mut().zip(aggregates).zip(&plans) {
         match plan {
-            AggPlan::AddCount(c) => {
-                gt.states[slots.get(0)][ai].count += c;
-            }
+            AggPlan::AddCount(c) => acc.add_count(0, *c),
             AggPlan::RunExact { sum, count } => {
-                let st = &mut gt.states[slots.get(0)][ai];
-                st.sum = *sum;
-                st.count += count;
+                *acc.sum_mut(0) = *sum;
+                acc.add_count(0, *count);
             }
-            AggPlan::PerRow => {
-                let ev = veval::eval_vector(&cols, n, &a.input)?;
-                update_per_row(&mut gt.states, ai, a.func, &ev, &slots, n);
-            }
+            AggPlan::PerRow => acc.update(veval::eval_vector(&cols, n, &a.input)?, &slots, n)?,
         }
     }
     Ok(())
@@ -286,12 +218,11 @@ fn plan_fast_agg(
     n: usize,
     projection: &[usize],
     a: &Aggregate,
-    uniform_slot: Option<u32>,
-    gt: &GroupTable,
+    global: bool,
+    gt: &mut GroupTable,
     ai: usize,
 ) -> Result<AggPlan> {
-    let Some(slot) = uniform_slot else { return Ok(AggPlan::PerRow) };
-    if sel.is_some() {
+    if !global || sel.is_some() {
         return Ok(AggPlan::PerRow);
     }
     let Expr::Column(pos) = &a.input else { return Ok(AggPlan::PerRow) };
@@ -303,7 +234,7 @@ fn plan_fast_agg(
         AggFunc::Count => Ok(AggPlan::AddCount(n as u64)),
         AggFunc::Sum | AggFunc::Avg => {
             let Some(runs) = reader.runs() else { return Ok(AggPlan::PerRow) };
-            let cur = gt.states[slot as usize][ai].sum;
+            let cur = *gt.accs[ai].sum_mut(0);
             // Sequential accumulation equals the exact integer result iff
             // every partial sum stays exactly representable. Partials move
             // monotonically within a run, so checking the accumulator at
@@ -372,14 +303,14 @@ fn dict_group_slots(
 
     let mut slot_of_gid: Vec<u32> = vec![u32::MAX; space];
     let mut out = Vec::with_capacity(n);
-    let mut slot_for_row = |row: usize, gt: &mut GroupTable| {
+    let mut slot_for_row = |row: usize, gt: &mut GroupTable| -> Result<u32> {
         let mut gid = 0usize;
         for (codes, &dim) in code_cols.iter().zip(&dims) {
             gid = gid * dim + codes[row] as usize;
         }
         let memo = slot_of_gid[gid];
         if memo != u32::MAX {
-            return memo;
+            return Ok(memo);
         }
         let key: Vec<Value> = readers
             .iter()
@@ -393,135 +324,21 @@ fn dict_group_slots(
                 }
             })
             .collect();
-        let slot = gt.slot_of(key);
+        let slot = gt.slot_of(&key)?;
         slot_of_gid[gid] = slot;
-        slot
+        Ok(slot)
     };
     match sel {
         Some(sel) => {
             for &row in sel {
-                out.push(slot_for_row(row as usize, gt));
+                out.push(slot_for_row(row as usize, gt)?);
             }
         }
         None => {
             for row in 0..seg.core.meta.row_count {
-                out.push(slot_for_row(row, gt));
+                out.push(slot_for_row(row, gt)?);
             }
         }
     }
     Ok(Some(out))
-}
-
-/// Accumulate one aggregate over `n` rows with a per-function lane that
-/// maintains only the fields its `finish` reads — updates are observably
-/// identical to [`AggState::update`] in scan row order, per group.
-fn update_per_row(
-    states: &mut [Vec<AggState>],
-    ai: usize,
-    func: AggFunc,
-    ev: &EvalVec,
-    slots: &SlotMap,
-    n: usize,
-) {
-    use ColumnVector as CV;
-    match (func, ev) {
-        (AggFunc::Count, EvalVec::Scalar(v)) => {
-            if !v.is_null() {
-                for i in 0..n {
-                    states[slots.get(i)][ai].count += 1;
-                }
-            }
-        }
-        (AggFunc::Count, ev) => {
-            for i in 0..n {
-                if !null_at(ev, i) {
-                    states[slots.get(i)][ai].count += 1;
-                }
-            }
-        }
-        (AggFunc::Sum | AggFunc::Avg, EvalVec::Col(CV::Int { values, nulls }))
-        | (AggFunc::Sum | AggFunc::Avg, EvalVec::Int(values, nulls)) => match nulls {
-            None => {
-                for i in 0..n {
-                    let st = &mut states[slots.get(i)][ai];
-                    st.count += 1;
-                    st.sum += values[i] as f64;
-                }
-            }
-            Some(b) => {
-                for i in 0..n {
-                    if !b.get(i) {
-                        let st = &mut states[slots.get(i)][ai];
-                        st.count += 1;
-                        st.sum += values[i] as f64;
-                    }
-                }
-            }
-        },
-        (AggFunc::Sum | AggFunc::Avg, EvalVec::Col(CV::Double { values, nulls }))
-        | (AggFunc::Sum | AggFunc::Avg, EvalVec::Double(values, nulls)) => match nulls {
-            None => {
-                for i in 0..n {
-                    let st = &mut states[slots.get(i)][ai];
-                    st.count += 1;
-                    st.sum += values[i];
-                }
-            }
-            Some(b) => {
-                for i in 0..n {
-                    if !b.get(i) {
-                        let st = &mut states[slots.get(i)][ai];
-                        st.count += 1;
-                        st.sum += values[i];
-                    }
-                }
-            }
-        },
-        // Strings under SUM/AVG: count advances, the sum does not
-        // (`Value::as_double` fails) — mirror that without building values.
-        (AggFunc::Sum | AggFunc::Avg, EvalVec::Col(CV::Str { .. })) => {
-            for i in 0..n {
-                if !null_at(ev, i) {
-                    states[slots.get(i)][ai].count += 1;
-                }
-            }
-        }
-        _ => {
-            for i in 0..n {
-                states[slots.get(i)][ai].update(&ev.value_at(i));
-            }
-        }
-    }
-}
-
-/// Whether `ev`'s row `i` is NULL.
-#[inline]
-fn null_at(ev: &EvalVec, i: usize) -> bool {
-    match ev {
-        EvalVec::Scalar(v) => v.is_null(),
-        EvalVec::Col(c) => c.is_null(i),
-        EvalVec::Int(_, nulls) | EvalVec::Double(_, nulls) => {
-            nulls.as_ref().is_some_and(|b| b.get(i))
-        }
-        EvalVec::Vals(v) => v[i].is_null(),
-    }
-}
-
-/// Fold the filtered, projected rowstore (L0) rows in with the literal
-/// `hash_aggregate` per-row update.
-fn aggregate_rowstore(
-    tail: &Batch,
-    group_by: &[Expr],
-    aggregates: &[Aggregate],
-    gt: &mut GroupTable,
-) -> Result<()> {
-    for ri in 0..tail.rows() {
-        let get = |c: usize| tail.value(c, ri);
-        let key: Vec<Value> = group_by.iter().map(|g| g.eval(&get)).collect::<Result<_>>()?;
-        let slot = gt.slot_of(key) as usize;
-        for (s, a) in gt.states[slot].iter_mut().zip(aggregates) {
-            s.update(&a.input.eval(&get)?);
-        }
-    }
-    Ok(())
 }

@@ -1,15 +1,30 @@
-//! Vectorized relational kernels: hash join, hash aggregation, sort and
-//! limit. These are the building blocks the query layer (`s2-query`)
+//! Typed, vectorized relational kernels: hash join, hash aggregation and
+//! sort. These are the building blocks the query layer (`s2-query`)
 //! composes into physical plans.
+//!
+//! Nothing here builds a `Value` per row. Join and group keys are hashed
+//! column-at-a-time and compared as typed cells (`keys.rs`); the join
+//! produces `(probe row, build row)` id vectors and builds its output by
+//! typed bulk `gather`; residuals and aggregate inputs go through the
+//! vectorized evaluator ([`crate::veval`], so `AND`/`OR` do not
+//! short-circuit per row); accumulators are typed lanes indexed by group
+//! slot; sort compares typed cells.
+//!
+//! **Determinism rule.** Output never depends on hash values or thread
+//! count: join rows come out in ascending (probe row, build row) order,
+//! groups in first-seen order, and every accumulator is fed its rows in
+//! input order (f64 addition is not associative, so this fixes the sums
+//! bit for bit).
 
-use std::collections::HashMap;
+use std::cmp::Ordering;
 
-use s2_common::hash::hash_values;
-use s2_common::{DataType, Error, Result, Value};
-use s2_encoding::{ColumnVector, VectorBuilder};
+use s2_common::{BitVec, DataType, Error, Result, Value};
+use s2_encoding::{ColumnVector, VectorBuilder, NO_ROW};
 
 use crate::batch::Batch;
 use crate::expr::Expr;
+use crate::keys::{cell_eq, hash_rows, null_lanes};
+use crate::veval::{self, EvalVec};
 
 /// Join type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,13 +39,10 @@ pub enum JoinType {
     Anti,
 }
 
-fn key_of(batch: &Batch, cols: &[usize], row: usize) -> Vec<Value> {
-    cols.iter().map(|&c| batch.value(c, row)).collect()
-}
-
 /// Hash join `left` and `right` on equality of the given key columns.
 /// Output columns = all left columns followed by all right columns (for
 /// Semi/Anti: left columns only). NULL keys never match (SQL semantics).
+/// Rows come out in ascending (left row, right row) order.
 pub fn hash_join(
     left: &Batch,
     right: &Batch,
@@ -39,101 +51,143 @@ pub fn hash_join(
     join_type: JoinType,
     residual: Option<&Expr>,
 ) -> Result<Batch> {
-    if left_keys.len() != right_keys.len() {
-        return Err(Error::InvalidArgument("join key arity mismatch".into()));
-    }
-    // Build on the right side.
-    let mut table: HashMap<u64, Vec<u32>> = HashMap::new();
-    for ri in 0..right.rows() {
-        if right_keys.iter().any(|&c| right.columns[c].is_null(ri)) {
-            continue;
-        }
-        let key = key_of(right, right_keys, ri);
-        table.entry(hash_values(key.iter())).or_default().push(ri as u32);
-    }
-
-    let left_types: Vec<DataType> = left.columns.iter().map(ColumnVector::data_type).collect();
-    let right_types: Vec<DataType> = right.columns.iter().map(ColumnVector::data_type).collect();
-    let out_types: Vec<DataType> = match join_type {
-        JoinType::Semi | JoinType::Anti => left_types.clone(),
-        _ => left_types.iter().chain(&right_types).copied().collect(),
-    };
-    let mut builders: Vec<VectorBuilder> =
-        out_types.iter().map(|&t| VectorBuilder::new(t, left.rows())).collect();
-
-    let mut emit = |lrow: usize, rrow: Option<usize>| {
-        for (ci, b) in builders.iter_mut().enumerate() {
-            if ci < left.width() {
-                push_from(b, &left.columns[ci], lrow);
-            } else {
-                match rrow {
-                    Some(rr) => push_from(b, &right.columns[ci - left.width()], rr),
-                    None => b.push_null(),
-                }
-            }
-        }
-    };
-
-    for li in 0..left.rows() {
-        let null_key = left_keys.iter().any(|&c| left.columns[c].is_null(li));
-        let mut matched = false;
-        if !null_key {
-            let key = key_of(left, left_keys, li);
-            if let Some(cands) = table.get(&hash_values(key.iter())) {
-                for &ri in cands {
-                    let ri = ri as usize;
-                    // Verify actual equality (hash collisions).
-                    if !left_keys
-                        .iter()
-                        .zip(right_keys)
-                        .all(|(&lc, &rc)| left.value(lc, li) == right.value(rc, ri))
-                    {
-                        continue;
-                    }
-                    // Residual predicate over the combined row: columns
-                    // 0..left.width() are left, then right.
-                    if let Some(res) = residual {
-                        let get = |c: usize| {
-                            if c < left.width() {
-                                left.value(c, li)
-                            } else {
-                                right.value(c - left.width(), ri)
-                            }
-                        };
-                        if !res.eval_bool(&get)? {
-                            continue;
-                        }
-                    }
-                    matched = true;
-                    match join_type {
-                        JoinType::Inner | JoinType::Left => emit(li, Some(ri)),
-                        JoinType::Semi => {
-                            emit(li, None);
-                            break;
-                        }
-                        JoinType::Anti => break,
-                    }
-                }
-            }
-        }
-        match join_type {
-            JoinType::Left if !matched => emit(li, None),
-            JoinType::Anti if !matched => emit(li, None),
-            _ => {}
-        }
-    }
-    Ok(Batch::new(builders.into_iter().map(VectorBuilder::finish).collect()))
+    JoinTable::build(right, right_keys).probe(left, left_keys, join_type, residual)
 }
 
-fn push_from(b: &mut VectorBuilder, col: &ColumnVector, row: usize) {
-    if col.is_null(row) {
-        b.push_null();
-        return;
+/// The build side of a hash join: a flat chained table over the build
+/// batch's row ids. `heads[hash & mask]` is the first row of a bucket's
+/// chain, `next[row]` the following one; rows are linked in ascending
+/// order, so a probe meets its matches in build-row order.
+pub struct JoinTable<'a> {
+    right: &'a Batch,
+    keys: Vec<&'a ColumnVector>,
+    hashes: Vec<u64>,
+    heads: Vec<u32>,
+    next: Vec<u32>,
+}
+
+impl<'a> JoinTable<'a> {
+    /// Hash `right`'s key columns and link its rows (NULL keys stay out).
+    pub fn build(right: &'a Batch, right_keys: &[usize]) -> JoinTable<'a> {
+        let rows = right.rows();
+        let keys: Vec<&ColumnVector> = right_keys.iter().map(|&c| &right.columns[c]).collect();
+        let hashes = hash_rows(&keys, rows);
+        let nulls = null_lanes(&keys);
+        let mut heads = vec![NO_ROW; (rows * 2).next_power_of_two()];
+        let mut next = vec![NO_ROW; rows];
+        let mask = heads.len() - 1;
+        for row in (0..rows).rev() {
+            if nulls.iter().any(|n| n.get(row)) {
+                continue;
+            }
+            let bucket = hashes[row] as usize & mask;
+            next[row] = heads[bucket];
+            heads[bucket] = row as u32;
+        }
+        JoinTable { right, keys, hashes, heads, next }
     }
-    match col {
-        ColumnVector::Int { values, .. } => b.push_int(values[row]),
-        ColumnVector::Double { values, .. } => b.push_double(values[row]),
-        ColumnVector::Str { .. } => b.push_str(col.str_at(row)),
+
+    /// Probe with `left`, apply `residual` to the matching pairs, and build
+    /// the output by gathering both sides.
+    pub fn probe(
+        &self,
+        left: &Batch,
+        left_keys: &[usize],
+        join_type: JoinType,
+        residual: Option<&Expr>,
+    ) -> Result<Batch> {
+        if left_keys.len() != self.keys.len() {
+            return Err(Error::InvalidArgument("join key arity mismatch".into()));
+        }
+        // Semi/Anti only ask whether a match exists; without a residual the
+        // first key match answers that.
+        let first_only = residual.is_none() && matches!(join_type, JoinType::Semi | JoinType::Anti);
+        let (mut lidx, mut ridx) = self.matching_pairs(left, left_keys, first_only);
+        if let Some(residual) = residual {
+            // Combined row: columns 0..left.width() are left, then right.
+            // Only the columns the residual reads are gathered.
+            let mut cols =
+                vec![ColumnVector::empty(DataType::Int64); left.width() + self.right.width()];
+            for c in residual.referenced_columns() {
+                cols[c] = match c.checked_sub(left.width()) {
+                    None => left.columns[c].gather(&lidx),
+                    Some(rc) => self.right.columns[rc].gather(&ridx),
+                };
+            }
+            let mask = veval::filter_mask(&cols, lidx.len(), residual)?;
+            let keep = |idx: &[u32]| mask.iter_ones().map(|p| idx[p]).collect::<Vec<u32>>();
+            (lidx, ridx) = (keep(&lidx), keep(&ridx));
+        }
+        match join_type {
+            JoinType::Inner => {}
+            JoinType::Semi => lidx.dedup(),
+            // Walk the left rows against the (ascending) matched ones.
+            JoinType::Left | JoinType::Anti => {
+                let (matched_l, matched_r) = (std::mem::take(&mut lidx), std::mem::take(&mut ridx));
+                let mut p = 0;
+                for li in 0..left.rows() as u32 {
+                    let start = p;
+                    while p < matched_l.len() && matched_l[p] == li {
+                        p += 1;
+                    }
+                    if p == start {
+                        lidx.push(li);
+                        ridx.push(NO_ROW);
+                    } else if join_type == JoinType::Left {
+                        lidx.extend_from_slice(&matched_l[start..p]);
+                        ridx.extend_from_slice(&matched_r[start..p]);
+                    }
+                }
+            }
+        }
+        let mut columns: Vec<ColumnVector> = left.columns.iter().map(|c| c.gather(&lidx)).collect();
+        match join_type {
+            JoinType::Inner => columns.extend(self.right.columns.iter().map(|c| c.gather(&ridx))),
+            JoinType::Left => {
+                columns.extend(self.right.columns.iter().map(|c| c.gather_padded(&ridx)))
+            }
+            JoinType::Semi | JoinType::Anti => {}
+        }
+        Ok(Batch::new(columns))
+    }
+
+    /// `(left row, right row)` ids of every key match, ascending in both;
+    /// with `first_only`, the first match of each left row.
+    fn matching_pairs(
+        &self,
+        left: &Batch,
+        left_keys: &[usize],
+        first_only: bool,
+    ) -> (Vec<u32>, Vec<u32>) {
+        let rows = left.rows();
+        let keys: Vec<&ColumnVector> = left_keys.iter().map(|&c| &left.columns[c]).collect();
+        let hashes = hash_rows(&keys, rows);
+        let nulls = null_lanes(&keys);
+        let mask = self.heads.len() - 1;
+        let (mut lidx, mut ridx) = (Vec::new(), Vec::new());
+        for (li, &hash) in hashes.iter().enumerate() {
+            if nulls.iter().any(|n| n.get(li)) {
+                continue;
+            }
+            let mut ri = self.heads[hash as usize & mask];
+            while ri != NO_ROW {
+                let r = ri as usize;
+                // Equal hashes first: keys that compare equal but hash apart
+                // (ints beyond 2^53 against their rounded double) stay
+                // unmatched, as in a table keyed on the full hash.
+                if self.hashes[r] == hash
+                    && keys.iter().zip(&self.keys).all(|(l, rk)| cell_eq(l, li, rk, r))
+                {
+                    lidx.push(li as u32);
+                    ridx.push(ri);
+                    if first_only {
+                        break;
+                    }
+                }
+                ri = self.next[r];
+            }
+        }
+        (lidx, ridx)
     }
 }
 
@@ -161,138 +215,404 @@ pub struct Aggregate {
     pub input: Expr,
 }
 
-#[derive(Clone)]
-pub(crate) struct AggState {
-    pub(crate) count: u64,
-    pub(crate) sum: f64,
-    pub(crate) min: Option<Value>,
-    pub(crate) max: Option<Value>,
+/// Per-row group slot lookup: a global aggregate has one slot for every
+/// row, a grouped one a per-row vector.
+pub(crate) enum SlotMap {
+    Uniform(u32),
+    PerRow(Vec<u32>),
 }
 
-impl AggState {
-    pub(crate) fn new() -> AggState {
-        AggState { count: 0, sum: 0.0, min: None, max: None }
-    }
+/// One aggregate's accumulators, one entry per group slot. Each variant
+/// keeps only what its function's output reads.
+pub(crate) enum Acc {
+    /// COUNT: non-NULL inputs seen.
+    Count(Vec<u64>),
+    /// SUM / AVG: running f64 sum and non-NULL count (a string input
+    /// counts but adds nothing; zero count finishes as NULL).
+    Sum { sums: Vec<f64>, counts: Vec<u64>, avg: bool },
+    /// MIN / MAX: best value so far (`Value::Null` = none yet; ties keep the
+    /// first), and the first input lane's type for an output column whose
+    /// every group stays NULL.
+    Extreme { best: Vec<Value>, min: bool, lane_type: Option<DataType> },
+}
 
-    pub(crate) fn update(&mut self, v: &Value) {
-        if v.is_null() {
-            return;
-        }
-        self.count += 1;
-        if let Ok(d) = v.as_double() {
-            self.sum += d;
-        }
-        match &self.min {
-            None => self.min = Some(v.clone()),
-            Some(m) if v < m => self.min = Some(v.clone()),
-            _ => {}
-        }
-        match &self.max {
-            None => self.max = Some(v.clone()),
-            Some(m) if v > m => self.max = Some(v.clone()),
-            _ => {}
-        }
-    }
-
-    pub(crate) fn finish(&self, func: AggFunc) -> Value {
+impl Acc {
+    fn new(func: AggFunc) -> Acc {
         match func {
-            AggFunc::Count => Value::Int(self.count as i64),
-            AggFunc::Sum => {
-                if self.count == 0 {
-                    Value::Null
-                } else {
-                    Value::Double(self.sum)
-                }
+            AggFunc::Count => Acc::Count(Vec::new()),
+            AggFunc::Sum | AggFunc::Avg => {
+                Acc::Sum { sums: Vec::new(), counts: Vec::new(), avg: func == AggFunc::Avg }
             }
-            AggFunc::Avg => {
-                if self.count == 0 {
-                    Value::Null
-                } else {
-                    Value::Double(self.sum / self.count as f64)
-                }
+            AggFunc::Min | AggFunc::Max => {
+                Acc::Extreme { best: Vec::new(), min: func == AggFunc::Min, lane_type: None }
             }
-            AggFunc::Min => self.min.clone().unwrap_or(Value::Null),
-            AggFunc::Max => self.max.clone().unwrap_or(Value::Null),
         }
+    }
+
+    fn push_group(&mut self) {
+        match self {
+            Acc::Count(counts) => counts.push(0),
+            Acc::Sum { sums, counts, .. } => {
+                sums.push(0.0);
+                counts.push(0);
+            }
+            Acc::Extreme { best, .. } => best.push(Value::Null),
+        }
+    }
+
+    /// Add `n` non-NULL inputs to `slot` without looking at them (COUNT,
+    /// or the count half of a precomputed SUM / AVG).
+    pub(crate) fn add_count(&mut self, slot: usize, n: u64) {
+        match self {
+            Acc::Count(counts) | Acc::Sum { counts, .. } => counts[slot] += n,
+            Acc::Extreme { .. } => unreachable!("MIN/MAX has no count"),
+        }
+    }
+
+    /// The running sum of `slot`; mutable for the caller that advances it
+    /// exactly (RLE run arithmetic).
+    pub(crate) fn sum_mut(&mut self, slot: usize) -> &mut f64 {
+        match self {
+            Acc::Sum { sums, .. } => &mut sums[slot],
+            _ => unreachable!("only SUM/AVG keep a sum"),
+        }
+    }
+
+    /// Feed rows `0..n` of `input` to their slots, in row order.
+    pub(crate) fn update(&mut self, input: EvalVec<'_>, slots: &SlotMap, n: usize) -> Result<()> {
+        let col = match (&*self, input) {
+            // COUNT over a constant (COUNT(*)) has no lane to look at.
+            (Acc::Count(_), EvalVec::Scalar(v)) if v.is_null() => return Ok(()),
+            (Acc::Count(_), EvalVec::Scalar(_)) => None,
+            (_, input) => Some(input.into_column(n, None)?),
+        };
+        match slots {
+            SlotMap::Uniform(s) => self.update_lane(col.as_deref(), n, |_| *s as usize),
+            SlotMap::PerRow(v) => self.update_lane(col.as_deref(), n, |i| v[i] as usize),
+        }
+        Ok(())
+    }
+
+    /// The typed accumulation loops (`col: None` = every row is a non-NULL
+    /// constant, COUNT only).
+    fn update_lane(&mut self, col: Option<&ColumnVector>, n: usize, slot: impl Fn(usize) -> usize) {
+        use ColumnVector as CV;
+        let nulls = col.and_then(CV::nulls);
+        let live = |i: usize| !nulls.is_some_and(|b| b.get(i));
+        match (self, col) {
+            (Acc::Count(counts), _) | (Acc::Sum { counts, .. }, Some(CV::Str { .. })) => {
+                (0..n).filter(|&i| live(i)).for_each(|i| counts[slot(i)] += 1)
+            }
+            (Acc::Sum { sums, counts, .. }, Some(CV::Int { values, .. })) => {
+                for i in (0..n).filter(|&i| live(i)) {
+                    let s = slot(i);
+                    counts[s] += 1;
+                    sums[s] += values[i] as f64;
+                }
+            }
+            (Acc::Sum { sums, counts, .. }, Some(CV::Double { values, .. })) => {
+                for i in (0..n).filter(|&i| live(i)) {
+                    let s = slot(i);
+                    counts[s] += 1;
+                    sums[s] += values[i];
+                }
+            }
+            (Acc::Extreme { best, min, lane_type }, Some(col)) => {
+                lane_type.get_or_insert(col.data_type());
+                let wanted = if *min { Ordering::Less } else { Ordering::Greater };
+                // Each arm is `Value::total_cmp(candidate, best)` restated
+                // for a typed candidate.
+                for i in (0..n).filter(|&i| live(i)) {
+                    let b = &mut best[slot(i)];
+                    match col {
+                        CV::Int { values, .. } => {
+                            let v = values[i];
+                            let ord = match &*b {
+                                Value::Null => wanted,
+                                Value::Int(m) => v.cmp(m),
+                                Value::Double(m) => (v as f64).total_cmp(m),
+                                Value::Str(_) => Ordering::Less,
+                            };
+                            if ord == wanted {
+                                *b = Value::Int(v);
+                            }
+                        }
+                        CV::Double { values, .. } => {
+                            let v = values[i];
+                            let ord = match &*b {
+                                Value::Null => wanted,
+                                Value::Int(m) => v.total_cmp(&(*m as f64)),
+                                Value::Double(m) => v.total_cmp(m),
+                                Value::Str(_) => Ordering::Less,
+                            };
+                            if ord == wanted {
+                                *b = Value::Double(v);
+                            }
+                        }
+                        CV::Str { .. } => {
+                            let v = col.str_at(i);
+                            let ord = match &*b {
+                                Value::Null => wanted,
+                                Value::Str(m) => v.cmp(m.as_ref()),
+                                _ => Ordering::Greater,
+                            };
+                            if ord == wanted {
+                                *b = Value::str(v);
+                            }
+                        }
+                    }
+                }
+            }
+            (_, None) => unreachable!("only COUNT runs without a lane"),
+        }
+    }
+
+    /// The output column, one row per group.
+    fn finish(self) -> Result<ColumnVector> {
+        let null_where = |counts: &[u64]| {
+            let mut nulls = BitVec::zeros(counts.len());
+            counts.iter().enumerate().filter(|(_, &c)| c == 0).for_each(|(g, _)| nulls.set(g));
+            (nulls.count_ones() > 0).then_some(nulls)
+        };
+        Ok(match self {
+            Acc::Count(counts) => ColumnVector::Int {
+                values: counts.into_iter().map(|c| c as i64).collect(),
+                nulls: None,
+            },
+            Acc::Sum { mut sums, counts, avg } => {
+                for (s, &c) in sums.iter_mut().zip(&counts) {
+                    *s = match (c, avg) {
+                        (0, _) => 0.0,
+                        (_, true) => *s / c as f64,
+                        (_, false) => *s,
+                    };
+                }
+                ColumnVector::Double { values: sums, nulls: null_where(&counts) }
+            }
+            Acc::Extreme { best, lane_type, .. } => {
+                // Typed by what the groups hold, never by the first group.
+                let data_type = veval::widest_type(&best).or(lane_type).unwrap_or(DataType::Double);
+                let mut b = VectorBuilder::new(data_type, best.len());
+                best.iter().try_for_each(|v| b.push(v))?;
+                b.finish()
+            }
+        })
+    }
+}
+
+/// First-seen keys of one group-by expression: a typed column that grows
+/// by one cell per new group. It takes the type of the first non-NULL key
+/// (a NULL-only store is retyped, so a NULL first group decides nothing);
+/// after that the builder's rules hold — NULL fits, `Int` widens into a
+/// `Double` store, anything else is an error.
+struct KeyStore {
+    /// The keys; its own NULL bitmap is filled in at the end from `nulls`.
+    col: ColumnVector,
+    nulls: Vec<bool>,
+}
+
+impl KeyStore {
+    fn push(&mut self, lane: &ColumnVector, row: usize) -> Result<()> {
+        use ColumnVector as CV;
+        let null = lane.is_null(row);
+        if !null
+            && self.col.data_type() != lane.data_type()
+            && !matches!((&self.col, lane), (CV::Double { .. }, CV::Int { .. }))
+        {
+            if self.nulls.contains(&false) {
+                return Err(Error::InvalidArgument(format!(
+                    "cannot push {} into {:?} vector",
+                    lane.value(row),
+                    self.col.data_type()
+                )));
+            }
+            self.col = ColumnVector::empty(lane.data_type())
+                .gather_padded(&vec![NO_ROW; self.nulls.len()]);
+        }
+        match (&mut self.col, lane) {
+            (CV::Int { values, .. }, _) if null => values.push(0),
+            (CV::Double { values, .. }, _) if null => values.push(0.0),
+            (CV::Str { offsets, bytes, .. }, _) if null => offsets.push(bytes.len() as u32),
+            (CV::Int { values, .. }, CV::Int { values: v, .. }) => values.push(v[row]),
+            (CV::Double { values, .. }, CV::Double { values: v, .. }) => values.push(v[row]),
+            (CV::Double { values, .. }, CV::Int { values: v, .. }) => values.push(v[row] as f64),
+            (CV::Str { offsets, bytes, .. }, CV::Str { .. }) => {
+                bytes.extend_from_slice(lane.str_at(row).as_bytes());
+                offsets.push(bytes.len() as u32);
+            }
+            _ => unreachable!("mismatched lanes were rejected or retyped above"),
+        }
+        self.nulls.push(null);
+        Ok(())
+    }
+
+    #[inline]
+    fn eq(&self, group: usize, lane: &ColumnVector, row: usize) -> bool {
+        match (self.nulls[group], lane.is_null(row)) {
+            (false, false) => cell_eq(&self.col, group, lane, row),
+            (a, b) => a && b,
+        }
+    }
+
+    fn finish(self) -> ColumnVector {
+        let mut bits = BitVec::zeros(self.nulls.len());
+        self.nulls.iter().enumerate().filter(|(_, &n)| n).for_each(|(g, _)| bits.set(g));
+        let nulls = (bits.count_ones() > 0).then_some(bits);
+        match self.col {
+            ColumnVector::Int { values, .. } => ColumnVector::Int { values, nulls },
+            ColumnVector::Double { values, .. } => ColumnVector::Double { values, nulls },
+            ColumnVector::Str { offsets, bytes, .. } => ColumnVector::Str { offsets, bytes, nulls },
+        }
+    }
+}
+
+/// The one grouping structure: first-seen typed keys, an open-addressing
+/// table from key hash to group slot, and one [`Acc`] per aggregate. Shared
+/// by [`hash_aggregate`] and the fused scan path (`crate::encoded`), which
+/// feeds it segment by segment and then the rowstore rows — slots are
+/// handed out in first-seen order across all of them.
+pub(crate) struct GroupTable {
+    keys: Vec<KeyStore>,
+    hashes: Vec<u64>,
+    /// `hash & mask` probes linearly to a group slot or `NO_ROW`; kept at
+    /// most half full.
+    table: Vec<u32>,
+    pub(crate) accs: Vec<Acc>,
+}
+
+impl GroupTable {
+    pub(crate) fn new(n_keys: usize, aggregates: &[Aggregate]) -> GroupTable {
+        let key = || KeyStore { col: ColumnVector::empty(DataType::Int64), nulls: Vec::new() };
+        GroupTable {
+            keys: (0..n_keys).map(|_| key()).collect(),
+            hashes: Vec::new(),
+            table: vec![NO_ROW; 16],
+            accs: aggregates.iter().map(|a| Acc::new(a.func)).collect(),
+        }
+    }
+
+    /// The group slot of each of `n` rows keyed by `lanes` (one per group-by
+    /// expression), adding first-seen keys. A global aggregate's single
+    /// group exists as soon as any row does.
+    pub(crate) fn slots(&mut self, lanes: &[&ColumnVector], n: usize) -> Result<SlotMap> {
+        if lanes.is_empty() {
+            if n > 0 && self.hashes.is_empty() {
+                self.hashes.push(0);
+                self.accs.iter_mut().for_each(Acc::push_group);
+            }
+            return Ok(SlotMap::Uniform(0));
+        }
+        let hashes = hash_rows(lanes, n);
+        let mut out = Vec::with_capacity(n);
+        for (row, &hash) in hashes.iter().enumerate() {
+            let mut at = hash as usize & (self.table.len() - 1);
+            let slot = loop {
+                let g = self.table[at];
+                if g == NO_ROW {
+                    break self.add_group(hash, lanes, row, at)?;
+                }
+                if self.hashes[g as usize] == hash
+                    && self.keys.iter().zip(lanes).all(|(k, l)| k.eq(g as usize, l, row))
+                {
+                    break g;
+                }
+                at = (at + 1) & (self.table.len() - 1);
+            };
+            out.push(slot);
+        }
+        Ok(SlotMap::PerRow(out))
+    }
+
+    /// The slot of one key given as values (the dictionary-code path
+    /// resolves each first-seen code tuple once per segment).
+    pub(crate) fn slot_of(&mut self, key: &[Value]) -> Result<u32> {
+        let cols = key
+            .iter()
+            .map(|v| {
+                let data_type = v.data_type().unwrap_or(DataType::Int64);
+                ColumnVector::from_values(std::slice::from_ref(v), data_type)
+            })
+            .collect::<Result<Vec<_>>>()?;
+        Ok(match self.slots(&cols.iter().collect::<Vec<_>>(), 1)? {
+            SlotMap::Uniform(slot) => slot,
+            SlotMap::PerRow(slots) => slots[0],
+        })
+    }
+
+    fn add_group(
+        &mut self,
+        hash: u64,
+        lanes: &[&ColumnVector],
+        row: usize,
+        at: usize,
+    ) -> Result<u32> {
+        let slot = self.hashes.len() as u32;
+        for (k, l) in self.keys.iter_mut().zip(lanes) {
+            k.push(l, row)?;
+        }
+        self.hashes.push(hash);
+        self.accs.iter_mut().for_each(Acc::push_group);
+        self.table[at] = slot;
+        if self.hashes.len() * 2 > self.table.len() {
+            let mask = self.table.len() * 2 - 1;
+            self.table = vec![NO_ROW; mask + 1];
+            for (g, &h) in self.hashes.iter().enumerate() {
+                let mut at = h as usize & mask;
+                while self.table[at] != NO_ROW {
+                    at = (at + 1) & mask;
+                }
+                self.table[at] = g as u32;
+            }
+        }
+        Ok(slot)
+    }
+
+    /// Group `cols`' `n` rows by `group_by` and feed every aggregate its
+    /// input lane (expressions over `cols` positions).
+    pub(crate) fn consume(
+        &mut self,
+        cols: &[ColumnVector],
+        n: usize,
+        group_by: &[Expr],
+        aggregates: &[Aggregate],
+    ) -> Result<()> {
+        let lanes = group_by
+            .iter()
+            .map(|g| veval::eval_vector(cols, n, g)?.into_column(n, None))
+            .collect::<Result<Vec<_>>>()?;
+        let lanes: Vec<&ColumnVector> = lanes.iter().map(|l| &**l).collect();
+        let slots = self.slots(&lanes, n)?;
+        for (acc, a) in self.accs.iter_mut().zip(aggregates) {
+            acc.update(veval::eval_vector(cols, n, &a.input)?, &slots, n)?;
+        }
+        Ok(())
+    }
+
+    /// The output batch: group keys (in order) then one column per
+    /// aggregate, groups in first-seen order. With no group keys exactly
+    /// one row comes out (a global aggregate over zero rows included,
+    /// SQL-style); a grouped aggregate over zero rows has zero rows, `Int64`
+    /// keys and per-function aggregate types.
+    pub(crate) fn finish(mut self) -> Result<Batch> {
+        if self.keys.is_empty() {
+            self.slots(&[], 1)?; // the global group, if no row created it
+        }
+        let mut columns: Vec<ColumnVector> = self.keys.into_iter().map(KeyStore::finish).collect();
+        for acc in self.accs {
+            columns.push(acc.finish()?);
+        }
+        Ok(Batch::new(columns))
     }
 }
 
 /// Hash group-by aggregation. Output columns: group keys (in order) then one
-/// column per aggregate. With no group keys, emits exactly one row (global
-/// aggregate over zero input rows included, SQL-style).
+/// column per aggregate; groups in first-seen order. With no group keys,
+/// emits exactly one row (global aggregate over zero input rows included,
+/// SQL-style).
 pub fn hash_aggregate(batch: &Batch, group_by: &[Expr], aggregates: &[Aggregate]) -> Result<Batch> {
-    // Evaluate group keys and aggregate inputs per row.
-    let mut groups: HashMap<Vec<Value>, usize> = HashMap::new();
-    let mut order: Vec<Vec<Value>> = Vec::new(); // stable first-seen order
-    let mut states: Vec<Vec<AggState>> = Vec::new(); // parallel to `order`
-    for ri in 0..batch.rows() {
-        let get = |c: usize| batch.value(c, ri);
-        let key: Vec<Value> = group_by.iter().map(|g| g.eval(&get)).collect::<Result<_>>()?;
-        let slot = *groups.entry(key.clone()).or_insert_with(|| {
-            order.push(key);
-            states.push(vec![AggState::new(); aggregates.len()]);
-            states.len() - 1
-        });
-        for (s, a) in states[slot].iter_mut().zip(aggregates) {
-            s.update(&a.input.eval(&get)?);
-        }
-    }
-    assemble_aggregate_output(group_by.len(), order, states, aggregates)
-}
-
-/// Build the output batch of an aggregation from first-seen-ordered group
-/// keys and their accumulator states. Shared by [`hash_aggregate`] and the
-/// encoded-domain fused path (`crate::encoded`) so the SQL edge cases —
-/// global aggregate over zero rows emits one row, grouped aggregate over
-/// zero rows emits zero with default types, types inferred from the first
-/// group — behave identically on both.
-pub(crate) fn assemble_aggregate_output(
-    group_by_len: usize,
-    mut order: Vec<Vec<Value>>,
-    mut states: Vec<Vec<AggState>>,
-    aggregates: &[Aggregate],
-) -> Result<Batch> {
-    if group_by_len == 0 && order.is_empty() {
-        order.push(Vec::new());
-        states.push(vec![AggState::new(); aggregates.len()]);
-    }
-    if order.is_empty() {
-        // Grouped aggregate over zero rows: zero groups. Types default to
-        // Int64 keys / per-function aggregate types.
-        let mut types = vec![DataType::Int64; group_by_len];
-        for a in aggregates {
-            types.push(match a.func {
-                AggFunc::Count => DataType::Int64,
-                _ => DataType::Double,
-            });
-        }
-        return Ok(Batch::empty(&types));
-    }
-
-    // Infer output column types from the first group.
-    let first = &order[0];
-    let first_states = &states[0];
-    let mut types: Vec<DataType> = Vec::new();
-    for v in first {
-        types.push(v.data_type().unwrap_or(DataType::Int64));
-    }
-    for (s, a) in first_states.iter().zip(aggregates) {
-        types.push(s.finish(a.func).data_type().unwrap_or(match a.func {
-            AggFunc::Count => DataType::Int64,
-            _ => DataType::Double,
-        }));
-    }
-    let mut builders: Vec<VectorBuilder> =
-        types.iter().map(|&t| VectorBuilder::new(t, order.len())).collect();
-    for (key, states) in order.iter().zip(&states) {
-        for (ci, v) in key.iter().enumerate() {
-            builders[ci].push(v)?;
-        }
-        for (i, (s, a)) in states.iter().zip(aggregates).enumerate() {
-            builders[key.len() + i].push(&s.finish(a.func))?;
-        }
-    }
-    Ok(Batch::new(builders.into_iter().map(VectorBuilder::finish).collect()))
+    let mut groups = GroupTable::new(group_by.len(), aggregates);
+    groups.consume(&batch.columns, batch.rows(), group_by, aggregates)?;
+    groups.finish()
 }
 
 /// Sort key direction.
@@ -305,25 +625,37 @@ pub enum SortDir {
 }
 
 /// Sort a batch by the given (column, direction) keys; optional limit.
+/// Ties keep input order. With a limit below the row count only the top
+/// rows are selected and sorted.
 pub fn sort_batch(batch: &Batch, keys: &[(usize, SortDir)], limit: Option<usize>) -> Batch {
-    let mut idx: Vec<u32> = (0..batch.rows() as u32).collect();
-    idx.sort_by(|&a, &b| {
+    // The input row id as last key makes the order total, so an unstable
+    // selection and sort give exactly the stable sort's result.
+    let cmp = |a: &u32, b: &u32| {
+        let (ra, rb) = (*a as usize, *b as usize);
         for &(c, dir) in keys {
-            let va = batch.value(c, a as usize);
-            let vb = batch.value(c, b as usize);
-            let o = va.total_cmp(&vb);
-            if o != std::cmp::Ordering::Equal {
-                return match dir {
-                    SortDir::Asc => o,
-                    SortDir::Desc => o.reverse(),
-                };
+            let col = &batch.columns[c];
+            let o = match (col.is_null(ra), col.is_null(rb)) {
+                (false, false) => match col {
+                    ColumnVector::Int { values, .. } => values[ra].cmp(&values[rb]),
+                    ColumnVector::Double { values, .. } => values[ra].total_cmp(&values[rb]),
+                    ColumnVector::Str { .. } => col.str_at(ra).cmp(col.str_at(rb)),
+                },
+                (na, nb) => nb.cmp(&na),
+            };
+            if o != Ordering::Equal {
+                return if dir == SortDir::Asc { o } else { o.reverse() };
             }
         }
-        std::cmp::Ordering::Equal
-    });
-    if let Some(l) = limit {
-        idx.truncate(l);
+        a.cmp(b)
+    };
+    let mut idx: Vec<u32> = (0..batch.rows() as u32).collect();
+    if let Some(limit) = limit.filter(|&l| l < idx.len()) {
+        if limit > 0 {
+            idx.select_nth_unstable_by(limit - 1, cmp);
+        }
+        idx.truncate(limit);
     }
+    idx.sort_unstable_by(cmp);
     batch.gather(&idx)
 }
 

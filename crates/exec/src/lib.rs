@@ -10,6 +10,7 @@ pub mod cache;
 pub mod encoded;
 pub mod expr;
 pub mod kernels;
+mod keys;
 pub mod scan;
 pub mod veval;
 
@@ -17,10 +18,16 @@ pub use batch::Batch;
 pub use cache::DecisionCache;
 pub use encoded::scan_aggregate;
 pub use expr::{like_match, ArithOp, CmpOp, Expr};
-pub use kernels::{hash_aggregate, hash_join, sort_batch, AggFunc, Aggregate, JoinType, SortDir};
+pub use kernels::{
+    hash_aggregate, hash_join, sort_batch, AggFunc, Aggregate, JoinTable, JoinType, SortDir,
+};
 // The worker pool lives in the leaf crate `s2-pool` (so s2-core's parallel
 // recovery can use it too); re-exported here to keep `s2_exec::pool::*`
 // paths working.
+// The metrics registry, for the query layer's operator timers. `s2-query`
+// records them through this path: a dependency edge of its own would
+// rewrite `ledger/Cargo.lock`, which the benchmark contract freezes.
+pub use s2_obs as obs;
 pub use s2_pool as pool;
 pub use s2_pool::{effective_threads, ScanPool};
 pub use scan::{scan, ScanOptions, ScanStats};

@@ -245,7 +245,7 @@ pub fn scan(
     let result = if out_batches.is_empty() {
         Batch::empty(&proj_types)
     } else {
-        Batch::concat(&out_batches)?
+        Batch::concat(out_batches)?
     };
     record_scan_stats(&stats);
     Ok((result, stats))

@@ -15,8 +15,10 @@
 //! by an earlier conjunct) can error here. Successful evaluations are
 //! byte-identical.
 
-use s2_common::{BitVec, Error, Result, Value};
-use s2_encoding::ColumnVector;
+use std::borrow::Cow;
+
+use s2_common::{BitVec, DataType, Error, Result, Value};
+use s2_encoding::{ColumnVector, VectorBuilder};
 
 use crate::expr::{truthy, ArithOp, CmpOp, Expr};
 
@@ -40,7 +42,7 @@ pub enum EvalVec<'a> {
     Vals(Vec<Value>),
 }
 
-impl EvalVec<'_> {
+impl<'a> EvalVec<'a> {
     /// The value at `row`, as the scalar evaluator would produce it.
     pub fn value_at(&self, row: usize) -> Value {
         match self {
@@ -63,6 +65,52 @@ impl EvalVec<'_> {
             EvalVec::Vals(v) => v[row].clone(),
         }
     }
+
+    /// The `rows` values as one typed column. A lane that already has the
+    /// wanted type (or any type, for `want: None`) is handed over without a
+    /// copy; everything else goes through [`VectorBuilder::push`], so the
+    /// conversion rules are the builder's: NULL fits every type, `Int`
+    /// widens into a `Double` column, any other mismatch is an error.
+    /// `want: None` types per-row values by their widest member (`Str`,
+    /// else `Double`, else `Int64` — also when every row is NULL).
+    pub fn into_column(self, rows: usize, want: Option<DataType>) -> Result<Cow<'a, ColumnVector>> {
+        let fits = |t: DataType| want.is_none_or(|w| w == t);
+        Ok(match self {
+            EvalVec::Col(c) if fits(c.data_type()) => Cow::Borrowed(c),
+            EvalVec::Int(values, nulls) if fits(DataType::Int64) => {
+                Cow::Owned(ColumnVector::Int { values, nulls })
+            }
+            EvalVec::Double(values, nulls) if fits(DataType::Double) => {
+                Cow::Owned(ColumnVector::Double { values, nulls })
+            }
+            other => {
+                let natural = || match &other {
+                    EvalVec::Scalar(v) => v.data_type(),
+                    EvalVec::Vals(vals) => widest_type(vals),
+                    _ => unreachable!("typed lanes fit every `want: None`"),
+                };
+                let data_type = want.or_else(natural).unwrap_or(DataType::Int64);
+                let mut b = VectorBuilder::new(data_type, rows);
+                match &other {
+                    EvalVec::Scalar(v) => (0..rows).try_for_each(|_| b.push(v))?,
+                    EvalVec::Vals(vals) => vals.iter().try_for_each(|v| b.push(v))?,
+                    lane => (0..rows).try_for_each(|r| b.push(&lane.value_at(r)))?,
+                }
+                Cow::Owned(b.finish())
+            }
+        })
+    }
+}
+
+/// The narrowest column type that holds every non-NULL value of `vals`
+/// (`Int64` widens into `Double`; `Str` wins, leaving the numerics to fail
+/// the push): `None` when all are NULL.
+pub(crate) fn widest_type(vals: &[Value]) -> Option<DataType> {
+    vals.iter().filter_map(Value::data_type).max_by_key(|t| match t {
+        DataType::Int64 => 0,
+        DataType::Double => 1,
+        DataType::Str => 2,
+    })
 }
 
 /// Internal evaluation result; `Bool` keeps predicates in tri-state form

@@ -1,6 +1,6 @@
 //! Encoded-domain execution equivalence: the scan's compiled code-domain
 //! predicates and vectorized evaluation must be *byte-identical* to an
-//! unfiltered scan followed by the scalar `Batch::filter`, and the fused
+//! unfiltered scan followed by a scalar `Expr::eval_bool` per row, and the fused
 //! encoded aggregation to `scan` + `hash_aggregate` — same rows, same
 //! order, same `Debug` rendering of every value — over randomized
 //! multi-segment tables that hit every encoding (bit-packed ints, RLE
@@ -188,8 +188,8 @@ fn outcome(r: s2_common::Result<(Batch, s2_exec::ScanStats)>) -> Result<Vec<Stri
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Scans: a filtered scan returns exactly the rows that the scalar
-    /// `Batch::filter` keeps from an unfiltered scan, for every clause
+    /// Scans: a filtered scan returns exactly the rows that scalar
+    /// `Expr::eval_bool` keeps from an unfiltered scan, for every clause
     /// strategy.
     #[test]
     fn scan_filter_matches_scalar_filter(seed in any::<u64>()) {
@@ -199,7 +199,10 @@ proptest! {
         let proj: Vec<usize> = (0..7).collect();
         let (all, _) = scan(ts, &proj, None, &opts()).unwrap();
         for filter in filter_suite().iter().flatten() {
-            let expected = all.gather(&all.filter(filter, None).unwrap());
+            let passing: Vec<u32> = (0..all.rows() as u32)
+                .filter(|&r| filter.eval_bool(&|c| all.value(c, r as usize)).unwrap())
+                .collect();
+            let expected = all.gather(&passing);
             let (got, _) = scan(ts, &proj, Some(filter), &opts()).unwrap();
             prop_assert_eq!(rows_dbg(&expected), rows_dbg(&got), "filter {:?}", filter);
         }
@@ -382,6 +385,67 @@ fn rle_sum_overflow_guard_falls_back() {
     let (fused, _) =
         scan_aggregate(std::slice::from_ref(ts), &[0, 1], None, &[], &aggs, &opts()).unwrap();
     assert_eq!(rows_dbg(&legacy), rows_dbg(&fused));
+}
+
+/// Output column types come from the key and input lanes, not from the first
+/// group: a NULL first-seen `GROUP BY` key over strings (dictionary-code path
+/// and rowstore tail) used to fail with "cannot push a into Int64 vector",
+/// and a grouped MIN/MAX over strings whose first group is all-NULL with
+/// "cannot push … into Double vector".
+#[test]
+fn null_first_groups_keep_their_lane_types() {
+    let p = Partition::new("pn", Arc::new(Log::in_memory()), Arc::new(MemFileStore::new()));
+    let schema = Schema::new(vec![
+        ColumnDef::new("id", DataType::Int64),
+        ColumnDef::nullable("grp", DataType::Str),
+        ColumnDef::new("bucket", DataType::Int64),
+        ColumnDef::nullable("tag", DataType::Str),
+    ])
+    .unwrap();
+    let topts =
+        TableOptions::new().with_sort_key(vec![0]).with_unique("pk", vec![0]).with_segment_rows(16);
+    let t = p.create_table("nf", schema, topts).unwrap();
+    let row = |id: i64| {
+        Row::new(vec![
+            Value::Int(id),
+            if id < 3 { Value::Null } else { Value::str(["a", "b"][(id % 2) as usize]) },
+            Value::Int(id / 4),
+            if id < 4 { Value::Null } else { Value::str(format!("tag-{:02}", 40 - id)) },
+        ])
+    };
+    let mut txn = p.begin();
+    (0..32).for_each(|id| txn.insert(t, row(id)).unwrap());
+    txn.commit().unwrap();
+    p.flush_table(t, true).unwrap();
+    let mut txn = p.begin();
+    (32..40).for_each(|id| txn.insert(t, row(id)).unwrap());
+    txn.commit().unwrap();
+
+    let snap = p.read_snapshot();
+    let ts = snap.table(t).unwrap();
+    let proj = [0, 1, 2, 3];
+    let count = Aggregate { func: AggFunc::Count, input: Expr::Literal(Value::Int(1)) };
+    let min = Aggregate { func: AggFunc::Min, input: Expr::Column(3) };
+    let max = Aggregate { func: AggFunc::Max, input: Expr::Column(3) };
+    for (group_by, aggregates, first) in [
+        (Expr::Column(1), vec![count], "[Null, Int(3)]"),
+        (Expr::Column(2), vec![min, max], "[Int(0), Null, Null]"),
+    ] {
+        let (fused, _) = scan_aggregate(
+            std::slice::from_ref(ts),
+            &proj,
+            None,
+            std::slice::from_ref(&group_by),
+            &aggregates,
+            &opts(),
+        )
+        .unwrap();
+        assert_eq!(rows_dbg(&fused)[0], format!("Row({first})"));
+        let (base, _) = scan(ts, &proj, None, &opts()).unwrap();
+        let hashed = hash_aggregate(&base, &[group_by], &aggregates).unwrap();
+        assert_eq!(rows_dbg(&hashed), rows_dbg(&fused));
+        assert!(fused.columns.iter().skip(1).all(|c| c.data_type() != DataType::Double));
+    }
 }
 
 /// Only live rows decide whether a scan fails: a dictionary entry that

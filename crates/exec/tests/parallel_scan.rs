@@ -3,7 +3,9 @@
 //! The morsel executor must be invisible in results: any thread count
 //! produces the identical batch (fragments reassemble in segment order) and
 //! — once the decision cache is warm, so the sampled plan is shared — the
-//! identical merged [`ScanStats`]. The cache itself must be observably hit
+//! identical merged [`ScanStats`]. The same holds for whole plans: joins,
+//! aggregates and sorts over parallel scans return byte-identical batches
+//! and the same operator counts at every thread count. The cache itself must be observably hit
 //! on a repeated scan and observably missed after a columnstore merge
 //! rewrites segments under new ids, and after deletes change a segment's
 //! visible row set.
@@ -15,7 +17,8 @@ use s2_common::schema::ColumnDef;
 use s2_common::{DataType, Row, Schema, TableOptions, Value};
 use s2_core::{MemFileStore, Partition};
 use s2_exec::expr::CmpOp;
-use s2_exec::{scan, Batch, Expr, ScanOptions, ScanStats};
+use s2_exec::{scan, AggFunc, Aggregate, Batch, Expr, JoinType, ScanOptions, ScanStats, SortDir};
+use s2_query::{execute_with_stats, ExecOptions, ExecStats, OpKind, Plan};
 use s2_wal::Log;
 
 /// Deterministic splitmix64 for seed-derived table shapes.
@@ -140,6 +143,109 @@ proptest! {
             m1.merge(&s1);
             m8.merge(&s8);
             prop_assert_eq!(m1, m8, "filter {:?}", filter);
+        }
+    }
+}
+
+/// A small dimension table next to `rt`, keyed by `rt.grp`: every group
+/// but "e" and the tail has a row, "a" has two (duplicate build keys), one
+/// key is NULL and one matches nothing.
+fn add_dim_table(p: &Arc<Partition>) {
+    let schema = Schema::new(vec![
+        ColumnDef::nullable("dgrp", DataType::Str),
+        ColumnDef::new("weight", DataType::Int64),
+    ])
+    .unwrap();
+    let t = p.create_table("dim", schema, TableOptions::new()).unwrap();
+    let mut txn = p.begin();
+    let keys = [Some("a"), Some("b"), Some("c"), Some("d"), Some("a"), None, Some("zz")];
+    for (i, k) in keys.iter().enumerate() {
+        let key = k.map_or(Value::Null, Value::str);
+        txn.insert(t, Row::new(vec![key, Value::Int(100 * i as i64)])).unwrap();
+    }
+    txn.commit().unwrap();
+    p.flush_table(t, true).unwrap();
+}
+
+/// Join / aggregate / sort plans over `rt` (positions 0 id, 1 grp,
+/// 2 amount) and `dim` (3 dgrp, 4 weight after a join).
+fn plan_suite() -> Vec<Plan> {
+    let rt = || Plan::scan("rt", vec![0, 1, 2], Some(Expr::cmp(2, CmpOp::Lt, 800.0)));
+    let dim = || Plan::scan("dim", vec![0, 1], None);
+    let join = |join_type, residual| Plan::Join {
+        left: Box::new(rt()),
+        right: Box::new(dim()),
+        left_keys: vec![1],
+        right_keys: vec![0],
+        join_type,
+        residual,
+    };
+    let id_below_weight =
+        Expr::Cmp(CmpOp::Lt, Box::new(Expr::Column(0)), Box::new(Expr::Column(4)));
+    let agg = |func, c| Aggregate { func, input: Expr::Column(c) };
+    let count = Aggregate { func: AggFunc::Count, input: Expr::Literal(Value::Int(1)) };
+    let mut plans = vec![
+        // Fused aggregate-over-scan, then hash aggregate over a join.
+        Plan::Aggregate {
+            input: Box::new(rt()),
+            group_by: vec![Expr::Column(1)],
+            aggregates: vec![agg(AggFunc::Sum, 2), agg(AggFunc::Min, 0), count.clone()],
+        },
+        Plan::Aggregate {
+            input: Box::new(join(JoinType::Inner, None)),
+            group_by: vec![Expr::Column(3), Expr::Column(4)],
+            aggregates: vec![agg(AggFunc::Avg, 2), agg(AggFunc::Max, 0), count],
+        },
+        Plan::Sort {
+            input: Box::new(join(JoinType::Left, Some(id_below_weight.clone()))),
+            keys: vec![(4, SortDir::Desc), (2, SortDir::Asc)],
+            limit: Some(25),
+        },
+    ];
+    for join_type in [JoinType::Inner, JoinType::Left, JoinType::Semi, JoinType::Anti] {
+        plans.push(join(join_type, None));
+        plans.push(join(join_type, Some(id_below_weight.clone())));
+    }
+    plans
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Threads = 1 vs 8 over join, aggregate and sort plans, with the join
+    /// index filter on (build side pushed into the probe scan) and off
+    /// (plain hash join): identical batches, identical join-strategy and
+    /// scan counters, identical operator calls and rows out.
+    #[test]
+    fn plans_agree_at_one_and_eight_threads(seed in any::<u64>()) {
+        let (p, _) = build_table(seed);
+        add_dim_table(&p);
+        let snap = p.read_snapshot();
+        for plan in plan_suite() {
+            for join_index_threshold in [0usize, 128] {
+                let run = |threads: usize| {
+                    let opts = ExecOptions { scan: opts_with_threads(threads), join_index_threshold };
+                    let mut stats = ExecStats::default();
+                    let batch = execute_with_stats(&plan, &snap, &opts, &mut stats).unwrap();
+                    (batch, stats)
+                };
+                run(1); // warm the decision cache: both runs replay one sampled plan
+                let (b1, s1) = run(1);
+                let (b8, s8) = run(8);
+                prop_assert_eq!(b1.rows(), b8.rows(), "plan {:?}", plan);
+                for i in 0..b1.rows() {
+                    prop_assert_eq!(format!("{:?}", b1.row(i)), format!("{:?}", b8.row(i)));
+                }
+                prop_assert_eq!(&s1.scan, &s8.scan, "plan {:?}", plan);
+                prop_assert_eq!(
+                    (s1.hash_joins, s1.join_index_filters),
+                    (s8.hash_joins, s8.join_index_filters)
+                );
+                for kind in OpKind::ALL {
+                    let (o1, o8) = (s1.op(kind), s8.op(kind));
+                    prop_assert_eq!((o1.calls, o1.rows_out), (o8.calls, o8.rows_out), "{:?}", kind);
+                }
+            }
         }
     }
 }

@@ -9,11 +9,13 @@
 //! equality anyway.
 
 use std::collections::HashSet;
+use std::fmt::Write;
 use std::sync::Arc;
+use std::time::Instant;
 
 use s2_common::{Result, Value};
 use s2_core::TableSnapshot;
-use s2_exec::{hash_aggregate, hash_join, scan, sort_batch, Batch, Expr, ScanOptions, ScanStats};
+use s2_exec::{hash_aggregate, scan, sort_batch, Batch, Expr, JoinTable, ScanOptions, ScanStats};
 
 use crate::plan::Plan;
 
@@ -41,6 +43,64 @@ impl Default for ExecOptions {
     }
 }
 
+/// The operator kinds a query's time is attributed to (index into
+/// [`ExecStats::ops`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OpKind {
+    /// Table scans (`Plan::Scan`, partitions concatenated).
+    Scan,
+    /// `Plan::Filter`.
+    Filter,
+    /// `Plan::Project`.
+    Project,
+    /// Hash-join build side: key hashing and the chained table.
+    JoinBuild,
+    /// Hash-join probe, residual and output gather.
+    JoinProbe,
+    /// `Plan::Aggregate`; the fused aggregate-over-scan counts here whole,
+    /// its scan included.
+    Aggregate,
+    /// `Plan::Sort` and `Plan::Limit`.
+    Sort,
+}
+
+impl OpKind {
+    /// Every kind, in [`ExecStats::ops`] order.
+    pub const ALL: [OpKind; 7] = [
+        OpKind::Scan,
+        OpKind::Filter,
+        OpKind::Project,
+        OpKind::JoinBuild,
+        OpKind::JoinProbe,
+        OpKind::Aggregate,
+        OpKind::Sort,
+    ];
+
+    /// Display name.
+    pub fn name(self) -> &'static str {
+        match self {
+            OpKind::Scan => "scan",
+            OpKind::Filter => "filter",
+            OpKind::Project => "project",
+            OpKind::JoinBuild => "join build",
+            OpKind::JoinProbe => "join probe",
+            OpKind::Aggregate => "aggregate",
+            OpKind::Sort => "sort",
+        }
+    }
+}
+
+/// What the plan's operators of one kind did, summed.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct OpStat {
+    /// Operators of this kind executed.
+    pub calls: u64,
+    /// Time spent in them, their inputs' execution excluded.
+    pub self_ns: u64,
+    /// Rows they emitted (a join build: rows linked into the table).
+    pub rows_out: u64,
+}
+
 /// Cumulative statistics for one query execution.
 #[derive(Debug, Default, Clone)]
 pub struct ExecStats {
@@ -50,6 +110,49 @@ pub struct ExecStats {
     pub join_index_filters: usize,
     /// Joins executed as plain hash joins.
     pub hash_joins: usize,
+    /// Per-operator-kind self time and rows out, indexed by [`OpKind`].
+    /// Every operator adds its own share after its inputs have added
+    /// theirs, so the self times sum to the query's execution time.
+    pub ops: [OpStat; 7],
+}
+
+impl ExecStats {
+    /// The totals of one operator kind.
+    pub fn op(&self, kind: OpKind) -> &OpStat {
+        &self.ops[kind as usize]
+    }
+
+    /// Charge one operator that started its own work at `started` and
+    /// emitted `rows_out` rows; returns the elapsed microseconds.
+    fn record(&mut self, kind: OpKind, started: Instant, rows_out: usize) -> u64 {
+        let elapsed = started.elapsed();
+        let op = &mut self.ops[kind as usize];
+        op.calls += 1;
+        op.self_ns += elapsed.as_nanos() as u64;
+        op.rows_out += rows_out as u64;
+        elapsed.as_micros() as u64
+    }
+
+    /// The per-operator profile as an aligned text table (kinds that ran).
+    pub fn profile(&self) -> String {
+        let mut out =
+            format!("{:<12}{:>6}{:>12}{:>12}\n", "operator", "calls", "rows out", "self ms");
+        for kind in OpKind::ALL {
+            let op = self.op(kind);
+            if op.calls > 0 {
+                let ms = op.self_ns as f64 / 1e6;
+                let _ = writeln!(
+                    out,
+                    "{:<12}{:>6}{:>12}{:>12.3}",
+                    kind.name(),
+                    op.calls,
+                    op.rows_out,
+                    ms
+                );
+            }
+        }
+        out
+    }
 }
 
 /// Execute `plan` against `ctx`.
@@ -67,6 +170,7 @@ pub fn execute_with_stats(
 ) -> Result<Batch> {
     match plan {
         Plan::Scan { table, projection, filter } => {
+            let started = Instant::now();
             let snaps = ctx.snapshots(table)?;
             // Scatter: partition snapshots fan into the shared morsel pool,
             // like the paper's leaves ("leaf nodes ... are responsible for
@@ -97,20 +201,28 @@ pub fn execute_with_stats(
                 stats.scan.merge(&s);
                 batches.push(batch);
             }
-            Batch::concat(&batches)
+            let out = Batch::concat(batches)?;
+            stats.record(OpKind::Scan, started, out.rows());
+            Ok(out)
         }
         Plan::Filter { input, predicate } => {
             let batch = execute_with_stats(input, ctx, opts, stats)?;
+            let started = Instant::now();
             let sel = batch.filter(predicate, None)?;
-            Ok(batch.gather(&sel))
+            let out = if sel.len() == batch.rows() { batch } else { batch.gather(&sel) };
+            stats.record(OpKind::Filter, started, out.rows());
+            Ok(out)
         }
         Plan::Project { input, exprs } => {
             let batch = execute_with_stats(input, ctx, opts, stats)?;
+            let started = Instant::now();
             let mut cols = Vec::with_capacity(exprs.len());
             for (e, t) in exprs {
                 cols.push(batch.eval_expr(e, *t)?);
             }
-            Ok(Batch::new(cols))
+            let out = Batch::new(cols);
+            stats.record(OpKind::Project, started, out.rows());
+            Ok(out)
         }
         Plan::Join { left, right, left_keys, right_keys, join_type, residual } => {
             let right_batch = execute_with_stats(right, ctx, opts, stats)?;
@@ -131,20 +243,22 @@ pub fn execute_with_stats(
             if left_plan.is_none() {
                 stats.hash_joins += 1;
             }
-            hash_join(
-                &left_batch,
-                &right_batch,
-                left_keys,
-                right_keys,
-                *join_type,
-                residual.as_ref(),
-            )
+            let started = Instant::now();
+            let table = JoinTable::build(&right_batch, right_keys);
+            let us = stats.record(OpKind::JoinBuild, started, right_batch.rows());
+            s2_exec::obs::histogram!("query.join.build_us").record(us);
+            let started = Instant::now();
+            let out = table.probe(&left_batch, left_keys, *join_type, residual.as_ref())?;
+            let us = stats.record(OpKind::JoinProbe, started, out.rows());
+            s2_exec::obs::histogram!("query.join.probe_us").record(us);
+            Ok(out)
         }
         Plan::Aggregate { input, group_by, aggregates } => {
             // Aggregate-over-scan fuses into the encoded-domain path: group
             // keys on dictionary codes, typed accumulation lanes, no
             // intermediate batch. Bit-identical to scan + hash_aggregate.
-            if let Plan::Scan { table, projection, filter } = input.as_ref() {
+            let (started, out) = if let Plan::Scan { table, projection, filter } = input.as_ref() {
+                let started = Instant::now();
                 let snaps = ctx.snapshots(table)?;
                 let (batch, s) = s2_exec::scan_aggregate(
                     &snaps,
@@ -155,19 +269,30 @@ pub fn execute_with_stats(
                     &opts.scan,
                 )?;
                 stats.scan.merge(&s);
-                return Ok(batch);
-            }
-            let batch = execute_with_stats(input, ctx, opts, stats)?;
-            hash_aggregate(&batch, group_by, aggregates)
+                (started, batch)
+            } else {
+                let batch = execute_with_stats(input, ctx, opts, stats)?;
+                let started = Instant::now();
+                (started, hash_aggregate(&batch, group_by, aggregates)?)
+            };
+            let us = stats.record(OpKind::Aggregate, started, out.rows());
+            s2_exec::obs::histogram!("query.aggregate_us").record(us);
+            Ok(out)
         }
         Plan::Sort { input, keys, limit } => {
             let batch = execute_with_stats(input, ctx, opts, stats)?;
-            Ok(sort_batch(&batch, keys, *limit))
+            let started = Instant::now();
+            let out = sort_batch(&batch, keys, *limit);
+            stats.record(OpKind::Sort, started, out.rows());
+            Ok(out)
         }
         Plan::Limit { input, n } => {
             let batch = execute_with_stats(input, ctx, opts, stats)?;
+            let started = Instant::now();
             let sel: Vec<u32> = (0..batch.rows().min(*n) as u32).collect();
-            Ok(batch.gather(&sel))
+            let out = batch.gather(&sel);
+            stats.record(OpKind::Sort, started, out.rows());
+            Ok(out)
         }
     }
 }

@@ -8,5 +8,7 @@ pub mod exec;
 pub mod plan;
 
 pub use context::UnionContext;
-pub use exec::{execute, execute_with_stats, format_batch, ExecOptions, ExecStats, QueryContext};
+pub use exec::{
+    execute, execute_with_stats, format_batch, ExecOptions, ExecStats, OpKind, OpStat, QueryContext,
+};
 pub use plan::Plan;

@@ -238,6 +238,45 @@ fn having_and_case_execute() {
     assert!(matches!(out.value(1, 0), Value::Double(_)));
 }
 
+/// Aggregate output columns are typed by their key / input lanes: a NULL
+/// first-seen `GROUP BY` key and an all-NULL first group under MIN/MAX over
+/// strings used to fail with "cannot push x into Int64 vector" / "cannot
+/// push m into Double vector".
+#[test]
+fn null_first_group_executes() {
+    let p = setup();
+    let schema = Schema::new(vec![
+        ColumnDef::new("n_id", DataType::Int64),
+        ColumnDef::nullable("n_grp", DataType::Str),
+        ColumnDef::nullable("n_tag", DataType::Str),
+    ])
+    .unwrap();
+    let notes =
+        p.create_table("notes", schema, TableOptions::new().with_unique("pk", vec![0])).unwrap();
+    let mut txn = p.begin();
+    for (id, grp, tag) in [(0, None, None), (1, Some("x"), Some("m")), (2, None, None)] {
+        let cell = |s: Option<&str>| s.map_or(Value::Null, Value::str);
+        txn.insert(notes, Row::new(vec![Value::Int(id), cell(grp), cell(tag)])).unwrap();
+    }
+    txn.commit().unwrap();
+    p.flush_table(notes, true).unwrap();
+    // One more row stays in the rowstore.
+    let mut txn = p.begin();
+    txn.insert(notes, Row::new(vec![Value::Int(3), Value::str("x"), Value::str("z")])).unwrap();
+    txn.commit().unwrap();
+
+    let out = run(&p, "SELECT n_grp, COUNT(*), MIN(n_tag), MAX(n_tag) FROM notes GROUP BY n_grp");
+    let rows: Vec<Vec<Value>> =
+        (0..out.rows()).map(|r| (0..4).map(|c| out.value(c, r)).collect()).collect();
+    assert_eq!(
+        rows,
+        [
+            vec![Value::Null, Value::Int(2), Value::Null, Value::Null],
+            vec![Value::str("x"), Value::Int(2), Value::str("m"), Value::str("z")],
+        ]
+    );
+}
+
 #[test]
 fn errors_are_descriptive_not_panics() {
     let p = setup();

@@ -95,6 +95,20 @@ echo "== encoded: domain-execution equivalence =="
 # hash_aggregate, and flushing the rowstore tail changes no outcome.
 cargo test -q -p s2-exec --test encoded_equivalence "${CARGO_FLAGS[@]}"
 
+echo "== operators =="
+# The typed join / aggregate / sort / filter / project operators against the
+# row-at-a-time Value reference model kept in the test (byte-identical rows,
+# row and group order included), and threads=1 vs 8 equality of join,
+# aggregate and sort plans — also raced across 8 test threads and with the
+# process-wide scan pool pinned serial and oversubscribed.
+cargo test -q -p s2-exec --test operator_equivalence --test parallel_scan "${CARGO_FLAGS[@]}"
+cargo test -q -p s2-exec --test operator_equivalence --test parallel_scan "${CARGO_FLAGS[@]}" \
+    -- --test-threads=8
+for threads in 1 8; do
+    S2_SCAN_THREADS=$threads cargo test -q -p s2-exec --test operator_equivalence \
+        --test parallel_scan "${CARGO_FLAGS[@]}"
+done
+
 echo "== ledger =="
 # ledger/ is its own workspace, so `cargo test --workspace` never compiles
 # it: this is the check that the perf driver still builds and passes against
