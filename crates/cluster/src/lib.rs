@@ -12,7 +12,7 @@ pub mod workspace;
 
 pub use cluster::{Cluster, ClusterConfig, ClusterTxn, PartitionSet};
 pub use manager::{WorkspaceManager, WorkspaceManagerConfig};
-pub use pitr::{find_snapshot, load_log, max_uploaded_lp, restore_from_blob};
+pub use pitr::{find_snapshot, max_uploaded_lp, restore_from_blob};
 pub use replica::{empty_replica_partition, Replica, StreamApplier};
 pub use storage::{log_chunk_key, BlobBackedFileStore, StorageConfig, StorageService};
 pub use workspace::Workspace;

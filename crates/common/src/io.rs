@@ -250,6 +250,16 @@ impl<'a> ByteReader<'a> {
             tag => Err(Error::Corruption(format!("unknown value tag {tag}"))),
         }
     }
+
+    /// Step over a tagged [`Value`] without materializing it.
+    pub fn skip_value(&mut self) -> Result<()> {
+        match self.get_u8()? {
+            0 => Ok(()),
+            1 | 2 => self.take(8).map(|_| ()),
+            3 => self.get_bytes().map(|_| ()),
+            tag => Err(Error::Corruption(format!("unknown value tag {tag}"))),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -302,6 +312,12 @@ mod tests {
         for v in &vals {
             assert_eq!(&r.get_value().unwrap(), v);
         }
+        // Skipping lands on the same boundaries as decoding.
+        let mut s = ByteReader::new(&buf);
+        for _ in &vals {
+            s.skip_value().unwrap();
+        }
+        assert!(s.is_at_end());
     }
 
     #[test]
@@ -317,6 +333,7 @@ mod tests {
     fn bad_value_tag() {
         let buf = [9u8];
         assert!(ByteReader::new(&buf).get_value().is_err());
+        assert!(ByteReader::new(&buf).skip_value().is_err());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! orders read-snapshot acquisition — giving partition-local snapshot
 //! isolation (paper §2.1.2).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -28,12 +28,17 @@ use crate::table::{SegmentCore, Table, TableSnapshot};
 /// Snapshot blob magic ("S2PS").
 const PARTITION_SNAPSHOT_MAGIC: u32 = 0x5350_3253;
 
-/// Per-table state threaded through one replay worker: `Move`
-/// tombstones batched for a single copy-on-write install per surviving
-/// segment at queue end.
+/// Per-table state threaded through one replay worker.
 #[derive(Default)]
 struct ReplayCtx {
+    /// `Move` tombstones, batched for a single copy-on-write install per
+    /// surviving segment at queue end.
     pending_deletes: HashMap<SegmentId, Vec<u32>>,
+    /// Segments some `Merge` of this table's queue drops. Segment ids are
+    /// never reused and a merge only drops what exists, so a flush or merge
+    /// output found here is dropped by a *later* record of the replayed
+    /// range: its data file is never fetched.
+    doomed: HashSet<SegmentId>,
 }
 
 /// A partition of a database.
@@ -419,7 +424,7 @@ impl Partition {
         let ts = self.commit_ts() + 1;
 
         // Build one sorted run (possibly several segments) and its files.
-        let mut built: Vec<(SegmentMeta, SegmentFile, Vec<Row>)> = Vec::new();
+        let mut built: Vec<(SegmentMeta, SegmentFile)> = Vec::new();
         {
             let mut state = table.state.write();
             for chunk in rows.chunks(table.options.segment_rows) {
@@ -428,16 +433,14 @@ impl Partition {
                 let (mut meta, data) =
                     s2_columnstore::build_segment(id, chunk.to_vec(), &table.schema, &sort_key)?;
                 meta.file_id = file_id;
-                let inverted_map = table.build_inverted(chunk, &indexed_cols);
-                let inverted: Vec<(usize, s2_index::InvertedIndex)> =
-                    inverted_map.iter().map(|(c, ix)| (*c, (**ix).clone())).collect();
-                built.push((meta, SegmentFile { data, inverted }, chunk.to_vec()));
+                let inverted = table.build_inverted(chunk, &indexed_cols);
+                built.push((meta, SegmentFile { data, inverted }));
             }
         }
         // Crash here = power loss before any flush effect reached disk; the
         // rowstore rows are still the only copy and recovery must keep them.
         s2_common::fault::crash_point("core.flush.write_files");
-        for (meta, file, _) in &built {
+        for (meta, file) in &built {
             self.file_store
                 .write_file(&file_name(&self.name, file_id, meta.id), Arc::new(file.encode()))?;
         }
@@ -451,22 +454,14 @@ impl Partition {
         drop(rs);
 
         let n = built.len();
-        let items: Vec<(SegmentMeta, &SegmentFile, &[Row])> =
-            built.iter().map(|(m, f, r)| (m.clone(), f, r.as_slice())).collect();
-        table.install_run(items)?;
+        // Fresh segments: every deleted bit in these metas is clear.
+        let metas: Vec<SegmentMeta> = built.iter().map(|(m, _)| m.clone()).collect();
+        table.install_run(built, true)?;
 
         // Log: ONE Flush record covering every segment plus the key removals.
         // A single frame is all-or-nothing under torn-tail truncation; with
         // one record per segment, a crash could persist the removals with
         // only a prefix of the segments and lose the rest of the rows.
-        let metas: Vec<SegmentMeta> = built
-            .iter()
-            .map(|(m, _, _)| {
-                let mut m = m.clone();
-                m.deleted = s2_common::BitVec::zeros(m.row_count);
-                m
-            })
-            .collect();
         let rec = EngineRecord::Flush {
             table: table.id,
             commit_ts: ts,
@@ -549,19 +544,17 @@ impl Partition {
         let file_id = self.log.end_lp();
         let ts = self.commit_ts() + 1;
 
-        let mut built: Vec<(SegmentMeta, SegmentFile, Vec<Row>)> = Vec::new();
+        let mut built: Vec<(SegmentMeta, SegmentFile)> = Vec::new();
         for m in merged {
             let mut meta = m.meta;
             meta.file_id = file_id;
-            let inverted_map = table.build_inverted(&m.rows, &indexed_cols);
-            let inverted: Vec<(usize, s2_index::InvertedIndex)> =
-                inverted_map.iter().map(|(c, ix)| (*c, (**ix).clone())).collect();
-            built.push((meta, SegmentFile { data: m.data, inverted }, m.rows));
+            let inverted = table.build_inverted(&m.rows, &indexed_cols);
+            built.push((meta, SegmentFile { data: m.data, inverted }));
         }
         // A failed write aborts the merge before any state changed (inputs
         // are only retired below); a crash discards the engine outright.
         s2_common::fault::failpoint("core.merge.write_files")?;
-        for (meta, file, _) in &built {
+        for (meta, file) in &built {
             self.file_store
                 .write_file(&file_name(&self.name, file_id, meta.id), Arc::new(file.encode()))?;
         }
@@ -577,18 +570,9 @@ impl Partition {
             }
             state.runs.retain(|run| run.iter().all(|id| !input_ids.contains(id)));
         }
-        let items: Vec<(SegmentMeta, &SegmentFile, &[Row])> =
-            built.iter().map(|(m, f, r)| (m.clone(), f, r.as_slice())).collect();
-        table.install_run(items)?;
+        let out_metas: Vec<SegmentMeta> = built.iter().map(|(m, _)| m.clone()).collect();
+        table.install_run(built, true)?;
 
-        let out_metas: Vec<SegmentMeta> = built
-            .iter()
-            .map(|(m, _, _)| {
-                let mut m = m.clone();
-                m.deleted = s2_common::BitVec::zeros(m.row_count);
-                m
-            })
-            .collect();
         let rec = EngineRecord::Merge {
             table: table.id,
             commit_ts: ts,
@@ -780,33 +764,23 @@ impl Partition {
             let table = Arc::new(Table::new(id, name.clone(), schema, options)?);
             // Rowstore rows, committed at the snapshot timestamp.
             let n_rows = r.get_varint()? as usize;
-            let txn = self.alloc_txn();
-            let mut keys = Vec::with_capacity(n_rows);
             {
                 let rs = table.rowstore.read();
                 for _ in 0..n_rows {
                     let key = record::get_key(&mut r)?;
                     let row = record::get_row(&mut r)?;
                     self.note_auto_key(&table, &key);
-                    rs.write(txn, &key, Some(row))?;
-                    keys.push(key);
+                    rs.install_committed(&key, Some(row), commit_ts);
                 }
-                rs.commit(txn, commit_ts, &keys);
             }
             // Segments.
             let next_segment_id = r.get_u64()?;
             let n_runs = r.get_varint()? as usize;
             for _ in 0..n_runs {
                 let n_segs = r.get_varint()? as usize;
-                let mut items_owned: Vec<(SegmentMeta, SegmentFile, Vec<Row>)> = Vec::new();
-                for _ in 0..n_segs {
-                    let meta = SegmentMeta::read_from(&mut r)?;
-                    let (file, rows) = self.load_segment_file(&meta)?;
-                    items_owned.push((meta, file, rows));
-                }
-                let items: Vec<(SegmentMeta, &SegmentFile, &[Row])> =
-                    items_owned.iter().map(|(m, f, rws)| (m.clone(), f, rws.as_slice())).collect();
-                table.install_run_opts(items, false)?;
+                let metas: Vec<SegmentMeta> =
+                    (0..n_segs).map(|_| SegmentMeta::read_from(&mut r)).collect::<Result<_>>()?;
+                table.install_run(self.load_run(&table, metas, None)?, false)?;
             }
             {
                 let mut state = table.state.write();
@@ -830,17 +804,30 @@ impl Partition {
         }
     }
 
-    fn load_segment_file(&self, meta: &SegmentMeta) -> Result<(SegmentFile, Vec<Row>)> {
-        let bytes = self.file_store.read_file(&file_name(&self.name, meta.file_id, meta.id))?;
-        let file = SegmentFile::decode(&bytes)?;
-        // All physical rows (deleted or not) in segment order, for index
-        // registration.
-        let reader = SegmentReader::new(file.data.clone());
-        let mut rows = Vec::with_capacity(file.data.rows);
-        for ri in 0..file.data.rows {
-            rows.push(reader.row(ri)?);
+    /// Read the data files of one run (a snapshot's, or a flush or merge
+    /// output's). Under replay, a segment that a later `Merge` of the
+    /// replayed range drops is left out — neither fetched nor decoded — but
+    /// still consumes its id. A PITR target before that merge never sees the
+    /// `Merge` record, so it loads the file as usual.
+    fn load_run(
+        &self,
+        table: &Table,
+        metas: Vec<SegmentMeta>,
+        replay: Option<&ReplayCtx>,
+    ) -> Result<Vec<(SegmentMeta, SegmentFile)>> {
+        let mut run = Vec::with_capacity(metas.len());
+        for meta in metas {
+            if replay.is_some_and(|ctx| ctx.doomed.contains(&meta.id)) {
+                let mut state = table.state.write();
+                state.next_segment_id = state.next_segment_id.max(meta.id + 1);
+                s2_obs::counter!("core.recover.segments_skipped").inc();
+                continue;
+            }
+            let bytes = self.file_store.read_file(&file_name(&self.name, meta.file_id, meta.id))?;
+            s2_obs::counter!("core.recover.segments_loaded").inc();
+            run.push((meta, SegmentFile::decode(&bytes)?));
         }
-        Ok((file, rows))
+        Ok(run)
     }
 
     /// Rebuild a partition from an optional snapshot plus the log suffix.
@@ -859,6 +846,7 @@ impl Partition {
         let p = Partition::new(name, log, file_store);
         let start_lp = match snapshot {
             Some(s) => {
+                let _t = s2_obs::histogram!("core.recover.snapshot_load_us").start_timer();
                 p.load_snapshot_state(&s.data)?;
                 p.last_snapshot_lp.store(s.lp, Ordering::Release);
                 s.lp
@@ -870,6 +858,7 @@ impl Partition {
         if end_lp > start_lp {
             p.replay(start_lp, end_lp, threads)?;
         }
+        let _t = s2_obs::histogram!("core.recover.index_build_us").start_timer();
         p.rebuild_all_indexes(threads)?;
         Ok(p)
     }
@@ -888,13 +877,16 @@ impl Partition {
     ///    everything else by table. Every non-DDL record touches exactly one
     ///    table, so per-table queues preserve all ordering that matters.
     /// 4. **Apply** (parallel): one worker per table replays that table's
-    ///    queue in log order, deferring index registration and batching
-    ///    `Move` tombstones (delete bits only ever get set and segment ids
-    ///    are never reused, so one copy-on-write install per surviving
-    ///    segment at the end is equivalent to per-record installs).
+    ///    queue in log order, deferring index registration, batching `Move`
+    ///    tombstones (delete bits only ever get set and segment ids are
+    ///    never reused, so one copy-on-write install per surviving segment
+    ///    at the end is equivalent to per-record installs) and never
+    ///    fetching the data file of a segment that a `Merge` further down
+    ///    the queue drops.
     ///
     /// The caller then rebuilds every table's indexes in one pass, replacing
-    /// per-record index maintenance.
+    /// per-record index maintenance. Each phase is timed into its
+    /// `core.recover.*_us` histogram (3 and 4 together are `apply_us`).
     fn replay(
         self: &Arc<Partition>,
         start_lp: LogPosition,
@@ -902,6 +894,7 @@ impl Partition {
         threads: usize,
     ) -> Result<()> {
         let pool = s2_pool::ScanPool::global();
+        let timer = s2_obs::histogram!("core.recover.frame_scan_us").start_timer();
         let bytes = Arc::new(self.log.read_range(start_lp, end_lp)?);
         // Phase 1: serial frame scan. Frames are (kind, payload range); the
         // payload range is resolved against the shared buffer so decode jobs
@@ -926,8 +919,10 @@ impl Partition {
                 }
             }
         }
+        timer.stop();
         // Phase 2: parallel decode in batches (input order preserved by the
         // pool; errors surfaced in log order).
+        let timer = s2_obs::histogram!("core.recover.decode_us").start_timer();
         const DECODE_BATCH: usize = 256;
         let batches: Vec<Vec<(u8, usize, usize)>> =
             frames.chunks(DECODE_BATCH).map(<[_]>::to_vec).collect();
@@ -935,7 +930,9 @@ impl Partition {
         let decoded: Vec<Vec<Result<EngineRecord>>> = pool.run(threads, batches, move |batch| {
             batch.into_iter().map(|(kind, s, e)| EngineRecord::decode(kind, &buf[s..e])).collect()
         });
+        timer.stop();
         // Phase 3: serial partition into per-table ordered queues.
+        let _t = s2_obs::histogram!("core.recover.apply_us").start_timer();
         let mut queues: HashMap<TableId, Vec<EngineRecord>> = HashMap::new();
         let mut max_ts: Timestamp = 0;
         for rec in decoded.into_iter().flatten() {
@@ -948,10 +945,7 @@ impl Partition {
                 EngineRecord::Commit { commit_ts, ops } => {
                     let mut by_table: HashMap<TableId, Vec<RowOp>> = HashMap::new();
                     for op in ops {
-                        let tid = match &op {
-                            RowOp::Upsert { table, .. } | RowOp::Delete { table, .. } => *table,
-                        };
-                        by_table.entry(tid).or_default().push(op);
+                        by_table.entry(op.table()).or_default().push(op);
                     }
                     for (tid, ops) in by_table {
                         queues
@@ -973,6 +967,11 @@ impl Partition {
         let replayer = Arc::clone(self);
         let results: Vec<Result<()>> = pool.run(threads, work, move |(tid, recs)| {
             let mut ctx = ReplayCtx::default();
+            for rec in &recs {
+                if let EngineRecord::Merge { dropped, .. } = rec {
+                    ctx.doomed.extend(dropped);
+                }
+            }
             for rec in recs {
                 replayer.apply_record_inner(rec, Some(&mut ctx))?;
             }
@@ -1045,25 +1044,23 @@ impl Partition {
                 }
             }
             EngineRecord::Commit { commit_ts, ops } => {
-                let txn = self.alloc_txn();
-                let mut keys_by_table: HashMap<TableId, Vec<Vec<Value>>> = HashMap::new();
-                for op in ops {
-                    match op {
-                        RowOp::Upsert { table, key, row } => {
-                            let t = self.table(table)?;
-                            self.note_auto_key(&t, &key);
-                            t.rowstore.read().write(txn, &key, Some(row))?;
-                            keys_by_table.entry(table).or_default().push(key);
-                        }
-                        RowOp::Delete { table, key } => {
-                            let t = self.table(table)?;
-                            t.rowstore.read().write(txn, &key, None)?;
-                            keys_by_table.entry(table).or_default().push(key);
+                // One table and rowstore lookup per run of same-table ops
+                // (replay hands over single-table sub-commits).
+                let mut ops = ops.into_iter().peekable();
+                while let Some(table) = ops.peek().map(RowOp::table) {
+                    let t = self.table(table)?;
+                    let rs = t.rowstore.read();
+                    while let Some(op) = ops.next_if(|op| op.table() == table) {
+                        match op {
+                            RowOp::Upsert { key, row, .. } => {
+                                self.note_auto_key(&t, &key);
+                                rs.install_committed(&key, Some(row), commit_ts);
+                            }
+                            RowOp::Delete { key, .. } => {
+                                rs.install_committed(&key, None, commit_ts);
+                            }
                         }
                     }
-                }
-                for (tid, keys) in &keys_by_table {
-                    self.table(*tid)?.rowstore.read().commit(txn, commit_ts, keys);
                 }
                 if !deferred {
                     self.bump_commit_ts(commit_ts);
@@ -1073,39 +1070,24 @@ impl Partition {
                 let t = self.table(table)?;
                 // Install every segment as ONE run, mirroring the live flush
                 // (a flush produces a single sorted run).
-                let mut items_owned: Vec<(SegmentMeta, SegmentFile, Vec<Row>)> = Vec::new();
-                for meta in metas {
-                    let (file, rows) = self.load_segment_file(&meta)?;
-                    items_owned.push((meta, file, rows));
+                t.install_run(self.load_run(&t, metas, replay.as_deref())?, !deferred)?;
+                let rs = t.rowstore.read();
+                for key in &removed_keys {
+                    rs.install_committed(key, None, commit_ts);
                 }
-                let items: Vec<(SegmentMeta, &SegmentFile, &[Row])> =
-                    items_owned.iter().map(|(m, f, rws)| (m.clone(), f, rws.as_slice())).collect();
-                t.install_run_opts(items, !deferred)?;
-                if !removed_keys.is_empty() {
-                    let txn = self.alloc_txn();
-                    let rs = t.rowstore.read();
-                    for key in &removed_keys {
-                        rs.write(txn, key, None)?;
-                    }
-                    rs.commit(txn, commit_ts, &removed_keys);
-                }
+                drop(rs);
                 if !deferred {
                     self.bump_commit_ts(commit_ts);
                 }
             }
             EngineRecord::Move { table, commit_ts, inserts, deleted } => {
                 let t = self.table(table)?;
-                if !inserts.is_empty() {
-                    let txn = self.alloc_txn();
-                    let rs = t.rowstore.read();
-                    let mut keys = Vec::with_capacity(inserts.len());
-                    for (key, row) in inserts {
-                        self.note_auto_key(&t, &key);
-                        rs.write(txn, &key, Some(row))?;
-                        keys.push(key);
-                    }
-                    rs.commit(txn, commit_ts, &keys);
+                let rs = t.rowstore.read();
+                for (key, row) in inserts {
+                    self.note_auto_key(&t, &key);
+                    rs.install_committed(&key, Some(row), commit_ts);
                 }
+                drop(rs);
                 match replay {
                     Some(ctx) => {
                         // Batched: delete bits only ever get set, so folding
@@ -1133,6 +1115,9 @@ impl Partition {
             }
             EngineRecord::Merge { table, commit_ts, dropped, metas } => {
                 let t = self.table(table)?;
+                // Files first: a failed read leaves the table untouched, so
+                // a replica can retry the record.
+                let run = self.load_run(&t, metas, replay.as_deref())?;
                 {
                     let mut state = t.state.write();
                     for id in &dropped {
@@ -1140,14 +1125,7 @@ impl Partition {
                     }
                     state.runs.retain(|run| run.iter().all(|id| !dropped.contains(id)));
                 }
-                let mut items_owned: Vec<(SegmentMeta, SegmentFile, Vec<Row>)> = Vec::new();
-                for meta in metas {
-                    let (file, rows) = self.load_segment_file(&meta)?;
-                    items_owned.push((meta, file, rows));
-                }
-                let items: Vec<(SegmentMeta, &SegmentFile, &[Row])> =
-                    items_owned.iter().map(|(m, f, rws)| (m.clone(), f, rws.as_slice())).collect();
-                t.install_run_opts(items, !deferred)?;
+                t.install_run(run, !deferred)?;
                 if !deferred {
                     self.bump_commit_ts(commit_ts);
                 }

@@ -46,6 +46,15 @@ pub enum RowOp {
     },
 }
 
+impl RowOp {
+    /// The table the operation writes.
+    pub fn table(&self) -> TableId {
+        match self {
+            RowOp::Upsert { table, .. } | RowOp::Delete { table, .. } => *table,
+        }
+    }
+}
+
 /// A decoded log record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineRecord {

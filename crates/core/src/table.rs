@@ -16,9 +16,10 @@ use std::sync::{Arc, OnceLock};
 use s2_columnstore::{SegmentMeta, SegmentReader};
 use s2_common::sync::{rank, RwLock};
 use s2_common::{
-    BitVec, Error, Result, Row, Schema, SegmentId, TableId, TableOptions, Timestamp, TxnId, Value,
+    hash, BitVec, Error, Result, Row, Schema, SegmentId, TableId, TableOptions, Timestamp, TxnId,
+    Value,
 };
-use s2_index::{intersect, GlobalIndex, InvertedIndex, InvertedIndexBuilder};
+use s2_index::{intersect, GlobalIndex, InvertedIndex, InvertedIndexBuilder, LevelInput};
 use s2_rowstore::RowStore;
 
 use crate::segfile::SegmentFile;
@@ -189,134 +190,145 @@ impl Table {
         &self,
         rows: &[Row],
         indexed_cols: &[usize],
-    ) -> HashMap<usize, Arc<InvertedIndex>> {
-        let mut out = HashMap::new();
+    ) -> Vec<(usize, InvertedIndex)> {
+        let mut out = Vec::with_capacity(indexed_cols.len());
         for &col in indexed_cols {
             let mut b = InvertedIndexBuilder::new();
             for (i, row) in rows.iter().enumerate() {
                 b.add(row.get(col), i as u32);
             }
-            out.insert(col, Arc::new(b.finish()));
+            out.push((col, b.finish()));
         }
         out
     }
 
-    /// Register a freshly built segment in the global indexes.
-    pub(crate) fn index_segment(
+    /// Register `segments` in the global indexes, one new level per index.
+    /// Everything comes from the segments' inverted indexes — which their
+    /// data files carry (paper §4.1) — so no row is ever decoded: the index
+    /// build is a function of the data files alone.
+    pub(crate) fn index_segments(
         indexes: &mut TableIndexes,
-        seg_id: SegmentId,
-        rows: &[Row],
-        inverted: &HashMap<usize, Arc<InvertedIndex>>,
+        segments: &[Arc<SegmentCore>],
     ) -> Result<()> {
         // Per-column entries: every distinct value hash -> entry offset.
-        for (&col, ix) in inverted {
-            if let Some(global) = indexes.column.get_mut(&col) {
-                let entries: Vec<(u64, Vec<u32>)> =
-                    ix.iter_entries().map(|(h, off)| (h, vec![off])).collect();
-                global.add_segment(seg_id, entries);
-            }
-        }
-        // Tuple entries: distinct tuples -> the per-column entry offsets
-        // (paper §4.1.1 structure (3)).
-        for (cols, global) in &mut indexes.tuple {
-            let mut seen: HashSet<u64> = HashSet::new();
-            let mut entries: Vec<(u64, Vec<u32>)> = Vec::new();
-            'rows: for row in rows {
-                let vals: Vec<&Value> = cols.iter().map(|&c| row.get(c)).collect();
-                if vals.iter().any(|v| v.is_null()) {
-                    continue; // NULLs are not indexed
-                }
-                let h = s2_common::hash::hash_values(vals.iter().copied());
-                if !seen.insert(h) {
-                    continue;
-                }
-                let mut offs = Vec::with_capacity(cols.len());
-                for (&c, v) in cols.iter().zip(&vals) {
-                    let ix = inverted.get(&c).ok_or_else(|| {
-                        Error::Internal(format!("missing inverted index for column {c}"))
-                    })?;
-                    match ix.entry_offset_of(v)? {
-                        Some(off) => offs.push(off),
-                        None => continue 'rows, // value unindexed (shouldn't happen)
+        for (col, global) in &mut indexes.column {
+            let mut level = LevelInput::new(1);
+            for core in segments {
+                if let Some(ix) = core.inverted.get(col) {
+                    for (hash, off) in ix.iter_entries() {
+                        level.push(hash, core.meta.id, &[off]);
                     }
                 }
-                entries.push((h, offs));
             }
-            global.add_segment(seg_id, entries);
+            global.add_level(level);
+        }
+        // Tuple entries: distinct tuples -> the per-column entry offsets
+        // (paper §4.1.1 structure (3)). One walk over each key column's
+        // postings fills, per row, the running tuple hash (the same fold as
+        // `hash_values`) and that column's entry offset. The level build
+        // stores equal tuples once; it tells them apart by their entry
+        // offsets, not by the hash, so colliding keys are both indexed.
+        for (cols, global) in &mut indexes.tuple {
+            let arity = cols.len();
+            let mut level = LevelInput::new(arity);
+            for core in segments {
+                let n = core.meta.row_count;
+                let mut hashes = vec![hash::VALUES_SEED; n];
+                let mut offs = vec![0u32; n * arity];
+                // Key columns seen non-NULL so far, per row.
+                let mut filled = vec![0usize; n];
+                for (j, col) in cols.iter().enumerate() {
+                    let ix = core.inverted.get(col).ok_or_else(|| {
+                        Error::Internal(format!("missing inverted index for column {col}"))
+                    })?;
+                    let mut in_range = true;
+                    ix.for_each_posting(|value_hash, entry_off, row| {
+                        let row = row as usize;
+                        if row >= n {
+                            in_range = false;
+                        } else if filled[row] == j {
+                            filled[row] = j + 1;
+                            hashes[row] = hash::combine(hashes[row], value_hash);
+                            offs[row * arity + j] = entry_off;
+                        }
+                    })?;
+                    if !in_range {
+                        return Err(Error::Corruption(format!(
+                            "segment {} column {col}: posting past row {n}",
+                            core.meta.id
+                        )));
+                    }
+                }
+                // Rows missing from some column's postings hold a NULL there
+                // and are not indexed.
+                for row in (0..n).filter(|&r| filled[r] == arity) {
+                    level.push(hashes[row], core.meta.id, &offs[row * arity..(row + 1) * arity]);
+                }
+            }
+            global.add_level(level);
         }
         Ok(())
     }
 
-    /// Install a new sorted run of segments (a flush or merge output) under
-    /// the state write lock. `items` are (metadata, file, rows-in-physical-
-    /// order); metadata may carry non-zero deleted bits during recovery.
+    /// Install a new sorted run of segments (a flush or merge output, or one
+    /// read back from its data files) under the state write lock. Metadata
+    /// may carry non-zero deleted bits during recovery. Recovery passes
+    /// `build_indexes: false` and registers every surviving segment once at
+    /// the end via [`Table::rebuild_indexes`], instead of indexing
+    /// intermediate segments that a later merge drops.
     pub(crate) fn install_run(
         &self,
-        items: Vec<(SegmentMeta, &SegmentFile, &[Row])>,
-    ) -> Result<Vec<Arc<SegmentCore>>> {
-        self.install_run_opts(items, true)
-    }
-
-    /// [`Table::install_run`] with index registration optionally deferred.
-    /// Recovery passes `build_indexes: false` and registers every
-    /// surviving segment once at the end via [`Table::rebuild_indexes`],
-    /// instead of indexing intermediate segments that a later merge drops.
-    pub(crate) fn install_run_opts(
-        &self,
-        items: Vec<(SegmentMeta, &SegmentFile, &[Row])>,
+        items: Vec<(SegmentMeta, SegmentFile)>,
         build_indexes: bool,
-    ) -> Result<Vec<Arc<SegmentCore>>> {
+    ) -> Result<()> {
         let mut state = self.state.write();
-        let mut run = Vec::with_capacity(items.len());
         let mut cores = Vec::with_capacity(items.len());
-        for (meta, file, rows) in items {
-            let id = meta.id;
-            let deleted = Arc::new(meta.deleted.clone());
-            let mut meta = meta;
-            meta.deleted = BitVec::zeros(0); // bits live in SegmentCore::deleted
-            let inverted: HashMap<usize, Arc<InvertedIndex>> =
-                file.inverted.iter().map(|(c, ix)| (*c, Arc::new(ix.clone()))).collect();
-            let core = Arc::new(SegmentCore {
+        for (mut meta, file) in items {
+            // Bits live in SegmentCore::deleted.
+            let deleted = Arc::new(std::mem::replace(&mut meta.deleted, BitVec::zeros(0)));
+            cores.push(Arc::new(SegmentCore {
                 meta,
                 deleted: RwLock::new(&rank::CORE_SEG_DELETED, deleted),
                 dropped_ts: AtomicU64::new(u64::MAX),
                 dropped_lp: AtomicU64::new(u64::MAX),
-                reader: SegmentReader::new(file.data.clone()),
-                inverted,
-            });
-            if build_indexes {
-                Table::index_segment(&mut state.indexes, id, rows, &core.inverted)?;
-            }
-            state.segments.insert(id, Arc::clone(&core));
-            state.next_segment_id = state.next_segment_id.max(id + 1);
-            run.push(id);
-            cores.push(core);
+                reader: SegmentReader::new(file.data),
+                inverted: file.inverted.into_iter().map(|(c, ix)| (c, Arc::new(ix))).collect(),
+            }));
+        }
+        if build_indexes {
+            Table::index_segments(&mut state.indexes, &cores)?;
+        }
+        let run: Vec<SegmentId> = cores.iter().map(|c| c.meta.id).collect();
+        for core in cores {
+            state.next_segment_id = state.next_segment_id.max(core.meta.id + 1);
+            state.segments.insert(core.meta.id, core);
         }
         if !run.is_empty() {
             state.runs.push(run);
         }
-        Ok(cores)
+        Ok(())
     }
 
     /// Rebuild the global indexes from the live segments in one pass
-    /// (recovery phase 2, the oxibase-style `populate_all_indexes`). Every
-    /// physical row of every live segment is registered — same as the live
-    /// path, which indexes rows at install time and filters deleted rows at
+    /// (recovery's last phase, the oxibase-style `populate_all_indexes`).
+    /// Every physical row of every live segment is registered — same as the
+    /// live path, which indexes at install time and filters deleted rows at
     /// probe time.
     pub(crate) fn rebuild_indexes(&self) -> Result<()> {
         let mut state = self.state.write();
+        let live: Vec<Arc<SegmentCore>> =
+            state
+                .runs
+                .iter()
+                .flatten()
+                .map(|id| {
+                    state.segments.get(id).cloned().ok_or_else(|| {
+                        Error::Internal(format!("run references missing segment {id}"))
+                    })
+                })
+                .collect::<Result<_>>()?;
         let mut fresh = TableIndexes::new(&self.options);
-        let live: Vec<SegmentId> = state.runs.iter().flatten().copied().collect();
-        for id in live {
-            let Some(core) = state.segments.get(&id) else {
-                return Err(Error::Internal(format!("run references missing segment {id}")));
-            };
-            let mut rows = Vec::with_capacity(core.meta.row_count);
-            for ri in 0..core.meta.row_count {
-                rows.push(core.reader.row(ri)?);
-            }
-            Table::index_segment(&mut fresh, id, &rows, &core.inverted)?;
-        }
+        Table::index_segments(&mut fresh, &live)?;
         state.indexes = fresh;
         Ok(())
     }
@@ -621,5 +633,59 @@ impl IndexProbe {
             }
         }
         Ok(out)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use s2_common::schema::ColumnDef;
+    use s2_common::DataType;
+
+    /// `ix` with the directory hash of entry `i` overwritten: a forged
+    /// 64-bit collision. Layout (see `InvertedIndexBuilder::finish`): u32
+    /// magic, one-byte varint entry count (< 128 entries), then 12-byte
+    /// `(hash, offset)` directory slots.
+    fn forge_hash(ix: &InvertedIndex, i: usize, hash: u64) -> InvertedIndex {
+        let mut bytes = (**ix.as_bytes()).clone();
+        bytes[5 + 12 * i..5 + 12 * i + 8].copy_from_slice(&hash.to_le_bytes());
+        InvertedIndex::from_bytes(Arc::new(bytes)).unwrap()
+    }
+
+    /// Two distinct keys of one segment whose 64-bit tuple hashes collide
+    /// must both be indexed: tuples are told apart by their entry offsets.
+    /// (De-duplicating on the hash alone left the second key unindexed, so a
+    /// unique-key lookup of it missed.)
+    #[test]
+    fn colliding_key_tuples_are_both_indexed() {
+        let schema = Schema::new(vec![
+            ColumnDef::new("a", DataType::Int64),
+            ColumnDef::new("b", DataType::Int64),
+        ])
+        .unwrap();
+        let options = TableOptions::new().with_unique("pk", vec![0, 1]);
+        let table = Table::new(1, "t".into(), schema.clone(), options).unwrap();
+        // Keys (1,10), (1,20), (2,10): force hash(b=20) := hash(b=10), so
+        // (1,10) and (1,20) fold to the same tuple hash.
+        let rows: Vec<Row> = [(1, 10), (1, 20), (2, 10)]
+            .map(|(a, b)| Row::new(vec![Value::Int(a), Value::Int(b)]))
+            .to_vec();
+        let (meta, data) = s2_columnstore::build_segment(7, rows.clone(), &schema, &[]).unwrap();
+        let mut inverted = table.build_inverted(&rows, &[0, 1]);
+        inverted[1].1 = forge_hash(&inverted[1].1, 1, Value::Int(10).hash64());
+        table.install_run(vec![(meta, SegmentFile { data, inverted })], true).unwrap();
+
+        let state = table.state.read();
+        let (_, tuple_index) = &state.indexes.tuple[0];
+        let collided = hash::hash_values([Value::Int(1), Value::Int(10)].iter());
+        let mut pairs = tuple_index.lookup(collided, &|_| true);
+        pairs.sort();
+        assert_eq!(pairs.len(), 2, "both colliding tuples registered: {pairs:?}");
+        assert_ne!(pairs[0].1, pairs[1].1, "told apart by entry offsets");
+        // The probe verifies values at the inverted index, so the colliding
+        // neighbour is filtered out and the real key resolves to its row.
+        let hits = probe_state(&state, &[0, 1], &[Value::Int(1), Value::Int(10)], None).unwrap();
+        assert_eq!(hits.len(), 1);
+        assert_eq!(hits[0].1, vec![0]);
     }
 }

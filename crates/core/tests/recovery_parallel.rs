@@ -2,10 +2,11 @@
 //! rebuild) must be observationally identical to the replica tail path —
 //! restore the snapshot (or start empty), then stream the remaining records
 //! one at a time through `Partition::apply_record`. Over randomized
-//! workloads — inserts, updates and deletes across several tables, forced
-//! flushes and merges — both must produce byte-identical engine snapshots,
-//! equal index probe results, and must stop at exactly the same torn-tail
-//! prefix.
+//! workloads — inserts, updates and deletes across several tables (one of
+//! them under a two-column unique key, so its lookups go through the tuple
+//! index), forced flushes and merges — both must produce byte-identical
+//! engine snapshots, equal index probe results, and must stop at exactly the
+//! same torn-tail prefix.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -27,10 +28,20 @@ fn kv_schema() -> Schema {
     .unwrap()
 }
 
-fn kv_options(rng: &mut StdRng) -> TableOptions {
+/// Unique-key columns of table `ti`: the last table of every workload is
+/// keyed on `(k, tag)`, the others on `k`.
+fn pk_cols(ti: usize, ntables: usize) -> Vec<usize> {
+    if ti + 1 == ntables {
+        vec![0, 2]
+    } else {
+        vec![0]
+    }
+}
+
+fn kv_options(rng: &mut StdRng, pk: Vec<usize>) -> TableOptions {
     TableOptions::new()
         .with_sort_key(vec![0])
-        .with_unique("pk", vec![0])
+        .with_unique("pk", pk)
         .with_index("by_tag", vec![2])
         .with_flush_threshold(rng.random_range(8..24))
         .with_segment_rows(rng.random_range(16..48))
@@ -63,9 +74,12 @@ fn run_workload(seed: u64, snap_round: Option<usize>) -> Workload {
         Arc::new(Log::in_memory()),
         Arc::clone(&files) as Arc<dyn s2_core::DataFileStore>,
     );
-    let ntables = rng.random_range(1..=3usize);
+    let ntables = rng.random_range(2..=4usize);
     let tables: Vec<TableId> = (0..ntables)
-        .map(|i| p.create_table(format!("t{i}"), kv_schema(), kv_options(&mut rng)).unwrap())
+        .map(|i| {
+            let options = kv_options(&mut rng, pk_cols(i, ntables));
+            p.create_table(format!("t{i}"), kv_schema(), options).unwrap()
+        })
         .collect();
     let mut live: Vec<BTreeSet<i64>> = vec![BTreeSet::new(); ntables];
     let mut next_key: i64 = 0;
@@ -88,11 +102,11 @@ fn run_workload(seed: u64, snap_round: Option<usize>) -> Workload {
             } else {
                 let idx = rng.random_range(0..live[ti].len());
                 let k = *live[ti].iter().nth(idx).unwrap();
+                let key = row(k, 0).project(&pk_cols(ti, ntables));
                 if choice < 8 {
-                    txn.update_unique(t, &[Value::Int(k)], row(k, rng.random_range(0..1000)))
-                        .unwrap();
+                    txn.update_unique(t, &key, row(k, rng.random_range(0..1000))).unwrap();
                 } else {
-                    txn.delete_unique(t, &[Value::Int(k)]).unwrap();
+                    txn.delete_unique(t, &key).unwrap();
                     live[ti].remove(&k);
                 }
             }
@@ -178,11 +192,12 @@ fn assert_same_state(a: &Arc<Partition>, b: &Arc<Partition>, tables: &[TableId],
     }
     let txa = a.begin();
     let txb = b.begin();
-    for &t in tables {
+    for (ti, &t) in tables.iter().enumerate() {
         for k in 0..max_key {
+            let key = row(k, 0).project(&pk_cols(ti, tables.len()));
             assert_eq!(
-                txa.get_unique(t, &[Value::Int(k)]).unwrap(),
-                txb.get_unique(t, &[Value::Int(k)]).unwrap(),
+                txa.get_unique(t, &key).unwrap(),
+                txb.get_unique(t, &key).unwrap(),
                 "table {t} key {k}"
             );
         }

@@ -17,6 +17,46 @@ use std::collections::HashSet;
 
 use s2_common::SegmentId;
 
+/// Flat `(hash, segment, entry offsets)` tuples: the input of one level
+/// build. One allocation per field instead of one per tuple, so a whole
+/// table's segments can be gathered and built into a level in one pass.
+pub struct LevelInput {
+    arity: usize,
+    hashes: Vec<u64>,
+    segments: Vec<SegmentId>,
+    /// `arity` offsets per tuple.
+    offsets: Vec<u32>,
+}
+
+impl LevelInput {
+    /// Empty input for tuples of `arity` entry offsets.
+    pub fn new(arity: usize) -> LevelInput {
+        LevelInput { arity, hashes: Vec::new(), segments: Vec::new(), offsets: Vec::new() }
+    }
+
+    /// Add one tuple. `offsets.len()` must equal the arity.
+    pub fn push(&mut self, hash: u64, segment: SegmentId, offsets: &[u32]) {
+        assert_eq!(offsets.len(), self.arity, "entry offsets per tuple");
+        self.hashes.push(hash);
+        self.segments.push(segment);
+        self.offsets.extend_from_slice(offsets);
+    }
+
+    /// Tuples gathered so far.
+    pub fn len(&self) -> usize {
+        self.hashes.len()
+    }
+
+    /// True when no tuple was gathered.
+    pub fn is_empty(&self) -> bool {
+        self.hashes.is_empty()
+    }
+
+    fn tuple(&self, i: usize) -> (SegmentId, &[u32]) {
+        (self.segments[i], &self.offsets[i * self.arity..(i + 1) * self.arity])
+    }
+}
+
 /// One immutable hash-table level.
 pub struct HashLevel {
     /// Probe table: slot -> entry ordinal + 1 (0 = empty).
@@ -40,36 +80,80 @@ struct LevelEntry {
 }
 
 impl HashLevel {
-    /// Build a level from `(hash, segment, offsets)` tuples. Tuples for the
-    /// same hash are grouped.
-    fn build(arity: usize, mut input: Vec<(u64, SegmentId, Vec<u32>)>) -> HashLevel {
-        input.sort_by_key(|(h, s, _)| (*h, *s));
-        let mut entries: Vec<LevelEntry> = Vec::new();
-        let mut pair_segments = Vec::with_capacity(input.len());
-        let mut pair_offsets = Vec::with_capacity(input.len() * arity);
-        let mut covered = HashSet::new();
-        for (hash, seg, offs) in input {
-            debug_assert_eq!(offs.len(), arity);
-            covered.insert(seg);
-            match entries.last_mut() {
-                Some(e) if e.hash == hash => e.len += 1,
-                _ => entries.push(LevelEntry { hash, start: pair_segments.len() as u32, len: 1 }),
-            }
-            pair_segments.push(seg);
-            pair_offsets.extend_from_slice(&offs);
-        }
-        // Open addressing at 50% max load.
-        let cap = (entries.len() * 2).next_power_of_two().max(8);
-        let mut slots = vec![0u32; cap];
+    /// Build a level in O(tuples) without sorting: hash every tuple into the
+    /// probe table to find its entry, then lay the pairs out entry by entry.
+    /// The level is a *set* — a tuple repeated in the input (one per row of
+    /// a non-unique key) is stored once — and two different tuples under
+    /// one hash (a collision) are both kept: lookups return both and the
+    /// caller verifies values at the inverted index.
+    fn build(input: &LevelInput) -> HashLevel {
+        let n = input.len();
+        assert!(n < u32::MAX as usize, "level of {n} tuples");
+        // Open addressing at 50% max load (distinct hashes <= tuples).
+        let cap = (n * 2).next_power_of_two().max(8);
         let mask = cap - 1;
-        for (i, e) in entries.iter().enumerate() {
-            let mut slot = (e.hash as usize) & mask;
-            while slots[slot] != 0 {
-                slot = (slot + 1) & mask;
+        let mut slots = vec![0u32; cap];
+        let mut entries: Vec<LevelEntry> = Vec::new();
+        // Per entry the most recent tuple kept, per tuple the one kept before
+        // it under the same entry (`NONE` ends the chain). A new tuple is
+        // compared against its entry's chain to drop repeats, and the chains
+        // are what the layout below walks.
+        const NONE: u32 = u32::MAX;
+        let mut newest: Vec<u32> = Vec::new();
+        let mut older = vec![NONE; n];
+        let mut kept = 0usize;
+        let mut covered = HashSet::new();
+        let mut last_seg = None;
+        for i in 0..n {
+            let hash = input.hashes[i];
+            let mut slot = (hash as usize) & mask;
+            let e = loop {
+                match slots[slot] {
+                    0 => {
+                        entries.push(LevelEntry { hash, start: 0, len: 0 });
+                        newest.push(NONE);
+                        slots[slot] = entries.len() as u32;
+                        break entries.len() - 1;
+                    }
+                    tag if entries[(tag - 1) as usize].hash == hash => break (tag - 1) as usize,
+                    _ => slot = (slot + 1) & mask,
+                }
+            };
+            let mut prev = newest[e];
+            while prev != NONE && input.tuple(prev as usize) != input.tuple(i) {
+                prev = older[prev as usize];
             }
-            slots[slot] = (i + 1) as u32;
+            if prev == NONE {
+                older[i] = newest[e];
+                newest[e] = i as u32;
+                entries[e].len += 1;
+                kept += 1;
+            }
+            // Inputs arrive segment by segment, so this rarely hashes.
+            if last_seg != Some(input.segments[i]) {
+                last_seg = Some(input.segments[i]);
+                covered.insert(input.segments[i]);
+            }
         }
-        HashLevel { slots, entries, pair_segments, pair_offsets, arity, covered }
+        // Lay each entry's pairs out contiguously, in input order (its chain
+        // runs newest to oldest, so fill from the back).
+        let mut pair_segments = vec![0; kept];
+        let mut pair_offsets = vec![0u32; kept * input.arity];
+        let mut next = 0u32;
+        for (entry, &newest) in entries.iter_mut().zip(&newest) {
+            entry.start = next;
+            next += entry.len;
+            let mut at = next as usize;
+            let mut i = newest;
+            while i != NONE {
+                at -= 1;
+                let (seg, offs) = input.tuple(i as usize);
+                pair_segments[at] = seg;
+                pair_offsets[at * input.arity..(at + 1) * input.arity].copy_from_slice(offs);
+                i = older[i as usize];
+            }
+        }
+        HashLevel { slots, entries, pair_segments, pair_offsets, arity: input.arity, covered }
     }
 
     /// Probe for `hash`, appending live pairs to `out`.
@@ -101,19 +185,18 @@ impl HashLevel {
         }
     }
 
-    /// All tuples in this level (for merging), optionally dropping dead segments.
-    fn drain_tuples(&self, is_live: &dyn Fn(SegmentId) -> bool) -> Vec<(u64, SegmentId, Vec<u32>)> {
-        let mut out = Vec::with_capacity(self.pair_segments.len());
+    /// Append this level's tuples (for merging) to `out`, dropping dead
+    /// segments.
+    fn drain_into(&self, is_live: &dyn Fn(SegmentId) -> bool, out: &mut LevelInput) {
         for e in &self.entries {
             for p in e.start..e.start + e.len {
                 let seg = self.pair_segments[p as usize];
                 if is_live(seg) {
                     let o = p as usize * self.arity;
-                    out.push((e.hash, seg, self.pair_offsets[o..o + self.arity].to_vec()));
+                    out.push(e.hash, seg, &self.pair_offsets[o..o + self.arity]);
                 }
             }
         }
-        out
     }
 
     /// Distinct hashes in this level.
@@ -167,11 +250,26 @@ impl GlobalIndex {
         self.levels.len()
     }
 
-    /// Register a new segment's hash table: `entries` maps each distinct
-    /// value hash to the entry offsets in the segment's inverted index(es).
+    /// Register one segment's hash table: `entries` maps each distinct value
+    /// hash to the entry offsets in the segment's inverted index(es).
     pub fn add_segment(&mut self, segment: SegmentId, entries: Vec<(u64, Vec<u32>)>) {
-        let tuples = entries.into_iter().map(|(h, offs)| (h, segment, offs)).collect();
-        self.levels.insert(0, HashLevel::build(self.arity, tuples));
+        let mut input = LevelInput::new(self.arity);
+        for (hash, offsets) in &entries {
+            input.push(*hash, segment, offsets);
+        }
+        self.add_level(input);
+    }
+
+    /// Register the gathered tuples of any number of segments as ONE new
+    /// level: a flushed or merged run at install time, every live segment of
+    /// the table when recovery rebuilds the index (the index is derivable
+    /// from the per-segment inverted indexes, so it is never persisted).
+    pub fn add_level(&mut self, input: LevelInput) {
+        assert_eq!(input.arity, self.arity, "level arity");
+        if input.is_empty() {
+            return;
+        }
+        self.levels.insert(0, HashLevel::build(&input));
         if self.levels.len() > self.max_levels {
             self.merge_smallest(&|_| true);
         }
@@ -189,9 +287,10 @@ impl GlobalIndex {
         let (a, b) = (order[0].min(order[1]), order[0].max(order[1]));
         let lb = self.levels.remove(b);
         let la = self.levels.remove(a);
-        let mut tuples = la.drain_tuples(is_live);
-        tuples.extend(lb.drain_tuples(is_live));
-        self.levels.push(HashLevel::build(self.arity, tuples));
+        let mut tuples = LevelInput::new(self.arity);
+        la.drain_into(is_live, &mut tuples);
+        lb.drain_into(is_live, &mut tuples);
+        self.levels.push(HashLevel::build(&tuples));
     }
 
     /// Look up every live `(segment, offsets)` pair for `hash`.
@@ -213,31 +312,15 @@ impl GlobalIndex {
         let mut rewritten = 0;
         for level in &mut self.levels {
             if level.dead_fraction(is_live) >= 0.5 {
-                let tuples = level.drain_tuples(is_live);
-                *level = HashLevel::build(self.arity, tuples);
+                let mut tuples = LevelInput::new(self.arity);
+                level.drain_into(is_live, &mut tuples);
+                *level = HashLevel::build(&tuples);
                 rewritten += 1;
             }
         }
         // Drop empty levels entirely.
         self.levels.retain(|l| l.entry_count() > 0);
         rewritten
-    }
-
-    /// Rebuild from scratch (recovery path): the global index is derivable
-    /// from the per-segment inverted indexes, so it is not persisted.
-    pub fn rebuild(
-        arity: usize,
-        per_segment: impl IntoIterator<Item = (SegmentId, Vec<(u64, Vec<u32>)>)>,
-    ) -> GlobalIndex {
-        let mut ix = GlobalIndex::new(arity);
-        let mut all: Vec<(u64, SegmentId, Vec<u32>)> = Vec::new();
-        for (seg, entries) in per_segment {
-            for (h, offs) in entries {
-                all.push((h, seg, offs));
-            }
-        }
-        ix.levels.push(HashLevel::build(arity, all));
-        ix
     }
 
     /// Total pairs across all levels (diagnostics / write-amplification benches).
@@ -321,20 +404,45 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_matches_incremental() {
+    fn one_bulk_level_matches_incremental() {
         let entries = |seed: u64| vec![(seed, vec![1u32]), (seed + 1, vec![2])];
         let mut inc = GlobalIndex::with_max_levels(1, 2);
+        let mut all = LevelInput::new(1);
         for s in 0..5u64 {
             inc.add_segment(s, entries(s * 10));
+            for (h, offs) in entries(s * 10) {
+                all.push(h, s, &offs);
+            }
         }
-        let re = GlobalIndex::rebuild(1, (0..5u64).map(|s| (s, entries(s * 10))));
+        let mut bulk = GlobalIndex::new(1);
+        bulk.add_level(all);
+        assert_eq!(bulk.level_count(), 1);
         for h in [0u64, 1, 10, 11, 40, 41, 999] {
             let mut a = inc.lookup(h, &live_all);
-            let mut b = re.lookup(h, &live_all);
+            let mut b = bulk.lookup(h, &live_all);
             a.sort();
             b.sort();
             assert_eq!(a, b, "hash {h}");
         }
+    }
+
+    #[test]
+    fn a_level_is_a_set_and_keeps_collisions() {
+        // One tuple per row of a non-unique key repeats (hash, segment,
+        // offsets): stored once. Two *different* keys of one segment whose
+        // hashes collide differ in their entry offsets: both stored.
+        let mut input = LevelInput::new(2);
+        for _ in 0..3 {
+            input.push(7, 1, &[10, 20]);
+        }
+        input.push(7, 1, &[10, 24]);
+        input.push(7, 2, &[10, 20]);
+        let mut g = GlobalIndex::new(2);
+        g.add_level(input);
+        assert_eq!(g.total_pairs(), 3);
+        let mut hits = g.lookup(7, &live_all);
+        hits.sort();
+        assert_eq!(hits, vec![(1, vec![10, 20]), (1, vec![10, 24]), (2, vec![10, 20])]);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use s2_common::io::{ByteReader, ByteWriter};
 use s2_common::{Error, Result, Value};
 
-use crate::postings::{encode_postings, PostingsReader};
+use crate::postings::{encode_postings, for_each_posting, PostingsReader};
 
 /// Inverted-index blob magic ("S2IV").
 pub const INVERTED_MAGIC: u32 = 0x5649_3253;
@@ -141,26 +141,20 @@ impl InvertedIndex {
         Ok(Some(PostingsReader::open(&self.bytes, r.position())?))
     }
 
-    /// Absolute entry offset for `probe`, if indexed (binary search). Used
-    /// when building the multi-column tuple index, whose global entries store
-    /// the per-column entry offsets (paper §4.1.1).
-    pub fn entry_offset_of(&self, probe: &Value) -> Result<Option<u32>> {
-        let mut lo = 0usize;
-        let mut hi = self.n_entries;
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            let (_, rel) = self.dir_entry(mid);
-            let off = self.entries_start + rel as usize;
+    /// Visit every posting as `(value_hash, absolute_entry_offset, row)`,
+    /// entry by entry in value order and rows ascending within an entry. No
+    /// value is decoded: this is how a multi-column tuple index learns, for
+    /// every row, the hash and entry offset of each key column without ever
+    /// materializing the row (paper §4.1.1). Rows absent from every entry are
+    /// the column's NULL rows.
+    pub fn for_each_posting(&self, mut f: impl FnMut(u64, u32, u32)) -> Result<()> {
+        for (hash, entry_off) in self.iter_entries() {
             let mut r = ByteReader::new(&self.bytes);
-            r.seek(off)?;
-            let v = r.get_value()?;
-            match v.total_cmp(probe) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => return Ok(Some(off as u32)),
-            }
+            r.seek(entry_off as usize)?;
+            r.skip_value()?;
+            for_each_posting(&self.bytes, r.position(), |row| f(hash, entry_off, row))?;
         }
-        Ok(None)
+        Ok(())
     }
 
     /// Direct lookup by value (binary search over the value-ordered entries;
@@ -239,6 +233,22 @@ mod tests {
         // A collision probe with the wrong value is rejected.
         let (_, off0) = ix.iter_entries().next().unwrap();
         assert!(ix.postings_at(off0, &Value::str("zzz")).unwrap().is_none());
+    }
+
+    #[test]
+    fn for_each_posting_walks_every_row_once() {
+        // Long enough to cross a postings block boundary.
+        let many: Vec<u32> = (0..300).map(|i| i * 2).collect();
+        let ix = build(&[("a", &many), ("b", &[1, 5]), ("c", &[3])]);
+        let offsets: Vec<(u64, u32)> = ix.iter_entries().collect();
+        let mut seen: Vec<(u64, u32, u32)> = Vec::new();
+        ix.for_each_posting(|h, off, row| seen.push((h, off, row))).unwrap();
+        let mut want = Vec::new();
+        for ((h, off), rows) in offsets.iter().zip([&many[..], &[1, 5], &[3]]) {
+            want.extend(rows.iter().map(|&r| (*h, *off, r)));
+        }
+        assert_eq!(seen, want);
+        assert_eq!(offsets[1].0, Value::str("b").hash64());
     }
 
     #[test]

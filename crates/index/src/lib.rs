@@ -12,6 +12,6 @@ pub mod global;
 pub mod inverted;
 pub mod postings;
 
-pub use global::{GlobalIndex, HashLevel};
+pub use global::{GlobalIndex, HashLevel, LevelInput};
 pub use inverted::{InvertedIndex, InvertedIndexBuilder, INVERTED_MAGIC};
 pub use postings::{encode_postings, intersect, union, PostingsReader, BLOCK_SIZE};

@@ -42,6 +42,25 @@ pub fn encode_postings(w: &mut ByteWriter, rows: &[u32]) {
     w.put_raw(payload.as_slice());
 }
 
+/// Decode the whole postings list at `offset` front to back, handing every
+/// row offset to `f`. The skip directory is stepped over, not parsed: bulk
+/// consumers (global-index construction) read every entry anyway.
+pub fn for_each_posting(buf: &[u8], offset: usize, mut f: impl FnMut(u32)) -> Result<()> {
+    let mut r = ByteReader::new(buf);
+    r.seek(offset)?;
+    let count = r.get_varint()? as usize;
+    let n_blocks = r.get_varint()? as usize;
+    r.get_raw(n_blocks.saturating_mul(8))?;
+    let mut row = 0u32;
+    for i in 0..count {
+        let delta = r.get_varint()? as u32;
+        // First entry of each block is absolute.
+        row = if i % BLOCK_SIZE == 0 { delta } else { row.wrapping_add(delta) };
+        f(row);
+    }
+    Ok(())
+}
+
 /// Streaming reader over an encoded postings list with forward seeking.
 pub struct PostingsReader<'a> {
     buf: &'a [u8],

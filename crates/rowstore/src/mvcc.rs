@@ -51,13 +51,18 @@ impl VersionChain {
     /// Prepend an uncommitted version. Caller must hold the row lock, which
     /// serializes writers; the store ordering publishes to lock-free readers.
     pub fn push(&self, txn: TxnId, data: Option<Row>) {
+        self.prepend(TS_UNCOMMITTED, txn, data);
+    }
+
+    /// Prepend a version that is already committed at `commit_ts` (log
+    /// replay). The caller must be the chain's only writer.
+    pub fn push_committed(&self, commit_ts: Timestamp, data: Option<Row>) {
+        self.prepend(commit_ts, 0, data);
+    }
+
+    fn prepend(&self, ts: Timestamp, txn: TxnId, data: Option<Row>) {
         let head = self.head.load(Ordering::Relaxed);
-        let v = Box::into_raw(Box::new(Version {
-            ts: AtomicU64::new(TS_UNCOMMITTED),
-            txn,
-            data,
-            next: head,
-        }));
+        let v = Box::into_raw(Box::new(Version { ts: AtomicU64::new(ts), txn, data, next: head }));
         self.head.store(v, Ordering::Release);
     }
 

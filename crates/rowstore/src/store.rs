@@ -58,6 +58,16 @@ impl RowStore {
         Ok(())
     }
 
+    /// Install a version of `key` that is already committed at `commit_ts`:
+    /// one skiplist traversal, no row lock, no resolve pass. For appliers of
+    /// the log (snapshot load, replay, replica apply), which are the only
+    /// writer of their table and publish the timestamp to readers only after
+    /// the whole record is in.
+    pub fn install_committed(&self, key: &[Value], data: Option<Row>, commit_ts: Timestamp) {
+        let (node, _) = self.list.insert_or_get(key, RowEntry::default);
+        node.payload.chain.push_committed(commit_ts, data);
+    }
+
     /// Take the row lock for `key` without writing (used by uniqueness
     /// enforcement, paper §4.1.2 step 1, and by move transactions).
     pub fn lock_key(&self, txn: TxnId, key: &[Value]) -> Result<()> {
@@ -239,6 +249,24 @@ mod tests {
         assert!(rs.get(&k(10), 49, None).is_none());
         let got = rs.get(&k(10), 50, None).unwrap().unwrap();
         assert_eq!(got.get(1), &Value::str("a"));
+    }
+
+    #[test]
+    fn install_committed_equals_write_then_commit() {
+        let (a, b) = (RowStore::new(), RowStore::new());
+        for (txn, ts, data) in
+            [(1, 10, Some(row(1, "x"))), (2, 20, None), (3, 30, Some(row(1, "z")))]
+        {
+            a.write(txn, &k(1), data.clone()).unwrap();
+            a.commit(txn, ts, &[k(1)]);
+            b.install_committed(&k(1), data, ts);
+        }
+        for ts in [5, 10, 15, 20, 25, 30, 99] {
+            assert_eq!(a.get(&k(1), ts, None), b.get(&k(1), ts, None), "read at {ts}");
+        }
+        assert_eq!(a.get_latest_committed(&k(1)), b.get_latest_committed(&k(1)));
+        // No lock is left behind: a later writer takes the row at once.
+        b.write(9, &k(1), None).unwrap();
     }
 
     #[test]

@@ -61,8 +61,11 @@ echo "== workspace: elastic fleets + crash recovery =="
 # Failing seeds replay with --scenario workspace --seed N --scenarios 1.
 cargo test -q -p s2-cluster --test workspace "${CARGO_FLAGS[@]}"
 # Crash recovery must be byte-identical to streaming the same log through
-# the replica tail-apply path.
-cargo test -q -p s2-core --test recovery_parallel "${CARGO_FLAGS[@]}"
+# the replica tail-apply path; its index build (from the segments' inverted
+# indexes, no row decoded) must probe like the row-based reference builder;
+# and replay must read each surviving data file once and a dropped one never.
+cargo test -q -p s2-core --test recovery_parallel --test index_build --test recovery_files \
+    "${CARGO_FLAGS[@]}"
 cargo run -p s2-sim --release "${CARGO_FLAGS[@]}" -- --scenario workspace --seed 42 --scenarios 25
 
 echo "== tpcc: group-commit pipeline (contended smoke + crash drills) =="
