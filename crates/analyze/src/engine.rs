@@ -21,7 +21,7 @@ pub struct Finding {
     pub path: String,
     /// 1-based line number.
     pub line: usize,
-    /// Rule identifier (`R1`..`R5`, or `lint` for marker problems).
+    /// Rule identifier (`R1`..`R6`, `L1`..`L4`, or `lint` for marker problems).
     pub id: &'static str,
     /// Rule name (the marker key, e.g. `wall-clock`).
     pub rule: &'static str,
@@ -393,18 +393,6 @@ mod tests {
     fn r2_marker_on_same_line_suppresses() {
         let src = "let v = x.unwrap(); // s2-lint: allow(unwrap, length checked two lines above)";
         assert!(lint("crates/rowstore/src/mvcc.rs", src).is_empty());
-    }
-
-    // ---------------------------------------------------------------- R3
-    #[test]
-    fn r3_flags_sleep_and_blocking_enqueue_on_commit_path() {
-        let src = "fn f(u: &Uploader) { std::thread::sleep(d); u.enqueue(k, b, cb); }";
-        let f = lint("crates/core/src/partition.rs", src);
-        assert_eq!(f.len(), 2, "{f:?}");
-        assert!(f.iter().all(|x| x.rule == "blocking"));
-        // try_enqueue is the sanctioned non-blocking entry point.
-        let ok = "fn f(u: &Uploader) { u.try_enqueue(k, b, cb); }";
-        assert!(lint("crates/core/src/partition.rs", ok).is_empty());
     }
 
     // ---------------------------------------------------------------- R4

@@ -1,5 +1,5 @@
 //! CLI driver: lint every `crates/**/src/**/*.rs` file in the workspace
-//! with the per-line rules (R1–R6), then run the interprocedural checks
+//! with the per-line rules (R1, R2, R4–R6), then run the interprocedural checks
 //! (L1–L4) over the whole program model plus DESIGN.md.
 //!
 //! Output is one line per finding, `path:line: ID/rule: message`, sorted
@@ -95,7 +95,7 @@ fn main() -> ExitCode {
         match args[i].as_str() {
             "--explain" => {
                 let Some(id) = args.get(i + 1) else {
-                    eprintln!("s2-lint: --explain needs a rule id (R1..R6, L1..L4)");
+                    eprintln!("s2-lint: --explain needs a rule id (R1, R2, R4..R6, L1..L4)");
                     return ExitCode::FAILURE;
                 };
                 return match s2_lint::rules::explain(id) {
@@ -104,7 +104,7 @@ fn main() -> ExitCode {
                         ExitCode::SUCCESS
                     }
                     None => {
-                        eprintln!("s2-lint: unknown rule {id:?} (try R1..R6, L1..L4)");
+                        eprintln!("s2-lint: unknown rule {id:?} (try R1, R2, R4..R6, L1..L4)");
                         ExitCode::FAILURE
                     }
                 };
@@ -152,7 +152,7 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    // Per-line rules (R1–R6), then the interprocedural pass (L1–L4).
+    // Per-line rules (R1, R2, R4–R6), then the interprocedural pass (L1–L4).
     let mut findings: Vec<Finding> = Vec::new();
     for f in &files {
         findings.extend(lint_source(&f.path, &f.src, &rules));

@@ -1,5 +1,5 @@
-//! The rule table. Every rule has a stable id (`R1`..`R6` for the
-//! per-line rules, `L1`..`L4` for the interprocedural checks in
+//! The rule table. Every rule has a stable id (`R1`, `R2`, `R4`..`R6` for
+//! the per-line rules, `L1`..`L4` for the interprocedural checks in
 //! `interproc`/`metrics`), a marker name (what `s2-lint: allow(<name>, …)`
 //! refers to), and a scope predicate over repo-relative paths. Adding a
 //! rule = adding an entry to [`all_rules`] (or a check module), a line to
@@ -56,20 +56,13 @@ fn deterministic_module(path: &str) -> bool {
         || path.starts_with("crates/sim/src/")
 }
 
-/// R2/R3 scope: crates on the commit path, where a panic or a blocking call
-/// stalls every writer behind the partition commit lock.
+/// R2 scope: crates on the commit path, where a panic stalls every writer
+/// behind the partition commit lock.
 fn commit_path_crate(path: &str) -> bool {
     path.starts_with("crates/wal/src/")
         || path.starts_with("crates/core/src/")
         || path.starts_with("crates/rowstore/src/")
         || path == "crates/blob/src/uploader.rs"
-}
-
-/// R3 scope: the modules that run while holding the commit lock. Narrower
-/// than R2: the rowstore and uploader never sleep by construction, and the
-/// cluster crate's sleeps are legitimate tick/wait loops.
-fn commit_critical_section(path: &str) -> bool {
-    path.starts_with("crates/core/src/") || path.starts_with("crates/wal/src/")
 }
 
 /// R6 scope: everywhere except the ranked-wrapper implementation itself
@@ -83,7 +76,6 @@ pub fn rule_names() -> &'static [&'static str] {
     &[
         "wall-clock",
         "unwrap",
-        "blocking",
         "safety-comment",
         "metric-name",
         "raw-lock",
@@ -106,10 +98,6 @@ pub fn explain(id: &str) -> Option<&'static str> {
             "R2 unwrap: `.unwrap()`/`.expect(` on a commit-path crate (wal, core, \
              rowstore, blob uploader). A panic there poisons the partition commit lock \
              and stalls every writer. Return an error or handle the case."
-        }
-        "R3" | "blocking" => {
-            "R3 blocking: `thread::sleep`/`.enqueue(` tokens in core/wal source. The \
-             same-file half of the blocking discipline; L2 is the interprocedural half."
         }
         "R4" | "safety-comment" => {
             "R4 safety-comment: every `unsafe` needs a `// SAFETY:` comment on the same \
@@ -178,15 +166,6 @@ pub fn all_rules() -> Vec<Rule> {
                 tokens: &[".unwrap()", ".expect("],
                 message: "forbidden panic path on a commit-path crate",
                 applies: commit_path_crate,
-            }),
-        },
-        Rule {
-            kind: RuleKind::Token(TokenRule {
-                id: "R3",
-                name: "blocking",
-                tokens: &["thread::sleep", ".enqueue("],
-                message: "blocking call inside the commit critical section",
-                applies: commit_critical_section,
             }),
         },
         Rule {

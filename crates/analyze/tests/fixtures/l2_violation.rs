@@ -1,5 +1,6 @@
 //! L2 fixture: an fsync issued while a commit-section (`wal.*`) lock is
-//! held — directly and through a callee.
+//! held — directly and through a callee — and a sleep and a blocking
+//! enqueue under the same lock.
 
 use std::fs::File;
 
@@ -36,5 +37,20 @@ impl Wal {
 
     fn flush_disk(&self) {
         self.file.sync_all().unwrap();
+    }
+
+    /// A retry backoff taken without releasing the guard.
+    fn backoff(&self) {
+        let g = self.state.lock();
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        drop(g);
+    }
+
+    /// A blocking enqueue parks on a full upload queue with the guard held;
+    /// `try_enqueue` is the commit path's entry point.
+    fn ship(&self, uploader: &Uploader) {
+        let g = self.state.lock();
+        uploader.enqueue("k", vec![*g as u8]);
+        drop(g);
     }
 }

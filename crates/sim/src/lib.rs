@@ -12,43 +12,38 @@
 //!   `core.merge.*`, `blob.put`, `blob.get`, `blob.uploader.attempt`,
 //!   `storage.snapshot.put`, `pitr.restore`) from a seed: torn writes,
 //!   dropped fsyncs, blob failures, and hard kill points.
-//! - [`scenario::run_scenario`] executes a randomized workload (inserts,
-//!   updates, deletes, unique-key reads) interleaved with crashes, reopens
-//!   the engine over the surviving bytes, and checks invariants against a
-//!   `BTreeMap` oracle — including replica failover convergence and PITR to
-//!   every captured position.
-//! - [`runner::run_many`] sweeps seed ranges; every failure prints the seed
-//!   and kill-point trace, and the same seed replays the identical trace.
-//! - [`outage::run_outage_scenario`] drills the blob-resilience layer:
-//!   transient error bursts, a sustained 100% outage, and a latency spike,
-//!   checking that commits keep acknowledging, cold reads fail fast within
-//!   their budget, and the upload backlog fully drains (blob/local
-//!   convergence) after recovery.
+//! - [`drill`] is the one framework every scenario runs on: a drill is a
+//!   seeded setup, then phases that each scope their own fault plan, then
+//!   checks against an oracle; [`sweep`] runs one over a seed range, and
+//!   every failure prints the seed and a trace the same seed replays.
+//! - [`DRILLS`] is the table `--scenario` picks from. `crash` runs a
+//!   randomized workload (inserts, updates, deletes, unique-key reads)
+//!   interleaved with crashes, reopens the engine over the surviving bytes
+//!   and checks it against a `BTreeMap` [`Oracle`] — including replica
+//!   failover convergence and PITR to every captured position; `group` is
+//!   the same with the group-commit kill points boosted; `outage` drills
+//!   the blob-resilience layer (transient bursts, a sustained 100% outage,
+//!   a latency spike, full backlog drain); `workspace` drills elastic
+//!   workspace fleets under kill points and a blob outage; `sql` checks
+//!   generated queries cell by cell against a plain-Rust oracle.
 //!
 //! Run it: `cargo run -p s2-sim -- --seed 42 --scenarios 200`, or
 //! `cargo run -p s2-sim -- --scenario outage --seed 7 --scenarios 10`.
 
+mod crash;
+pub mod drill;
+mod kv;
 pub mod oracle;
-pub mod outage;
+mod outage;
 pub mod plan;
-pub mod runner;
-pub mod scenario;
-pub mod sqlgen;
+mod sql;
 pub mod storage;
-pub mod workspace;
+mod workspace;
 
+pub use drill::{
+    drill, harness_lock, install_quiet_panic_hook, sweep, Agg, Counter, Drill, Harness, Report,
+    Summary, Violation, DRILLS,
+};
 pub use oracle::{Model, Oracle};
-pub use outage::{
-    run_outage_many, run_outage_scenario, OutageReport, OutageSummary, OUTAGE_PARTITION,
-};
 pub use plan::{FaultPlan, SiteConfig};
-pub use runner::{run_group_many, run_many, RunSummary};
-pub use scenario::{
-    harness_lock, install_quiet_panic_hook, run_group_scenario, run_scenario, ScenarioReport,
-    Violation, PARTITION,
-};
-pub use sqlgen::{run_sql_many, SqlSummary};
 pub use storage::{BlobReadFileStore, SimFileStore};
-pub use workspace::{
-    run_workspace_many, run_workspace_scenario, WorkspaceReport, WorkspaceSummary, WORKSPACE_DB,
-};

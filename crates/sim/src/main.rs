@@ -1,58 +1,38 @@
-//! CLI for the crash-recovery simulator.
+//! CLI for the simulator: one drill from the table, swept over a seed range.
 //!
 //! ```text
 //! cargo run -p s2-sim -- --seed 42 --scenarios 200 [--verbose]
 //! cargo run -p s2-sim -- --scenario outage --seed 7 --scenarios 10
 //! ```
 //!
-//! `--scenario crash` (default) runs the crash-recovery sweep; `group` runs
-//! the same sweep with boosted `wal.group.*` kill points; `outage` runs
-//! blob-outage drills against the resilience layer; `workspace` drills
-//! elastic workspace fleets (provision/detach churn with kill points,
-//! transient bursts, a total blob outage, convergence to the primary); `sql`
-//! runs generated queries through the full s2-sql pipeline against a
-//! plain-Rust oracle. Exit code 0 means every scenario upheld every
-//! invariant; 1 means at least one violation (each printed with its
-//! replayable seed and decision trace).
+//! `--scenario` names an entry of `s2_sim::DRILLS` (`crash`, the default;
+//! `group`, `outage`, `workspace`, `sql`). Exit code 0 means every drill
+//! upheld every invariant; 1 means at least one violation (each printed
+//! with its replayable seed and trace).
+
+use std::str::FromStr;
 
 fn main() {
+    let names = s2_sim::DRILLS.iter().map(|d| d.name).collect::<Vec<_>>().join("|");
+    let mut drill = s2_sim::drill("crash").expect("crash is in the drill table");
     let mut seed = 42u64;
     let mut scenarios = 200usize;
     let mut verbose = false;
-    let mut scenario = "crash".to_string();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--seed" => {
-                seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--seed needs an integer"));
-            }
-            "--scenarios" => {
-                scenarios = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--scenarios needs an integer"));
-            }
+            "--seed" => seed = parse(args.next(), "--seed needs an integer"),
+            "--scenarios" => scenarios = parse(args.next(), "--scenarios needs an integer"),
             "--scenario" => {
-                scenario = args
+                drill = args
                     .next()
-                    .unwrap_or_else(|| die("--scenario needs crash|group|outage|workspace|sql"));
-                if scenario != "crash"
-                    && scenario != "group"
-                    && scenario != "outage"
-                    && scenario != "workspace"
-                    && scenario != "sql"
-                {
-                    die("--scenario needs crash|group|outage|workspace|sql");
-                }
+                    .and_then(|name| s2_sim::drill(&name))
+                    .unwrap_or_else(|| die(&format!("--scenario needs {names}")));
             }
             "--verbose" | "-v" => verbose = true,
             "--help" | "-h" => {
                 println!(
-                    "usage: s2-sim [--scenario crash|group|outage|workspace|sql] [--seed N] \
-                     [--scenarios N] [--verbose]"
+                    "usage: s2-sim [--scenario {names}] [--seed N] [--scenarios N] [--verbose]"
                 );
                 return;
             }
@@ -60,81 +40,23 @@ fn main() {
         }
     }
 
-    if scenario == "sql" {
-        println!("s2-sim: {scenarios} sql drills from seed {seed}");
-        let summary = s2_sim::run_sql_many(seed, scenarios, verbose);
-        println!("{}", summary.summary_line());
-        if !summary.failures.is_empty() {
-            println!("\nreproduce with:");
-            for v in &summary.failures {
-                println!("  cargo run -p s2-sim -- --scenario sql --seed {} --scenarios 1", v.seed);
-            }
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    if scenario == "group" {
-        println!("s2-sim: {scenarios} group-commit crash drills from seed {seed}");
-        let summary = s2_sim::run_group_many(seed, scenarios, verbose);
-        println!("{}", summary.summary_line());
-        if !summary.failures.is_empty() {
-            println!("\nreproduce with:");
-            for v in &summary.failures {
-                println!(
-                    "  cargo run -p s2-sim -- --scenario group --seed {} --scenarios 1",
-                    v.seed
-                );
-            }
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    if scenario == "workspace" {
-        println!("s2-sim: {scenarios} workspace drills from seed {seed}");
-        let summary = s2_sim::run_workspace_many(seed, scenarios, verbose);
-        println!("{}", summary.summary_line());
-        if !summary.failures.is_empty() {
-            println!("\nreproduce with:");
-            for v in &summary.failures {
-                println!(
-                    "  cargo run -p s2-sim -- --scenario workspace --seed {} --scenarios 1",
-                    v.seed
-                );
-            }
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    if scenario == "outage" {
-        println!("s2-sim: {scenarios} outage drills from seed {seed}");
-        let summary = s2_sim::run_outage_many(seed, scenarios, verbose);
-        println!("{}", summary.summary_line());
-        if !summary.failures.is_empty() {
-            println!("\nreproduce with:");
-            for v in &summary.failures {
-                println!(
-                    "  cargo run -p s2-sim -- --scenario outage --seed {} --scenarios 1",
-                    v.seed
-                );
-            }
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    println!("s2-sim: {scenarios} scenarios from seed {seed}");
-    let summary = s2_sim::run_many(seed, scenarios, verbose);
+    println!("s2-sim: {scenarios} {} drills from seed {seed}", drill.name);
+    let summary = s2_sim::sweep(drill, seed, scenarios, verbose);
     println!("{}", summary.summary_line());
     if !summary.failures.is_empty() {
         println!("\nreproduce with:");
         for v in &summary.failures {
-            println!("  cargo run -p s2-sim -- --seed {} --scenarios 1", v.seed);
+            println!(
+                "  cargo run -p s2-sim -- --scenario {} --seed {} --scenarios 1",
+                drill.name, v.seed
+            );
         }
         std::process::exit(1);
     }
+}
+
+fn parse<T: FromStr>(value: Option<String>, msg: &str) -> T {
+    value.and_then(|v| v.parse().ok()).unwrap_or_else(|| die(msg))
 }
 
 fn die(msg: &str) -> ! {

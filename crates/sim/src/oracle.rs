@@ -30,7 +30,7 @@ pub struct Oracle {
     /// leader made the batch durable but before the committer woke — the
     /// record legally survives recovery even though the client was never
     /// acknowledged. Recovery reconciles against this (see
-    /// `scenario::reconcile_pending`) and always clears it.
+    /// `crash::reconcile_pending`) and always clears it.
     pub pending: Option<Model>,
 }
 
@@ -54,17 +54,6 @@ impl Oracle {
         self.acked_lp = self.acked_lp.max(acked);
     }
 
-    /// Expected table contents at log position `lp` (latest commit ≤ `lp`).
-    pub fn state_at(&self, lp: LogPosition) -> &Model {
-        &self
-            .history
-            .iter()
-            .rev()
-            .find(|(h, _)| *h <= lp)
-            .expect("history has a floor entry at 0")
-            .1
-    }
-
     /// Rewind to the survivor state after a crash truncated the log at
     /// `survivor_lp`: commits above it are forgotten (they were never
     /// acknowledged — callers check `acked_lp <= survivor_lp` first).
@@ -73,16 +62,6 @@ impl Oracle {
             self.history.pop();
         }
         self.model = self.history.last().expect("floor entry").1.clone();
-    }
-
-    /// Number of commits recorded (excluding the floor entry).
-    pub fn commits(&self) -> usize {
-        self.history.len() - 1
-    }
-
-    /// Commit positions recorded so far (excluding the floor entry).
-    pub fn commit_lps(&self) -> Vec<LogPosition> {
-        self.history.iter().skip(1).map(|(lp, _)| *lp).collect()
     }
 }
 
@@ -106,11 +85,12 @@ mod tests {
         o.record_commit(100, m(&[(1, 1)]));
         o.record_commit(200, m(&[(1, 1), (2, 2)]));
         o.record_commit(300, m(&[(2, 2)]));
-        assert_eq!(o.state_at(250), &m(&[(1, 1), (2, 2)]));
-        assert_eq!(o.state_at(50), &m(&[]));
         o.rewind_to(210);
         assert_eq!(o.model, m(&[(1, 1), (2, 2)]));
-        assert_eq!(o.commits(), 2);
+        // The commit at 300 is forgotten: a new one at 250 records cleanly.
+        o.record_commit(250, m(&[(1, 1)]));
+        o.rewind_to(50);
+        assert_eq!(o.model, m(&[]));
     }
 
     #[test]

@@ -85,11 +85,6 @@ impl FaultPlan {
         self.state.lock().trace.clone()
     }
 
-    /// Number of Crash decisions issued.
-    pub fn crash_count(&self) -> u64 {
-        self.state.lock().trace.iter().filter(|t| t.ends_with(":crash")).count() as u64
-    }
-
     /// Number of Error decisions issued.
     pub fn error_count(&self) -> u64 {
         self.state.lock().trace.iter().filter(|t| t.ends_with(":error")).count() as u64

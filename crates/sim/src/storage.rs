@@ -67,11 +67,6 @@ impl SimFileStore {
         let inner = self.inner.lock();
         inner.local.keys().filter(|k| !inner.uploaded.contains(*k)).count()
     }
-
-    /// Number of files held locally.
-    pub fn local_files(&self) -> usize {
-        self.inner.lock().local.len()
-    }
 }
 
 impl DataFileStore for SimFileStore {

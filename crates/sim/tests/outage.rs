@@ -1,27 +1,17 @@
-//! Integration tests for the blob-outage drill: the seeded scenario upholds
-//! its invariants across a seed sweep, exercises a genuine outage window,
-//! and replays deterministically.
+//! Integration test for the blob-outage drill: the seeded drill upholds its
+//! invariants across a seed sweep and exercises a genuine outage window.
 
-use s2_sim::{run_outage_many, run_outage_scenario};
+use s2_sim::{drill, sweep};
 
 #[test]
 fn outage_drills_uphold_invariants() {
-    let summary = run_outage_many(0xB10B, 4, false);
+    let summary = sweep(drill("outage").expect("outage drill"), 0xB10B, 4, false);
     for v in &summary.failures {
         eprintln!("{v}");
     }
     assert!(summary.failures.is_empty(), "{} drill(s) violated invariants", summary.failures.len());
     // The drill is only meaningful if commits actually landed while the
     // store rejected 100% of traffic and a backlog built up.
-    assert!(summary.commits_during_outage > 0, "no commits acked during outage");
-    assert!(summary.backlog_peak > 0, "no upload backlog ever accumulated");
-}
-
-#[test]
-fn same_seed_replays_identical_trace() {
-    let a = run_outage_scenario(90210).expect("drill failed");
-    let b = run_outage_scenario(90210).expect("drill failed on replay");
-    assert_eq!(a.trace, b.trace, "outage drill is not seed-deterministic");
-    assert_eq!(a.commits, b.commits);
-    assert_eq!(a.commits_during_outage, b.commits_during_outage);
+    assert!(summary.get("commits_during_outage") > 0, "no commits acked during outage");
+    assert!(summary.get("backlog_peak") > 0, "no upload backlog ever accumulated");
 }

@@ -1,5 +1,5 @@
-//! Acceptance tests for the crash-recovery harness: the seeded smoke sweep,
-//! byte-for-byte trace reproducibility, and targeted kill-point checks.
+//! Acceptance tests for the simulator: the seeded crash smoke sweep,
+//! same-seed replay of every drill, and targeted kill-point checks.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -12,14 +12,16 @@ use s2_common::fault::{CrashPoint, FaultHook};
 use s2_common::schema::ColumnDef;
 use s2_common::{DataType, Row, Schema, TableOptions, Value};
 use s2_core::{DataFileStore, MemFileStore, Partition};
-use s2_sim::{harness_lock, install_quiet_panic_hook, run_many, run_scenario, FaultPlan};
+use s2_sim::{
+    drill, harness_lock, install_quiet_panic_hook, sweep, Agg, FaultPlan, Report, DRILLS,
+};
 use s2_wal::Log;
 
-/// The CI smoke: 200 randomized crash-recovery scenarios under a fixed
-/// seed must uphold every invariant.
+/// The CI smoke: 200 randomized crash-recovery drills under a fixed seed
+/// must uphold every invariant.
 #[test]
 fn smoke_200_scenarios_zero_violations() {
-    let summary = run_many(42, 200, false);
+    let summary = sweep(drill("crash").expect("crash drill"), 42, 200, false);
     assert_eq!(summary.scenarios, 200);
     assert!(
         summary.failures.is_empty(),
@@ -27,24 +29,27 @@ fn smoke_200_scenarios_zero_violations() {
         summary.failures.iter().map(|v| v.seed).collect::<Vec<_>>()
     );
     // The sweep must actually exercise the machinery, not vacuously pass.
-    assert!(summary.crashes > 50, "only {} crashes injected", summary.crashes);
-    assert!(summary.commits > 1000, "only {} commits", summary.commits);
-    assert!(summary.pitr_checks > 100, "only {} PITR checks", summary.pitr_checks);
-    assert!(summary.replica_scenarios > 20, "only {} replica runs", summary.replica_scenarios);
+    assert!(summary.get("crashes") > 50, "only {} crashes injected", summary.get("crashes"));
+    assert!(summary.get("commits") > 1000, "only {} commits", summary.get("commits"));
+    assert!(summary.get("pitr_checks") > 100, "only {} PITR checks", summary.get("pitr_checks"));
+    assert!(summary.get("replicated") > 20, "only {} replica runs", summary.get("replicated"));
 }
 
-/// Same seed ⇒ identical kill-point trace and identical outcome.
+/// Same seed ⇒ identical trace and identical seed-determined counters, in
+/// every drill of the table.
 #[test]
-fn same_seed_reproduces_identical_trace() {
-    for seed in [7u64, 1234, 0xDEAD] {
-        let a = run_scenario(seed).expect("scenario passes");
-        let b = run_scenario(seed).expect("scenario passes");
-        assert_eq!(a.trace, b.trace, "trace diverged for seed {seed}");
-        assert_eq!(a.commits, b.commits);
-        assert_eq!(a.crashes, b.crashes);
-        assert_eq!(a.recoveries, b.recoveries);
-        assert_eq!(a.pitr_checks, b.pitr_checks);
-        assert_eq!(a.replica_mode, b.replica_mode);
+fn same_seed_replays_identical_trace_in_every_drill() {
+    let seeded = |r: &Report| -> Vec<(&str, u64)> {
+        r.counters.iter().filter(|c| c.1 == Agg::Sum).map(|c| (c.0, c.2)).collect()
+    };
+    for d in DRILLS {
+        for seed in [7u64, 1234, 0xDEAD] {
+            let a = d.run(seed).unwrap_or_else(|v| panic!("{} drill: {v}", d.name));
+            let b = d.run(seed).unwrap_or_else(|v| panic!("{} drill replay: {v}", d.name));
+            assert!(!a.trace.is_empty(), "{} drill traced nothing for seed {seed}", d.name);
+            assert_eq!(a.trace, b.trace, "{} trace diverged for seed {seed}", d.name);
+            assert_eq!(seeded(&a), seeded(&b), "{} counters diverged for seed {seed}", d.name);
+        }
     }
 }
 
@@ -52,11 +57,12 @@ fn same_seed_reproduces_identical_trace() {
 /// path every time).
 #[test]
 fn different_seeds_diverge() {
-    let a = run_scenario(1).expect("scenario passes");
-    let b = run_scenario(2).expect("scenario passes");
+    let crash = drill("crash").expect("crash drill");
+    let a = crash.run(1).expect("drill passes");
+    let b = crash.run(2).expect("drill passes");
     assert_ne!(
-        (a.trace.clone(), a.commits, a.steps),
-        (b.trace.clone(), b.commits, b.steps),
+        (a.trace, a.counters),
+        (b.trace, b.counters),
         "seeds 1 and 2 produced identical runs"
     );
 }

@@ -12,8 +12,8 @@ echo "== fmt =="
 cargo fmt --all -- --check
 
 echo "== analyze =="
-# Workspace analyzer (crates/analyze): per-line rules R1-R6 (wall-clock,
-# unwrap, blocking, SAFETY comments, metric-name style, raw std::sync
+# Workspace analyzer (crates/analyze): per-line rules R1, R2, R4-R6
+# (wall-clock, unwrap, SAFETY comments, metric-name style, raw std::sync
 # locks) plus the interprocedural checks L1-L4 (static lock-order over
 # the call graph, blocking-while-commit-lock-held, failpoint coverage of
 # WAL/blob mutation sites, metric registry <-> DESIGN.md sync). One line
@@ -39,26 +39,24 @@ S2_SCAN_THREADS=1 cargo test -q "${CARGO_FLAGS[@]}"
 S2_SCAN_THREADS=8 cargo test -q "${CARGO_FLAGS[@]}"
 cargo test -q -p s2-exec "${CARGO_FLAGS[@]}" -- --test-threads=8
 
-echo "== sim: crash-recovery smoke (200 seeded scenarios) =="
-# Deterministic fault-injection sweep over the commit/upload/restore path.
-# A failure prints replayable seeds — record them in EXPERIMENTS.md
-# ("Sim failure seeds") alongside the commit hash before fixing.
-cargo test -p s2-sim -q "${CARGO_FLAGS[@]}"
-cargo run -p s2-sim --release "${CARGO_FLAGS[@]}" -- --seed 42 --scenarios 200
-
-echo "== sim: blob-outage drills (25 seeded drills) =="
-# Resilience-layer contract under transient bursts, a sustained 100% blob
-# outage, and latency spikes: commits keep acking, cold reads fail fast
-# within budget, and the upload backlog fully drains after recovery.
-# Failing seeds replay with --scenario outage --seed N --scenarios 1.
-cargo run -p s2-sim --release "${CARGO_FLAGS[@]}" -- --scenario outage --seed 42 --scenarios 25
+echo "== sim =="
+# Every drill of the s2-sim table, seeded: crash (kill points over the
+# commit/upload/restore path, replica failover, PITR), group (the same with
+# the wal.group.* kill points boosted 4x), outage (transient bursts, a
+# sustained 100% blob outage, a latency spike, full backlog drain),
+# workspace (fleet churn with kill points, a blob outage, convergence to
+# the primary) and sql (generated queries vs a plain-Rust oracle). A
+# failure prints `--scenario NAME --seed N --scenarios 1`, which replays the
+# same trace — record it in EXPERIMENTS.md ("Sim failure seeds") with the
+# commit hash before fixing.
+cargo test -q -p s2-sim "${CARGO_FLAGS[@]}"
+for drill in crash:200 group:30 outage:25 workspace:25 sql:12; do
+    cargo run -p s2-sim --release "${CARGO_FLAGS[@]}" -- \
+        --scenario "${drill%:*}" --seed 42 --scenarios "${drill#*:}"
+done
 
 echo "== workspace: elastic fleets + crash recovery =="
-# Workspace fleet drills: provision/detach churn with kill points at
-# workspace.provision / pitr.restore / workspace.detach, transient blob
-# bursts, a total outage (provisioning pauses, attached workspaces keep
-# serving) and recovery (fleet converges byte-for-byte to the primary).
-# Failing seeds replay with --scenario workspace --seed N --scenarios 1.
+# Workspace provisioning, detach and fleet catch-up against a live cluster.
 cargo test -q -p s2-cluster --test workspace "${CARGO_FLAGS[@]}"
 # Crash recovery must be byte-identical to streaming the same log through
 # the replica tail-apply path; its index build (from the segments' inverted
@@ -66,30 +64,21 @@ cargo test -q -p s2-cluster --test workspace "${CARGO_FLAGS[@]}"
 # and replay must read each surviving data file once and a dropped one never.
 cargo test -q -p s2-core --test recovery_parallel --test index_build --test recovery_files \
     "${CARGO_FLAGS[@]}"
-cargo run -p s2-sim --release "${CARGO_FLAGS[@]}" -- --scenario workspace --seed 42 --scenarios 25
 
-echo "== tpcc: group-commit pipeline (contended smoke + crash drills) =="
+echo "== tpcc: group-commit pipeline (contended smoke) =="
 # Contended TPC-C over a sync-replicated cluster: TPC-C consistency under
 # 8 racing terminals plus the fsyncs-strictly-under-commits batching check.
 cargo test -q --release --test tpcc_contended "${CARGO_FLAGS[@]}"
 # Randomized committer interleavings: acked ⇒ durable, monotonic commit
 # timestamps, recovered state == model with one Commit frame per commit.
 cargo test -q --release -p s2-core --test group_commit "${CARGO_FLAGS[@]}"
-# Group-commit crash drills: wal.group.{append,sync,handoff} kill points at
-# boosted rates; a crash between batch append and fsync must never surface
-# an acked commit, and a leader killed mid-handoff must not strand parked
-# followers. Failing seeds replay with --scenario group --seed N.
-cargo run -p s2-sim --release "${CARGO_FLAGS[@]}" -- --scenario group --seed 42 --scenarios 30
 
-echo "== sql: planner suites + bench equivalence + randomized oracle =="
+echo "== sql: planner suites + bench equivalence =="
 # The SQL front end's contract: parser total + round-trip (proptests),
-# planner pushdown/pruning/cost tests, every TPC-H/CH bench query's SQL
-# form byte-identical to its hand-built plan, and seeded generated
-# SELECTs checked cell-by-cell against a plain-Rust oracle. Failing
-# drill seeds replay with --scenario sql --seed N --scenarios 1.
+# planner pushdown/pruning/cost tests, and every TPC-H/CH bench query's SQL
+# form byte-identical to its hand-built plan.
 cargo test -q -p s2-sql "${CARGO_FLAGS[@]}"
 cargo test -q -p s2-workloads --test sql_equivalence "${CARGO_FLAGS[@]}"
-cargo run -p s2-sim --release "${CARGO_FLAGS[@]}" -- --scenario sql --seed 42 --scenarios 12
 
 echo "== encoded: domain-execution equivalence =="
 # Encoded-domain execution's contract: over randomized multi-segment tables
