@@ -452,6 +452,7 @@ impl Partition {
         }
         rs.commit(flush_txn, ts, &keys);
         drop(rs);
+        s2_common::fault::crash_point("core.publish");
 
         let n = built.len();
         // Fresh segments: every deleted bit in these metas is clear.
@@ -570,6 +571,7 @@ impl Partition {
             }
             state.runs.retain(|run| run.iter().all(|id| !input_ids.contains(id)));
         }
+        s2_common::fault::crash_point("core.publish");
         let out_metas: Vec<SegmentMeta> = built.iter().map(|(m, _)| m.clone()).collect();
         table.install_run(built, true)?;
 
@@ -1071,6 +1073,7 @@ impl Partition {
                 // Install every segment as ONE run, mirroring the live flush
                 // (a flush produces a single sorted run).
                 t.install_run(self.load_run(&t, metas, replay.as_deref())?, !deferred)?;
+                s2_common::fault::crash_point("core.publish");
                 let rs = t.rowstore.read();
                 for key in &removed_keys {
                     rs.install_committed(key, None, commit_ts);
@@ -1107,6 +1110,7 @@ impl Partition {
                                 *core.deleted.write() = Arc::new(bits);
                             }
                         }
+                        s2_common::fault::crash_point("core.publish");
                     }
                 }
                 if !deferred {
@@ -1125,6 +1129,7 @@ impl Partition {
                     }
                     state.runs.retain(|run| run.iter().all(|id| !dropped.contains(id)));
                 }
+                s2_common::fault::crash_point("core.publish");
                 t.install_run(run, !deferred)?;
                 if !deferred {
                     self.bump_commit_ts(commit_ts);
