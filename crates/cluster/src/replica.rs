@@ -357,8 +357,8 @@ mod tests {
         let snap = replica.partition.read_snapshot();
         assert_eq!(snap.table(t2).unwrap().live_row_count(), 300);
         // Replica's segment state mirrors the merged structure.
-        let m_segs = master.table(t).unwrap().live_segments().len();
-        let r_segs = replica.partition.table(t2).unwrap().live_segments().len();
+        let m_segs = master.table(t).unwrap().version().segments().count();
+        let r_segs = replica.partition.table(t2).unwrap().version().segments().count();
         assert_eq!(m_segs, r_segs);
     }
 

@@ -68,12 +68,12 @@ pub mod rank {
     pub static CORE_TABLES: LockClass = LockClass { order: 310, name: "core.tables" };
     /// Partition pinned-snapshot refcounts.
     pub static CORE_PINNED: LockClass = LockClass { order: 315, name: "core.pinned" };
-    /// Per-table rowstore (held across flush while table state is taken).
+    /// Partition list of retired data files awaiting deletion.
+    pub static CORE_RETIRED: LockClass = LockClass { order: 316, name: "core.retired" };
+    /// Per-table rowstore (held across flush while the version is published).
     pub static CORE_ROWSTORE: LockClass = LockClass { order: 318, name: "core.rowstore" };
-    /// Per-table columnstore state (segment list, rowstore handle).
-    pub static CORE_TABLE_STATE: LockClass = LockClass { order: 320, name: "core.table_state" };
-    /// Per-segment delete bitvectors.
-    pub static CORE_SEG_DELETED: LockClass = LockClass { order: 325, name: "core.seg_deleted" };
+    /// Per-table published columnstore version slot.
+    pub static CORE_TABLE_VERSION: LockClass = LockClass { order: 320, name: "core.table_version" };
     /// Data-file store map.
     pub static CORE_SEGFILES: LockClass = LockClass { order: 330, name: "core.segfiles" };
     /// Group-commit queue state (taken under the commit lock by submitters;
@@ -138,9 +138,9 @@ pub mod rank {
         ("CORE_COMMIT", &CORE_COMMIT),
         ("CORE_TABLES", &CORE_TABLES),
         ("CORE_PINNED", &CORE_PINNED),
+        ("CORE_RETIRED", &CORE_RETIRED),
         ("CORE_ROWSTORE", &CORE_ROWSTORE),
-        ("CORE_TABLE_STATE", &CORE_TABLE_STATE),
-        ("CORE_SEG_DELETED", &CORE_SEG_DELETED),
+        ("CORE_TABLE_VERSION", &CORE_TABLE_VERSION),
         ("CORE_SEGFILES", &CORE_SEGFILES),
         ("WAL_GROUP", &WAL_GROUP),
         ("WAL_LOG", &WAL_LOG),

@@ -6,8 +6,8 @@
 //! (`s2-index`). Key properties reproduced from the paper:
 //!
 //! - **No merge-based reconciliation during reads**: deletes are a bit
-//!   vector in segment metadata, applied as a filter during scans, never a
-//!   tombstone merge across LSM levels.
+//!   vector per segment of the published table version, applied as a
+//!   filter during scans, never a tombstone merge across LSM levels.
 //! - **Row-level locking via move transactions** (§4.2): updates/deletes of
 //!   segment-resident rows first relocate them into the rowstore in an
 //!   autonomous, content-preserving transaction; the rowstore's primary key
@@ -30,5 +30,5 @@ pub use record::{
     EngineRecord, RowOp, REC_COMMIT, REC_CREATE_TABLE, REC_FLUSH, REC_MERGE, REC_MOVE,
 };
 pub use segfile::{file_name, DataFileStore, MemFileStore, SegmentFile};
-pub use table::{IndexProbe, SegmentCore, SegmentSnap, Table, TableSnapshot};
+pub use table::{IndexProbe, SegmentCore, SegmentSnap, Table, TableSnapshot, TableVersion};
 pub use txn::{DuplicatePolicy, InsertReport, RowLocation, Txn};

@@ -4,9 +4,13 @@
 //! A partition is the unit of durability and replication in S2DB (paper §2,
 //! §3): it owns one log, one commit-timestamp sequence, and the tables'
 //! partition-local data. Every state-changing commit (user transaction,
-//! flush, move, merge) runs under the partition's commit lock, which also
-//! orders read-snapshot acquisition — giving partition-local snapshot
-//! isolation (paper §2.1.2).
+//! flush, move, merge, and a replica's apply of one) runs under the
+//! partition's commit lock, which also orders read-snapshot acquisition —
+//! giving partition-local snapshot isolation (paper §2.1.2). Each
+//! columnstore change is one [`Table::publish`] of a new table version
+//! under that lock, and a row's new home is published before its old copy
+//! is retired. Vacuum frees MVCC versions and deletes retired data files;
+//! a retired segment's memory goes when the last version holding it does.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -23,7 +27,7 @@ use s2_wal::{GroupCommit, Log, RecordIter, Snapshot};
 
 use crate::record::{self, EngineRecord, RowOp};
 use crate::segfile::{file_name, DataFileStore, SegmentFile};
-use crate::table::{SegmentCore, Table, TableSnapshot};
+use crate::table::{SegmentCore, SegmentSnap, Table, TableSnapshot, TableVersion};
 
 /// Snapshot blob magic ("S2PS").
 const PARTITION_SNAPSHOT_MAGIC: u32 = 0x5350_3253;
@@ -31,9 +35,8 @@ const PARTITION_SNAPSHOT_MAGIC: u32 = 0x5350_3253;
 /// Per-table state threaded through one replay worker.
 #[derive(Default)]
 struct ReplayCtx {
-    /// `Move` tombstones, batched for a single copy-on-write install per
-    /// surviving segment at queue end.
-    pending_deletes: HashMap<SegmentId, Vec<u32>>,
+    /// `Move` tombstones, batched into one publish at queue end.
+    pending_deletes: Vec<(SegmentId, Vec<u32>)>,
     /// Segments some `Merge` of this table's queue drops. Segment ids are
     /// never reused and a merge only drops what exists, so a flush or merge
     /// output found here is dropped by a *later* record of the replayed
@@ -65,6 +68,9 @@ pub struct Partition {
     /// Log position of the newest rowstore snapshot: recovery replays only
     /// records at or after it, which bounds which data files replay can need.
     last_snapshot_lp: AtomicU64,
+    /// Data files of segments a merge retired: (file, merge timestamp, log
+    /// position just past the merge record).
+    retired: Mutex<Vec<(String, Timestamp, LogPosition)>>,
 }
 
 impl Partition {
@@ -88,6 +94,7 @@ impl Partition {
             pinned: Mutex::new(&rank::CORE_PINNED, BTreeMap::new()),
             merge_policy: MergePolicy::default(),
             last_snapshot_lp: AtomicU64::new(0),
+            retired: Mutex::new(&rank::CORE_RETIRED, Vec::new()),
         })
     }
 
@@ -275,19 +282,19 @@ impl Partition {
         // Queued commit records must precede the Move record in the stream.
         self.group.flush_queued(&self.log);
         let ts = self.commit_ts() + 1;
+        let version = table.version();
         let mut inserts: Vec<(Vec<Value>, Row)> = Vec::with_capacity(targets.len());
         let mut bits_by_seg: HashMap<SegmentId, Vec<u32>> = HashMap::new();
         let rs = table.rowstore.read();
         for (core, off) in targets {
             // Re-validate under the lock: the segment may have been merged
             // away or the row deleted since the caller located it.
-            let (core, off) = if core.is_dropped() || core.deleted.read().get(*off as usize) {
-                match self.relocate(table, core, *off)? {
+            let (core, off) = match version.segment(core.meta.id) {
+                Some(seg) if !seg.deleted.get(*off as usize) => (Arc::clone(&seg.core), *off),
+                _ => match self.relocate(table, &version, core, *off)? {
                     Some(loc) => loc,
                     None => continue, // row no longer exists anywhere: skip
-                }
-            } else {
-                (Arc::clone(core), *off)
+                },
             };
             let row = core.reader.row(off as usize)?;
             let key = table.rowstore_key(&row);
@@ -298,29 +305,21 @@ impl Partition {
         if inserts.is_empty() {
             return Ok(inserts);
         }
-        // Commit the moved copies immediately, keeping locks for the user.
+        // The rows' new home first: commit the rowstore copies, keeping the
+        // locks for the user. Then retire the segment copies in one publish.
         let keys: Vec<Vec<Value>> = inserts.iter().map(|(k, _)| k.clone()).collect();
         rs.commit_keep_locked(user_txn, ts, &keys);
         drop(rs);
-        // Install new deleted bit vectors (copy-on-write).
-        let state = table.state.read();
-        for (seg, offs) in &bits_by_seg {
-            if let Some(core) = state.segments.get(seg) {
-                let mut bits = (**core.deleted.read()).clone();
-                for &o in offs {
-                    bits.set(o as usize);
-                }
-                *core.deleted.write() = Arc::new(bits);
-            }
-        }
-        drop(state);
-        s2_obs::counter!("core.move.txns").inc();
-        s2_obs::counter!("core.move.rows").add(inserts.len() as u64);
         // Canonical segment order keeps the record bytes (and therefore log
         // positions) independent of hash-map iteration order — replayable
         // runs depend on the log stream being a pure function of the workload.
         let mut deleted: Vec<(SegmentId, Vec<u32>)> = bits_by_seg.into_iter().collect();
         deleted.sort_by_key(|(seg, _)| *seg);
+        let mut next = TableVersion::clone(&version);
+        next.delete_rows(&deleted);
+        table.publish(next);
+        s2_obs::counter!("core.move.txns").inc();
+        s2_obs::counter!("core.move.rows").add(inserts.len() as u64);
         let rec = EngineRecord::Move {
             table: table.id,
             commit_ts: ts,
@@ -332,36 +331,27 @@ impl Partition {
         Ok(inserts)
     }
 
-    /// Find the current location of the row that used to live at
-    /// (`stale_core`, `off`): the paper's "extra scanning pass on newly
-    /// created segments ... to find the latest versions of the locked rows".
+    /// Find where the row that used to live at (`stale`, `off`) lives in
+    /// `version`: the paper's "extra scanning pass on newly created segments
+    /// ... to find the latest versions of the locked rows".
     fn relocate(
         &self,
-        table: &Arc<Table>,
-        stale_core: &Arc<SegmentCore>,
+        table: &Table,
+        version: &TableVersion,
+        stale: &SegmentCore,
         off: u32,
     ) -> Result<Option<(Arc<SegmentCore>, u32)>> {
-        let row = stale_core.reader.row(off as usize)?;
+        let row = stale.reader.row(off as usize)?;
         // Prefer the unique index when one exists.
         if let Some(cols) = &table.unique_cols {
-            let key = row.project(cols);
-            let hits = table.index_probe_latest(cols, &key)?;
-            for (core, rows) in hits {
-                if let Some(&r) = rows.first() {
-                    return Ok(Some((core, r)));
-                }
-            }
-            return Ok(None);
+            let hits = version.probe(cols, &row.project(cols))?;
+            return Ok(hits.into_iter().find_map(|(core, rows)| Some((core, *rows.first()?))));
         }
         // No unique key: scan live segments for an identical, live row.
-        for core in table.live_segments() {
-            let deleted = core.deleted_bits();
-            for ri in 0..core.meta.row_count {
-                if deleted.get(ri) {
-                    continue;
-                }
-                if core.reader.row(ri)? == row {
-                    return Ok(Some((core, ri as u32)));
+        for seg in version.segments() {
+            for ri in (0..seg.core.meta.row_count).filter(|&ri| !seg.deleted.get(ri)) {
+                if seg.core.reader.row(ri)? == row {
+                    return Ok(Some((Arc::clone(&seg.core), ri as u32)));
                 }
             }
         }
@@ -416,26 +406,17 @@ impl Partition {
             });
         }
 
-        let indexed_cols: Vec<usize> = {
-            let state = table.state.read();
-            state.indexes.indexed_columns()
-        };
         let file_id = self.log.end_lp();
         let ts = self.commit_ts() + 1;
 
         // Build one sorted run (possibly several segments) and its files.
         let mut built: Vec<(SegmentMeta, SegmentFile)> = Vec::new();
-        {
-            let mut state = table.state.write();
-            for chunk in rows.chunks(table.options.segment_rows) {
-                let id = state.next_segment_id;
-                state.next_segment_id += 1;
-                let (mut meta, data) =
-                    s2_columnstore::build_segment(id, chunk.to_vec(), &table.schema, &sort_key)?;
-                meta.file_id = file_id;
-                let inverted = table.build_inverted(chunk, &indexed_cols);
-                built.push((meta, SegmentFile { data, inverted }));
-            }
+        for chunk in rows.chunks(table.options.segment_rows) {
+            let id = table.next_segment_id.fetch_add(1, Ordering::Relaxed);
+            let (mut meta, data) =
+                s2_columnstore::build_segment(id, chunk.to_vec(), &table.schema, &sort_key)?;
+            meta.file_id = file_id;
+            built.push((meta, SegmentFile { data, inverted: table.build_inverted(chunk) }));
         }
         // Crash here = power loss before any flush effect reached disk; the
         // rowstore rows are still the only copy and recovery must keep them.
@@ -445,19 +426,20 @@ impl Partition {
                 .write_file(&file_name(&self.name, file_id, meta.id), Arc::new(file.encode()))?;
         }
 
-        // Atomic state change: delete flushed keys from the rowstore and
-        // install the new run, all at timestamp `ts`.
-        for key in &keys {
-            rs.write(flush_txn, key, None)?; // lock already held by flush_txn
-        }
-        rs.commit(flush_txn, ts, &keys);
-        drop(rs);
-        s2_common::fault::crash_point("core.publish");
-
+        // State change at `ts`: publish the new run, then retire the flushed
+        // keys' rowstore copies. A latest read checks the rowstore first, so
+        // it finds every row in one place or the other.
         let n = built.len();
         // Fresh segments: every deleted bit in these metas is clear.
         let metas: Vec<SegmentMeta> = built.iter().map(|(m, _)| m.clone()).collect();
-        table.install_run(built, true)?;
+        let mut next = TableVersion::clone(&table.version());
+        next.add_run(built.into_iter().map(|(m, f)| SegmentSnap::open(m, f)).collect(), true)?;
+        for key in &keys {
+            rs.write(flush_txn, key, None)?; // lock already held by flush_txn
+        }
+        table.publish(next);
+        rs.commit(flush_txn, ts, &keys);
+        drop(rs);
 
         // Log: ONE Flush record covering every segment plus the key removals.
         // A single frame is all-or-nothing under torn-tail truncation; with
@@ -491,45 +473,23 @@ impl Partition {
         // Queued commit records must precede the Merge record in the stream.
         self.group.flush_queued(&self.log);
 
-        let (input_ids, inputs, mut next_id) = {
-            let state = table.state.read();
-            let run_sizes: Vec<usize> = state
-                .runs
-                .iter()
-                .map(|run| {
-                    run.iter().filter_map(|id| state.segments.get(id)).map(|c| c.live_rows()).sum()
-                })
-                .collect();
-            let Some(plan) = self.merge_policy.plan(&run_sizes) else {
-                return Ok(false);
-            };
-            let mut ids = Vec::new();
-            for &ri in &plan {
-                ids.extend(state.runs[ri].iter().copied());
-            }
-            let inputs: Vec<Arc<SegmentCore>> =
-                ids.iter().filter_map(|id| state.segments.get(id).cloned()).collect();
-            (ids, inputs, state.next_segment_id)
-        };
-        if inputs.is_empty() {
+        let current = table.version();
+        let run_sizes: Vec<usize> =
+            current.runs.iter().map(|run| run.iter().map(SegmentSnap::live_rows).sum()).collect();
+        let Some(plan) = self.merge_policy.plan(&run_sizes) else {
             return Ok(false);
-        }
+        };
+        let inputs: Vec<&SegmentSnap> = plan.iter().flat_map(|&ri| &current.runs[ri]).collect();
         let timer = s2_obs::histogram!("core.merge.latency_us").start_timer();
         s2_obs::counter!("core.merge.segments_in").add(inputs.len() as u64);
 
-        // Merge with each input's *current* deleted bits (no move can race:
-        // we hold the commit lock).
-        let metas: Vec<SegmentMeta> = inputs
-            .iter()
-            .map(|c| {
-                let mut m = c.meta.clone();
-                m.deleted = (*c.deleted_bits()).clone();
-                m
-            })
-            .collect();
+        // Merge with each input's delete bits in the current version (no
+        // move can race: we hold the commit lock).
+        let metas: Vec<SegmentMeta> = inputs.iter().map(|s| s.meta_with_bits()).collect();
         let pairs: Vec<(&SegmentMeta, &SegmentReader)> =
-            metas.iter().zip(inputs.iter()).map(|(m, c)| (m, &c.reader)).collect();
+            metas.iter().zip(&inputs).map(|(m, s)| (m, &s.core.reader)).collect();
         let sort_key = table.options.sort_key.clone();
+        let mut next_id = table.next_segment_id.load(Ordering::Relaxed);
         let merged = merge_segments(
             &pairs,
             &table.schema,
@@ -538,10 +498,6 @@ impl Partition {
             table.options.segment_rows,
         )?;
 
-        let indexed_cols: Vec<usize> = {
-            let state = table.state.read();
-            state.indexes.indexed_columns()
-        };
         let file_id = self.log.end_lp();
         let ts = self.commit_ts() + 1;
 
@@ -549,7 +505,7 @@ impl Partition {
         for m in merged {
             let mut meta = m.meta;
             meta.file_id = file_id;
-            let inverted = table.build_inverted(&m.rows, &indexed_cols);
+            let inverted = table.build_inverted(&m.rows);
             built.push((meta, SegmentFile { data: m.data, inverted }));
         }
         // A failed write aborts the merge before any state changed (inputs
@@ -560,40 +516,25 @@ impl Partition {
                 .write_file(&file_name(&self.name, file_id, meta.id), Arc::new(file.encode()))?;
         }
 
-        // State change: retire inputs, install the output run.
-        {
-            let mut state = table.state.write();
-            state.next_segment_id = state.next_segment_id.max(next_id);
-            for id in &input_ids {
-                if let Some(core) = state.segments.get(id) {
-                    core.dropped_ts.store(ts, Ordering::Release);
-                }
-            }
-            state.runs.retain(|run| run.iter().all(|id| !input_ids.contains(id)));
-        }
-        s2_common::fault::crash_point("core.publish");
+        // State change: one publish retires the inputs and installs the
+        // output run.
+        table.next_segment_id.fetch_max(next_id, Ordering::Relaxed);
+        let dropped: Vec<SegmentId> = inputs.iter().map(|s| s.core.meta.id).collect();
         let out_metas: Vec<SegmentMeta> = built.iter().map(|(m, _)| m.clone()).collect();
-        table.install_run(built, true)?;
+        let mut next = TableVersion::clone(&current);
+        next.retire(&dropped);
+        next.add_run(built.into_iter().map(|(m, f)| SegmentSnap::open(m, f)).collect(), true)?;
+        table.publish(next);
 
-        let rec = EngineRecord::Merge {
-            table: table.id,
-            commit_ts: ts,
-            dropped: input_ids.clone(),
-            metas: out_metas,
-        };
+        let rec = EngineRecord::Merge { table: table.id, commit_ts: ts, dropped, metas: out_metas };
         // Crash here = merge applied in memory but unlogged: recovery replays
         // the pre-merge structure, which is content-equivalent (merges are
         // content-preserving reorganizations).
         s2_common::fault::crash_point("core.merge.log");
         let (_, merge_end_lp) = self.log.append(rec.kind(), &rec.encode());
-        {
-            let state = table.state.read();
-            for id in &input_ids {
-                if let Some(core) = state.segments.get(id) {
-                    core.dropped_lp.store(merge_end_lp, Ordering::Release);
-                }
-            }
-        }
+        self.retired.lock().extend(inputs.iter().map(|s| {
+            (file_name(&self.name, s.core.meta.file_id, s.core.meta.id), ts, merge_end_lp)
+        }));
         self.commit_ts.store(ts, Ordering::Release);
         s2_obs::counter!("core.merge.runs").inc();
         timer.stop();
@@ -602,64 +543,35 @@ impl Partition {
 
     // ---- vacuum ----------------------------------------------------------
 
-    /// Reclaim MVCC versions, retired segments and stale global-index levels
-    /// that no active snapshot can observe. Returns (segments reclaimed,
-    /// rowstore versions freed).
+    /// Reclaim MVCC versions no active snapshot can observe, and delete the
+    /// data files of retired segments. Returns (data files deleted,
+    /// rowstore versions freed). A retired segment's memory needs no
+    /// vacuum: it goes when the last table version holding it is dropped.
     pub fn vacuum(&self) -> Result<(usize, usize)> {
         let horizon = self.oldest_pinned().unwrap_or_else(|| self.commit_ts());
-        let mut segs_reclaimed = 0;
         let mut versions_freed = 0;
         let tables: Vec<Arc<Table>> = self.tables.read().values().cloned().collect();
         for table in tables {
             // Rowstore GC: anything below the horizon that is superseded.
-            {
-                let mut rs = table.rowstore.write();
-                let (_, freed) = rs.gc(horizon.saturating_sub(0));
-                versions_freed += freed;
-            }
-            // Segment GC: retired segments no snapshot can still reference.
-            let snapshot_lp = self.last_snapshot_lp.load(Ordering::Acquire);
-            let mut dead: Vec<(SegmentId, LogPosition)> = Vec::new();
-            {
-                let mut state = table.state.write();
-                let ids: Vec<SegmentId> = state.segments.keys().copied().collect();
-                for id in ids {
-                    let core = &state.segments[&id];
-                    let dropped = core.dropped_ts.load(Ordering::Acquire);
-                    if dropped != u64::MAX && dropped <= horizon {
-                        // The in-memory segment can always be reclaimed; the
-                        // data file only once a snapshot at/after the merge
-                        // exists (log replay from that snapshot no longer
-                        // revisits this segment's flush record).
-                        if core.dropped_lp.load(Ordering::Acquire) <= snapshot_lp {
-                            dead.push((id, core.meta.file_id));
-                        }
-                        state.segments.remove(&id);
-                        segs_reclaimed += 1;
-                    }
-                }
-                // Lazy-deletion maintenance on the global indexes.
-                let live: std::collections::HashSet<SegmentId> = state
-                    .segments
-                    .iter()
-                    .filter(|(_, c)| !c.is_dropped())
-                    .map(|(id, _)| *id)
-                    .collect();
-                let is_live = move |s: SegmentId| live.contains(&s);
-                for g in state.indexes.column.values_mut() {
-                    g.maintain(&is_live);
-                }
-                for (_, g) in &mut state.indexes.tuple {
-                    g.maintain(&is_live);
-                }
-            }
-            for (id, file_id) in dead {
-                self.file_store.delete_file(&file_name(&self.name, file_id, id))?;
-            }
+            let (_, freed) = table.rowstore.write().gc(horizon);
+            versions_freed += freed;
         }
-        s2_obs::counter!("core.vacuum.segments_reclaimed").add(segs_reclaimed as u64);
+        // A retired segment's data file goes once no snapshot can read the
+        // segment and a durable rowstore snapshot covers the merge that
+        // retired it: log replay from an older snapshot re-installs the
+        // segment from its flush record and must find the file.
+        let snapshot_lp = self.last_snapshot_lp.load(Ordering::Acquire);
+        let dead: Vec<_> = self
+            .retired
+            .lock()
+            .extract_if(.., |(_, ts, lp)| *ts <= horizon && *lp <= snapshot_lp)
+            .collect();
+        for (name, _, _) in &dead {
+            self.file_store.delete_file(name)?;
+        }
+        s2_obs::counter!("core.vacuum.segments_reclaimed").add(dead.len() as u64);
         s2_obs::counter!("core.vacuum.versions_freed").add(versions_freed as u64);
-        Ok((segs_reclaimed, versions_freed))
+        Ok((dead.len(), versions_freed))
     }
 
     /// Run one full maintenance pass: flush + merge every table, then vacuum.
@@ -714,23 +626,15 @@ impl Partition {
                 record::put_key(&mut w, k);
                 record::put_row(&mut w, row);
             }
-            // Segments: live ones only, with current deleted bits, run by run.
-            let state = t.state.read();
-            w.put_u64(state.next_segment_id);
-            w.put_varint(state.runs.len() as u64);
-            for run in &state.runs {
-                let metas: Vec<SegmentMeta> = run
-                    .iter()
-                    .filter_map(|sid| state.segments.get(sid))
-                    .map(|c| {
-                        let mut m = c.meta.clone();
-                        m.deleted = (*c.deleted_bits()).clone();
-                        m
-                    })
-                    .collect();
-                w.put_varint(metas.len() as u64);
-                for m in &metas {
-                    m.write_to(&mut w);
+            // Segments: the published version's, with its deleted bits, run
+            // by run.
+            let version = t.version();
+            w.put_u64(t.next_segment_id.load(Ordering::Relaxed));
+            w.put_varint(version.runs.len() as u64);
+            for run in &version.runs {
+                w.put_varint(run.len() as u64);
+                for seg in run {
+                    seg.meta_with_bits().write_to(&mut w);
                 }
             }
         }
@@ -776,18 +680,16 @@ impl Partition {
                 }
             }
             // Segments.
-            let next_segment_id = r.get_u64()?;
+            table.next_segment_id.fetch_max(r.get_u64()?, Ordering::Relaxed);
             let n_runs = r.get_varint()? as usize;
+            let mut version = TableVersion::clone(&table.version());
             for _ in 0..n_runs {
                 let n_segs = r.get_varint()? as usize;
                 let metas: Vec<SegmentMeta> =
                     (0..n_segs).map(|_| SegmentMeta::read_from(&mut r)).collect::<Result<_>>()?;
-                table.install_run(self.load_run(&table, metas, None)?, false)?;
+                version.add_run(self.load_run(&table, metas, None)?, false)?;
             }
-            {
-                let mut state = table.state.write();
-                state.next_segment_id = state.next_segment_id.max(next_segment_id);
-            }
+            table.publish(version);
             self.tables.write().insert(id, table);
             self.table_names.write().insert(name, id);
             let cur = self.next_table_id.load(Ordering::Relaxed);
@@ -816,18 +718,17 @@ impl Partition {
         table: &Table,
         metas: Vec<SegmentMeta>,
         replay: Option<&ReplayCtx>,
-    ) -> Result<Vec<(SegmentMeta, SegmentFile)>> {
+    ) -> Result<Vec<SegmentSnap>> {
         let mut run = Vec::with_capacity(metas.len());
         for meta in metas {
+            table.next_segment_id.fetch_max(meta.id + 1, Ordering::Relaxed);
             if replay.is_some_and(|ctx| ctx.doomed.contains(&meta.id)) {
-                let mut state = table.state.write();
-                state.next_segment_id = state.next_segment_id.max(meta.id + 1);
                 s2_obs::counter!("core.recover.segments_skipped").inc();
                 continue;
             }
             let bytes = self.file_store.read_file(&file_name(&self.name, meta.file_id, meta.id))?;
             s2_obs::counter!("core.recover.segments_loaded").inc();
-            run.push((meta, SegmentFile::decode(&bytes)?));
+            run.push(SegmentSnap::open(meta, SegmentFile::decode(&bytes)?));
         }
         Ok(run)
     }
@@ -881,8 +782,8 @@ impl Partition {
     /// 4. **Apply** (parallel): one worker per table replays that table's
     ///    queue in log order, deferring index registration, batching `Move`
     ///    tombstones (delete bits only ever get set and segment ids are
-    ///    never reused, so one copy-on-write install per surviving segment
-    ///    at the end is equivalent to per-record installs) and never
+    ///    never reused, so one publish of them all at the end is equivalent
+    ///    to one per record) and never
     ///    fetching the data file of a segment that a `Merge` further down
     ///    the queue drops.
     ///
@@ -1002,23 +903,15 @@ impl Partition {
         Ok(())
     }
 
-    /// Apply the batched `Move` tombstones for one table: one copy-on-write
-    /// delete-vector install per still-live segment.
+    /// Publish the batched `Move` tombstones of one table.
     fn install_replay_deletes(&self, table: TableId, ctx: ReplayCtx) -> Result<()> {
         if ctx.pending_deletes.is_empty() {
             return Ok(());
         }
         let t = self.table(table)?;
-        let state = t.state.read();
-        for (seg, offs) in ctx.pending_deletes {
-            if let Some(core) = state.segments.get(&seg) {
-                let mut bits = (**core.deleted.read()).clone();
-                for o in offs {
-                    bits.set(o as usize);
-                }
-                *core.deleted.write() = Arc::new(bits);
-            }
-        }
+        let mut next = TableVersion::clone(&t.version());
+        next.delete_rows(&ctx.pending_deletes);
+        t.publish(next);
         Ok(())
     }
 
@@ -1033,6 +926,13 @@ impl Partition {
     /// commit-timestamp bump is skipped (the replay driver folds the maximum
     /// serially — the bump is a non-atomic read-modify-write that must not
     /// race across table workers).
+    ///
+    /// Without one, the partition is live (a replica following its
+    /// primary): a `Flush`, `Move` or `Merge` reads its data files and
+    /// builds the next version first — a failed read leaves the table
+    /// untouched, so a replica can retry the record — then publishes it,
+    /// changes the rowstore and bumps the commit timestamp under the commit
+    /// lock, so a read snapshot sees the record whole or not at all.
     fn apply_record_inner(&self, rec: EngineRecord, replay: Option<&mut ReplayCtx>) -> Result<()> {
         let deferred = replay.is_some();
         match rec {
@@ -1070,10 +970,12 @@ impl Partition {
             }
             EngineRecord::Flush { table, commit_ts, metas, removed_keys } => {
                 let t = self.table(table)?;
-                // Install every segment as ONE run, mirroring the live flush
+                // Every segment goes in as ONE run, mirroring the live flush
                 // (a flush produces a single sorted run).
-                t.install_run(self.load_run(&t, metas, replay.as_deref())?, !deferred)?;
-                s2_common::fault::crash_point("core.publish");
+                let mut next = TableVersion::clone(&t.version());
+                next.add_run(self.load_run(&t, metas, replay.as_deref())?, !deferred)?;
+                let _g = (!deferred).then(|| self.commit_lock.lock());
+                t.publish(next);
                 let rs = t.rowstore.read();
                 for key in &removed_keys {
                     rs.install_committed(key, None, commit_ts);
@@ -1085,52 +987,38 @@ impl Partition {
             }
             EngineRecord::Move { table, commit_ts, inserts, deleted } => {
                 let t = self.table(table)?;
+                let next = match replay {
+                    // Batched: delete bits only ever get set, so folding
+                    // them into one publish at queue end is equivalent.
+                    Some(ctx) => {
+                        ctx.pending_deletes.extend(deleted);
+                        None
+                    }
+                    None => {
+                        let mut next = TableVersion::clone(&t.version());
+                        next.delete_rows(&deleted);
+                        Some(next)
+                    }
+                };
+                let _g = next.is_some().then(|| self.commit_lock.lock());
                 let rs = t.rowstore.read();
                 for (key, row) in inserts {
                     self.note_auto_key(&t, &key);
                     rs.install_committed(&key, Some(row), commit_ts);
                 }
                 drop(rs);
-                match replay {
-                    Some(ctx) => {
-                        // Batched: delete bits only ever get set, so folding
-                        // them into one install at queue end is equivalent.
-                        for (seg, offs) in deleted {
-                            ctx.pending_deletes.entry(seg).or_default().extend(offs);
-                        }
-                    }
-                    None => {
-                        let state = t.state.read();
-                        for (seg, offs) in deleted {
-                            if let Some(core) = state.segments.get(&seg) {
-                                let mut bits = (**core.deleted.read()).clone();
-                                for o in offs {
-                                    bits.set(o as usize);
-                                }
-                                *core.deleted.write() = Arc::new(bits);
-                            }
-                        }
-                        s2_common::fault::crash_point("core.publish");
-                    }
-                }
-                if !deferred {
+                if let Some(next) = next {
+                    t.publish(next);
                     self.bump_commit_ts(commit_ts);
                 }
             }
             EngineRecord::Merge { table, commit_ts, dropped, metas } => {
                 let t = self.table(table)?;
-                // Files first: a failed read leaves the table untouched, so
-                // a replica can retry the record.
-                let run = self.load_run(&t, metas, replay.as_deref())?;
-                {
-                    let mut state = t.state.write();
-                    for id in &dropped {
-                        state.segments.remove(id);
-                    }
-                    state.runs.retain(|run| run.iter().all(|id| !dropped.contains(id)));
-                }
-                s2_common::fault::crash_point("core.publish");
-                t.install_run(run, !deferred)?;
+                let mut next = TableVersion::clone(&t.version());
+                next.retire(&dropped);
+                next.add_run(self.load_run(&t, metas, replay.as_deref())?, !deferred)?;
+                let _g = (!deferred).then(|| self.commit_lock.lock());
+                t.publish(next);
                 if !deferred {
                     self.bump_commit_ts(commit_ts);
                 }

@@ -1,13 +1,20 @@
 //! Unified table storage: one table = an in-memory rowstore level plus
 //! columnstore segments with secondary indexes (paper §4).
 //!
-//! Concurrency model: the partition's *commit lock* serializes every
-//! state-changing commit (user commits, flushes, moves, merges) and the
-//! allocation of commit timestamps; the table's internal `RwLock` protects
-//! the segment map for shared readers. Read snapshots are taken under the
-//! commit lock, so a snapshot always observes a prefix of the commit order.
-//! Row-level concurrency inside the rowstore is handled by its own MVCC +
-//! row locks and does not take the commit lock until commit time.
+//! Concurrency model: the columnstore side of a table is one immutable
+//! [`TableVersion`] — the sorted runs of segments, each with its delete
+//! bits, and the global-index levels over them — held in one slot.
+//! Flush, merge, move, replica apply and replay each build the next version
+//! off to the side and install it with [`Table::publish`], the slot's only
+//! writer, so a reader that clones the slot's `Arc` never sees half a
+//! change. On a live partition every publish happens under the partition's
+//! *commit lock*, which also allocates commit timestamps and orders read
+//! snapshots: a snapshot pairs a prefix of the commit order with the
+//! version of that moment, and keeps both readable for as long as it lives.
+//! A row's new home is published before its old copy is retired, and a
+//! latest read looks at the rowstore first, then the version. Row-level
+//! concurrency inside the rowstore is handled by its own MVCC + row locks
+//! and does not take the commit lock until commit time.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -24,46 +31,58 @@ use s2_rowstore::RowStore;
 
 use crate::segfile::SegmentFile;
 
-/// A live (or recently retired) columnstore segment.
+/// An immutable columnstore segment: metadata, column readers and the
+/// inverted index of every indexed column. Its delete bits belong to the
+/// table versions that hold it ([`SegmentSnap::deleted`]).
 pub struct SegmentCore {
-    /// Static metadata (the `deleted` field inside is unused here; current
-    /// bits live in [`SegmentCore::deleted`]).
+    /// Static metadata (the `deleted` field inside is unused here).
     pub meta: SegmentMeta,
-    /// Current deleted bits, copy-on-write so snapshots pin a version cheaply.
-    pub deleted: RwLock<Arc<BitVec>>,
-    /// Timestamp at which a merge retired this segment (`u64::MAX` = live).
-    /// Retired segments stay readable until no snapshot can reference them.
-    pub dropped_ts: AtomicU64,
-    /// Log position just past the merge record that retired this segment
-    /// (`u64::MAX` = live). The data file may only be physically deleted once
-    /// a rowstore snapshot at or after this position exists — otherwise log
-    /// replay would re-install the segment from its flush record and fail to
-    /// find the file.
-    pub dropped_lp: AtomicU64,
     /// Decoded column readers.
     pub reader: SegmentReader,
     /// Per-segment inverted indexes keyed by column ordinal.
     pub inverted: HashMap<usize, Arc<InvertedIndex>>,
 }
 
-impl SegmentCore {
-    /// Current deleted bits.
-    pub fn deleted_bits(&self) -> Arc<BitVec> {
-        Arc::clone(&self.deleted.read())
+/// One segment as a table version holds it. Cloning is two `Arc` bumps,
+/// which is what lets the parallel scan executor hand segments to pool
+/// workers as owned (`'static`) morsels.
+#[derive(Clone)]
+pub struct SegmentSnap {
+    /// Shared segment core (metadata + readers + inverted indexes).
+    pub core: Arc<SegmentCore>,
+    /// Deleted bits as of the version.
+    pub deleted: Arc<BitVec>,
+}
+
+impl SegmentSnap {
+    /// A segment over its data file; the metadata's delete bits become the
+    /// snap's.
+    pub(crate) fn open(mut meta: SegmentMeta, file: SegmentFile) -> SegmentSnap {
+        let deleted = Arc::new(std::mem::replace(&mut meta.deleted, BitVec::zeros(0)));
+        let core = SegmentCore {
+            meta,
+            reader: SegmentReader::new(file.data),
+            inverted: file.inverted.into_iter().map(|(c, ix)| (c, Arc::new(ix))).collect(),
+        };
+        SegmentSnap { core: Arc::new(core), deleted }
     }
 
-    /// Live rows under the current bits.
+    /// Live rows under the version's bits.
     pub fn live_rows(&self) -> usize {
-        self.meta.row_count - self.deleted.read().count_ones()
+        self.core.meta.row_count - self.deleted.count_ones()
     }
 
-    /// Whether the segment was retired by a merge.
-    pub fn is_dropped(&self) -> bool {
-        self.dropped_ts.load(Ordering::Acquire) != u64::MAX
+    /// The metadata carrying the version's delete bits, as a snapshot blob
+    /// or a merge input takes it.
+    pub(crate) fn meta_with_bits(&self) -> SegmentMeta {
+        let mut meta = self.core.meta.clone();
+        meta.deleted = (*self.deleted).clone();
+        meta
     }
 }
 
-/// Secondary-index state for one table.
+/// Secondary-index state for one table. Cloning shares every level.
+#[derive(Clone)]
 pub struct TableIndexes {
     /// Arity-1 global index per indexed column (shared across index defs,
     /// paper §4.1.1).
@@ -87,136 +106,18 @@ impl TableIndexes {
         TableIndexes { column, tuple }
     }
 
-    /// All indexed column ordinals.
-    pub fn indexed_columns(&self) -> Vec<usize> {
-        let mut cols: Vec<usize> = self.column.keys().copied().collect();
-        cols.sort_unstable();
-        cols
-    }
-}
-
-/// Mutable columnstore-side state of a table.
-pub struct TableState {
-    /// Segments by id, including recently retired ones awaiting vacuum.
-    pub segments: HashMap<SegmentId, Arc<SegmentCore>>,
-    /// Sorted runs of live segments (LSM structure).
-    pub runs: Vec<Vec<SegmentId>>,
-    /// Secondary indexes.
-    pub indexes: TableIndexes,
-    /// Next segment id.
-    pub next_segment_id: SegmentId,
-}
-
-/// A unified table.
-pub struct Table {
-    /// Table id, unique within the database.
-    pub id: TableId,
-    /// Table name.
-    pub name: String,
-    /// Column schema.
-    pub schema: Schema,
-    /// Sort key, shard key, indexes, thresholds.
-    pub options: TableOptions,
-    /// LSM level 0 + row-lock manager.
-    pub(crate) rowstore: RwLock<RowStore>,
-    /// Columnstore state.
-    pub(crate) state: RwLock<TableState>,
-    /// Columns of the first unique index (the rowstore key), if any.
-    pub(crate) unique_cols: Option<Vec<usize>>,
-    /// Synthetic rowstore key allocator for tables without a unique key.
-    auto_key: AtomicU64,
-}
-
-impl Table {
-    /// Create an empty table.
-    pub fn new(id: TableId, name: String, schema: Schema, options: TableOptions) -> Result<Table> {
-        options.validate(&schema)?;
-        let unique_cols = options.indexes.iter().find(|d| d.unique).map(|d| d.columns.clone());
-        let indexes = TableIndexes::new(&options);
-        Ok(Table {
-            id,
-            name,
-            schema,
-            options,
-            rowstore: RwLock::new(&rank::CORE_ROWSTORE, RowStore::new()),
-            state: RwLock::new(
-                &rank::CORE_TABLE_STATE,
-                TableState {
-                    segments: HashMap::new(),
-                    runs: Vec::new(),
-                    indexes,
-                    next_segment_id: 1,
-                },
-            ),
-            unique_cols,
-            auto_key: AtomicU64::new(1),
-        })
-    }
-
-    /// The rowstore key for a row: unique-key values if the table has a
-    /// unique key, otherwise a fresh synthetic key. The rowstore's primary
-    /// key doubles as the lock manager (paper §4.2).
-    pub fn rowstore_key(&self, row: &Row) -> Vec<Value> {
-        match &self.unique_cols {
-            Some(cols) => row.project(cols),
-            None => vec![Value::Int(self.auto_key.fetch_add(1, Ordering::Relaxed) as i64)],
-        }
-    }
-
-    /// Advance the synthetic key allocator past `seen` (recovery).
-    pub(crate) fn bump_auto_key(&self, seen: i64) {
-        let mut cur = self.auto_key.load(Ordering::Relaxed);
-        while (cur as i64) <= seen {
-            match self.auto_key.compare_exchange(
-                cur,
-                seen as u64 + 1,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-
-    /// Approximate rowstore key count (flush trigger).
-    pub fn rowstore_len(&self) -> usize {
-        self.rowstore.read().key_count()
-    }
-
-    /// Build the per-segment inverted indexes for all indexed columns over
-    /// `rows` (called at flush/merge while the segment is being created).
-    pub(crate) fn build_inverted(
-        &self,
-        rows: &[Row],
-        indexed_cols: &[usize],
-    ) -> Vec<(usize, InvertedIndex)> {
-        let mut out = Vec::with_capacity(indexed_cols.len());
-        for &col in indexed_cols {
-            let mut b = InvertedIndexBuilder::new();
-            for (i, row) in rows.iter().enumerate() {
-                b.add(row.get(col), i as u32);
-            }
-            out.push((col, b.finish()));
-        }
-        out
-    }
-
     /// Register `segments` in the global indexes, one new level per index.
     /// Everything comes from the segments' inverted indexes — which their
     /// data files carry (paper §4.1) — so no row is ever decoded: the index
     /// build is a function of the data files alone.
-    pub(crate) fn index_segments(
-        indexes: &mut TableIndexes,
-        segments: &[Arc<SegmentCore>],
-    ) -> Result<()> {
+    fn add_segments(&mut self, segments: &[SegmentSnap]) -> Result<()> {
         // Per-column entries: every distinct value hash -> entry offset.
-        for (col, global) in &mut indexes.column {
+        for (col, global) in &mut self.column {
             let mut level = LevelInput::new(1);
-            for core in segments {
-                if let Some(ix) = core.inverted.get(col) {
+            for seg in segments {
+                if let Some(ix) = seg.core.inverted.get(col) {
                     for (hash, off) in ix.iter_entries() {
-                        level.push(hash, core.meta.id, &[off]);
+                        level.push(hash, seg.core.meta.id, &[off]);
                     }
                 }
             }
@@ -228,10 +129,11 @@ impl Table {
         // `hash_values`) and that column's entry offset. The level build
         // stores equal tuples once; it tells them apart by their entry
         // offsets, not by the hash, so colliding keys are both indexed.
-        for (cols, global) in &mut indexes.tuple {
+        for (cols, global) in &mut self.tuple {
             let arity = cols.len();
             let mut level = LevelInput::new(arity);
-            for core in segments {
+            for seg in segments {
+                let core = &seg.core;
                 let n = core.meta.row_count;
                 let mut hashes = vec![hash::VALUES_SEED; n];
                 let mut offs = vec![0u32; n * arity];
@@ -269,44 +171,256 @@ impl Table {
         }
         Ok(())
     }
+}
 
-    /// Install a new sorted run of segments (a flush or merge output, or one
-    /// read back from its data files) under the state write lock. Metadata
-    /// may carry non-zero deleted bits during recovery. Recovery passes
-    /// `build_indexes: false` and registers every surviving segment once at
-    /// the end via [`Table::rebuild_indexes`], instead of indexing
-    /// intermediate segments that a later merge drops.
-    pub(crate) fn install_run(
-        &self,
-        items: Vec<(SegmentMeta, SegmentFile)>,
-        build_indexes: bool,
-    ) -> Result<()> {
-        let mut state = self.state.write();
-        let mut cores = Vec::with_capacity(items.len());
-        for (mut meta, file) in items {
-            // Bits live in SegmentCore::deleted.
-            let deleted = Arc::new(std::mem::replace(&mut meta.deleted, BitVec::zeros(0)));
-            cores.push(Arc::new(SegmentCore {
-                meta,
-                deleted: RwLock::new(&rank::CORE_SEG_DELETED, deleted),
-                dropped_ts: AtomicU64::new(u64::MAX),
-                dropped_lp: AtomicU64::new(u64::MAX),
-                reader: SegmentReader::new(file.data),
-                inverted: file.inverted.into_iter().map(|(c, ix)| (c, Arc::new(ix))).collect(),
-            }));
+/// One published state of a table's columnstore side. Immutable once
+/// published: a change clones it, edits the clone and publishes that.
+#[derive(Clone)]
+pub struct TableVersion {
+    /// Sorted runs of live segments (LSM structure), oldest first.
+    pub runs: Vec<Vec<SegmentSnap>>,
+    /// Secondary indexes over these segments, shared with every version
+    /// that did not change them. Pairs of segments a merge retired stay in
+    /// a level until maintenance rewrites it (paper §4.1's lazy deletion);
+    /// lookups skip them.
+    pub indexes: Arc<TableIndexes>,
+}
+
+impl TableVersion {
+    /// Every live segment in run order.
+    pub fn segments(&self) -> impl Iterator<Item = &SegmentSnap> {
+        self.runs.iter().flatten()
+    }
+
+    pub(crate) fn segment(&self, id: SegmentId) -> Option<&SegmentSnap> {
+        self.segments().find(|s| s.core.meta.id == id)
+    }
+
+    /// Add `run` as the newest sorted run (a flush or merge output, or one
+    /// read back from its data files), registering it in the indexes when
+    /// `index`. Recovery passes `false` and indexes every surviving segment
+    /// once at the end ([`Table::rebuild_indexes`]).
+    pub(crate) fn add_run(&mut self, run: Vec<SegmentSnap>, index: bool) -> Result<()> {
+        if run.is_empty() {
+            return Ok(());
         }
-        if build_indexes {
-            Table::index_segments(&mut state.indexes, &cores)?;
+        if index {
+            Arc::make_mut(&mut self.indexes).add_segments(&run)?;
         }
-        let run: Vec<SegmentId> = cores.iter().map(|c| c.meta.id).collect();
-        for core in cores {
-            state.next_segment_id = state.next_segment_id.max(core.meta.id + 1);
-            state.segments.insert(core.meta.id, core);
-        }
-        if !run.is_empty() {
-            state.runs.push(run);
-        }
+        self.runs.push(run);
         Ok(())
+    }
+
+    /// Retire the runs holding any of `dropped` (a merge's inputs), then
+    /// rewrite every index level at least half of whose segments are gone.
+    pub(crate) fn retire(&mut self, dropped: &[SegmentId]) {
+        self.runs.retain(|run| run.iter().all(|s| !dropped.contains(&s.core.meta.id)));
+        let live: HashSet<SegmentId> = self.segments().map(|s| s.core.meta.id).collect();
+        let is_live = |s: SegmentId| live.contains(&s);
+        let indexes = Arc::make_mut(&mut self.indexes);
+        for global in indexes.column.values_mut() {
+            global.maintain(&is_live);
+        }
+        for (_, global) in &mut indexes.tuple {
+            global.maintain(&is_live);
+        }
+    }
+
+    /// Set the delete bit of every `(segment, offsets)` row, copying each
+    /// touched segment's bits once. Segments no longer here are skipped.
+    pub(crate) fn delete_rows(&mut self, deletes: &[(SegmentId, Vec<u32>)]) {
+        for seg in self.runs.iter_mut().flatten() {
+            let id = seg.core.meta.id;
+            let mut offs = deletes.iter().filter(|(s, _)| *s == id).flat_map(|(_, o)| o).peekable();
+            if offs.peek().is_some() {
+                let mut bits = (*seg.deleted).clone();
+                for &o in offs {
+                    bits.set(o as usize);
+                }
+                seg.deleted = Arc::new(bits);
+            }
+        }
+    }
+
+    /// Rows of this version where `key_cols = key_vals`, found through the
+    /// two-level index: per segment, the matching offsets this version's
+    /// delete bits leave live.
+    pub fn probe(
+        &self,
+        key_cols: &[usize],
+        key_vals: &[Value],
+    ) -> Result<Vec<(Arc<SegmentCore>, Vec<u32>)>> {
+        if key_cols.is_empty() || key_cols.len() != key_vals.len() {
+            return Err(Error::InvalidArgument("bad index probe arity".into()));
+        }
+        if key_vals.iter().any(|v| v.is_null()) {
+            return Ok(Vec::new()); // NULLs are not indexed
+        }
+        let is_live = |s: SegmentId| self.segment(s).is_some();
+        // Fast path: a tuple index covering exactly these columns skips
+        // segments that don't contain the full tuple (paper §4.1.1).
+        let hits: Vec<(SegmentId, Vec<u32>)> =
+            match self.indexes.tuple.iter().find(|(cols, _)| cols.as_slice() == key_cols) {
+                Some((_, global)) => global.lookup(hash::hash_values(key_vals.iter()), &is_live),
+                None => {
+                    // General path: probe each single-column global index;
+                    // candidate segments must appear in every column's hits.
+                    let mut per_col: Vec<HashMap<SegmentId, u32>> = Vec::new();
+                    for (&col, val) in key_cols.iter().zip(key_vals) {
+                        let global = self.indexes.column.get(&col).ok_or_else(|| {
+                            Error::NotFound(format!("no secondary index on column {col}"))
+                        })?;
+                        let hits = global.lookup(val.hash64(), &is_live);
+                        per_col.push(hits.into_iter().map(|(seg, offs)| (seg, offs[0])).collect());
+                    }
+                    let mut candidates: Vec<SegmentId> = per_col[0].keys().copied().collect();
+                    candidates.retain(|s| per_col.iter().all(|m| m.contains_key(s)));
+                    candidates.sort_unstable();
+                    candidates
+                        .into_iter()
+                        .map(|seg| (seg, per_col.iter().map(|m| m[&seg]).collect()))
+                        .collect()
+                }
+            };
+        let mut out = Vec::new();
+        for (seg, offs) in hits {
+            if let Some(seg) = self.segment(seg) {
+                let rows = resolve(seg, key_cols, key_vals, &offs)?;
+                if !rows.is_empty() {
+                    out.push((Arc::clone(&seg.core), rows));
+                }
+            }
+        }
+        Ok(out)
+    }
+}
+
+/// Open `seg`'s postings at the given entry offsets (verifying values to
+/// resolve hash collisions), intersect them and drop deleted rows.
+fn resolve(
+    seg: &SegmentSnap,
+    cols: &[usize],
+    vals: &[Value],
+    entry_offs: &[u32],
+) -> Result<Vec<u32>> {
+    let mut readers = Vec::with_capacity(cols.len());
+    for ((&col, val), &off) in cols.iter().zip(vals).zip(entry_offs) {
+        let Some(ix) = seg.core.inverted.get(&col) else { return Ok(Vec::new()) };
+        match ix.postings_at(off, val)? {
+            Some(p) => readers.push(p),
+            None => return Ok(Vec::new()), // hash collision: value not actually present
+        }
+    }
+    let mut rows = intersect(readers)?;
+    rows.retain(|&r| !seg.deleted.get(r as usize));
+    Ok(rows)
+}
+
+/// A unified table.
+pub struct Table {
+    /// Table id, unique within the database.
+    pub id: TableId,
+    /// Table name.
+    pub name: String,
+    /// Column schema.
+    pub schema: Schema,
+    /// Sort key, shard key, indexes, thresholds.
+    pub options: TableOptions,
+    /// LSM level 0 + row-lock manager.
+    pub(crate) rowstore: RwLock<RowStore>,
+    /// The published columnstore version.
+    version: RwLock<Arc<TableVersion>>,
+    /// Columns of the first unique index (the rowstore key), if any.
+    pub(crate) unique_cols: Option<Vec<usize>>,
+    /// Synthetic rowstore key allocator for tables without a unique key.
+    auto_key: AtomicU64,
+    /// Segment id allocator: ids are never reused.
+    pub(crate) next_segment_id: AtomicU64,
+}
+
+impl Table {
+    /// Create an empty table.
+    pub fn new(id: TableId, name: String, schema: Schema, options: TableOptions) -> Result<Table> {
+        options.validate(&schema)?;
+        let unique_cols = options.indexes.iter().find(|d| d.unique).map(|d| d.columns.clone());
+        let indexes = Arc::new(TableIndexes::new(&options));
+        let version = TableVersion { runs: Vec::new(), indexes };
+        Ok(Table {
+            id,
+            name,
+            schema,
+            options,
+            rowstore: RwLock::new(&rank::CORE_ROWSTORE, RowStore::new()),
+            version: RwLock::new(&rank::CORE_TABLE_VERSION, Arc::new(version)),
+            unique_cols,
+            auto_key: AtomicU64::new(1),
+            next_segment_id: AtomicU64::new(1),
+        })
+    }
+
+    /// The rowstore key for a row: unique-key values if the table has a
+    /// unique key, otherwise a fresh synthetic key. The rowstore's primary
+    /// key doubles as the lock manager (paper §4.2).
+    pub fn rowstore_key(&self, row: &Row) -> Vec<Value> {
+        match &self.unique_cols {
+            Some(cols) => row.project(cols),
+            None => vec![Value::Int(self.auto_key.fetch_add(1, Ordering::Relaxed) as i64)],
+        }
+    }
+
+    /// Advance the synthetic key allocator past `seen` (recovery).
+    pub(crate) fn bump_auto_key(&self, seen: i64) {
+        let mut cur = self.auto_key.load(Ordering::Relaxed);
+        while (cur as i64) <= seen {
+            match self.auto_key.compare_exchange(
+                cur,
+                seen as u64 + 1,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => break,
+                Err(actual) => cur = actual,
+            }
+        }
+    }
+
+    /// Approximate rowstore key count (flush trigger).
+    pub fn rowstore_len(&self) -> usize {
+        self.rowstore.read().key_count()
+    }
+
+    /// The published columnstore version.
+    pub fn version(&self) -> Arc<TableVersion> {
+        Arc::clone(&self.version.read())
+    }
+
+    /// Install `next` as the table's version: the one store every
+    /// columnstore change goes through.
+    pub(crate) fn publish(&self, next: TableVersion) {
+        // Crash or park here = the next version is built but not visible.
+        s2_common::fault::crash_point("core.publish");
+        let old = std::mem::replace(&mut *self.version.write(), Arc::new(next));
+        // Freeing the old version, and with it any segment no version holds
+        // any more, happens after the write guard is gone.
+        drop(old);
+    }
+
+    /// Build the per-segment inverted indexes of every indexed column over
+    /// `rows` (called at flush/merge while the segment is being created).
+    pub(crate) fn build_inverted(&self, rows: &[Row]) -> Vec<(usize, InvertedIndex)> {
+        let mut cols: Vec<usize> =
+            self.options.indexes.iter().flat_map(|d| d.columns.iter().copied()).collect();
+        cols.sort_unstable();
+        cols.dedup();
+        cols.into_iter()
+            .map(|col| {
+                let mut b = InvertedIndexBuilder::new();
+                for (i, row) in rows.iter().enumerate() {
+                    b.add(row.get(col), i as u32);
+                }
+                (col, b.finish())
+            })
+            .collect()
     }
 
     /// Rebuild the global indexes from the live segments in one pass
@@ -315,166 +429,34 @@ impl Table {
     /// live path, which indexes at install time and filters deleted rows at
     /// probe time.
     pub(crate) fn rebuild_indexes(&self) -> Result<()> {
-        let mut state = self.state.write();
-        let live: Vec<Arc<SegmentCore>> =
-            state
-                .runs
-                .iter()
-                .flatten()
-                .map(|id| {
-                    state.segments.get(id).cloned().ok_or_else(|| {
-                        Error::Internal(format!("run references missing segment {id}"))
-                    })
-                })
-                .collect::<Result<_>>()?;
-        let mut fresh = TableIndexes::new(&self.options);
-        Table::index_segments(&mut fresh, &live)?;
-        state.indexes = fresh;
+        let mut next = TableVersion::clone(&self.version());
+        let segments: Vec<SegmentSnap> = next.segments().cloned().collect();
+        let mut indexes = TableIndexes::new(&self.options);
+        indexes.add_segments(&segments)?;
+        next.indexes = Arc::new(indexes);
+        self.publish(next);
         Ok(())
     }
 
-    /// Current live segments in run order.
-    pub fn live_segments(&self) -> Vec<Arc<SegmentCore>> {
-        let state = self.state.read();
-        state.runs.iter().flatten().filter_map(|id| state.segments.get(id).cloned()).collect()
-    }
-
     /// Lookup live segment row locations for `key_cols == key_vals` using the
-    /// two-level index, at the *latest* state (unique checks and DML need
-    /// latest, not snapshot, state). Returns (segment, matching row offsets
-    /// with currently-deleted rows filtered out).
+    /// two-level index, at the *latest* version (unique checks and DML need
+    /// latest, not snapshot, state).
     pub fn index_probe_latest(
         &self,
         key_cols: &[usize],
         key_vals: &[Value],
     ) -> Result<Vec<(Arc<SegmentCore>, Vec<u32>)>> {
-        let state = self.state.read();
-        let hits = probe_state(&state, key_cols, key_vals, None)?;
-        drop(state);
-        let mut out = Vec::new();
-        for (core, rows) in hits {
-            let deleted = core.deleted_bits();
-            let rows: Vec<u32> = rows.into_iter().filter(|&r| !deleted.get(r as usize)).collect();
-            if !rows.is_empty() {
-                out.push((core, rows));
-            }
-        }
-        Ok(out)
+        self.version.read().probe(key_cols, key_vals)
     }
 
     /// Whether every column in `cols` is covered by a secondary index.
     pub fn columns_indexed(&self, cols: &[usize]) -> bool {
-        let state = self.state.read();
-        cols.iter().all(|c| state.indexes.column.contains_key(c))
+        cols.iter().all(|c| self.options.indexes.iter().any(|d| d.columns.contains(c)))
     }
 }
 
-/// Probe the index state for an equality match on `key_cols = key_vals`.
-/// `restrict` optionally limits results to a snapshot's segment set.
-pub(crate) fn probe_state(
-    state: &TableState,
-    key_cols: &[usize],
-    key_vals: &[Value],
-    restrict: Option<&HashSet<SegmentId>>,
-) -> Result<Vec<(Arc<SegmentCore>, Vec<u32>)>> {
-    if key_cols.is_empty() || key_cols.len() != key_vals.len() {
-        return Err(Error::InvalidArgument("bad index probe arity".into()));
-    }
-    if key_vals.iter().any(|v| v.is_null()) {
-        return Ok(Vec::new()); // NULLs are not indexed
-    }
-    let is_live = |state: &TableState, seg: SegmentId| -> bool {
-        match restrict {
-            Some(set) => set.contains(&seg),
-            None => state.segments.get(&seg).is_some_and(|core| !core.is_dropped()),
-        }
-    };
-
-    // Fast path: a tuple index covering exactly these columns skips segments
-    // that don't contain the full tuple (paper §4.1.1).
-    if key_cols.len() > 1 {
-        if let Some((cols, global)) =
-            state.indexes.tuple.iter().find(|(cols, _)| cols.as_slice() == key_cols)
-        {
-            let h = s2_common::hash::hash_values(key_vals.iter());
-            let hits = global.lookup(h, &|s| is_live(state, s));
-            return resolve_hits(state, cols, key_vals, hits);
-        }
-    }
-
-    // General path: probe each single-column global index and intersect
-    // per-segment postings.
-    let mut per_col: Vec<HashMap<SegmentId, u32>> = Vec::with_capacity(key_cols.len());
-    for (&col, val) in key_cols.iter().zip(key_vals) {
-        let global = state
-            .indexes
-            .column
-            .get(&col)
-            .ok_or_else(|| Error::NotFound(format!("no secondary index on column {col}")))?;
-        let hits = global.lookup(val.hash64(), &|s| is_live(state, s));
-        let mut map = HashMap::new();
-        for (seg, offs) in hits {
-            map.insert(seg, offs[0]);
-        }
-        per_col.push(map);
-    }
-    // Candidate segments must appear in every column's hit set.
-    let mut candidates: Vec<SegmentId> = per_col[0].keys().copied().collect();
-    candidates.retain(|s| per_col.iter().all(|m| m.contains_key(s)));
-    candidates.sort_unstable();
-    let mut out = Vec::new();
-    for seg in candidates {
-        let offs: Vec<u32> = per_col.iter().map(|m| m[&seg]).collect();
-        resolve_one(state, seg, key_cols, key_vals, &offs, &mut out)?;
-    }
-    Ok(out)
-}
-
-fn resolve_hits(
-    state: &TableState,
-    cols: &[usize],
-    vals: &[Value],
-    hits: Vec<(SegmentId, Vec<u32>)>,
-) -> Result<Vec<(Arc<SegmentCore>, Vec<u32>)>> {
-    let mut out = Vec::new();
-    for (seg, offs) in hits {
-        resolve_one(state, seg, cols, vals, &offs, &mut out)?;
-    }
-    Ok(out)
-}
-
-/// Open per-column postings at the given entry offsets (verifying values to
-/// resolve hash collisions) and intersect them. Deleted-row filtering is the
-/// caller's job: `index_probe_latest` uses current bits, snapshot probes use
-/// the snapshot's pinned bits.
-fn resolve_one(
-    state: &TableState,
-    seg: SegmentId,
-    cols: &[usize],
-    vals: &[Value],
-    entry_offs: &[u32],
-    out: &mut Vec<(Arc<SegmentCore>, Vec<u32>)>,
-) -> Result<()> {
-    let Some(core) = state.segments.get(&seg) else {
-        return Ok(()); // raced with vacuum; lazily-deleted reference
-    };
-    let mut readers = Vec::with_capacity(cols.len());
-    for ((&col, val), &off) in cols.iter().zip(vals).zip(entry_offs) {
-        let Some(ix) = core.inverted.get(&col) else { return Ok(()) };
-        match ix.postings_at(off, val)? {
-            Some(p) => readers.push(p),
-            None => return Ok(()), // hash collision: value not actually present
-        }
-    }
-    let rows = intersect(readers)?;
-    if !rows.is_empty() {
-        out.push((Arc::clone(core), rows));
-    }
-    Ok(())
-}
-
-/// A consistent per-table read view: segment set + pinned deleted bits +
-/// rowstore visibility at `read_ts`.
+/// A consistent per-table read view: a table version + rowstore
+/// visibility at `read_ts`.
 pub struct TableSnapshot {
     /// The table (rowstore reads go through it with `read_ts`).
     pub table: Arc<Table>,
@@ -482,53 +464,27 @@ pub struct TableSnapshot {
     pub read_ts: Timestamp,
     /// Transaction whose own uncommitted writes are visible, if any.
     pub self_txn: Option<TxnId>,
-    /// Live segments at snapshot time with their pinned deleted bits.
+    /// Live segments of the captured version with their delete bits.
     pub segments: Vec<SegmentSnap>,
-    seg_ids: HashSet<SegmentId>,
+    version: Arc<TableVersion>,
     rowstore_rows: OnceLock<Vec<(Vec<Value>, Row)>>,
-}
-
-/// One segment as seen by a snapshot. Cloning is two `Arc` bumps, which is
-/// what lets the parallel scan executor hand segments to pool workers as
-/// owned (`'static`) morsels.
-#[derive(Clone)]
-pub struct SegmentSnap {
-    /// Shared segment core (metadata + readers + inverted indexes).
-    pub core: Arc<SegmentCore>,
-    /// Deleted bits as of the snapshot.
-    pub deleted: Arc<BitVec>,
-}
-
-impl SegmentSnap {
-    /// Live rows under the snapshot's bits.
-    pub fn live_rows(&self) -> usize {
-        self.core.meta.row_count - self.deleted.count_ones()
-    }
 }
 
 impl TableSnapshot {
     /// Capture a snapshot. Must be called under the partition commit lock so
-    /// `read_ts` and the segment state agree.
+    /// `read_ts` and the version agree.
     pub(crate) fn capture(
         table: &Arc<Table>,
         read_ts: Timestamp,
         self_txn: Option<TxnId>,
     ) -> TableSnapshot {
-        let state = table.state.read();
-        let mut segments = Vec::new();
-        let mut seg_ids = HashSet::new();
-        for id in state.runs.iter().flatten() {
-            if let Some(core) = state.segments.get(id) {
-                seg_ids.insert(*id);
-                segments.push(SegmentSnap { core: Arc::clone(core), deleted: core.deleted_bits() });
-            }
-        }
+        let version = table.version();
         TableSnapshot {
             table: Arc::clone(table),
             read_ts,
             self_txn,
-            segments,
-            seg_ids,
+            segments: version.segments().cloned().collect(),
+            version,
             rowstore_rows: OnceLock::new(),
         }
     }
@@ -562,30 +518,12 @@ impl TableSnapshot {
         key_cols: &[usize],
         key_vals: &[Value],
     ) -> Result<Option<IndexProbe>> {
-        {
-            let state = self.table.state.read();
-            if !key_cols.iter().all(|c| state.indexes.column.contains_key(c)) {
-                return Ok(None);
-            }
+        if !self.table.columns_indexed(key_cols) {
+            return Ok(None);
         }
-        let state = self.table.state.read();
-        let seg_hits = probe_state(&state, key_cols, key_vals, Some(&self.seg_ids))?;
-        drop(state);
-        // Apply the *snapshot's* pinned deleted bits: a row deleted after the
-        // snapshot was taken is still visible here.
-        let mut segments = Vec::new();
-        for (core, rows) in seg_hits {
-            let snap_deleted = self
-                .segments
-                .iter()
-                .find(|s| s.core.meta.id == core.meta.id)
-                .map(|s| Arc::clone(&s.deleted));
-            let Some(deleted) = snap_deleted else { continue };
-            let rows: Vec<u32> = rows.into_iter().filter(|&r| !deleted.get(r as usize)).collect();
-            if !rows.is_empty() {
-                segments.push((core, rows));
-            }
-        }
+        // The snapshot's own version and delete bits: a row deleted after
+        // the snapshot was taken is still visible here.
+        let segments = self.version.probe(key_cols, key_vals)?;
         let rowstore: Vec<(Vec<Value>, Row)> = self
             .rowstore_rows()
             .iter()
@@ -605,6 +543,7 @@ const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<SegmentCore>();
     assert_send_sync::<SegmentSnap>();
+    assert_send_sync::<TableVersion>();
     assert_send_sync::<TableSnapshot>();
     assert_send_sync::<IndexProbe>();
     assert_send_sync::<Table>();
@@ -671,12 +610,14 @@ mod tests {
             .map(|(a, b)| Row::new(vec![Value::Int(a), Value::Int(b)]))
             .to_vec();
         let (meta, data) = s2_columnstore::build_segment(7, rows.clone(), &schema, &[]).unwrap();
-        let mut inverted = table.build_inverted(&rows, &[0, 1]);
+        let mut inverted = table.build_inverted(&rows);
         inverted[1].1 = forge_hash(&inverted[1].1, 1, Value::Int(10).hash64());
-        table.install_run(vec![(meta, SegmentFile { data, inverted })], true).unwrap();
+        let mut next = TableVersion::clone(&table.version());
+        next.add_run(vec![SegmentSnap::open(meta, SegmentFile { data, inverted })], true).unwrap();
+        table.publish(next);
 
-        let state = table.state.read();
-        let (_, tuple_index) = &state.indexes.tuple[0];
+        let version = table.version();
+        let (_, tuple_index) = &version.indexes.tuple[0];
         let collided = hash::hash_values([Value::Int(1), Value::Int(10)].iter());
         let mut pairs = tuple_index.lookup(collided, &|_| true);
         pairs.sort();
@@ -684,7 +625,7 @@ mod tests {
         assert_ne!(pairs[0].1, pairs[1].1, "told apart by entry offsets");
         // The probe verifies values at the inverted index, so the colliding
         // neighbour is filtered out and the real key resolves to its row.
-        let hits = probe_state(&state, &[0, 1], &[Value::Int(1), Value::Int(10)], None).unwrap();
+        let hits = version.probe(&[0, 1], &[Value::Int(1), Value::Int(10)]).unwrap();
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].1, vec![0]);
     }

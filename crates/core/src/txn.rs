@@ -272,18 +272,16 @@ impl Txn {
         self.check_active()?;
         let table = self.partition.table(table_id)?;
         let new_row = Row::checked(new_row.into_values(), &table.schema)?;
-        if table.unique_cols.is_none() {
+        let Some(cols) = &table.unique_cols else {
             return Err(Error::InvalidArgument(format!(
                 "table {:?} has no unique key",
                 table.name
             )));
-        }
-        if let Some(cols) = &table.unique_cols {
-            if new_row.project(cols) != key {
-                return Err(Error::InvalidArgument(
-                    "update_unique cannot change the unique key".into(),
-                ));
-            }
+        };
+        if new_row.project(cols) != key {
+            return Err(Error::InvalidArgument(
+                "update_unique cannot change the unique key".into(),
+            ));
         }
         table.rowstore.read().lock_key(self.id, key)?;
         self.note_lock(table_id, key.to_vec());
@@ -310,24 +308,14 @@ impl Txn {
         let table = self.partition.table(table_id)?;
         table.rowstore.read().lock_key(self.id, key)?;
         self.note_lock(table_id, key.to_vec());
-        let current = match self.find_live_by_unique(&table, key)? {
-            None => return Ok(false),
-            Some(loc) => {
-                self.ensure_in_rowstore(&table, loc.clone())?;
-                match loc {
-                    RowLocation::Rowstore(_) | RowLocation::Segment(..) => {
-                        // After ensure_in_rowstore the row is in the rowstore.
-                        match table.rowstore.read().get(
-                            key,
-                            s2_common::TS_MAX_COMMITTED,
-                            Some(self.id),
-                        ) {
-                            Some(Some(row)) => row,
-                            _ => return Ok(false),
-                        }
-                    }
-                }
-            }
+        let Some(loc) = self.find_live_by_unique(&table, key)? else {
+            return Ok(false);
+        };
+        self.ensure_in_rowstore(&table, loc)?;
+        // After ensure_in_rowstore the row is in the rowstore.
+        let latest = table.rowstore.read().get(key, s2_common::TS_MAX_COMMITTED, Some(self.id));
+        let Some(Some(current)) = latest else {
+            return Ok(false);
         };
         let new_row = Row::checked(f(&current).into_values(), &table.schema)?;
         table.rowstore.read().write(self.id, key, Some(new_row.clone()))?;

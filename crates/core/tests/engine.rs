@@ -2,11 +2,12 @@
 //! figure 1, uniqueness enforcement (§4.1.2), move transactions (§4.2),
 //! flush/merge behaviour (§2.1.2) and recovery.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use s2_common::schema::ColumnDef;
 use s2_common::{DataType, Row, Schema, TableOptions, Value};
-use s2_core::{DuplicatePolicy, MemFileStore, Partition, RowLocation};
+use s2_core::{file_name, DataFileStore, DuplicatePolicy, MemFileStore, Partition, RowLocation};
 use s2_wal::Log;
 
 fn users_schema() -> Schema {
@@ -229,11 +230,11 @@ fn merge_reduces_runs_and_drops_deleted_rows() {
     txn.commit().unwrap();
 
     let table = p.table(t).unwrap();
-    let runs_before = table.live_segments().len();
+    let runs_before = table.version().segments().count();
     assert!(runs_before >= 5);
     while p.merge_table(t).unwrap() {}
     p.vacuum().unwrap();
-    let segs_after = table.live_segments().len();
+    let segs_after = table.version().segments().count();
     assert!(segs_after < runs_before, "{segs_after} vs {runs_before}");
 
     let snap = p.read_snapshot();
@@ -495,9 +496,86 @@ fn vacuum_reclaims_after_snapshot_release() {
     // The pinned snapshot still scans correctly.
     assert_eq!(pinned.table(t).unwrap().live_row_count(), 240);
     drop(pinned);
+    // Their data files go once a durable snapshot covers the merge too.
+    let snapshot = p.write_snapshot().unwrap();
+    p.mark_snapshot_durable(snapshot.lp);
     let (reclaimed, _) = p.vacuum().unwrap();
     assert!(reclaimed > 0, "retired segments reclaimed once unpinned");
     // Data intact afterwards.
     let snap = p.read_snapshot();
     assert_eq!(snap.table(t).unwrap().live_row_count(), 240);
+}
+
+/// A snapshot pinned before a merge keeps its own table version: through a
+/// merge and a vacuum it still probes and scans exactly its pre-merge rows.
+/// The merged-away segments' data files outlive the snapshot until a
+/// durable rowstore snapshot covers the merge (log replay from an older
+/// one re-installs those segments from their flush records).
+#[test]
+fn pinned_snapshot_outlives_merge_and_vacuum() {
+    let files = Arc::new(MemFileStore::new());
+    let p = Partition::new("t_p0", Arc::new(Log::in_memory()), Arc::clone(&files) as _);
+    let t = p.create_table("users", users_schema(), users_options()).unwrap();
+    let colors = ["red", "green", "blue"];
+    for batch in 0..6 {
+        let mut txn = p.begin();
+        for i in 0..40 {
+            let id = batch * 40 + i;
+            txn.insert(t, user(id, colors[(id % 3) as usize], 0.0)).unwrap();
+        }
+        txn.commit().unwrap();
+        p.flush_table(t, true).unwrap();
+    }
+    let pinned = p.read_snapshot();
+    while p.merge_table(t).unwrap() {}
+    // Deletes after the pin set bits in the new version only.
+    let mut txn = p.begin();
+    for id in [1i64, 4, 100] {
+        assert!(txn.delete_unique(t, &[Value::Int(id)]).unwrap());
+    }
+    txn.commit().unwrap();
+    p.vacuum().unwrap();
+
+    let live: BTreeSet<u64> =
+        p.table(t).unwrap().version().segments().map(|s| s.core.meta.id).collect();
+    let ts = pinned.table(t).unwrap();
+    let merged_away: Vec<String> = ts
+        .segments
+        .iter()
+        .filter(|s| !live.contains(&s.core.meta.id))
+        .map(|s| file_name("t_p0", s.core.meta.file_id, s.core.meta.id))
+        .collect();
+    assert!(!merged_away.is_empty(), "the merge retired some pinned segments");
+
+    // Scan: every pre-merge row, deleted ones included.
+    let mut ids = BTreeSet::new();
+    for seg in &ts.segments {
+        for ri in (0..seg.core.meta.row_count).filter(|&ri| !seg.deleted.get(ri)) {
+            ids.insert(seg.core.reader.row(ri).unwrap().get(0).as_int().unwrap());
+        }
+    }
+    assert_eq!(ids, (0..240).collect::<BTreeSet<i64>>());
+    assert_eq!(ts.live_row_count(), 240);
+    // Probe: through the snapshot's own index levels and delete bits.
+    let green = ts.index_probe(&[1], &[Value::str("green")]).unwrap().unwrap();
+    assert_eq!(green.row_count(), 80);
+    for id in [1i64, 4, 100, 239] {
+        let probe = ts.index_probe(&[0], &[Value::Int(id)]).unwrap().unwrap();
+        assert_eq!(probe.materialize().unwrap(), vec![user(id, colors[(id % 3) as usize], 0.0)]);
+    }
+
+    let exists = |name: &String| files.read_file(name).is_ok();
+    assert!(merged_away.iter().all(exists), "files of segments a snapshot can read");
+    drop(pinned);
+    assert_eq!(p.vacuum().unwrap().0, 0, "no durable snapshot covers the merge yet");
+    assert!(merged_away.iter().all(exists));
+    let snapshot = p.write_snapshot().unwrap();
+    p.mark_snapshot_durable(snapshot.lp);
+    assert_eq!(p.vacuum().unwrap().0, merged_away.len());
+    assert!(!merged_away.iter().any(exists), "retired files deleted");
+    let snap = p.read_snapshot();
+    assert_eq!(snap.table(t).unwrap().live_row_count(), 237);
+    for seg in &snap.table(t).unwrap().segments {
+        assert!(exists(&file_name("t_p0", seg.core.meta.file_id, seg.core.meta.id)));
+    }
 }

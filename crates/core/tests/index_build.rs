@@ -22,7 +22,7 @@ use rand::{Rng, SeedableRng};
 use s2_common::hash::hash_values;
 use s2_common::schema::ColumnDef;
 use s2_common::{DataType, Row, Schema, SegmentId, TableId, TableOptions, Value};
-use s2_core::{DataFileStore, MemFileStore, Partition, SegmentCore, Table};
+use s2_core::{DataFileStore, MemFileStore, Partition, SegmentSnap, Table};
 use s2_index::{intersect, GlobalIndex, InvertedIndex};
 use s2_wal::Log;
 
@@ -44,7 +44,7 @@ fn entry_offset_of(ix: &InvertedIndex, v: &Value) -> Option<u32> {
 }
 
 impl RefIndexes {
-    fn build(defs: &[Vec<usize>], segments: &[Arc<SegmentCore>]) -> RefIndexes {
+    fn build(defs: &[Vec<usize>], segments: &[SegmentSnap]) -> RefIndexes {
         let mut ix = RefIndexes { column: HashMap::new(), tuple: Vec::new() };
         for cols in defs {
             for &c in cols {
@@ -54,7 +54,7 @@ impl RefIndexes {
                 ix.tuple.push((cols.clone(), GlobalIndex::new(cols.len())));
             }
         }
-        for core in segments {
+        for core in segments.iter().map(|s| &s.core) {
             let rows: Vec<Row> =
                 (0..core.meta.row_count).map(|ri| core.reader.row(ri).unwrap()).collect();
             for (col, inverted) in &core.inverted {
@@ -85,12 +85,12 @@ impl RefIndexes {
     }
 
     /// Rows of the live segments matching `cols = key`, deleted rows left out.
-    fn probe(&self, cols: &[usize], key: &[Value], segments: &[Arc<SegmentCore>]) -> Hits {
+    fn probe(&self, cols: &[usize], key: &[Value], segments: &[SegmentSnap]) -> Hits {
         let mut out = Hits::new();
         if key.iter().any(Value::is_null) {
             return out;
         }
-        for core in segments {
+        for SegmentSnap { core, deleted } in segments {
             let only = |s: SegmentId| s == core.meta.id;
             // Entry offsets per key column, through the tuple index when one
             // covers exactly these columns, else one column index each.
@@ -109,7 +109,6 @@ impl RefIndexes {
                     per_col.into_iter().collect::<Option<Vec<u32>>>().into_iter().collect()
                 }
             };
-            let deleted = core.deleted_bits();
             for offs in offsets {
                 let postings: Option<Vec<_>> = cols
                     .iter()
@@ -130,13 +129,12 @@ impl RefIndexes {
 }
 
 /// What a scan finds: live rows whose projection equals the key.
-fn scan(cols: &[usize], key: &[Value], segments: &[Arc<SegmentCore>]) -> Hits {
+fn scan(cols: &[usize], key: &[Value], segments: &[SegmentSnap]) -> Hits {
     let mut out = Hits::new();
     if key.iter().any(Value::is_null) {
         return out;
     }
-    for core in segments {
-        let deleted = core.deleted_bits();
+    for SegmentSnap { core, deleted } in segments {
         for ri in (0..core.meta.row_count).filter(|&ri| !deleted.get(ri)) {
             if core.reader.row(ri).unwrap().project(cols) == key {
                 out.insert((core.meta.id, ri as u32));
@@ -264,11 +262,11 @@ fn run_case(seed: u64) -> (Arc<Partition>, Arc<MemFileStore>, TableId, Case) {
 
 /// Probe every key of every probed column set three ways.
 fn check(table: &Table, case: &Case, what: &str) {
-    let segments = table.live_segments();
+    let segments: Vec<SegmentSnap> = table.version().segments().cloned().collect();
     let reference = RefIndexes::build(&case.defs, &segments);
     let rows: Vec<Row> = segments
         .iter()
-        .flat_map(|c| (0..c.meta.row_count).map(|ri| c.reader.row(ri).unwrap()))
+        .flat_map(|s| (0..s.core.meta.row_count).map(|ri| s.core.reader.row(ri).unwrap()))
         .collect();
     for cols in &case.probes {
         // Every key present (NULL-bearing and deleted ones too) and one absent.
@@ -294,7 +292,7 @@ proptest! {
     fn encoded_index_build_matches_row_based_reference(seed in any::<u64>()) {
         let (p, files, t, case) = run_case(seed);
         let table = p.table(t).unwrap();
-        prop_assert!(table.live_segments().iter().any(|c| c.live_rows() < c.meta.row_count));
+        prop_assert!(table.version().segments().any(|s| s.live_rows() < s.core.meta.row_count));
         check(&table, &case, "live");
 
         let log = Log::in_memory();

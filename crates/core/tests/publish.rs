@@ -11,7 +11,6 @@
 
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use s2_common::fault::{self, FaultAction, FaultHook};
@@ -156,7 +155,7 @@ fn read_while_parked<T: Send + 'static>(
     worker: impl FnOnce() -> T + Send + 'static,
 ) -> (Vec<i64>, usize, T) {
     let parking = Parking::install();
-    let worker: JoinHandle<T> = std::thread::spawn(worker);
+    let worker = std::thread::spawn(worker);
     parking.wait_parked();
     let missing = unreadable(p, t, n);
     // A snapshot either lands before the parked change or waits for it to

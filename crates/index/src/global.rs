@@ -14,6 +14,7 @@
 //! segments it covers are dead.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use s2_common::SegmentId;
 
@@ -219,8 +220,10 @@ impl HashLevel {
 }
 
 /// The global index: newest-first list of immutable hash-table levels.
+/// Levels are shared, so a clone costs one `Arc` bump per level.
+#[derive(Clone)]
 pub struct GlobalIndex {
-    levels: Vec<HashLevel>,
+    levels: Vec<Arc<HashLevel>>,
     arity: usize,
     /// Merge when more levels than this accumulate.
     max_levels: usize,
@@ -269,7 +272,7 @@ impl GlobalIndex {
         if input.is_empty() {
             return;
         }
-        self.levels.insert(0, HashLevel::build(&input));
+        self.levels.insert(0, Arc::new(HashLevel::build(&input)));
         if self.levels.len() > self.max_levels {
             self.merge_smallest(&|_| true);
         }
@@ -290,7 +293,7 @@ impl GlobalIndex {
         let mut tuples = LevelInput::new(self.arity);
         la.drain_into(is_live, &mut tuples);
         lb.drain_into(is_live, &mut tuples);
-        self.levels.push(HashLevel::build(&tuples));
+        self.levels.push(Arc::new(HashLevel::build(&tuples)));
     }
 
     /// Look up every live `(segment, offsets)` pair for `hash`.
@@ -314,7 +317,7 @@ impl GlobalIndex {
             if level.dead_fraction(is_live) >= 0.5 {
                 let mut tuples = LevelInput::new(self.arity);
                 level.drain_into(is_live, &mut tuples);
-                *level = HashLevel::build(&tuples);
+                *level = Arc::new(HashLevel::build(&tuples));
                 rewritten += 1;
             }
         }
@@ -327,13 +330,6 @@ impl GlobalIndex {
     pub fn total_pairs(&self) -> usize {
         self.levels.iter().map(|l| l.pair_segments.len()).sum()
     }
-}
-
-/// A per-segment probe count comparator for the ablation bench: looking up a
-/// value with only per-segment structures costs one probe per segment
-/// (O(N)); with the global index it costs one probe per level (O(log N)).
-pub fn probes_without_global_index(segment_count: usize) -> usize {
-    segment_count
 }
 
 #[cfg(test)]

@@ -29,7 +29,8 @@ cargo build --release "${CARGO_FLAGS[@]}"
 cargo test -q "${CARGO_FLAGS[@]}"
 
 echo "== workspace tests =="
-cargo test -q --workspace "${CARGO_FLAGS[@]}"
+# s2-sim's own suite runs in the `== sim ==` stage below.
+cargo test -q --workspace --exclude s2-sim "${CARGO_FLAGS[@]}"
 
 echo "== parallel scan: tier-1 at 1 and 8 scan threads =="
 # The morsel executor must be invisible to correctness: the whole tier-1
@@ -61,9 +62,11 @@ cargo test -q -p s2-cluster --test workspace "${CARGO_FLAGS[@]}"
 # Crash recovery must be byte-identical to streaming the same log through
 # the replica tail-apply path; its index build (from the segments' inverted
 # indexes, no row decoded) must probe like the row-based reference builder;
-# and replay must read each surviving data file once and a dropped one never.
+# replay must read each surviving data file once and a dropped one never;
+# and a reader parked against a flush, merge or replica apply at the
+# `core.publish` site must see every acked row exactly once.
 cargo test -q -p s2-core --test recovery_parallel --test index_build --test recovery_files \
-    "${CARGO_FLAGS[@]}"
+    --test publish "${CARGO_FLAGS[@]}"
 
 echo "== tpcc: group-commit pipeline (contended smoke) =="
 # Contended TPC-C over a sync-replicated cluster: TPC-C consistency under

@@ -40,12 +40,12 @@ fn figure3_two_level_lookup() {
     }
 
     let table = p.table(t).unwrap();
-    let segments = table.live_segments();
-    assert_eq!(segments.len(), 4);
+    let version = table.version();
+    assert_eq!(version.segments().count(), 4);
 
     // Level 1: every segment has an inverted index on the user column whose
     // postings are exact row offsets.
-    for seg in &segments {
+    for seg in version.segments().map(|s| &s.core) {
         let ix = seg.inverted.get(&1).expect("inverted index on user column");
         assert_eq!(ix.entry_count(), 3, "three distinct users per segment");
         let mut postings = ix.lookup(&Value::str("grace")).unwrap().unwrap();
