@@ -66,6 +66,10 @@ pub struct Replica {
     applied_lp: Arc<AtomicU64>,
     mark: Arc<AppliedMark>,
     stop: Arc<AtomicBool>,
+    /// The primary's log and this replica's subscription to it: ending the
+    /// subscription is what wakes the apply thread to stop.
+    source: Arc<Log>,
+    subscription: u64,
     thread: Option<JoinHandle<()>>,
     /// Whether this replica acks (HA replica) or not (read-only workspace).
     pub acks: bool,
@@ -91,7 +95,7 @@ impl Replica {
         from_lp: LogPosition,
         acks: bool,
     ) -> Result<Replica> {
-        let (backlog, rx) = master.log.subscribe(from_lp)?;
+        let (backlog, rx, subscription) = master.log.subscribe(from_lp)?;
         let applied_lp = Arc::new(AtomicU64::new(from_lp));
         let mark = Arc::new(AppliedMark::new(from_lp));
         let stop = Arc::new(AtomicBool::new(false));
@@ -160,19 +164,24 @@ impl Replica {
             if !backlog.bytes.is_empty() && !deliver(backlog) {
                 return;
             }
-            while !stop2.load(Ordering::Acquire) {
-                match rx.recv_timeout(std::time::Duration::from_millis(20)) {
-                    Ok(chunk) => {
-                        if !deliver(chunk) {
-                            return;
-                        }
-                    }
-                    Err(crossbeam::channel::RecvTimeoutError::Timeout) => continue,
-                    Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
+            // `stop` ends the subscription, which disconnects `rx` and
+            // wakes this receive at once.
+            while let Ok(chunk) = rx.recv() {
+                if stop2.load(Ordering::Acquire) || !deliver(chunk) {
+                    return;
                 }
             }
         });
-        Ok(Replica { partition, applied_lp, mark, stop, thread: Some(thread), acks })
+        Ok(Replica {
+            partition,
+            applied_lp,
+            mark,
+            stop,
+            source: Arc::clone(&master.log),
+            subscription,
+            thread: Some(thread),
+            acks,
+        })
     }
 
     /// Log position applied so far.
@@ -192,6 +201,7 @@ impl Replica {
     /// Stop the replication thread (e.g. before promoting to master).
     pub fn stop(&mut self) {
         self.stop.store(true, Ordering::Release);
+        self.source.unsubscribe(self.subscription);
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
@@ -360,6 +370,27 @@ mod tests {
         let m_segs = master.table(t).unwrap().version().segments().count();
         let r_segs = replica.partition.table(t2).unwrap().version().segments().count();
         assert_eq!(m_segs, r_segs);
+    }
+
+    /// Stopping wakes the apply thread out of its receive at once instead
+    /// of waiting for a poll interval to pass.
+    #[test]
+    fn stop_of_an_idle_replica_is_prompt() {
+        let files: Arc<MemFileStore> = Arc::new(MemFileStore::new());
+        let master = Partition::new("p0", Arc::new(Log::in_memory()), files.clone());
+        table_setup(&master);
+        let mut stops: Vec<Duration> = (0..20)
+            .map(|_| {
+                let rp = empty_replica_partition("p0", files.clone(), 0);
+                let mut replica = Replica::start(&master, rp, 0, false).unwrap();
+                assert!(replica.wait_applied(master.log.end_lp(), Duration::from_secs(5)));
+                let t = std::time::Instant::now();
+                replica.stop();
+                t.elapsed()
+            })
+            .collect();
+        stops.sort_unstable();
+        assert!(stops[stops.len() / 2] < Duration::from_millis(2), "stop times {stops:?}");
     }
 
     #[test]

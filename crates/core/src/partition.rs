@@ -23,6 +23,7 @@ use s2_common::{
     Error, LogPosition, Result, Row, Schema, SegmentId, TableId, TableOptions, Timestamp, TxnId,
     Value,
 };
+use s2_rowstore::{CommittedVersion, RowStore};
 use s2_wal::{GroupCommit, Log, RecordIter, Snapshot};
 
 use crate::record::{self, EngineRecord, RowOp};
@@ -32,11 +33,23 @@ use crate::table::{SegmentCore, SegmentSnap, Table, TableSnapshot, TableVersion}
 /// Snapshot blob magic ("S2PS").
 const PARTITION_SNAPSHOT_MAGIC: u32 = 0x5350_3253;
 
-/// Per-table state threaded through one replay worker.
+/// Every committed row version recovery meets, per table and in log order:
+/// snapshot rows first, then the replayed upserts, deletes, flush markers
+/// and move inserts. Each table's rowstore is built once from its list
+/// ([`RowStore::from_committed`]).
+type RecoveredRows = HashMap<TableId, Vec<CommittedVersion>>;
+
+/// The columnstore side of one table's replayed records, routed in log
+/// order and applied by one replay worker.
 #[derive(Default)]
 struct ReplayCtx {
-    /// `Move` tombstones, batched into one publish at queue end.
-    pending_deletes: Vec<(SegmentId, Vec<u32>)>,
+    /// `Flush` and `Merge` records in log order: the segments each drops
+    /// (none for a flush) and the run it adds.
+    runs: Vec<(Vec<SegmentId>, Vec<SegmentMeta>)>,
+    /// `Move` tombstones. Delete bits only ever get set and segment ids are
+    /// never reused, so setting them all after the runs is equivalent to
+    /// setting them record by record.
+    deletes: Vec<(SegmentId, Vec<u32>)>,
     /// Segments some `Merge` of this table's queue drops. Segment ids are
     /// never reused and a merge only drops what exists, so a flush or merge
     /// output found here is dropped by a *later* record of the replayed
@@ -649,9 +662,11 @@ impl Partition {
         self.last_snapshot_lp.fetch_max(lp, Ordering::AcqRel);
     }
 
-    /// Restore partition state from a snapshot blob. Index registration is
-    /// left to the post-replay [`Table::rebuild_indexes`] pass.
-    fn load_snapshot_state(&self, data: &[u8]) -> Result<()> {
+    /// Restore partition state from a snapshot blob. Each table's rowstore
+    /// rows (key-sorted, committed at the snapshot timestamp) become the
+    /// oldest entries of its list in `rows`; index registration is left to
+    /// the post-replay [`Table::rebuild_indexes`] pass.
+    fn load_snapshot_state(&self, data: &[u8], rows: &mut RecoveredRows) -> Result<()> {
         let mut r = ByteReader::new(data);
         let magic = r.get_u32()?;
         if magic != PARTITION_SNAPSHOT_MAGIC {
@@ -668,16 +683,11 @@ impl Partition {
             let schema = record::get_schema(&mut r)?;
             let options = record::get_options(&mut r)?;
             let table = Arc::new(Table::new(id, name.clone(), schema, options)?);
-            // Rowstore rows, committed at the snapshot timestamp.
             let n_rows = r.get_varint()? as usize;
-            {
-                let rs = table.rowstore.read();
-                for _ in 0..n_rows {
-                    let key = record::get_key(&mut r)?;
-                    let row = record::get_row(&mut r)?;
-                    self.note_auto_key(&table, &key);
-                    rs.install_committed(&key, Some(row), commit_ts);
-                }
+            let versions = rows.entry(id).or_default();
+            for _ in 0..n_rows {
+                let key = record::get_key(&mut r)?;
+                versions.push((key, Some(record::get_row(&mut r)?), commit_ts));
             }
             // Segments.
             table.next_segment_id.fetch_max(r.get_u64()?, Ordering::Relaxed);
@@ -709,20 +719,20 @@ impl Partition {
     }
 
     /// Read the data files of one run (a snapshot's, or a flush or merge
-    /// output's). Under replay, a segment that a later `Merge` of the
-    /// replayed range drops is left out — neither fetched nor decoded — but
-    /// still consumes its id. A PITR target before that merge never sees the
-    /// `Merge` record, so it loads the file as usual.
+    /// output's). Under replay, a segment in `doomed` (one that a later
+    /// `Merge` of the replayed range drops) is left out — neither fetched
+    /// nor decoded — but still consumes its id. A PITR target before that
+    /// merge never sees the `Merge` record, so it loads the file as usual.
     fn load_run(
         &self,
         table: &Table,
         metas: Vec<SegmentMeta>,
-        replay: Option<&ReplayCtx>,
+        doomed: Option<&HashSet<SegmentId>>,
     ) -> Result<Vec<SegmentSnap>> {
         let mut run = Vec::with_capacity(metas.len());
         for meta in metas {
             table.next_segment_id.fetch_max(meta.id + 1, Ordering::Relaxed);
-            if replay.is_some_and(|ctx| ctx.doomed.contains(&meta.id)) {
+            if doomed.is_some_and(|d| d.contains(&meta.id)) {
                 s2_obs::counter!("core.recover.segments_skipped").inc();
                 continue;
             }
@@ -737,8 +747,10 @@ impl Partition {
     /// This is the node-restart path, the replica-provisioning path and the
     /// PITR path (with `upto_lp` bounding replay).
     ///
-    /// Replay fans decode and per-table application across the shared worker
-    /// pool ([`Partition::replay`]), then rebuilds indexes in a single pass.
+    /// Replay fans decode and per-table columnstore application across the
+    /// shared worker pool ([`Partition::replay`]); then every table's
+    /// rowstore is built once and its indexes are rebuilt, each in a single
+    /// pass.
     pub fn recover(
         name: impl Into<String>,
         log: Arc<Log>,
@@ -747,10 +759,11 @@ impl Partition {
         upto_lp: Option<LogPosition>,
     ) -> Result<Arc<Partition>> {
         let p = Partition::new(name, log, file_store);
+        let mut rows = RecoveredRows::new();
         let start_lp = match snapshot {
             Some(s) => {
                 let _t = s2_obs::histogram!("core.recover.snapshot_load_us").start_timer();
-                p.load_snapshot_state(&s.data)?;
+                p.load_snapshot_state(&s.data, &mut rows)?;
                 p.last_snapshot_lp.store(s.lp, Ordering::Release);
                 s.lp
             }
@@ -759,8 +772,9 @@ impl Partition {
         let end_lp = upto_lp.unwrap_or_else(|| p.log.end_lp()).min(p.log.end_lp());
         let threads = s2_pool::effective_threads(0);
         if end_lp > start_lp {
-            p.replay(start_lp, end_lp, threads)?;
+            p.replay(start_lp, end_lp, threads, &mut rows)?;
         }
+        p.build_rowstores(rows, threads)?;
         let _t = s2_obs::histogram!("core.recover.index_build_us").start_timer();
         p.rebuild_all_indexes(threads)?;
         Ok(p)
@@ -774,27 +788,29 @@ impl Partition {
     /// 2. **Decode** (parallel): `EngineRecord::decode` fans across the
     ///    worker pool in input-ordered batches; the first error is surfaced
     ///    in log order.
-    /// 3. **Partition** (serial): apply `CreateTable` immediately; split
-    ///    each multi-table `Commit` into per-table sub-commits (same
-    ///    timestamp — transaction ids are not observable state) and bucket
-    ///    everything else by table. Every non-DDL record touches exactly one
-    ///    table, so per-table queues preserve all ordering that matters.
-    /// 4. **Apply** (parallel): one worker per table replays that table's
-    ///    queue in log order, deferring index registration, batching `Move`
-    ///    tombstones (delete bits only ever get set and segment ids are
-    ///    never reused, so one publish of them all at the end is equivalent
-    ///    to one per record) and never
-    ///    fetching the data file of a segment that a `Merge` further down
-    ///    the queue drops.
+    /// 3. **Route** (serial): apply `CreateTable` immediately; append every
+    ///    row op — `Commit` upserts and deletes, `Flush` removed-key markers,
+    ///    `Move` inserts — to its table's list in `rows`, and the columnstore
+    ///    side of `Flush`, `Merge` and `Move` to its table's [`ReplayCtx`].
+    ///    Every op and record touches exactly one table, so per-table lists
+    ///    in log order keep all ordering that matters (transaction ids are
+    ///    not observable state), and a table's rows and its columnstore
+    ///    side never read each other.
+    /// 4. **Apply** (parallel): one worker per table applies that table's
+    ///    runs and tombstones to one next version and publishes it once,
+    ///    deferring index registration and never fetching the data file of
+    ///    a segment that a `Merge` further down the queue drops.
     ///
-    /// The caller then rebuilds every table's indexes in one pass, replacing
-    /// per-record index maintenance. Each phase is timed into its
+    /// The caller then builds every table's rowstore from `rows` and its
+    /// indexes from its segments, one pass each, in place of per-op inserts
+    /// and per-record index maintenance. Each phase is timed into its
     /// `core.recover.*_us` histogram (3 and 4 together are `apply_us`).
     fn replay(
         self: &Arc<Partition>,
         start_lp: LogPosition,
         end_lp: LogPosition,
         threads: usize,
+        rows: &mut RecoveredRows,
     ) -> Result<()> {
         let pool = s2_pool::ScanPool::global();
         let timer = s2_obs::histogram!("core.recover.frame_scan_us").start_timer();
@@ -834,9 +850,9 @@ impl Partition {
             batch.into_iter().map(|(kind, s, e)| EngineRecord::decode(kind, &buf[s..e])).collect()
         });
         timer.stop();
-        // Phase 3: serial partition into per-table ordered queues.
+        // Phase 3: serial routing into per-table lists, in log order.
         let _t = s2_obs::histogram!("core.recover.apply_us").start_timer();
-        let mut queues: HashMap<TableId, Vec<EngineRecord>> = HashMap::new();
+        let mut ctxs: HashMap<TableId, ReplayCtx> = HashMap::new();
         let mut max_ts: Timestamp = 0;
         for rec in decoded.into_iter().flatten() {
             let rec = rec?;
@@ -846,45 +862,83 @@ impl Partition {
             match rec {
                 rec @ EngineRecord::CreateTable { .. } => self.apply_record(rec)?,
                 EngineRecord::Commit { commit_ts, ops } => {
-                    let mut by_table: HashMap<TableId, Vec<RowOp>> = HashMap::new();
                     for op in ops {
-                        by_table.entry(op.table()).or_default().push(op);
-                    }
-                    for (tid, ops) in by_table {
-                        queues
-                            .entry(tid)
-                            .or_default()
-                            .push(EngineRecord::Commit { commit_ts, ops });
+                        let (table, version) = match op {
+                            RowOp::Upsert { table, key, row } => {
+                                (table, (key, Some(row), commit_ts))
+                            }
+                            RowOp::Delete { table, key } => (table, (key, None, commit_ts)),
+                        };
+                        rows.entry(table).or_default().push(version);
                     }
                 }
-                EngineRecord::Flush { table, .. }
-                | EngineRecord::Move { table, .. }
-                | EngineRecord::Merge { table, .. } => {
-                    queues.entry(table).or_default().push(rec);
+                EngineRecord::Flush { table, commit_ts, metas, removed_keys } => {
+                    let markers = removed_keys.into_iter().map(|key| (key, None, commit_ts));
+                    rows.entry(table).or_default().extend(markers);
+                    ctxs.entry(table).or_default().runs.push((Vec::new(), metas));
+                }
+                EngineRecord::Move { table, commit_ts, inserts, deleted } => {
+                    let copies = inserts.into_iter().map(|(key, row)| (key, Some(row), commit_ts));
+                    rows.entry(table).or_default().extend(copies);
+                    ctxs.entry(table).or_default().deletes.extend(deleted);
+                }
+                EngineRecord::Merge { table, dropped, metas, .. } => {
+                    let ctx = ctxs.entry(table).or_default();
+                    ctx.doomed.extend(&dropped);
+                    ctx.runs.push((dropped, metas));
                 }
             }
         }
-        // Phase 4: parallel per-table apply (log order within each table).
-        let mut work: Vec<(TableId, Vec<EngineRecord>)> = queues.into_iter().collect();
+        // Phase 4: parallel per-table columnstore apply.
+        let mut work: Vec<(TableId, ReplayCtx)> = ctxs.into_iter().collect();
         work.sort_unstable_by_key(|(tid, _)| *tid);
         let replayer = Arc::clone(self);
-        let results: Vec<Result<()>> = pool.run(threads, work, move |(tid, recs)| {
-            let mut ctx = ReplayCtx::default();
-            for rec in &recs {
-                if let EngineRecord::Merge { dropped, .. } = rec {
-                    ctx.doomed.extend(dropped);
-                }
-            }
-            for rec in recs {
-                replayer.apply_record_inner(rec, Some(&mut ctx))?;
-            }
-            replayer.install_replay_deletes(tid, ctx)
-        });
+        let results: Vec<Result<()>> =
+            pool.run(threads, work, move |(tid, ctx)| replayer.replay_columnstore(tid, ctx));
         for r in results {
             r?;
         }
         self.bump_commit_ts(max_ts);
         Ok(())
+    }
+
+    /// Replay phase 4 for one table: its runs in log order (merges retiring
+    /// their inputs first), then its `Move` tombstones, all on one next
+    /// version published once. Nothing reads a recovering partition.
+    fn replay_columnstore(&self, table: TableId, ctx: ReplayCtx) -> Result<()> {
+        let t = self.table(table)?;
+        let mut next = TableVersion::clone(&t.version());
+        for (dropped, metas) in ctx.runs {
+            next.retire(&dropped);
+            next.add_run(self.load_run(&t, metas, Some(&ctx.doomed))?, false)?;
+        }
+        next.delete_rows(&ctx.deletes);
+        t.publish(next);
+        Ok(())
+    }
+
+    /// Build every table's rowstore once from its recovered versions
+    /// ([`RowStore::from_committed`]): what op-by-op replay followed by a
+    /// vacuum at the recovered commit timestamp would leave, which is all a
+    /// reader can see, since none can start below that timestamp. Largest
+    /// tables go first, so the longest build starts at once. Synthetic-key
+    /// allocators step past every recovered upsert's key.
+    fn build_rowstores(self: &Arc<Partition>, rows: RecoveredRows, threads: usize) -> Result<()> {
+        let _t = s2_obs::histogram!("core.recover.rowstore_build_us").start_timer();
+        let mut work: Vec<(TableId, Vec<CommittedVersion>)> = rows.into_iter().collect();
+        work.sort_unstable_by_key(|(tid, versions)| (std::cmp::Reverse(versions.len()), *tid));
+        let builder = Arc::clone(self);
+        let results = s2_pool::ScanPool::global().run(threads, work, move |(tid, versions)| {
+            let t = builder.table(tid)?;
+            for (key, row, _) in &versions {
+                if row.is_some() {
+                    builder.note_auto_key(&t, key);
+                }
+            }
+            *t.rowstore.write() = RowStore::from_committed(versions)?;
+            Ok(())
+        });
+        results.into_iter().collect()
     }
 
     /// Rebuild every table's global indexes from its live segments.
@@ -903,38 +957,14 @@ impl Partition {
         Ok(())
     }
 
-    /// Publish the batched `Move` tombstones of one table.
-    fn install_replay_deletes(&self, table: TableId, ctx: ReplayCtx) -> Result<()> {
-        if ctx.pending_deletes.is_empty() {
-            return Ok(());
-        }
-        let t = self.table(table)?;
-        let mut next = TableVersion::clone(&t.version());
-        next.delete_rows(&ctx.pending_deletes);
-        t.publish(next);
-        Ok(())
-    }
-
-    /// Apply one replayed (or replicated) record.
-    pub fn apply_record(&self, rec: EngineRecord) -> Result<()> {
-        self.apply_record_inner(rec, None)
-    }
-
-    /// [`Partition::apply_record`] with an optional replay context:
-    /// when present, index registration is deferred (rebuilt in one pass
-    /// afterwards), `Move` tombstones are batched into the context, and the
-    /// commit-timestamp bump is skipped (the replay driver folds the maximum
-    /// serially — the bump is a non-atomic read-modify-write that must not
-    /// race across table workers).
-    ///
-    /// Without one, the partition is live (a replica following its
-    /// primary): a `Flush`, `Move` or `Merge` reads its data files and
+    /// Apply one record to a live partition: a replica or workspace
+    /// following its primary's log tail (replay routes its `CreateTable`s
+    /// here too). A `Flush`, `Move` or `Merge` reads its data files and
     /// builds the next version first — a failed read leaves the table
     /// untouched, so a replica can retry the record — then publishes it,
     /// changes the rowstore and bumps the commit timestamp under the commit
     /// lock, so a read snapshot sees the record whole or not at all.
-    fn apply_record_inner(&self, rec: EngineRecord, replay: Option<&mut ReplayCtx>) -> Result<()> {
-        let deferred = replay.is_some();
+    pub fn apply_record(&self, rec: EngineRecord) -> Result<()> {
         match rec {
             EngineRecord::CreateTable { table, name, schema, options } => {
                 let t = Arc::new(Table::new(table, name.clone(), schema, options)?);
@@ -946,8 +976,7 @@ impl Partition {
                 }
             }
             EngineRecord::Commit { commit_ts, ops } => {
-                // One table and rowstore lookup per run of same-table ops
-                // (replay hands over single-table sub-commits).
+                // One table and rowstore lookup per run of same-table ops.
                 let mut ops = ops.into_iter().peekable();
                 while let Some(table) = ops.peek().map(RowOp::table) {
                     let t = self.table(table)?;
@@ -964,64 +993,45 @@ impl Partition {
                         }
                     }
                 }
-                if !deferred {
-                    self.bump_commit_ts(commit_ts);
-                }
+                self.bump_commit_ts(commit_ts);
             }
             EngineRecord::Flush { table, commit_ts, metas, removed_keys } => {
                 let t = self.table(table)?;
                 // Every segment goes in as ONE run, mirroring the live flush
                 // (a flush produces a single sorted run).
                 let mut next = TableVersion::clone(&t.version());
-                next.add_run(self.load_run(&t, metas, replay.as_deref())?, !deferred)?;
-                let _g = (!deferred).then(|| self.commit_lock.lock());
+                next.add_run(self.load_run(&t, metas, None)?, true)?;
+                let _g = self.commit_lock.lock();
                 t.publish(next);
                 let rs = t.rowstore.read();
                 for key in &removed_keys {
                     rs.install_committed(key, None, commit_ts);
                 }
                 drop(rs);
-                if !deferred {
-                    self.bump_commit_ts(commit_ts);
-                }
+                self.bump_commit_ts(commit_ts);
             }
             EngineRecord::Move { table, commit_ts, inserts, deleted } => {
                 let t = self.table(table)?;
-                let next = match replay {
-                    // Batched: delete bits only ever get set, so folding
-                    // them into one publish at queue end is equivalent.
-                    Some(ctx) => {
-                        ctx.pending_deletes.extend(deleted);
-                        None
-                    }
-                    None => {
-                        let mut next = TableVersion::clone(&t.version());
-                        next.delete_rows(&deleted);
-                        Some(next)
-                    }
-                };
-                let _g = next.is_some().then(|| self.commit_lock.lock());
+                let mut next = TableVersion::clone(&t.version());
+                next.delete_rows(&deleted);
+                let _g = self.commit_lock.lock();
                 let rs = t.rowstore.read();
                 for (key, row) in inserts {
                     self.note_auto_key(&t, &key);
                     rs.install_committed(&key, Some(row), commit_ts);
                 }
                 drop(rs);
-                if let Some(next) = next {
-                    t.publish(next);
-                    self.bump_commit_ts(commit_ts);
-                }
+                t.publish(next);
+                self.bump_commit_ts(commit_ts);
             }
             EngineRecord::Merge { table, commit_ts, dropped, metas } => {
                 let t = self.table(table)?;
                 let mut next = TableVersion::clone(&t.version());
                 next.retire(&dropped);
-                next.add_run(self.load_run(&t, metas, replay.as_deref())?, !deferred)?;
-                let _g = (!deferred).then(|| self.commit_lock.lock());
+                next.add_run(self.load_run(&t, metas, None)?, true)?;
+                let _g = self.commit_lock.lock();
                 t.publish(next);
-                if !deferred {
-                    self.bump_commit_ts(commit_ts);
-                }
+                self.bump_commit_ts(commit_ts);
             }
         }
         Ok(())

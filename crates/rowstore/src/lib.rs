@@ -13,4 +13,4 @@ pub mod store;
 
 pub use mvcc::{RowEntry, RowLock, Version, VersionChain};
 pub use skiplist::{cmp_keys, Node, SkipList};
-pub use store::{RowStore, DEFAULT_LOCK_TIMEOUT};
+pub use store::{CommittedVersion, RowStore, DEFAULT_LOCK_TIMEOUT};

@@ -16,7 +16,7 @@
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 
-use s2_common::Value;
+use s2_common::{Error, Result, Value};
 
 const MAX_HEIGHT: usize = 16;
 
@@ -80,6 +80,53 @@ impl<T> SkipList<T> {
             tower: tower.into_boxed_slice(),
         }));
         SkipList { head, len: AtomicUsize::new(0), rng: AtomicU64::new(0x853c_49e6_748f_ea9b) }
+    }
+
+    /// Build a list from `(key, payload)` pairs in strictly ascending key
+    /// order, bottom-up in one pass (recovery's bulk load). Each node draws
+    /// its height from [`SkipList::random_height`], as an insert would, and
+    /// is appended behind the last node linked at each of its levels: no
+    /// descent and no search. Keys move into the nodes. Returns
+    /// [`Error::Corruption`] at the first key that is not greater than the
+    /// one before it; the list is never built out of order.
+    pub fn from_sorted(entries: impl IntoIterator<Item = (Box<[Value]>, T)>) -> Result<SkipList<T>>
+    where
+        T: Default,
+    {
+        let list = SkipList::new();
+        // The last node linked at each level; the head until one is.
+        let mut last = [list.head; MAX_HEIGHT];
+        let mut len = 0usize;
+        for (key, payload) in entries {
+            // SAFETY: last[0] is the head or a node linked below, owned by
+            // `list`, which no other thread can reach yet; nodes are only
+            // freed by its Drop.
+            let prev = unsafe { &*last[0] };
+            if len > 0 && cmp_keys(&prev.key, &key) != std::cmp::Ordering::Less {
+                // Dropping `list` frees every node linked so far.
+                return Err(Error::Corruption(format!(
+                    "bulk skiplist load: key {key:?} does not follow {:?}",
+                    prev.key
+                )));
+            }
+            let height = list.random_height();
+            let tower: Vec<AtomicPtr<Node<T>>> =
+                (0..height).map(|_| AtomicPtr::new(ptr::null_mut())).collect();
+            let node =
+                Box::into_raw(Box::new(Node { key, payload, tower: tower.into_boxed_slice() }));
+            for (lvl, pred) in last.iter_mut().enumerate().take(height) {
+                // SAFETY: as for `prev` — every entry of `last` is the head
+                // (whose tower has MAX_HEIGHT levels) or a node whose tower
+                // reaches `lvl`, since a node is recorded only at the levels
+                // it has. Relaxed suffices: the finished list reaches other
+                // threads only through whatever publishes `list` itself.
+                unsafe { (**pred).tower[lvl].store(node, Ordering::Relaxed) };
+                *pred = node;
+            }
+            len += 1;
+        }
+        list.len.store(len, Ordering::Relaxed);
+        Ok(list)
     }
 
     /// Number of nodes (including ones whose payload is logically dead).
@@ -409,6 +456,55 @@ mod tests {
         let keys: Vec<i64> = list.iter().map(|n| n.key[0].as_int().unwrap()).collect();
         assert_eq!(keys.len(), threads as usize * per as usize);
         assert!(keys.windows(2).all(|w| w[0] < w[1]), "iteration must be sorted");
+    }
+
+    fn sorted(keys: &[i64]) -> Result<SkipList<i64>> {
+        SkipList::from_sorted(keys.iter().map(|&i| (k(i).into_boxed_slice(), i * 10)))
+    }
+
+    #[test]
+    fn from_sorted_rejects_unsorted_and_duplicate_keys() {
+        for keys in [&[1i64, 3, 2][..], &[1, 2, 2, 3], &[5, 5], &[9, 0]] {
+            match sorted(keys) {
+                Err(Error::Corruption(_)) => {}
+                other => panic!("{keys:?}: expected Corruption, got {:?}", other.map(|l| l.len())),
+            }
+        }
+        assert!(sorted(&[]).unwrap().is_empty());
+    }
+
+    #[test]
+    fn bulk_built_list_takes_concurrent_inserts() {
+        // Even keys bulk-loaded, odd keys inserted afterwards by 4 threads.
+        let evens: Vec<i64> = (0..2000).step_by(2).collect();
+        let list = Arc::new(sorted(&evens).unwrap());
+        assert_eq!(list.len(), evens.len());
+        assert_eq!(list.get(&k(1234)).unwrap().payload, 12340);
+        assert!(list.get(&k(1235)).is_none());
+        let handles: Vec<_> = (0..4i64)
+            .map(|t| {
+                let list = Arc::clone(&list);
+                std::thread::spawn(move || {
+                    for i in (0..2000).filter(|i| i % 8 == 2 * t + 1) {
+                        let (_, created) = list.insert_or_get(&k(i), || i * 10);
+                        assert!(created, "odd key {i} is new");
+                    }
+                    // Bulk-loaded keys are found, not duplicated.
+                    let (node, created) = list.insert_or_get(&k(2 * t), || -1);
+                    assert!(!created);
+                    assert_eq!(node.payload, 2 * t * 10);
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(list.len(), 2000);
+        let got: Vec<(i64, i64)> =
+            list.iter().map(|n| (n.key[0].as_int().unwrap(), n.payload)).collect();
+        assert_eq!(got, (0..2000).map(|i| (i, i * 10)).collect::<Vec<_>>());
+        let from = k(1501);
+        assert_eq!(list.iter_from(Some(&from)).next().unwrap().payload, 15010);
     }
 
     #[test]

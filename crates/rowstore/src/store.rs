@@ -11,7 +11,11 @@ use std::time::Duration;
 use s2_common::{Result, Row, Timestamp, TxnId, Value};
 
 use crate::mvcc::RowEntry;
-use crate::skiplist::SkipList;
+use crate::skiplist::{cmp_keys, SkipList};
+
+/// One committed row version as a log applier meets it: key, row (`None`
+/// is a delete marker) and commit timestamp.
+pub type CommittedVersion = (Vec<Value>, Option<Row>, Timestamp);
 
 /// Default time writers wait on a row lock before reporting a conflict.
 /// Deliberately short: there is no deadlock detector, so lock-order cycles
@@ -43,6 +47,31 @@ impl RowStore {
         RowStore { list: SkipList::new(), lock_timeout: timeout }
     }
 
+    /// The store that installing `versions` one by one with
+    /// [`RowStore::install_committed`], in log order (so timestamps never
+    /// decrease along a key), and then running [`RowStore::gc`] at their
+    /// newest timestamp would leave — built in one pass (recovery's
+    /// rowstore load). One stable sort by key keeps log order within a key;
+    /// each key keeps its newest version under the key its oldest one
+    /// carried, and a key whose newest version is a delete marker is left
+    /// out. The skiplist is then linked bottom-up without a single descent.
+    pub fn from_committed(mut versions: Vec<CommittedVersion>) -> Result<RowStore> {
+        versions.sort_by(|a, b| cmp_keys(&a.0, &b.0));
+        let mut versions = versions.into_iter().peekable();
+        let newest = std::iter::from_fn(|| loop {
+            let (key, mut data, mut ts) = versions.next()?;
+            while let Some((_, d, t)) = versions.next_if(|(k, ..)| cmp_keys(k, &key).is_eq()) {
+                (data, ts) = (d, t);
+            }
+            if let Some(row) = data {
+                let entry = RowEntry::default();
+                entry.chain.push_committed(ts, Some(row));
+                return Some((key.into_boxed_slice(), entry));
+            }
+        });
+        Ok(RowStore { list: SkipList::from_sorted(newest)?, lock_timeout: DEFAULT_LOCK_TIMEOUT })
+    }
+
     /// Number of keys present (including logically deleted ones not yet GC'd).
     /// Used as the flush-threshold proxy by the unified table.
     pub fn key_count(&self) -> usize {
@@ -59,10 +88,11 @@ impl RowStore {
     }
 
     /// Install a version of `key` that is already committed at `commit_ts`:
-    /// one skiplist traversal, no row lock, no resolve pass. For appliers of
-    /// the log (snapshot load, replay, replica apply), which are the only
-    /// writer of their table and publish the timestamp to readers only after
-    /// the whole record is in.
+    /// one skiplist traversal, no row lock, no resolve pass. For a replica
+    /// applying its primary's log tail, which is the only writer of its
+    /// tables and publishes the timestamp to readers only after the whole
+    /// record is in. (Recovery builds the store with
+    /// [`RowStore::from_committed`] instead.)
     pub fn install_committed(&self, key: &[Value], data: Option<Row>, commit_ts: Timestamp) {
         let (node, _) = self.list.insert_or_get(key, RowEntry::default);
         node.payload.chain.push_committed(commit_ts, data);

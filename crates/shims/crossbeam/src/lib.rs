@@ -93,6 +93,9 @@ pub mod channel {
         fn drop(&mut self) {
             if self.0.senders.fetch_sub(1, Ordering::AcqRel) == 1 {
                 // Last sender: wake blocked receivers so they observe closure.
+                // Taking the queue lock first means a receiver between its
+                // sender check and its wait cannot miss the wakeup.
+                let _queue = self.0.queue.lock().unwrap_or_else(|e| e.into_inner());
                 self.0.ready.notify_all();
             }
         }

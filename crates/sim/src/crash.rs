@@ -358,7 +358,7 @@ fn new_sync_replica(
     master: &Arc<Partition>,
     files: &Arc<SimFileStore>,
 ) -> Result<SyncReplica, String> {
-    let (backlog, rx) = master.log.subscribe(0).map_err(|er| format!("subscribe: {er}"))?;
+    let (backlog, rx, _) = master.log.subscribe(0).map_err(|er| format!("subscribe: {er}"))?;
     let partition =
         empty_replica_partition(PARTITION, Arc::clone(files) as Arc<dyn DataFileStore>, 0);
     let mut applier = StreamApplier::new(0);

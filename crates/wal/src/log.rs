@@ -58,7 +58,9 @@ struct LogInner {
     uploaded_lp: LogPosition,
     file: Option<File>,
     file_path: Option<PathBuf>,
-    subscribers: Vec<Sender<LogChunk>>,
+    /// Live subscriptions: (id, sender).
+    subscribers: Vec<(u64, Sender<LogChunk>)>,
+    next_subscriber: u64,
 }
 
 /// A partition's write-ahead log.
@@ -92,6 +94,7 @@ impl Log {
                     file: None,
                     file_path: None,
                     subscribers: Vec::new(),
+                    next_subscriber: 0,
                 },
             ),
             repl_cv: Condvar::new(),
@@ -139,6 +142,7 @@ impl Log {
                     file: Some(file),
                     file_path: Some(path),
                     subscribers: Vec::new(),
+                    next_subscriber: 0,
                 },
             ),
             repl_cv: Condvar::new(),
@@ -168,7 +172,7 @@ impl Log {
         let end = inner.end_lp;
         if !inner.subscribers.is_empty() {
             let chunk = LogChunk { start_lp: start, bytes: Arc::new(chunk) };
-            inner.subscribers.retain(|s| s.send(chunk.clone()).is_ok());
+            inner.subscribers.retain(|(_, s)| s.send(chunk.clone()).is_ok());
         }
         (start, end)
     }
@@ -188,7 +192,7 @@ impl Log {
         let end = inner.end_lp;
         if !inner.subscribers.is_empty() {
             let chunk = LogChunk { start_lp: start, bytes: Arc::new(bytes.to_vec()) };
-            inner.subscribers.retain(|s| s.send(chunk.clone()).is_ok());
+            inner.subscribers.retain(|(_, s)| s.send(chunk.clone()).is_ok());
         }
         (start, end)
     }
@@ -274,9 +278,10 @@ impl Log {
     }
 
     /// Subscribe to the byte stream from `from_lp` onward. Returns the
-    /// backlog (bytes already appended past `from_lp`) plus a live receiver.
-    /// New appends are delivered immediately, pre-commit.
-    pub fn subscribe(&self, from_lp: LogPosition) -> Result<(LogChunk, Receiver<LogChunk>)> {
+    /// backlog (bytes already appended past `from_lp`), a live receiver and
+    /// the subscription's id for [`Log::unsubscribe`]. New appends are
+    /// delivered immediately, pre-commit.
+    pub fn subscribe(&self, from_lp: LogPosition) -> Result<(LogChunk, Receiver<LogChunk>, u64)> {
         let mut inner = self.inner.lock();
         if from_lp < inner.mem_start_lp {
             return Err(Error::NotFound(format!(
@@ -287,8 +292,16 @@ impl Log {
         let start = (from_lp - inner.mem_start_lp) as usize;
         let backlog = LogChunk { start_lp: from_lp, bytes: Arc::new(inner.mem[start..].to_vec()) };
         let (tx, rx) = unbounded();
-        inner.subscribers.push(tx);
-        Ok((backlog, rx))
+        let id = inner.next_subscriber;
+        inner.next_subscriber += 1;
+        inner.subscribers.push((id, tx));
+        Ok((backlog, rx, id))
+    }
+
+    /// End subscription `id`: its receiver disconnects once it has drained
+    /// what was already sent, which wakes a receive blocked on it.
+    pub fn unsubscribe(&self, id: u64) {
+        self.inner.lock().subscribers.retain(|(sub, _)| *sub != id);
     }
 
     /// Read the byte range `[from_lp, to_lp)`, falling back to the log file
@@ -398,7 +411,7 @@ mod tests {
     fn subscribers_get_backlog_and_live_stream() {
         let log = Log::in_memory();
         log.append(1, b"early");
-        let (backlog, rx) = log.subscribe(0).unwrap();
+        let (backlog, rx, id) = log.subscribe(0).unwrap();
         assert!(!backlog.bytes.is_empty());
         log.append(2, b"late");
         let live = rx.try_recv().unwrap();
@@ -406,6 +419,12 @@ mod tests {
         let recs: Vec<_> =
             RecordIter::new(&live.bytes, live.start_lp).map(|r| r.unwrap()).collect();
         assert_eq!(recs[0].payload, b"late");
+        // Unsubscribing disconnects the receiver after what was sent.
+        log.append(3, b"last");
+        log.unsubscribe(id);
+        log.append(4, b"unseen");
+        assert!(rx.recv().is_ok());
+        assert!(rx.recv().is_err());
     }
 
     #[test]

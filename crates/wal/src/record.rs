@@ -19,13 +19,13 @@ pub const RECORD_OVERHEAD: usize = 4 + 1 + 4 + 4;
 
 /// Append one framed record to `out`.
 pub fn encode_record(out: &mut Vec<u8>, kind: u8, payload: &[u8]) {
+    out.reserve(RECORD_OVERHEAD + payload.len());
     out.extend_from_slice(&RECORD_MAGIC.to_le_bytes());
-    let mut body = Vec::with_capacity(5 + payload.len());
-    body.push(kind);
-    body.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    body.extend_from_slice(payload);
-    let crc = crc32(&body);
-    out.extend_from_slice(&body);
+    let body = out.len();
+    out.push(kind);
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(payload);
+    let crc = crc32(&out[body..]);
     out.extend_from_slice(&crc.to_le_bytes());
 }
 

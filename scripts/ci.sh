@@ -63,10 +63,11 @@ cargo test -q -p s2-cluster --test workspace "${CARGO_FLAGS[@]}"
 # the replica tail-apply path; its index build (from the segments' inverted
 # indexes, no row decoded) must probe like the row-based reference builder;
 # replay must read each surviving data file once and a dropped one never;
-# and a reader parked against a flush, merge or replica apply at the
+# the bulk-built rowstore must equal op-by-op replay plus a vacuum; and a
+# reader parked against a flush, merge or replica apply at the
 # `core.publish` site must see every acked row exactly once.
 cargo test -q -p s2-core --test recovery_parallel --test index_build --test recovery_files \
-    --test publish "${CARGO_FLAGS[@]}"
+    --test recovery_build --test publish "${CARGO_FLAGS[@]}"
 
 echo "== tpcc: group-commit pipeline (contended smoke) =="
 # Contended TPC-C over a sync-replicated cluster: TPC-C consistency under
