@@ -10,10 +10,10 @@
 //!   runtime detector in `s2_common::sync`, which needs the path to
 //!   actually execute).
 //! - **L2 `blocking-locked`** — a blocking primitive (sleep, channel
-//!   recv, thread join, condvar wait, fsync, blob I/O, blocking
-//!   enqueue) reachable while any `wal.*`/`core.*` commit-section lock
-//!   is held. Plain local file writes are *not* blocking: the WAL
-//!   writes its own file under `wal.log` by design.
+//!   recv, thread join, condvar wait, fsync, blob I/O) reachable while
+//!   any `wal.*`/`core.*` commit-section lock is held. Plain local file
+//!   writes are *not* blocking: the WAL writes its own file under
+//!   `wal.log` by design.
 //! - **L3 `failpoint-coverage`** — raw WAL I/O mutation sites and
 //!   `ObjectStore` verbs that no `fault::` hook can reach, i.e. paths
 //!   the s2-sim crash matrix cannot exercise.

@@ -908,9 +908,6 @@ fn collect_ident_events(
         "join" if is_method && noargs && !in_spawn => {
             ev.push(RawEvent::Block { what: "thread join", line });
         }
-        "enqueue" if is_method && !in_spawn => {
-            ev.push(RawEvent::Block { what: "blocking enqueue", line });
-        }
         "sync_all" | "sync_data" if is_method && !in_spawn => {
             ev.push(RawEvent::Block { what: "fsync", line });
             ev.push(RawEvent::RawIo { what: "fsync", line });

@@ -122,8 +122,8 @@ pub fn explain(id: &str) -> Option<&'static str> {
         }
         "L2" | "blocking-locked" => {
             "L2 blocking-locked: a blocking primitive (sleep, channel recv, thread join, \
-             condvar wait, fsync via Log::sync, blob put/get/delete, blocking enqueue) \
-             is reachable while a `wal.*`/`core.*` commit-section lock is held. The \
+             condvar wait, fsync via Log::sync, blob put/get/delete) is reachable \
+             while a `wal.*`/`core.*` commit-section lock is held. The \
              paper's commit path must never stall on blob I/O or scheduling; move the \
              blocking work outside the critical section (see the wal.group leader \
              protocol). Plain local file writes are exempt: the WAL writes its own file \

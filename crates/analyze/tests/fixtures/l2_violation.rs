@@ -1,6 +1,6 @@
 //! L2 fixture: an fsync issued while a commit-section (`wal.*`) lock is
-//! held — directly and through a callee — and a sleep and a blocking
-//! enqueue under the same lock.
+//! held — directly and through a callee — and a sleep under the same lock.
+//! The upload enqueue under it is not blocking and must not fire.
 
 use std::fs::File;
 
@@ -46,8 +46,8 @@ impl Wal {
         drop(g);
     }
 
-    /// A blocking enqueue parks on a full upload queue with the guard held;
-    /// `try_enqueue` is the commit path's entry point.
+    /// An upload enqueue never blocks, so it may run under the guard (flush's
+    /// `write_file` does, under `core.commit`).
     fn ship(&self, uploader: &Uploader) {
         let g = self.state.lock();
         uploader.enqueue("k", vec![*g as u8]);

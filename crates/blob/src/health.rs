@@ -1,34 +1,32 @@
-//! Blob-store health tracking: a circuit breaker per store plus the
-//! process-global registry behind it.
+//! Blob-store health tracking: a circuit breaker per store and the
+//! [`ResilientStore`] wrapper every blob request goes through.
 //!
 //! The paper's availability claim (§3) is that blob storage is off the
 //! commit path: commits stay durable from the local replicated WAL while
 //! uploads and cold reads *tolerate* an unreliable object store. Tolerating
 //! means distinguishing a transient blip (retry with backoff) from a
-//! sustained outage (stop hammering the store, fail queries fast, park the
-//! upload backlog, and probe for recovery). That distinction is this
-//! module's job.
+//! sustained outage (stop hammering the store, fail requests fast, and
+//! probe for recovery). That distinction is this module's job, and only
+//! this module makes it: callers never poll health to skip or park their
+//! own traffic — a request against an open breaker fails in microseconds,
+//! and the first request after the cooldown is the probe.
 //!
 //! - [`BreakerCore`] is the pure Closed → Open → HalfOpen state machine,
 //!   driven by a logical millisecond clock so tests (including the proptest
 //!   suite) can exercise every transition deterministically.
 //! - [`BlobHealth`] wraps a core with a real clock and exports state through
 //!   s2-obs: gauge `blob.health.state` (0 healthy / 1 degraded / 2 outage),
-//!   event `blob.breaker` on every transition.
-//! - [`store_health`] is the process-global per-store registry: every layer
-//!   touching the same store (uploader, cold reads, snapshot shipping)
-//!   shares one health view, so the first layer to see an outage shields
-//!   the rest.
+//!   event `blob.breaker` on every transition. A cluster shares one across
+//!   its uploads, cold reads and log/snapshot shipping.
 //! - [`ResilientStore`] wraps any [`ObjectStore`] with the breaker plus a
 //!   bounded [`RetryPolicy`]: fail-fast when open, jittered bounded retries
 //!   when closed, outcomes recorded into the shared health.
 
-use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use s2_common::retry::salt_from_key;
-use s2_common::sync::{rank, Mutex, RwLock};
+use s2_common::sync::{rank, Mutex};
 use s2_common::{Error, Result, RetryClass, RetryPolicy};
 
 use crate::store::ObjectStore;
@@ -273,7 +271,7 @@ impl BlobHealth {
         })
     }
 
-    /// The store label (registry key / event prefix).
+    /// The store label (event prefix).
     pub fn label(&self) -> &str {
         &self.label
     }
@@ -324,7 +322,7 @@ impl BlobHealth {
     /// evidence of reachability — so it counts as a success. This matters
     /// most in HalfOpen: the probe token must be released on every
     /// completed attempt, or a NotFound probe (e.g. the first cold read
-    /// after an outage racing a parked upload) would leak the token and
+    /// after an outage racing a waiting upload) would leak the token and
     /// wedge the breaker in HalfOpen forever.
     pub fn on_outcome<T>(&self, r: &Result<T>) {
         match r {
@@ -352,20 +350,6 @@ impl BlobHealth {
     }
 }
 
-static REGISTRY: OnceLock<RwLock<BTreeMap<String, Arc<BlobHealth>>>> = OnceLock::new();
-
-/// Process-global per-store health: every caller naming the same store
-/// label shares one breaker, so the uploader tripping it also shields cold
-/// reads and snapshot shipping (and vice versa).
-pub fn store_health(label: &str) -> Arc<BlobHealth> {
-    let reg = REGISTRY.get_or_init(|| RwLock::new(&rank::BLOB_HEALTH_REGISTRY, BTreeMap::new()));
-    if let Some(h) = reg.read().get(label) {
-        return Arc::clone(h);
-    }
-    let mut w = reg.write();
-    Arc::clone(w.entry(label.to_string()).or_insert_with(|| BlobHealth::new(label)))
-}
-
 /// An [`ObjectStore`] wrapper enforcing the resilience contract on every
 /// operation: fail fast with [`Error::Unavailable`] while the breaker is
 /// open, bounded jittered retries while it is closed, outcomes recorded
@@ -391,7 +375,14 @@ impl ResilientStore {
         &self.health
     }
 
-    fn guarded<T>(&self, key: &str, mut attempt: impl FnMut() -> Result<T>) -> Result<T> {
+    /// Run `attempt` against the wrapped store under the breaker and the
+    /// retry policy. The uploader calls this directly so its per-attempt
+    /// failpoint sits inside the guarded attempt.
+    pub(crate) fn guarded<T>(
+        &self,
+        key: &str,
+        mut attempt: impl FnMut(&dyn ObjectStore) -> Result<T>,
+    ) -> Result<T> {
         // Mirrors `s2_common::retry::retry`, with one difference: a breaker
         // rejection is synthesized here, not a real store attempt, so it
         // returns immediately — an open breaker must cost microseconds, not
@@ -408,7 +399,7 @@ impl ResilientStore {
                     self.health.label()
                 )));
             }
-            let r = attempt();
+            let r = attempt(self.inner.as_ref());
             self.health.on_outcome(&r);
             let e = match r {
                 Ok(v) => return Ok(v),
@@ -434,19 +425,19 @@ impl ResilientStore {
 
 impl ObjectStore for ResilientStore {
     fn put(&self, key: &str, bytes: Arc<Vec<u8>>) -> Result<()> {
-        self.guarded(key, || self.inner.put(key, Arc::clone(&bytes)))
+        self.guarded(key, |s| s.put(key, Arc::clone(&bytes)))
     }
 
     fn get(&self, key: &str) -> Result<Arc<Vec<u8>>> {
-        self.guarded(key, || self.inner.get(key))
+        self.guarded(key, |s| s.get(key))
     }
 
     fn list(&self, prefix: &str) -> Result<Vec<String>> {
-        self.guarded(prefix, || self.inner.list(prefix))
+        self.guarded(prefix, |s| s.list(prefix))
     }
 
     fn delete(&self, key: &str) -> Result<()> {
-        self.guarded(key, || self.inner.delete(key))
+        self.guarded(key, |s| s.delete(key))
     }
 }
 
@@ -587,7 +578,7 @@ mod tests {
 
     #[test]
     fn not_found_probe_releases_token_and_closes() {
-        // The review-found wedge: during an outage uploads park, so the
+        // The wedge this guards: during an outage uploads wait, so the
         // first cold read after the cooldown probes a not-yet-uploaded key
         // and gets NotFound. That completed round trip must release the
         // probe token (and close the breaker — the store answered), not
@@ -658,14 +649,5 @@ mod tests {
             "breaker-open rejection slept through the retry schedule: {:?}",
             t0.elapsed()
         );
-    }
-
-    #[test]
-    fn registry_shares_one_health_per_label() {
-        let a = store_health("shared-store-x");
-        let b = store_health("shared-store-x");
-        let c = store_health("shared-store-y");
-        assert!(Arc::ptr_eq(&a, &b));
-        assert!(!Arc::ptr_eq(&a, &c));
     }
 }

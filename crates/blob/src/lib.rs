@@ -14,7 +14,7 @@ pub mod uploader;
 pub use cache::{CachedStore, FileCache};
 pub use fault::{BlobStats, FaultyStore};
 pub use health::{
-    store_health, BlobHealth, BreakerConfig, BreakerCore, CircuitState, ResilientStore, StoreHealth,
+    BlobHealth, BreakerConfig, BreakerCore, CircuitState, ResilientStore, StoreHealth,
 };
 pub use store::{LocalDirStore, MemoryStore, ObjectStore};
 pub use uploader::{UploadJob, Uploader, UploaderConfig};

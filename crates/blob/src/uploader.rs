@@ -1,30 +1,27 @@
-//! Background uploader: ships data files and sealed log chunks to blob
-//! storage asynchronously, off the commit path (paper §3.1: "newly committed
-//! columnstore data files are uploaded asynchronously to blob storage as
-//! quickly as possible after being committed").
+//! Background uploader: ships data files to blob storage asynchronously,
+//! off the commit path (paper §3.1: "newly committed columnstore data files
+//! are uploaded asynchronously to blob storage as quickly as possible after
+//! being committed"). Sealed log chunks and snapshots ship from the storage
+//! service's own loop, through the same breaker.
 //!
 //! Resilience contract (paper §3: commits must tolerate an unreliable
 //! object store):
 //!
-//! - the backlog is **bounded**: once `capacity` jobs are outstanding,
-//!   `enqueue` blocks — that block *is* the backpressure signal, surfaced
-//!   through the `blob.upload.backpressure_waits` counter and the
-//!   `blob.upload.queue_depth` gauge. Callers that must never wait on the
-//!   blob store (the commit path above all) use [`Uploader::try_enqueue`]
-//!   instead, which reports a full backlog without blocking so the caller
-//!   can defer the job (the file stays pinned locally; a maintenance sweep
-//!   resubmits it);
-//! - a failed attempt **re-queues with jittered exponential backoff**
-//!   instead of sleeping on the worker thread, so one failing key cannot
-//!   stall a worker for its whole retry window;
-//! - under a sustained outage the shared [`BlobHealth`] breaker opens and
-//!   jobs **park** (re-queued until the breaker admits a probe) rather than
-//!   burning their attempt budget — nothing is dropped because the store is
-//!   down; the backlog drains after recovery;
-//! - `enqueue` after shutdown returns [`Error::Unavailable`] instead of
-//!   panicking, and shutdown completes parked jobs with an error callback
-//!   (their files stay pinned locally — durability is never the uploader's
-//!   to lose).
+//! - [`Uploader::enqueue`] never blocks, so the commit path can call it. The
+//!   queue needs no bound: a queued job holds the same `Arc` bytes the file
+//!   cache pins until the upload lands;
+//! - an attempt is one put through a [`ResilientStore`] on the shared
+//!   [`BlobHealth`], with no in-call retries: the breaker alone decides the
+//!   store is down, and an attempt it rejects costs microseconds;
+//! - a transient failure, a breaker rejection included, **re-queues** the
+//!   job instead of sleeping on the worker thread: until the breaker will
+//!   admit a probe while it is open, otherwise for a capped jittered
+//!   backoff. A job retries until it lands, so nothing is dropped because
+//!   the store is down and one failing key cannot stall the others;
+//! - a permanent error completes the job with `Err`, and so does a failed
+//!   attempt after shutdown (the file stays pinned locally — durability is
+//!   never the uploader's to lose); `enqueue` after shutdown returns
+//!   [`Error::Unavailable`].
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -32,10 +29,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use s2_common::retry::{jittered_backoff, salt_from_key};
-use s2_common::sync::{rank, Condvar, Mutex, MutexGuard};
-use s2_common::{Error, Result, RetryClass};
+use s2_common::sync::{rank, Condvar, Mutex};
+use s2_common::{Error, Result, RetryClass, RetryPolicy};
 
-use crate::health::{BlobHealth, CircuitState};
+use crate::health::{BlobHealth, ResilientStore};
 use crate::store::ObjectStore;
 
 /// One upload job: an object plus a completion callback (e.g. "advance
@@ -47,9 +44,8 @@ pub struct UploadJob {
     pub bytes: Arc<Vec<u8>>,
     /// Invoked with the upload outcome on the uploader thread.
     pub on_done: Box<dyn FnOnce(Result<()>) + Send>,
-    /// Transient attempts made while the breaker was closed. Reset when the
-    /// job parks under an open breaker: an outage must not consume the
-    /// budget meant for genuine per-key trouble.
+    /// Transient failures met while the breaker was not open: the backoff
+    /// exponent. An outage waits on the breaker instead and leaves it be.
     attempts: u32,
     /// Jitter salt (key hash) de-correlating concurrent retry schedules.
     salt: u64,
@@ -60,12 +56,6 @@ pub struct UploadJob {
 pub struct UploaderConfig {
     /// Worker threads.
     pub threads: usize,
-    /// Maximum outstanding jobs (queued + deferred + in flight). `enqueue`
-    /// blocks at the bound — the backpressure signal.
-    pub capacity: usize,
-    /// Transient failures per job (while the breaker is closed) before the
-    /// failure is reported to the callback.
-    pub max_attempts: u32,
     /// First retry delay (pre-jitter).
     pub base_backoff: Duration,
     /// Retry delay cap.
@@ -76,8 +66,6 @@ impl Default for UploaderConfig {
     fn default() -> Self {
         UploaderConfig {
             threads: 2,
-            capacity: 4096,
-            max_attempts: 4,
             base_backoff: Duration::from_millis(10),
             max_backoff: Duration::from_millis(500),
         }
@@ -87,11 +75,9 @@ impl Default for UploaderConfig {
 struct QueueState {
     /// Jobs ready to attempt now.
     ready: VecDeque<UploadJob>,
-    /// Jobs waiting out a backoff or an open breaker: `(not_before, job)`.
-    /// Small and scanned linearly — the backlog bound caps it.
+    /// Jobs waiting out a backoff or an open breaker: `(not_before, job)`,
+    /// scanned linearly.
     deferred: Vec<(Instant, UploadJob)>,
-    /// Jobs currently being attempted by a worker.
-    inflight: usize,
     /// Monotonic totals; `pending = enqueued - completed` is read under
     /// this one lock so it can never transiently observe `completed >
     /// enqueued` (the old two-atomics underflow).
@@ -101,10 +87,6 @@ struct QueueState {
 }
 
 impl QueueState {
-    fn outstanding(&self) -> usize {
-        self.ready.len() + self.deferred.len() + self.inflight
-    }
-
     /// Move due deferred jobs (all of them under shutdown) into `ready`;
     /// returns the earliest not-yet-due deadline, if any.
     fn promote_due(&mut self, now: Instant) -> Option<Instant> {
@@ -125,13 +107,13 @@ impl QueueState {
 }
 
 struct Inner {
-    store: Arc<dyn ObjectStore>,
-    health: Arc<BlobHealth>,
+    /// The raw store behind the shared breaker, one attempt per call.
+    store: ResilientStore,
     cfg: UploaderConfig,
     state: Mutex<QueueState>,
     /// Workers wait here for work (new jobs, due deferrals, shutdown).
     work_cv: Condvar,
-    /// `enqueue` (space) and `drain` (completion) wait here.
+    /// `drain` waits here for completions.
     done_cv: Condvar,
 }
 
@@ -156,7 +138,7 @@ impl Uploader {
         )
     }
 
-    /// Start an uploader with explicit tuning, reporting outcomes into a
+    /// Start an uploader with explicit tuning, its puts guarded by a
     /// (possibly shared) [`BlobHealth`].
     pub fn with_config(
         store: Arc<dyn ObjectStore>,
@@ -164,15 +146,13 @@ impl Uploader {
         health: Arc<BlobHealth>,
     ) -> Uploader {
         let inner = Arc::new(Inner {
-            store,
-            health,
+            store: ResilientStore::new(store, health, RetryPolicy::no_retries()),
             cfg,
             state: Mutex::new(
                 &rank::BLOB_UPLOADER,
                 QueueState {
                     ready: VecDeque::new(),
                     deferred: Vec::new(),
-                    inflight: 0,
                     enqueued: 0,
                     completed: 0,
                     shutdown: false,
@@ -190,15 +170,9 @@ impl Uploader {
         Uploader { inner, workers }
     }
 
-    /// The health tracker this uploader reports into.
-    pub fn health(&self) -> &Arc<BlobHealth> {
-        &self.inner.health
-    }
-
-    /// Queue an upload; `on_done` fires later on a worker thread.
-    ///
-    /// Blocks while the backlog is at capacity (backpressure). Returns
-    /// [`Error::Unavailable`] after shutdown instead of panicking.
+    /// Queue an upload; `on_done` fires later on a worker thread. Never
+    /// blocks. Returns [`Error::Unavailable`] after shutdown instead of
+    /// panicking.
     pub fn enqueue(
         &self,
         key: impl Into<String>,
@@ -206,48 +180,17 @@ impl Uploader {
         on_done: impl FnOnce(Result<()>) + Send + 'static,
     ) -> Result<()> {
         let key = key.into();
-        let inner = &self.inner;
-        let mut st = inner.state.lock();
-        loop {
-            if st.shutdown {
-                return Err(Error::Unavailable("uploader shut down".into()));
-            }
-            if st.outstanding() < inner.cfg.capacity {
-                break;
-            }
-            s2_obs::counter!("blob.upload.backpressure_waits").inc();
-            st = inner.done_cv.wait(st);
-        }
-        push_job(inner, st, key, bytes, Box::new(on_done));
-        Ok(())
-    }
-
-    /// Queue an upload without ever blocking: returns `Ok(true)` when the
-    /// job was queued, `Ok(false)` when the backlog is at capacity (the job
-    /// was *not* queued — the caller keeps ownership of the work, e.g. by
-    /// leaving the file pinned and deferring to a maintenance resubmit),
-    /// and [`Error::Unavailable`] after shutdown.
-    ///
-    /// This is the commit path's entry point: commits must keep acking
-    /// during a sustained blob outage, so a full backlog defers instead of
-    /// parking the committer until recovery.
-    pub fn try_enqueue(
-        &self,
-        key: impl Into<String>,
-        bytes: Arc<Vec<u8>>,
-        on_done: impl FnOnce(Result<()>) + Send + 'static,
-    ) -> Result<bool> {
-        let inner = &self.inner;
-        let st = inner.state.lock();
+        let mut st = self.inner.state.lock();
         if st.shutdown {
             return Err(Error::Unavailable("uploader shut down".into()));
         }
-        if st.outstanding() >= inner.cfg.capacity {
-            s2_obs::counter!("blob.upload.deferred_full").inc();
-            return Ok(false);
-        }
-        push_job(inner, st, key.into(), bytes, Box::new(on_done));
-        Ok(true)
+        st.enqueued += 1;
+        let salt = salt_from_key(&key);
+        st.ready.push_back(UploadJob { key, bytes, on_done: Box::new(on_done), attempts: 0, salt });
+        s2_obs::gauge!("blob.upload.queue_depth").inc();
+        drop(st);
+        self.inner.work_cv.notify_one();
+        Ok(())
     }
 
     /// Jobs enqueued but not yet completed (one consistent read — both
@@ -257,15 +200,9 @@ impl Uploader {
         st.enqueued - st.completed
     }
 
-    /// True while the backlog is at (or beyond) capacity — the signal
-    /// callers poll to shed or delay optional work.
-    pub fn backlogged(&self) -> bool {
-        self.inner.state.lock().outstanding() >= self.inner.cfg.capacity
-    }
-
     /// Block until every queued job has completed (condvar wait, not a
     /// busy-spin). Under an outage this blocks until recovery or shutdown —
-    /// parked jobs count as pending.
+    /// deferred jobs count as pending.
     pub fn drain(&self) {
         let inner = &self.inner;
         let mut st = inner.state.lock();
@@ -277,35 +214,14 @@ impl Uploader {
 
 impl Drop for Uploader {
     fn drop(&mut self) {
-        {
-            let mut st = self.inner.state.lock();
-            st.shutdown = true;
-        }
-        // Wake everyone: workers finish the backlog (parked jobs get a final
-        // attempt or an error callback), blocked enqueuers bail out.
+        self.inner.state.lock().shutdown = true;
+        // Workers finish the backlog: every deferred job gets a final
+        // attempt, and a failed one completes with its error.
         self.inner.work_cv.notify_all();
-        self.inner.done_cv.notify_all();
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
     }
-}
-
-/// Append a job to the ready queue (caller has already checked shutdown and
-/// capacity) and wake a worker.
-fn push_job(
-    inner: &Inner,
-    mut st: MutexGuard<'_, QueueState>,
-    key: String,
-    bytes: Arc<Vec<u8>>,
-    on_done: Box<dyn FnOnce(Result<()>) + Send>,
-) {
-    st.enqueued += 1;
-    let salt = salt_from_key(&key);
-    st.ready.push_back(UploadJob { key, bytes, on_done, attempts: 0, salt });
-    s2_obs::gauge!("blob.upload.queue_depth").inc();
-    drop(st);
-    inner.work_cv.notify_one();
 }
 
 fn worker_loop(inner: &Inner) {
@@ -315,7 +231,6 @@ fn worker_loop(inner: &Inner) {
             loop {
                 let earliest = st.promote_due(Instant::now());
                 if let Some(job) = st.ready.pop_front() {
-                    st.inflight += 1;
                     break job;
                 }
                 if st.shutdown {
@@ -336,14 +251,11 @@ fn worker_loop(inner: &Inner) {
     }
 }
 
-/// Park or re-queue `job` to run no earlier than `delay` from now. The job
-/// leaves the in-flight set but stays pending.
+/// Re-queue `job` to run no earlier than `delay` from now. The job stays
+/// pending.
 fn defer(inner: &Inner, job: UploadJob, delay: Duration) {
     s2_obs::counter!("blob.upload.requeues").inc();
-    let mut st = inner.state.lock();
-    st.inflight -= 1;
-    st.deferred.push((Instant::now() + delay, job));
-    drop(st);
+    inner.state.lock().deferred.push((Instant::now() + delay, job));
     // Deadlines changed: wake a waiter so it recomputes its timeout.
     inner.work_cv.notify_one();
 }
@@ -360,63 +272,38 @@ fn finish(inner: &Inner, job: UploadJob, outcome: Result<()>) {
         }
     }
     (job.on_done)(outcome);
-    let mut st = inner.state.lock();
-    st.inflight -= 1;
-    st.completed += 1;
-    drop(st);
+    inner.state.lock().completed += 1;
     s2_obs::gauge!("blob.upload.queue_depth").dec();
     inner.done_cv.notify_all();
 }
 
-/// One attempt at `job`, gated by the breaker. Runs on a worker thread with
-/// no locks held; never sleeps — waiting happens by re-queueing.
+/// One guarded attempt at `job`. Runs on a worker thread with no locks
+/// held; never sleeps — waiting happens by re-queueing.
 fn attempt(inner: &Inner, mut job: UploadJob) {
-    let shutdown = inner.state.lock().shutdown;
-    if !inner.health.allow() {
-        if shutdown {
-            finish(inner, job, Err(Error::Unavailable("uploader shut down during outage".into())));
-        } else {
-            // Park until the breaker will admit a probe. Attempts reset: the
-            // outage is the store's fault, not this key's.
-            job.attempts = 0;
-            let delay = inner.health.retry_in().unwrap_or(inner.cfg.base_backoff);
-            defer(inner, job, delay.max(Duration::from_millis(1)));
-        }
-        return;
-    }
     let timer = s2_obs::histogram!("blob.upload.latency_us").start_timer();
-    // Each attempt is separately injectable, so the retry loop itself is
-    // under test. Runs on the worker thread: plans must opt sites into
-    // cross-thread (error-only) injection.
-    let outcome = s2_common::fault::failpoint("blob.uploader.attempt")
-        .and_then(|()| inner.store.put(&job.key, Arc::clone(&job.bytes)));
+    // Each attempt is separately injectable, inside the guard so injected
+    // errors count against the breaker like real ones. Runs on the worker
+    // thread: plans must opt sites into cross-thread (error-only) injection.
+    let outcome = inner.store.guarded(&job.key, |store| {
+        s2_common::fault::failpoint("blob.uploader.attempt")
+            .and_then(|()| store.put(&job.key, Arc::clone(&job.bytes)))
+    });
     timer.stop();
-    inner.health.on_outcome(&outcome);
     match outcome {
-        Ok(()) => finish(inner, job, Ok(())),
-        Err(e) if e.retry_class() == RetryClass::Transient => {
+        Err(e) if e.retry_class() == RetryClass::Transient && !inner.state.lock().shutdown => {
             s2_obs::counter!("blob.upload.retries").inc();
-            job.attempts += 1;
-            if shutdown {
-                finish(inner, job, Err(e));
-            } else if inner.health.state() == CircuitState::Open {
-                // This failure tripped (or confirmed) the outage: park.
-                job.attempts = 0;
-                let delay = inner.health.retry_in().unwrap_or(inner.cfg.base_backoff);
-                defer(inner, job, delay.max(Duration::from_millis(1)));
-            } else if job.attempts >= inner.cfg.max_attempts {
-                finish(inner, job, Err(e));
-            } else {
-                let delay = jittered_backoff(
+            let delay = inner.store.health().retry_in().unwrap_or_else(|| {
+                job.attempts += 1;
+                jittered_backoff(
                     inner.cfg.base_backoff,
                     inner.cfg.max_backoff,
                     job.attempts - 1,
                     job.salt,
-                );
-                defer(inner, job, delay);
-            }
+                )
+            });
+            defer(inner, job, delay.max(Duration::from_millis(1)));
         }
-        Err(e) => finish(inner, job, Err(e)),
+        outcome => finish(inner, job, outcome),
     }
 }
 
@@ -469,8 +356,8 @@ mod tests {
         let flag = Arc::clone(&failed);
         up.enqueue("k", Arc::new(vec![1]), move |r| flag.store(r.is_err(), Ordering::SeqCst))
             .unwrap();
-        // The job parks under the open breaker instead of being dropped; it
-        // stays pending until shutdown delivers the final error callback.
+        // The job keeps retrying instead of being dropped; it stays pending
+        // until shutdown delivers the final error callback.
         drop(up);
         assert!(failed.load(Ordering::SeqCst), "shutdown must complete parked jobs with Err");
     }
@@ -482,12 +369,8 @@ mod tests {
         up.enqueue("a", Arc::new(vec![1]), |r| r.unwrap()).unwrap();
         up.drain();
         // Simulate shutdown without dropping the handle.
-        {
-            let mut st = up.inner.state.lock();
-            st.shutdown = true;
-        }
+        up.inner.state.lock().shutdown = true;
         up.inner.work_cv.notify_all();
-        up.inner.done_cv.notify_all();
         for w in up.workers.drain(..) {
             let _ = w.join();
         }
@@ -531,29 +414,26 @@ mod tests {
                 // Wide spacing between bad-key retries; good keys must slip
                 // through the gaps instead of waiting them out.
                 base_backoff: Duration::from_millis(50),
-                max_backoff: Duration::from_millis(200),
-                max_attempts: 4,
-                ..UploaderConfig::default()
+                max_backoff: Duration::from_millis(100),
             },
             // High threshold: this test is about per-key retry scheduling,
-            // not the breaker — the bad key must exhaust its own budget
-            // instead of tripping an outage and parking forever.
+            // not the breaker — the good keys' successes would reset the
+            // failure streak anyway.
             crate::health::BlobHealth::with_config(
                 "selective-test",
                 crate::health::BreakerConfig { failure_threshold: 100, ..Default::default() },
             ),
         );
-        let bad_failed = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&bad_failed);
-        up.enqueue("bad/key", Arc::new(vec![0]), move |r| flag.store(r.is_err(), Ordering::SeqCst))
-            .unwrap();
+        let bad_outcome: Arc<Mutex<Option<bool>>> = Arc::new(Mutex::new(&rank::TEST_A, None));
+        let flag = Arc::clone(&bad_outcome);
+        let t0 = Instant::now();
+        up.enqueue("bad/key", Arc::new(vec![0]), move |r| *flag.lock() = Some(r.is_err())).unwrap();
         for i in 0..20 {
             up.enqueue(format!("good/{i}"), Arc::new(vec![i as u8]), |r| r.unwrap()).unwrap();
         }
-        // All good keys land while the bad key is still inside its backoff
-        // schedule (4 attempts ≥ 150ms of spacing; 20 in-memory puts are
-        // orders of magnitude faster than that).
-        let t0 = Instant::now();
+        // All good keys land while the bad key is still early in its backoff
+        // schedule (20 in-memory puts are orders of magnitude faster than
+        // one 25-50ms retry gap).
         while store.inner.object_count() < 20 {
             assert!(t0.elapsed() < Duration::from_secs(5), "good uploads stalled");
             std::thread::sleep(Duration::from_millis(1));
@@ -562,94 +442,60 @@ mod tests {
             store.bad_puts.load(Ordering::SeqCst) < 4,
             "good keys finished before the bad key's backoff schedule did"
         );
-        up.drain();
-        assert!(bad_failed.load(Ordering::SeqCst), "bad key reported failure after its budget");
-        assert_eq!(up.pending(), 0);
+        // The bad key has no budget: it keeps retrying, at capped backoff.
+        // Five gaps of at least half of 50, 100, 100, 100, 100 ms.
+        while store.bad_puts.load(Ordering::SeqCst) < 6 {
+            assert!(t0.elapsed() < Duration::from_secs(5), "bad key stopped retrying");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(t0.elapsed() >= Duration::from_millis(225), "retries not backed off");
+        assert_eq!(*bad_outcome.lock(), None, "a transient failure must not complete the job");
+        assert_eq!(up.pending(), 1);
+        // Shutdown gives the bad key a last attempt and delivers its Err.
+        drop(up);
+        assert_eq!(*bad_outcome.lock(), Some(true), "drop must complete the bad key with Err");
     }
 
     #[test]
-    fn try_enqueue_never_blocks_at_capacity() {
+    fn enqueue_never_blocks_during_outage() {
         use crate::fault::FaultyStore;
+        use crate::health::BreakerConfig;
         let faulty = Arc::new(FaultyStore::new(MemoryStore::new(), Duration::ZERO, Duration::ZERO));
         faulty.set_unavailable(true);
         let up = Uploader::with_config(
             Arc::clone(&faulty) as Arc<dyn ObjectStore>,
-            UploaderConfig { threads: 1, capacity: 2, ..UploaderConfig::default() },
-            BlobHealth::new("try-enqueue-test"),
+            UploaderConfig { threads: 1, ..UploaderConfig::default() },
+            BlobHealth::with_config(
+                "enqueue-outage-test",
+                BreakerConfig {
+                    open_cooldown: Duration::from_millis(10),
+                    max_cooldown: Duration::from_millis(40),
+                    ..BreakerConfig::default()
+                },
+            ),
         );
-        // Fill the backlog during the outage; jobs park, nothing completes.
-        let mut queued = 0;
-        let t0 = Instant::now();
-        while queued < 2 {
-            if up.try_enqueue(format!("k/{queued}"), Arc::new(vec![1]), |_| {}).unwrap() {
-                queued += 1;
-            }
-            assert!(t0.elapsed() < Duration::from_secs(5), "backlog never filled");
+        // Every enqueue returns at once during a 100% outage, however deep
+        // the backlog grows.
+        let landed = Arc::new(AtomicU64::new(0));
+        let mut slowest = Duration::ZERO;
+        for i in 0..1000u32 {
+            let landed = Arc::clone(&landed);
+            let t = Instant::now();
+            up.enqueue(format!("k/{i}"), Arc::new(i.to_le_bytes().to_vec()), move |r| {
+                r.unwrap();
+                landed.fetch_add(1, Ordering::SeqCst);
+            })
+            .unwrap();
+            slowest = slowest.max(t.elapsed());
         }
-        // At capacity: try_enqueue reports full immediately instead of
-        // parking the caller until recovery.
-        let t0 = Instant::now();
-        let mut deferred = false;
-        // In-flight jobs requeue continuously, so a slot can transiently
-        // open; what matters is that no call ever blocks.
-        for i in 0..50 {
-            let r = up.try_enqueue(format!("extra/{i}"), Arc::new(vec![2]), |_| {}).unwrap();
-            deferred |= !r;
-        }
-        assert!(deferred, "a full backlog must report Ok(false) at least once");
-        assert!(
-            t0.elapsed() < Duration::from_millis(500),
-            "try_enqueue blocked: {:?}",
-            t0.elapsed()
-        );
+        assert!(slowest < Duration::from_millis(100), "an enqueue blocked for {slowest:?}");
+        assert_eq!(landed.load(Ordering::SeqCst), 0);
+        // Recovery: the next attempt after the cooldown probes the breaker
+        // shut and the whole backlog lands.
         faulty.set_unavailable(false);
         up.drain();
-        // After shutdown: Unavailable, not a panic or a block.
-        drop(up);
-        let up2 = Uploader::new(Arc::new(MemoryStore::new()) as Arc<dyn ObjectStore>, 1);
-        {
-            let mut st = up2.inner.state.lock();
-            st.shutdown = true;
-        }
-        assert!(matches!(
-            up2.try_enqueue("x", Arc::new(vec![1]), |_| {}),
-            Err(Error::Unavailable(_))
-        ));
-    }
-
-    #[test]
-    fn bounded_backlog_applies_backpressure() {
-        use crate::fault::FaultyStore;
-        let faulty = Arc::new(FaultyStore::new(MemoryStore::new(), Duration::ZERO, Duration::ZERO));
-        faulty.set_unavailable(true);
-        let up = Arc::new(Uploader::with_config(
-            Arc::clone(&faulty) as Arc<dyn ObjectStore>,
-            UploaderConfig { threads: 1, capacity: 4, ..UploaderConfig::default() },
-            BlobHealth::new("backpressure-test"),
-        ));
-        // Fill the backlog during the outage (jobs park, nothing completes).
-        for i in 0..4 {
-            up.enqueue(format!("k/{i}"), Arc::new(vec![i as u8]), |_| {}).unwrap();
-        }
-        let t0 = Instant::now();
-        while !up.backlogged() {
-            assert!(t0.elapsed() < Duration::from_secs(5), "backlog never filled");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        // The fifth enqueue blocks until the store recovers and a slot frees.
-        let up2 = Arc::clone(&up);
-        let unblocked = Arc::new(AtomicBool::new(false));
-        let unblocked2 = Arc::clone(&unblocked);
-        let h = std::thread::spawn(move || {
-            up2.enqueue("k/extra", Arc::new(vec![9]), |r| r.unwrap()).unwrap();
-            unblocked2.store(true, Ordering::SeqCst);
-        });
-        std::thread::sleep(Duration::from_millis(50));
-        assert!(!unblocked.load(Ordering::SeqCst), "enqueue must block at capacity");
-        faulty.set_unavailable(false);
-        h.join().unwrap();
-        assert!(unblocked.load(Ordering::SeqCst));
-        up.drain();
+        assert_eq!(landed.load(Ordering::SeqCst), 1000);
+        assert_eq!(faulty.list("k/").unwrap().len(), 1000);
         assert_eq!(up.pending(), 0);
     }
 }

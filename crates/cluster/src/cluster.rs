@@ -104,9 +104,9 @@ pub struct Cluster {
     config: ClusterConfig,
     sets: Vec<Arc<PartitionSet>>,
     tables: RwLock<HashMap<String, TableMeta>>,
-    /// One health view for the cluster's blob store, shared by every
-    /// partition's uploader, cold reads and shipping service: the first
-    /// layer to see an outage shields all the others.
+    /// One breaker for the cluster's blob store, guarding every partition's
+    /// uploads, cold reads and shipping: the first layer to see an outage
+    /// shields all the others.
     blob_health: Option<Arc<BlobHealth>>,
     maintenance_stop: Arc<std::sync::atomic::AtomicBool>,
     maintenance_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
@@ -118,10 +118,8 @@ impl Cluster {
     /// Bring up a cluster.
     pub fn new(name: impl Into<String>, config: ClusterConfig) -> Result<Arc<Cluster>> {
         let name = name.into();
-        // Private (per-cluster) health rather than the global registry:
-        // parallel tests each get an isolated breaker. The sharing that
-        // matters — across this cluster's partitions and layers — is wired
-        // explicitly below.
+        // One breaker per cluster, shared by its partitions and layers
+        // (wired below); parallel tests each get an isolated one.
         let blob_health = config.blob.as_ref().map(|_| {
             let seq = CLUSTER_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             match &config.breaker {
@@ -132,12 +130,13 @@ impl Cluster {
         let mut sets = Vec::with_capacity(config.partitions);
         for pid in 0..config.partitions {
             let pname = format!("{name}_p{pid}");
-            let (file_store, blob_files): (Arc<dyn DataFileStore>, _) = match &config.blob {
-                Some(blob) => {
+            let blob = config.blob.as_ref().zip(blob_health.as_ref());
+            let (file_store, blob_files): (Arc<dyn DataFileStore>, _) = match blob {
+                Some((blob, health)) => {
                     let bf = BlobBackedFileStore::with_health(
                         Arc::clone(blob),
                         config.cache_bytes,
-                        Arc::clone(blob_health.as_ref().expect("health exists when blob does")),
+                        Arc::clone(health),
                     );
                     (bf.clone() as Arc<dyn DataFileStore>, Some(bf))
                 }
@@ -153,20 +152,8 @@ impl Cluster {
                 let rp = empty_replica_partition(&pname, file_store.clone(), 0);
                 replicas.push(Replica::start(&master, rp, 0, true)?);
             }
-            let storage_service = config.blob.as_ref().map(|blob| {
-                let mut cfg = config.storage.clone();
-                cfg.require_replicated = config.sync_replication && config.ha_replicas > 0;
-                let health =
-                    Arc::clone(blob_health.as_ref().expect("health exists when blob does"));
-                // Shipping puts go through the breaker too: chunk/snapshot
-                // failures feed the same health that pauses the loop.
-                let resilient = Arc::new(ResilientStore::new(
-                    Arc::clone(blob),
-                    Arc::clone(&health),
-                    RetryPolicy::blob_default(),
-                )) as Arc<dyn ObjectStore>;
-                StorageService::start_with_health(Arc::clone(&master), resilient, cfg, Some(health))
-            });
+            let storage_service =
+                blob.map(|(blob, health)| start_shipping(&config, &master, blob, health));
             sets.push(Arc::new(PartitionSet {
                 name: pname,
                 master: RwLock::new(&rank::CLUSTER_TOPOLOGY, master),
@@ -202,15 +189,6 @@ impl Cluster {
                             s2_obs::counter!("cluster.heartbeat.lagging").inc();
                         }
                         let _ = set.master().maintenance_pass();
-                        // Re-queue uploads whose per-key retry budget ran
-                        // out (they stayed pinned locally in the meantime).
-                        if let Some(bf) = &set.blob_files {
-                            let n = bf.resubmit_failed();
-                            if n > 0 {
-                                s2_obs::counter!("cluster.maintenance.upload_resubmits")
-                                    .add(n as u64);
-                            }
-                        }
                     }
                     std::thread::sleep(Duration::from_millis(100));
                 }
@@ -467,30 +445,15 @@ impl Cluster {
             replicas.push(Replica::start(&new_master, rp, 0, true)?);
         }
         // Restart blob shipping from the new master.
-        if let Some(blob) = &self.config.blob {
-            let mut cfg = self.config.storage.clone();
-            cfg.require_replicated = self.config.sync_replication && self.config.ha_replicas > 0;
+        if let (Some(blob), Some(health)) = (&self.config.blob, &self.blob_health) {
             // The new master's uploaded watermark starts at 0; advance it to
             // what the old master already shipped so chunks aren't re-uploaded
             // out of order. Re-uploading is idempotent, so a simple approach:
             // mark everything known-uploaded in blob as uploaded.
             let shipped = crate::pitr::max_uploaded_lp(blob, &set.name)?;
             new_master.log.mark_uploaded(shipped);
-            let health = self.blob_health.as_ref().map(Arc::clone);
-            let store = match &health {
-                Some(h) => Arc::new(ResilientStore::new(
-                    Arc::clone(blob),
-                    Arc::clone(h),
-                    RetryPolicy::blob_default(),
-                )) as Arc<dyn ObjectStore>,
-                None => Arc::clone(blob),
-            };
-            *set.storage_service.lock() = Some(StorageService::start_with_health(
-                Arc::clone(&new_master),
-                store,
-                cfg,
-                health,
-            ));
+            *set.storage_service.lock() =
+                Some(start_shipping(&self.config, &new_master, blob, health));
         }
         *set.master.write() = new_master;
         s2_obs::counter!("cluster.failover.promotions").inc();
@@ -505,6 +468,23 @@ impl Cluster {
     fn sync_commits(&self) -> bool {
         self.config.sync_replication && self.config.ha_replicas > 0
     }
+}
+
+/// Start `master`'s shipping service, its puts guarded by the cluster's
+/// breaker.
+fn start_shipping(
+    config: &ClusterConfig,
+    master: &Arc<Partition>,
+    blob: &Arc<dyn ObjectStore>,
+    health: &Arc<BlobHealth>,
+) -> StorageService {
+    let cfg = StorageConfig {
+        require_replicated: config.sync_replication && config.ha_replicas > 0,
+        ..config.storage.clone()
+    };
+    let guarded =
+        ResilientStore::new(Arc::clone(blob), Arc::clone(health), RetryPolicy::blob_default());
+    StorageService::start(Arc::clone(master), Arc::new(guarded), cfg)
 }
 
 impl Drop for Cluster {

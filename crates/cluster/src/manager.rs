@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use s2_blob::{ObjectStore, StoreHealth, UploaderConfig};
+use s2_blob::{ObjectStore, StoreHealth};
 use s2_common::sync::{rank, Mutex};
 use s2_common::{Error, Result};
 
@@ -26,9 +26,6 @@ pub struct WorkspaceManagerConfig {
     pub cache_bytes: usize,
     /// Cold-read deadline budget for workspace file stores.
     pub read_budget: Duration,
-    /// Upload tuning for workspace file stores (workspaces never upload in
-    /// practice — they are read-only — but the store plumbing is shared).
-    pub uploader: UploaderConfig,
     /// How long `provision` waits out a blob outage before giving up with
     /// `Unavailable`.
     pub provision_wait: Duration,
@@ -39,7 +36,6 @@ impl Default for WorkspaceManagerConfig {
         WorkspaceManagerConfig {
             cache_bytes: 64 * 1024 * 1024,
             read_budget: Duration::from_secs(2),
-            uploader: UploaderConfig::default(),
             provision_wait: Duration::from_secs(10),
         }
     }
@@ -89,7 +85,6 @@ impl WorkspaceManager {
             &self.cluster,
             &self.blob,
             self.cfg.cache_bytes,
-            self.cfg.uploader,
             self.cfg.read_budget,
         )?);
         s2_obs::histogram!("workspace.provision_ms").record(start.elapsed().as_millis() as u64);

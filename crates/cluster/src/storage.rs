@@ -2,6 +2,12 @@
 //! file store (local cache in front of the object store, asynchronous
 //! uploads) and the per-partition storage service that ships sealed log
 //! chunks and periodic snapshots to blob storage — all off the commit path.
+//!
+//! Neither decides on its own that the store is down. Uploads and cold
+//! reads go through the breaker of a [`ResilientStore`], and callers hand
+//! the shipping service one too: its loop passes on every tick, a put
+//! against an open breaker fails in microseconds, and the first put after
+//! the cooldown is the probe that closes it.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -9,9 +15,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use s2_blob::{
-    BlobHealth, FileCache, ObjectStore, ResilientStore, StoreHealth, Uploader, UploaderConfig,
-};
+use s2_blob::{BlobHealth, FileCache, ObjectStore, ResilientStore, Uploader, UploaderConfig};
 use s2_common::sync::{rank, RwLock};
 use s2_common::{DeadlineBudget, Error, LogPosition, Result, RetryPolicy};
 use s2_core::{DataFileStore, Partition};
@@ -19,7 +23,7 @@ use s2_wal::Snapshot;
 
 /// Data files backed by blob storage with a local cache:
 /// - writes land locally and upload asynchronously ("uploaded ... as quickly
-///   as possible after being committed");
+///   as possible after being committed"), each retried until it lands;
 /// - files not yet uploaded are pinned *in the cache itself* (they are the
 ///   only copy) — eviction structurally cannot touch them until the upload
 ///   callback unpins;
@@ -32,13 +36,8 @@ pub struct BlobBackedFileStore {
     /// Blob reads go through the breaker + bounded-retry wrapper.
     blob: ResilientStore,
     cache: Arc<FileCache>,
-    uploader: Arc<Uploader>,
-    health: Arc<BlobHealth>,
+    uploader: Uploader,
     uploaded: Arc<RwLock<HashSet<String>>>,
-    /// Files whose upload exhausted its per-key retry budget or was
-    /// deferred because the backlog was full (still pinned locally);
-    /// [`BlobBackedFileStore::resubmit_failed`] re-queues them.
-    failed: Arc<RwLock<HashSet<String>>>,
     read_budget: Duration,
 }
 
@@ -58,8 +57,8 @@ impl BlobBackedFileStore {
         )
     }
 
-    /// Create a store whose uploader and cold reads report into (and are
-    /// gated by) a shared [`BlobHealth`].
+    /// Create a store whose uploads and cold reads are guarded by a shared
+    /// [`BlobHealth`].
     pub fn with_health(
         blob: Arc<dyn ObjectStore>,
         cache_bytes: usize,
@@ -84,22 +83,13 @@ impl BlobBackedFileStore {
         health: Arc<BlobHealth>,
         read_budget: Duration,
     ) -> Arc<BlobBackedFileStore> {
-        let uploader =
-            Arc::new(Uploader::with_config(Arc::clone(&blob), uploader_cfg, Arc::clone(&health)));
         Arc::new(BlobBackedFileStore {
-            blob: ResilientStore::new(blob, Arc::clone(&health), RetryPolicy::blob_default()),
+            uploader: Uploader::with_config(Arc::clone(&blob), uploader_cfg, Arc::clone(&health)),
+            blob: ResilientStore::new(blob, health, RetryPolicy::blob_default()),
             cache: Arc::new(FileCache::new(cache_bytes)),
-            uploader,
-            health,
             uploaded: Arc::new(RwLock::new(&rank::CLUSTER_STORAGE_SETS, HashSet::new())),
-            failed: Arc::new(RwLock::new(&rank::CLUSTER_STORAGE_SETS, HashSet::new())),
             read_budget,
         })
-    }
-
-    /// The shared health view gating this store's blob traffic.
-    pub fn health(&self) -> &Arc<BlobHealth> {
-        &self.health
     }
 
     /// Bytes pinned locally awaiting upload.
@@ -113,7 +103,7 @@ impl BlobBackedFileStore {
     }
 
     /// Block until all queued uploads finish (tests / clean shutdown).
-    /// During an outage this waits for recovery: parked uploads count.
+    /// During an outage this waits for recovery: retrying uploads count.
     pub fn drain_uploads(&self) {
         self.uploader.drain();
     }
@@ -128,90 +118,9 @@ impl BlobBackedFileStore {
         self.uploaded.read().iter().cloned().collect()
     }
 
-    /// True while the upload backlog is at capacity — callers shed or delay
-    /// optional flushes.
-    pub fn backlogged(&self) -> bool {
-        self.uploader.backlogged()
-    }
-
     /// Uploads enqueued but not yet landed.
     pub fn pending_uploads(&self) -> u64 {
         self.uploader.pending()
-    }
-
-    /// Re-queue files whose upload previously exhausted its retry budget or
-    /// was deferred by a full backlog (maintenance path). Returns how many
-    /// were resubmitted.
-    pub fn resubmit_failed(&self) -> usize {
-        let keys: Vec<String> = {
-            let mut failed = self.failed.write();
-            let keys = failed.iter().cloned().collect();
-            failed.clear();
-            keys
-        };
-        let mut n = 0;
-        for key in keys {
-            // Peek, not get: a maintenance sweep must not distort recency.
-            if let Some(bytes) = self.cache.peek(&key) {
-                self.submit(key, bytes);
-                n += 1;
-            } else {
-                // The local copy is gone — should be impossible while the
-                // entry is pinned. Keep the key visible instead of silently
-                // dropping it from the failed set; the event flags the
-                // invariant breach for the operator.
-                s2_obs::event("blob.upload_lost_local_copy", key.clone());
-                self.failed.write().insert(key);
-            }
-        }
-        n
-    }
-
-    /// Files awaiting a maintenance resubmission (budget-exhausted or
-    /// deferred by a full backlog). Zero once the store has converged.
-    pub fn failed_count(&self) -> usize {
-        self.failed.read().len()
-    }
-
-    /// Hand one pinned file to the uploader; the callback unpins on success
-    /// and records budget-exhausted failures for resubmission.
-    ///
-    /// Never blocks: `write_file` sits on the commit path, which must keep
-    /// acking during a sustained outage even with the upload backlog at
-    /// capacity. A full backlog defers the key to the `failed` set (the
-    /// file stays pinned — durability is local) for the maintenance
-    /// resubmit sweep to ship once slots free up.
-    fn submit(&self, key: String, bytes: Arc<Vec<u8>>) {
-        let uploaded = Arc::clone(&self.uploaded);
-        let failed = Arc::clone(&self.failed);
-        let cache = Arc::clone(&self.cache);
-        let cb_key = key.clone();
-        let res = self.uploader.try_enqueue(key.clone(), bytes, move |r| match r {
-            Ok(()) => {
-                uploaded.write().insert(cb_key.clone());
-                failed.write().remove(&cb_key);
-                cache.unpin(&cb_key);
-            }
-            Err(_) => {
-                // Still pinned locally: durability preserved. Remembered so a
-                // maintenance pass can resubmit once the store behaves.
-                failed.write().insert(cb_key.clone());
-            }
-        });
-        match res {
-            Ok(true) => {}
-            Ok(false) => {
-                // Backlog full (sustained outage with ongoing writes): defer
-                // rather than block the committer until recovery.
-                self.failed.write().insert(key);
-            }
-            Err(e) => {
-                // Uploader already shut down (teardown race): the file stays
-                // pinned; record it so a restart's resubmission sweep ships it.
-                self.failed.write().insert(key.clone());
-                s2_obs::event("blob.upload_enqueue_failed", format!("{key}: {e}"));
-            }
-        }
     }
 }
 
@@ -221,7 +130,21 @@ impl DataFileStore for BlobBackedFileStore {
         // pin makes "never evict before upload" structural — there is no
         // separate side table to fall out of sync with the cache.
         self.cache.insert_pinned(name, Arc::clone(&bytes));
-        self.submit(name.to_string(), bytes);
+        let (uploaded, cache, key) =
+            (Arc::clone(&self.uploaded), Arc::clone(&self.cache), name.to_string());
+        // The uploader retries until the file lands or shuts down; until then
+        // the file stays pinned, so an `Err` leaves durability untouched.
+        let res = self.uploader.enqueue(name, bytes, move |r| {
+            if r.is_ok() {
+                cache.unpin(&key);
+                uploaded.write().insert(key);
+            }
+        });
+        if let Err(e) = res {
+            // Uploader already shut down (teardown race): the file stays
+            // pinned locally.
+            s2_obs::event("blob.upload_enqueue_failed", format!("{name}: {e}"));
+        }
         Ok(())
     }
 
@@ -251,7 +174,6 @@ impl DataFileStore for BlobBackedFileStore {
         // restores to before the deleting merge keep working. A retention
         // policy (not modeled) would garbage-collect old objects.
         self.cache.remove(name);
-        self.failed.write().remove(name);
         Ok(())
     }
 }
@@ -300,51 +222,22 @@ pub struct StorageService {
 }
 
 impl StorageService {
-    /// Start the service for `partition`.
+    /// Start the service for `partition`, passing every tick. Callers that
+    /// share a breaker hand in a [`ResilientStore`] reporting into it: while
+    /// it is open a pass fails at its first put, and once the cooldown has
+    /// passed that put is the probe.
     pub fn start(
         partition: Arc<Partition>,
         blob: Arc<dyn ObjectStore>,
         config: StorageConfig,
-    ) -> StorageService {
-        StorageService::start_with_health(partition, blob, config, None)
-    }
-
-    /// Start the service with a shared health view: while the breaker
-    /// reports an outage the shipping loop pauses (no chunk/snapshot puts
-    /// hammering a dead store, no spurious pass errors) and resumes on
-    /// recovery — both observable as `storage.pause` / `storage.resume`
-    /// events. Callers that pass a health should also wrap `blob` in a
-    /// [`ResilientStore`] reporting into it, so pass failures feed the
-    /// breaker that pauses the loop.
-    pub fn start_with_health(
-        partition: Arc<Partition>,
-        blob: Arc<dyn ObjectStore>,
-        config: StorageConfig,
-        health: Option<Arc<BlobHealth>>,
     ) -> StorageService {
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = Arc::clone(&stop);
         let last_snapshot_lp = Arc::new(AtomicU64::new(0));
         let last_snap = Arc::clone(&last_snapshot_lp);
         let thread = std::thread::spawn(move || {
-            let mut paused = false;
             while !stop2.load(Ordering::Acquire) {
-                let outage = health.as_ref().is_some_and(|h| h.health() == StoreHealth::Outage);
-                if outage != paused {
-                    paused = outage;
-                    s2_obs::gauge!("storage.shipping_paused").set(paused as i64);
-                    s2_obs::event(
-                        if paused { "storage.pause" } else { "storage.resume" },
-                        format!(
-                            "{}: blob outage {}",
-                            partition.name,
-                            if paused { "began" } else { "ended" }
-                        ),
-                    );
-                }
-                if !paused {
-                    let _ = Self::pass(&partition, &blob, &config, &last_snap);
-                }
+                let _ = Self::pass(&partition, &blob, &config, &last_snap);
                 std::thread::sleep(config.tick);
             }
             // Final drain so shutdown leaves a complete blob image (best

@@ -44,24 +44,16 @@ impl Workspace {
         blob: &Arc<dyn ObjectStore>,
         cache_bytes: usize,
     ) -> Result<Workspace> {
-        Self::provision_with_tuning(
-            name,
-            cluster,
-            blob,
-            cache_bytes,
-            UploaderConfig::default(),
-            Duration::from_secs(2),
-        )
+        Self::provision_with_tuning(name, cluster, blob, cache_bytes, Duration::from_secs(2))
     }
 
-    /// [`Workspace::provision`] with the cold-read deadline budget and
-    /// uploader tuning pinned (drills and tests use fast settings).
+    /// [`Workspace::provision`] with the cold-read deadline budget pinned
+    /// (drills and tests use a short one).
     pub fn provision_with_tuning(
         name: impl Into<String>,
         cluster: &Arc<Cluster>,
         blob: &Arc<dyn ObjectStore>,
         cache_bytes: usize,
-        uploader: UploaderConfig,
         read_budget: Duration,
     ) -> Result<Workspace> {
         let name = name.into();
@@ -82,10 +74,12 @@ impl Workspace {
                 Some(h) => Arc::clone(h),
                 None => s2_blob::BlobHealth::new(format!("workspace-{name}#{pid}")),
             };
+            // A workspace replica never flushes or merges, so its file store
+            // only reads: the uploader keeps its default tuning.
             let files = BlobBackedFileStore::with_tuning(
                 Arc::clone(blob),
                 cache_bytes,
-                uploader,
+                UploaderConfig::default(),
                 health,
                 read_budget,
             );

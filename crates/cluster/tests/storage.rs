@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 
 use s2_blob::{
     BlobHealth, BreakerConfig, CircuitState, FaultyStore, MemoryStore, ObjectStore, ResilientStore,
-    StoreHealth, UploaderConfig,
+    UploaderConfig,
 };
 use s2_cluster::{log_chunk_key, BlobBackedFileStore, StorageConfig, StorageService};
 use s2_common::schema::ColumnDef;
@@ -147,6 +147,13 @@ fn cold_reads_fail_fast_when_breaker_open() {
     }
 }
 
+/// Uploader tuning for the outage tests: one worker, millisecond backoff.
+const FAST_UPLOADER: UploaderConfig = UploaderConfig {
+    threads: 1,
+    base_backoff: Duration::from_millis(1),
+    max_backoff: Duration::from_millis(5),
+};
+
 #[test]
 fn outage_cannot_evict_unuploaded_files() {
     let faulty = Arc::new(FaultyStore::new(MemoryStore::new(), Duration::ZERO, Duration::ZERO));
@@ -157,13 +164,7 @@ fn outage_cannot_evict_unuploaded_files() {
     let store = BlobBackedFileStore::with_tuning(
         blob,
         256,
-        UploaderConfig {
-            threads: 1,
-            capacity: 16,
-            max_attempts: 2,
-            base_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(5),
-        },
+        FAST_UPLOADER,
         BlobHealth::with_config("t-no-evict", fast_breaker()),
         Duration::from_millis(200),
     );
@@ -176,16 +177,11 @@ fn outage_cannot_evict_unuploaded_files() {
         assert_eq!((b.len(), b[0]), (100, i), "local copy must stay readable during outage");
     }
 
-    // Recovery: parked and budget-exhausted uploads all land, nothing stays
-    // pinned, and the blob store holds every file.
+    // Recovery: the retrying uploads all land, nothing stays pinned, and
+    // the blob store holds every file.
     faulty.set_unavailable(false);
-    let t0 = Instant::now();
-    while store.uploaded_count() < 5 {
-        store.resubmit_failed();
-        assert!(t0.elapsed() < Duration::from_secs(5), "backlog did not drain after recovery");
-        std::thread::sleep(Duration::from_millis(5));
-    }
     store.drain_uploads();
+    assert_eq!(store.uploaded_count(), 5);
     assert_eq!(store.pinned_bytes(), 0);
     for i in 0..5u8 {
         assert_eq!(faulty.get(&format!("f/{i}")).unwrap()[0], i);
@@ -197,64 +193,51 @@ fn commit_path_never_blocks_on_full_backlog() {
     let faulty = Arc::new(FaultyStore::new(MemoryStore::new(), Duration::ZERO, Duration::ZERO));
     faulty.set_unavailable(true);
     let blob = Arc::new(Shared(faulty.clone())) as Arc<dyn ObjectStore>;
-    // Tiny uploader capacity: writes 3..10 land while the backlog is full.
     let store = BlobBackedFileStore::with_tuning(
         blob,
         1 << 20,
-        UploaderConfig {
-            threads: 1,
-            capacity: 2,
-            max_attempts: 2,
-            base_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(5),
-        },
+        FAST_UPLOADER,
         BlobHealth::with_config("t-commit-noblock", fast_breaker()),
         Duration::from_millis(200),
     );
-    // Every write_file must return promptly during a sustained outage with
-    // the backlog at capacity — the commit path never waits on the blob
-    // store. (Before the try_enqueue fix, write 3+ parked until recovery.)
+    // Every write_file must return promptly during a sustained outage
+    // however deep the backlog — the commit path never waits on the blob
+    // store.
     let t0 = Instant::now();
     for i in 0..10u8 {
         store.write_file(&format!("f/{i}"), Arc::new(vec![i; 64])).unwrap();
     }
     assert!(
         t0.elapsed() < Duration::from_secs(1),
-        "write_file blocked on a full backlog: {:?}",
+        "write_file blocked during an outage: {:?}",
         t0.elapsed()
     );
-    // Overflow keys are deferred (pinned + failed set), not dropped.
+    // Backlogged files stay pinned and readable, not dropped.
     assert!(store.pinned_bytes() >= 10 * 64, "every file stays pinned");
-    assert!(store.failed_count() > 0, "overflow writes recorded for resubmission");
+    assert_eq!(store.pending_uploads(), 10);
     for i in 0..10u8 {
         assert_eq!(store.read_file(&format!("f/{i}")).unwrap()[0], i);
     }
 
-    // Recovery: maintenance resubmits converge the store to local state.
+    // Recovery: the backlog converges the store to local state.
     faulty.set_unavailable(false);
-    let t0 = Instant::now();
-    while store.uploaded_count() < 10 || store.failed_count() > 0 {
-        store.resubmit_failed();
-        assert!(
-            t0.elapsed() < Duration::from_secs(5),
-            "deferred backlog did not converge: {} uploaded, {} failed",
-            store.uploaded_count(),
-            store.failed_count()
-        );
-        std::thread::sleep(Duration::from_millis(5));
-    }
     store.drain_uploads();
+    assert_eq!(store.uploaded_count(), 10);
     assert_eq!(store.pinned_bytes(), 0);
     for i in 0..10u8 {
         assert_eq!(faulty.get(&format!("f/{i}")).unwrap()[0], i);
     }
 }
 
+/// Liveness with nothing fed: the breaker is open when the service starts,
+/// the store heals, and then nothing else happens — no commits, no uploads,
+/// no manual probe. The shipping loop's own put after the cooldown must
+/// probe the breaker shut and ship the whole log.
 #[test]
-fn shipping_pauses_during_outage_and_resumes() {
+fn shipping_probes_the_breaker_and_resumes_after_outage() {
     let faulty = Arc::new(FaultyStore::new(MemoryStore::new(), Duration::ZERO, Duration::ZERO));
     let blob = Arc::new(Shared(faulty.clone())) as Arc<dyn ObjectStore>;
-    let health = BlobHealth::with_config("t-ship-pause", fast_breaker());
+    let health = BlobHealth::with_config("t-ship-probe", fast_breaker());
     let ship = Arc::new(ResilientStore::new(
         Arc::clone(&blob),
         Arc::clone(&health),
@@ -267,7 +250,7 @@ fn shipping_pauses_during_outage_and_resumes() {
     )) as Arc<dyn ObjectStore>;
 
     let p = Partition::new(
-        "pause0",
+        "probe0",
         Arc::new(Log::in_memory()),
         Arc::new(s2_core::MemFileStore::new()),
     );
@@ -278,14 +261,15 @@ fn shipping_pauses_during_outage_and_resumes() {
         txn.insert(t, Row::new(vec![Value::Int(i)])).unwrap();
         txn.commit().unwrap();
     }
+    p.log.sync().unwrap();
 
-    // Trip the breaker before the service starts: it must come up paused.
+    // Trip the breaker before the service starts.
     faulty.set_unavailable(true);
     for _ in 0..2 {
-        let _ = ship.put("t-ship-pause/probe", Arc::new(vec![0]));
+        let _ = ship.put("t-ship-probe/trip", Arc::new(vec![0]));
     }
-    assert_eq!(health.health(), StoreHealth::Outage);
-    let mut svc = StorageService::start_with_health(
+    assert_eq!(health.state(), CircuitState::Open);
+    let mut svc = StorageService::start(
         Arc::clone(&p),
         Arc::clone(&ship),
         StorageConfig {
@@ -294,28 +278,25 @@ fn shipping_pauses_during_outage_and_resumes() {
             tick: Duration::from_millis(2),
             require_replicated: false,
         },
-        Some(Arc::clone(&health)),
     );
-    std::thread::sleep(Duration::from_millis(80));
-    assert_eq!(p.log.uploaded_lp(), 0, "paused service must not ship during an outage");
+    std::thread::sleep(Duration::from_millis(50));
+    assert_eq!(p.log.uploaded_lp(), 0, "nothing ships while the store is down");
 
-    // The store recovers; a probe (here: any guarded operation — in the
-    // cluster the uploader's parked jobs do this) closes the breaker, and
-    // the service resumes shipping on its next tick.
     faulty.set_unavailable(false);
     let t0 = Instant::now();
-    while health.health() == StoreHealth::Outage {
-        let _ = ship.put("t-ship-pause/probe", Arc::new(vec![0]));
-        assert!(t0.elapsed() < Duration::from_secs(3), "breaker never closed after recovery");
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    let t0 = Instant::now();
     while p.log.uploaded_lp() < p.log.durable_lp() {
-        assert!(t0.elapsed() < Duration::from_secs(3), "shipping did not resume");
-        std::thread::sleep(Duration::from_millis(10));
+        assert!(
+            t0.elapsed() < Duration::from_secs(3),
+            "shipping stalled after recovery: {}/{} uploaded, health {:?}",
+            p.log.uploaded_lp(),
+            p.log.durable_lp(),
+            health.health()
+        );
+        std::thread::sleep(Duration::from_millis(5));
     }
+    assert_eq!(health.state(), CircuitState::Closed);
     svc.stop();
-    assert!(!faulty.list("pause0/log/").unwrap().is_empty());
+    assert!(!faulty.list("probe0/log/").unwrap().is_empty());
 }
 
 /// Share a typed `FaultyStore` as `Arc<dyn ObjectStore>`.

@@ -210,7 +210,6 @@ fn manager_fleet_under_live_writes() {
             cache_bytes: 8 * 1024 * 1024,
             read_budget: Duration::from_secs(2),
             provision_wait: Duration::from_secs(2),
-            ..Default::default()
         },
     )
     .unwrap();
@@ -288,7 +287,6 @@ fn manager_pauses_during_outage_and_resumes() {
             cache_bytes: 8 * 1024 * 1024,
             read_budget: Duration::from_millis(200),
             provision_wait: Duration::from_millis(300),
-            ..Default::default()
         },
     )
     .unwrap();
@@ -343,23 +341,11 @@ fn manager_pauses_during_outage_and_resumes() {
         slow.provision("resumed").map(|_| ())
     });
     std::thread::sleep(Duration::from_millis(100));
+    // Nothing else happens after the store heals: the cluster's own
+    // shipping ticks probe the breaker shut.
     faulty.set_unavailable(false);
-    // The breaker only closes once probe traffic succeeds: keep committing
-    // so the storage service has uploads to probe with.
-    for _ in 0..1000 {
-        if health.health() != StoreHealth::Outage {
-            break;
-        }
-        let mut txn = cluster.begin();
-        for row in accounts(next, next + 5) {
-            txn.insert("accounts", row).unwrap();
-        }
-        txn.commit().unwrap();
-        next += 5;
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    assert_ne!(health.health(), StoreHealth::Outage, "breaker never recovered");
     paused.join().unwrap().unwrap();
+    assert_ne!(health.health(), StoreHealth::Outage, "breaker never recovered");
 
     mgr.detach_all();
 }

@@ -81,7 +81,7 @@ pub mod rank {
     pub static WAL_GROUP: LockClass = LockClass { order: 390, name: "wal.group" };
     /// WAL log interior (buffers + watermarks).
     pub static WAL_LOG: LockClass = LockClass { order: 400, name: "wal.log" };
-    /// Storage-service uploaded/failed key sets.
+    /// Blob-backed file store's uploaded-key set.
     pub static CLUSTER_STORAGE_SETS: LockClass =
         LockClass { order: 500, name: "cluster.storage_sets" };
     /// Object-store backend maps (MemoryStore et al).
@@ -90,9 +90,6 @@ pub mod rank {
     pub static BLOB_CACHE: LockClass = LockClass { order: 520, name: "blob.cache" };
     /// Uploader queue state (ready/deferred/inflight).
     pub static BLOB_UPLOADER: LockClass = LockClass { order: 530, name: "blob.uploader" };
-    /// Per-store health registry.
-    pub static BLOB_HEALTH_REGISTRY: LockClass =
-        LockClass { order: 535, name: "blob.health_registry" };
     /// Circuit-breaker core state.
     pub static BLOB_BREAKER: LockClass = LockClass { order: 540, name: "blob.breaker" };
     /// Scan-pool grow lock (worker spawning).
@@ -148,7 +145,6 @@ pub mod rank {
         ("BLOB_STORE", &BLOB_STORE),
         ("BLOB_CACHE", &BLOB_CACHE),
         ("BLOB_UPLOADER", &BLOB_UPLOADER),
-        ("BLOB_HEALTH_REGISTRY", &BLOB_HEALTH_REGISTRY),
         ("BLOB_BREAKER", &BLOB_BREAKER),
         ("EXEC_POOL_GROW", &EXEC_POOL_GROW),
         ("EXEC_POOL_QUEUE", &EXEC_POOL_QUEUE),

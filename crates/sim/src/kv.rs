@@ -1,8 +1,9 @@
 //! The key-value workload the crash, outage and workspace drills share: a
 //! unique-keyed `t(k, v)` table drawn from the seed, one transaction
 //! generator checked against the [`Model`], phase-scoped fault plans, the
-//! fast blob tuning the outage arcs need, and the bounded polls and timers
-//! they wait on (the only wall-clock reads in the harness).
+//! fast blob tuning the outage arcs need, the liveness oracle they end on,
+//! and the bounded polls and timers they wait on (the only wall-clock reads
+//! in the harness).
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -10,8 +11,8 @@ use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use s2_blob::{BreakerConfig, UploaderConfig};
-use s2_cluster::{ClusterTxn, StorageConfig};
+use s2_blob::{BlobHealth, BreakerConfig, StoreHealth, UploaderConfig};
+use s2_cluster::{BlobBackedFileStore, ClusterTxn, StorageConfig};
 use s2_common::schema::ColumnDef;
 use s2_common::{DataType, Row, Schema, TableOptions, Value};
 use s2_core::{Partition, Txn};
@@ -32,8 +33,6 @@ pub const FAST_BREAKER: BreakerConfig = BreakerConfig {
 /// Uploader tuning to match [`FAST_BREAKER`].
 pub const FAST_UPLOADER: UploaderConfig = UploaderConfig {
     threads: 2,
-    capacity: 64,
-    max_attempts: 3,
     base_backoff: Duration::from_millis(2),
     max_backoff: Duration::from_millis(20),
 };
@@ -247,6 +246,37 @@ pub fn wait_for(
         std::thread::sleep(poll);
     }
     Ok(())
+}
+
+/// The liveness oracle, run once a phase's fault plan has cleared: within
+/// `budget`, with nothing fed but `tick` (a drill that ships by hand passes
+/// here; a cluster ships on its own), every backlog drains — each log is
+/// shipped up to its durable position, no upload is pending and no byte is
+/// pinned — and `health` returns to `Healthy`.
+pub fn wait_live(
+    budget: Duration,
+    health: &BlobHealth,
+    sets: &[(Arc<Partition>, Arc<BlobBackedFileStore>)],
+    mut tick: impl FnMut() -> Result<(), String>,
+) -> Result<(), String> {
+    let backlog = || {
+        sets.iter().find_map(|(p, files)| {
+            let (shipped, durable) = (p.log.uploaded_lp(), p.log.durable_lp());
+            let (pending, pinned) = (files.pending_uploads(), files.pinned_bytes());
+            (shipped != durable || pending > 0 || pinned > 0).then(|| {
+                format!(
+                    "{}: log {shipped}/{durable} shipped, {pending} uploads pending, \
+                     {pinned} bytes pinned",
+                    p.name
+                )
+            })
+        })
+    };
+    wait_for("backlog did not drain with nothing fed", budget, 5 * MS, || {
+        tick()?;
+        Ok(backlog().is_none() && health.health() == StoreHealth::Healthy)
+    })
+    .map_err(|e| format!("{e}: {}, health {:?}", backlog().unwrap_or_default(), health.health()))
 }
 
 /// Run `f`, returning its wall-clock duration too.

@@ -23,17 +23,19 @@
 //!    acknowledging, provisioning pauses and then gives up `Unavailable`
 //!    within its bounded budget, attached workspaces keep answering
 //!    queries from local state.
-//! 5. **Recovery**: the breaker closes, provisioning resumes and succeeds,
-//!    the whole fleet catches up to zero lag, and every workspace's
-//!    per-partition engine state equals the primary's, which equals the
-//!    drill's committed model.
+//! 5. **Recovery**: with nothing fed, the cluster alone drains every
+//!    backlog (the liveness oracle: logs shipped to their durable
+//!    positions, no upload pending or pinned, health back to `Healthy`);
+//!    provisioning resumes and succeeds, the whole fleet catches up to zero
+//!    lag, and every workspace's per-partition engine state equals the
+//!    primary's, which equals the drill's committed model.
 //!
 //! The trace records seed-determined decisions only. Whether the burst's
 //! provision succeeds depends on how worker threads meet the injected
-//! faults, and the commits that keep the breaker fed while the drill waits
-//! on it run as often as the wait lasts: both are timed counters. Those
-//! commits insert fresh keys outside the generated key range and draw
-//! nothing, so the seeded transactions never see them.
+//! faults, and the commits that feed the breaker failures until it trips
+//! run as often as that wait lasts: both are timed counters. Those commits
+//! insert fresh keys outside the generated key range and draw nothing, so
+//! the seeded transactions never see them.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -90,7 +92,7 @@ impl Fleet {
     }
 
     /// One commit that gives the storage service chunks and data files to
-    /// ship while the drill waits on the breaker: an insert of a fresh key
+    /// ship while the drill waits for the breaker to trip: an insert of a fresh key
     /// above the generator's `0..key_space`, so the seeded transactions draw
     /// the same however many of these run.
     fn feed(&mut self) -> Result<(), String> {
@@ -151,7 +153,6 @@ pub fn workspace(seed: u64, h: &mut Harness) -> Result<Report, String> {
         WorkspaceManagerConfig {
             cache_bytes: kv::CACHE_BYTES,
             read_budget: kv::READ_BUDGET,
-            uploader: kv::FAST_UPLOADER,
             provision_wait: 250 * MS,
         },
     )
@@ -318,15 +319,14 @@ pub fn workspace(seed: u64, h: &mut Harness) -> Result<Report, String> {
 
     // -------------------------------------------- phase 5: recovery
     d.faulty.set_unavailable(false);
-    wait_for("breaker stuck at Outage after recovery", 5000 * MS, 2 * MS, || {
-        if health.health() != StoreHealth::Outage {
-            return Ok(true);
-        }
-        // Keep commits flowing so the storage service has probe traffic.
-        d.feed()?;
-        Ok(false)
-    })
-    .map_err(|e| format!("{e}, health {:?}", health.health()))?;
+    let sets = (0..partitions)
+        .map(|pid| {
+            let set = d.cluster.set(pid);
+            let files = set.blob_files.clone().ok_or("cluster has no blob-backed file store")?;
+            Ok((set.master(), files))
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    kv::wait_live(5000 * MS, &health, &sets, || Ok(()))?;
 
     // Provisioning resumes: a post-recovery provision must succeed (the
     // breaker may still be probing shut — allow a bounded retry window).

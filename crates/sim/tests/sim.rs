@@ -4,9 +4,11 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use s2_blob::{BlobHealth, BreakerConfig, MemoryStore, ObjectStore, Uploader, UploaderConfig};
+use s2_blob::{
+    BlobHealth, BreakerConfig, CircuitState, MemoryStore, ObjectStore, Uploader, UploaderConfig,
+};
 use s2_cluster::{StorageConfig, StorageService};
 use s2_common::fault::{CrashPoint, FaultHook};
 use s2_common::schema::ColumnDef;
@@ -68,7 +70,9 @@ fn different_seeds_diverge() {
 }
 
 /// The uploader's per-attempt failpoint fires on its worker thread (error
-/// injection only) and the bounded retry loop surfaces the failure.
+/// injection only) inside the breaker guard: every injected failure counts
+/// as a retry and against the breaker, the job keeps retrying instead of
+/// failing, and it lands once the plan clears.
 #[test]
 fn uploader_cross_thread_error_injection() {
     let _guard = harness_lock();
@@ -77,37 +81,59 @@ fn uploader_cross_thread_error_injection() {
     s2_common::fault::install(Arc::new(plan) as Arc<dyn FaultHook>);
 
     let store: Arc<dyn ObjectStore> = Arc::new(MemoryStore::new());
-    // A breaker that never opens: this test is about the per-job retry
-    // budget surfacing the failure. (Under the default threshold a 100%
-    // injection rate reads as an outage and the job parks instead.)
+    let health = BlobHealth::with_config(
+        "sim-inject",
+        BreakerConfig {
+            open_cooldown: Duration::from_millis(5),
+            max_cooldown: Duration::from_millis(20),
+            ..BreakerConfig::default()
+        },
+    );
     let up = Uploader::with_config(
         Arc::clone(&store),
-        UploaderConfig { threads: 1, ..UploaderConfig::default() },
-        BlobHealth::with_config(
-            "sim-inject",
-            BreakerConfig { failure_threshold: u32::MAX, ..BreakerConfig::default() },
-        ),
+        UploaderConfig {
+            threads: 1,
+            base_backoff: Duration::from_millis(1),
+            max_backoff: Duration::from_millis(5),
+        },
+        Arc::clone(&health),
     );
+    let retries = || s2_obs::global().snapshot().counter("blob.upload.retries");
+    let before = retries();
     let outcome: Arc<Mutex<Option<bool>>> = Arc::new(Mutex::new(None));
     let flag = Arc::clone(&outcome);
-    up.enqueue("k/fail", Arc::new(vec![1]), move |r| {
+    up.enqueue("k/inject", Arc::new(vec![1]), move |r| {
         *flag.lock().unwrap() = Some(r.is_err());
     })
     .unwrap();
-    up.drain();
-    assert_eq!(*outcome.lock().unwrap(), Some(true), "every attempt injected, job must fail");
+    let t0 = Instant::now();
+    while retries() < before + 5 || health.state() == CircuitState::Closed {
+        assert!(t0.elapsed() < Duration::from_secs(5), "injected failures not counted");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(*outcome.lock().unwrap(), None, "a transient failure must not complete the job");
 
-    // Clear the plan: the same store works again.
+    // Clear the plan: the same job lands.
     s2_common::fault::clear();
-    let outcome2: Arc<Mutex<Option<bool>>> = Arc::new(Mutex::new(None));
-    let flag2 = Arc::clone(&outcome2);
-    up.enqueue("k/ok", Arc::new(vec![2]), move |r| {
-        *flag2.lock().unwrap() = Some(r.is_err());
-    })
-    .unwrap();
     up.drain();
-    assert_eq!(*outcome2.lock().unwrap(), Some(false));
-    assert_eq!(store.get("k/ok").unwrap().as_slice(), &[2]);
+    assert_eq!(*outcome.lock().unwrap(), Some(false));
+    assert_eq!(store.get("k/inject").unwrap().as_slice(), &[1]);
+}
+
+/// Seeds at which the workspace drill's recovery used to stall: the shipping
+/// loop paused while health read `Outage`, so when the store came back with
+/// no upload left to probe the breaker, nothing ever closed it. 1042, 1149
+/// and 1158 stalled while the drill's recovery still committed; 180 and 233
+/// stall every run once it feeds nothing, as it now does — the cluster must
+/// drain on its own.
+#[test]
+fn workspace_drill_recovers_at_formerly_stuck_seeds() {
+    let workspace = drill("workspace").expect("workspace drill");
+    for seed in [180u64, 233, 1042, 1149, 1158] {
+        if let Err(v) = workspace.run(seed) {
+            panic!("{v}");
+        }
+    }
 }
 
 fn small_partition() -> (Arc<Partition>, u32) {
