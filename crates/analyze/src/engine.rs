@@ -424,7 +424,7 @@ mod tests {
         let f = lint("crates/exec/src/pool.rs", bad);
         assert_eq!(f.len(), 2, "{f:?}");
         assert!(f.iter().all(|x| x.rule == "metric-name"));
-        let good = "s2_obs::counter!(\"exec.pool.steals\").inc();\n\
+        let good = "s2_obs::counter!(\"exec.pool.morsels\").inc();\n\
                     s2_obs::event(\"blob.cache_pressure\", d);";
         assert!(lint("crates/exec/src/pool.rs", good).is_empty());
     }

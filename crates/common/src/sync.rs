@@ -92,12 +92,8 @@ pub mod rank {
     pub static BLOB_UPLOADER: LockClass = LockClass { order: 530, name: "blob.uploader" };
     /// Circuit-breaker core state.
     pub static BLOB_BREAKER: LockClass = LockClass { order: 540, name: "blob.breaker" };
-    /// Scan-pool grow lock (worker spawning).
-    pub static EXEC_POOL_GROW: LockClass = LockClass { order: 595, name: "exec.pool_grow" };
-    /// Scan-pool per-worker job queues.
+    /// Scan-pool job queue and worker count (the pool's only lock).
     pub static EXEC_POOL_QUEUE: LockClass = LockClass { order: 600, name: "exec.pool_queue" };
-    /// Scan-pool idle/sleep lock.
-    pub static EXEC_POOL_IDLE: LockClass = LockClass { order: 605, name: "exec.pool_idle" };
     /// Per-segment adaptive-decision cache.
     pub static EXEC_DECISION_CACHE: LockClass =
         LockClass { order: 620, name: "exec.decision_cache" };
@@ -146,9 +142,7 @@ pub mod rank {
         ("BLOB_CACHE", &BLOB_CACHE),
         ("BLOB_UPLOADER", &BLOB_UPLOADER),
         ("BLOB_BREAKER", &BLOB_BREAKER),
-        ("EXEC_POOL_GROW", &EXEC_POOL_GROW),
         ("EXEC_POOL_QUEUE", &EXEC_POOL_QUEUE),
-        ("EXEC_POOL_IDLE", &EXEC_POOL_IDLE),
         ("EXEC_DECISION_CACHE", &EXEC_DECISION_CACHE),
         ("ENCODING_READER", &ENCODING_READER),
         ("SIM_STORAGE", &SIM_STORAGE),

@@ -806,7 +806,7 @@ impl Partition {
     /// and per-record index maintenance. Each phase is timed into its
     /// `core.recover.*_us` histogram (3 and 4 together are `apply_us`).
     fn replay(
-        self: &Arc<Partition>,
+        &self,
         start_lp: LogPosition,
         end_lp: LogPosition,
         threads: usize,
@@ -814,18 +814,12 @@ impl Partition {
     ) -> Result<()> {
         let pool = s2_pool::ScanPool::global();
         let timer = s2_obs::histogram!("core.recover.frame_scan_us").start_timer();
-        let bytes = Arc::new(self.log.read_range(start_lp, end_lp)?);
-        // Phase 1: serial frame scan. Frames are (kind, payload range); the
-        // payload range is resolved against the shared buffer so decode jobs
-        // borrow nothing.
-        let base = bytes.as_ptr() as usize;
-        let mut frames: Vec<(u8, usize, usize)> = Vec::new();
+        let bytes = self.log.read_range(start_lp, end_lp)?;
+        // Phase 1: serial frame scan into (kind, payload) slices of `bytes`.
+        let mut frames: Vec<(u8, &[u8])> = Vec::new();
         for rec in RecordIter::new(&bytes, start_lp) {
             match rec {
-                Ok(rec) => {
-                    let off = rec.payload.as_ptr() as usize - base;
-                    frames.push((rec.kind, off, off + rec.payload.len()));
-                }
+                Ok(rec) => frames.push((rec.kind, rec.payload)),
                 Err(e) => {
                     // A corrupt frame ends replay: everything past the
                     // longest checksummed prefix is a torn tail from a
@@ -843,12 +837,10 @@ impl Partition {
         // pool; errors surfaced in log order).
         let timer = s2_obs::histogram!("core.recover.decode_us").start_timer();
         const DECODE_BATCH: usize = 256;
-        let batches: Vec<Vec<(u8, usize, usize)>> =
-            frames.chunks(DECODE_BATCH).map(<[_]>::to_vec).collect();
-        let buf = Arc::clone(&bytes);
-        let decoded: Vec<Vec<Result<EngineRecord>>> = pool.run(threads, batches, move |batch| {
-            batch.into_iter().map(|(kind, s, e)| EngineRecord::decode(kind, &buf[s..e])).collect()
-        });
+        let decoded: Vec<Vec<Result<EngineRecord>>> =
+            pool.run(threads, frames.chunks(DECODE_BATCH).collect(), |batch| {
+                batch.iter().map(|&(kind, payload)| EngineRecord::decode(kind, payload)).collect()
+            });
         timer.stop();
         // Phase 3: serial routing into per-table lists, in log order.
         let _t = s2_obs::histogram!("core.recover.apply_us").start_timer();
@@ -892,9 +884,8 @@ impl Partition {
         // Phase 4: parallel per-table columnstore apply.
         let mut work: Vec<(TableId, ReplayCtx)> = ctxs.into_iter().collect();
         work.sort_unstable_by_key(|(tid, _)| *tid);
-        let replayer = Arc::clone(self);
         let results: Vec<Result<()>> =
-            pool.run(threads, work, move |(tid, ctx)| replayer.replay_columnstore(tid, ctx));
+            pool.run(threads, work, |(tid, ctx)| self.replay_columnstore(tid, ctx));
         for r in results {
             r?;
         }
@@ -923,16 +914,15 @@ impl Partition {
     /// reader can see, since none can start below that timestamp. Largest
     /// tables go first, so the longest build starts at once. Synthetic-key
     /// allocators step past every recovered upsert's key.
-    fn build_rowstores(self: &Arc<Partition>, rows: RecoveredRows, threads: usize) -> Result<()> {
+    fn build_rowstores(&self, rows: RecoveredRows, threads: usize) -> Result<()> {
         let _t = s2_obs::histogram!("core.recover.rowstore_build_us").start_timer();
         let mut work: Vec<(TableId, Vec<CommittedVersion>)> = rows.into_iter().collect();
         work.sort_unstable_by_key(|(tid, versions)| (std::cmp::Reverse(versions.len()), *tid));
-        let builder = Arc::clone(self);
-        let results = s2_pool::ScanPool::global().run(threads, work, move |(tid, versions)| {
-            let t = builder.table(tid)?;
+        let results = s2_pool::ScanPool::global().run(threads, work, |(tid, versions)| {
+            let t = self.table(tid)?;
             for (key, row, _) in &versions {
                 if row.is_some() {
-                    builder.note_auto_key(&t, key);
+                    self.note_auto_key(&t, key);
                 }
             }
             *t.rowstore.write() = RowStore::from_committed(versions)?;
@@ -942,7 +932,7 @@ impl Partition {
     }
 
     /// Rebuild every table's global indexes from its live segments.
-    fn rebuild_all_indexes(self: &Arc<Partition>, threads: usize) -> Result<()> {
+    fn rebuild_all_indexes(&self, threads: usize) -> Result<()> {
         let tables: Vec<Arc<Table>> = {
             let map = self.tables.read();
             let mut ts: Vec<Arc<Table>> = map.values().cloned().collect();

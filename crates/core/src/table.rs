@@ -43,9 +43,7 @@ pub struct SegmentCore {
     pub inverted: HashMap<usize, Arc<InvertedIndex>>,
 }
 
-/// One segment as a table version holds it. Cloning is two `Arc` bumps,
-/// which is what lets the parallel scan executor hand segments to pool
-/// workers as owned (`'static`) morsels.
+/// One segment as a table version holds it. Cloning is two `Arc` bumps.
 #[derive(Clone)]
 pub struct SegmentSnap {
     /// Shared segment core (metadata + readers + inverted indexes).

@@ -93,12 +93,12 @@ pub fn scan_aggregate(
         let table_key = Arc::as_ptr(&snapshot.table) as usize;
         for m in prep.morsels {
             let sel =
-                scan::apply_clauses(&m.seg, &prep.residual, m.sel, opts, &mut stats, table_key)?;
+                scan::apply_clauses(m.seg, &prep.residual, m.sel, opts, &mut stats, table_key)?;
             if sel.as_ref().is_some_and(Vec::is_empty) {
                 continue;
             }
             aggregate_segment(
-                &m.seg,
+                m.seg,
                 sel,
                 projection,
                 &proj_types,

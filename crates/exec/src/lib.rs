@@ -3,7 +3,7 @@
 //! table scan (segment skipping, filter-strategy selection, dynamic clause
 //! reordering, cached per-segment decisions) and relational kernels
 //! (hash join, aggregation, sort). Parallel work runs on the process-wide
-//! work-stealing [`pool::ScanPool`].
+//! scoped, single-queue [`pool::ScanPool`].
 
 pub mod batch;
 pub mod cache;

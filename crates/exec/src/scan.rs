@@ -74,20 +74,11 @@ pub struct ScanOptions {
     /// (0 = `S2_SCAN_THREADS` env, falling back to available parallelism;
     /// 1 = strictly serial on the calling thread).
     pub threads: usize,
-    /// Reuse cached per-segment planning decisions (clause order + filter
-    /// strategy) instead of re-sampling on every scan.
-    pub decision_cache: bool,
 }
 
 impl Default for ScanOptions {
     fn default() -> Self {
-        ScanOptions {
-            use_index: true,
-            use_encoded: true,
-            adaptive_reorder: true,
-            threads: 0,
-            decision_cache: true,
-        }
+        ScanOptions { use_index: true, use_encoded: true, adaptive_reorder: true, threads: 0 }
     }
 }
 
@@ -147,14 +138,14 @@ impl ScanStats {
     }
 }
 
-/// One queued segment morsel: the segment (cheap `Arc` clones) plus the
-/// initial selection the caller-side skip checks produced.
-pub(crate) struct SegMorsel {
-    pub(crate) seg: SegmentSnap,
+/// One queued segment morsel: the segment plus the initial selection the
+/// caller-side skip checks produced.
+pub(crate) struct SegMorsel<'a> {
+    pub(crate) seg: &'a SegmentSnap,
     pub(crate) sel: Option<Vec<u32>>,
 }
 
-impl SegMorsel {
+impl SegMorsel<'_> {
     /// Rows still under consideration.
     pub(crate) fn candidate_rows(&self) -> usize {
         self.sel.as_ref().map_or(self.seg.core.meta.row_count, Vec::len)
@@ -164,11 +155,11 @@ impl SegMorsel {
 /// The caller-thread front half of a scan: index probes, residual-clause
 /// extraction, per-segment skip checks and rowstore row collection.
 /// Shared by [`scan`] and the fused aggregation path (`crate::encoded`).
-pub(crate) struct ScanPrep {
+pub(crate) struct ScanPrep<'a> {
     /// Conjuncts not answered by the index probe.
     pub(crate) residual: Vec<Expr>,
     /// Surviving segments with their initial selections, in segment order.
-    pub(crate) morsels: Vec<SegMorsel>,
+    pub(crate) morsels: Vec<SegMorsel<'a>>,
     /// Live rowstore (L0) rows — probe-matched when a probe ran.
     pub(crate) rowstore_rows: Vec<Row>,
 }
@@ -213,21 +204,16 @@ pub fn scan(
     // The table's Arc address keys the decision cache (segment ids repeat
     // across tables).
     let table_key = Arc::as_ptr(&snapshot.table) as usize;
-    let threads = pool::effective_threads(opts.threads);
     let candidate_rows: usize = morsels.iter().map(SegMorsel::candidate_rows).sum();
+    let threads = if candidate_rows > SMALL_SCAN_INLINE_ROWS {
+        pool::effective_threads(opts.threads)
+    } else {
+        1
+    };
     let fragments: Vec<Result<(Option<Batch>, ScanStats)>> =
-        if threads > 1 && morsels.len() > 1 && candidate_rows > SMALL_SCAN_INLINE_ROWS {
-            let shared = Arc::new((residual.clone(), opts.clone(), projection.to_vec()));
-            ScanPool::global().run(threads, morsels, move |m| {
-                let (residual, opts, projection) = &*shared;
-                scan_segment(&m.seg, m.sel, residual, opts, projection, table_key)
-            })
-        } else {
-            morsels
-                .into_iter()
-                .map(|m| scan_segment(&m.seg, m.sel, &residual, opts, projection, table_key))
-                .collect()
-        };
+        ScanPool::global().run(threads, morsels, |m| {
+            scan_segment(m.seg, m.sel, &residual, opts, projection, table_key)
+        });
 
     // Deterministic reassembly: fragments arrive in segment order.
     let mut out_batches: Vec<Batch> = Vec::new();
@@ -296,12 +282,12 @@ pub(crate) fn rowstore_tail(
 /// Run the caller-thread front half of a scan: split the filter, probe
 /// secondary indexes, apply per-segment skip checks, and collect the live
 /// rowstore rows. Counters for skips and index filters land in `stats`.
-pub(crate) fn prepare_scan(
-    snapshot: &TableSnapshot,
+pub(crate) fn prepare_scan<'a>(
+    snapshot: &'a TableSnapshot,
     filter: Option<&Expr>,
     opts: &ScanOptions,
     stats: &mut ScanStats,
-) -> Result<ScanPrep> {
+) -> Result<ScanPrep<'a>> {
     let conjuncts: Vec<Expr> = match filter {
         None => Vec::new(),
         Some(f) => f.clone().split_conjuncts(),
@@ -417,7 +403,7 @@ pub(crate) fn prepare_scan(
         if sel.as_ref().is_some_and(Vec::is_empty) {
             continue;
         }
-        morsels.push(SegMorsel { seg: seg.clone(), sel });
+        morsels.push(SegMorsel { seg, sel });
     }
 
     // Rowstore (L0) rows: probe-matched when a probe ran, else all live.
@@ -430,7 +416,7 @@ pub(crate) fn prepare_scan(
 }
 
 /// Filter and materialize one segment morsel. Runs on any pool thread; all
-/// state it touches is shared immutable (`Arc`) data.
+/// state it touches is shared and immutable.
 fn scan_segment(
     seg: &SegmentSnap,
     sel: Option<Vec<u32>>,
@@ -525,7 +511,7 @@ pub(crate) fn apply_clauses(
 
     // Cache lookup: only adaptive plans are cached (non-adaptive planning
     // does no sampling, so there is nothing worth remembering).
-    let use_cache = opts.decision_cache && opts.adaptive_reorder;
+    let use_cache = opts.adaptive_reorder;
     let fp = cache::fingerprint(residual, opts.use_encoded);
     let deleted = seg.deleted.count_ones();
     let cached: Option<Vec<PlannedClause>> = if use_cache {

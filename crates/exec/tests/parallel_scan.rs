@@ -356,22 +356,6 @@ fn decision_cache_invalidated_by_deletes() {
     assert!(post.decision_cache_hits > 0, "untouched segments still hit: {post:?}");
 }
 
-/// The cache can be disabled per scan; every adaptive scan then re-samples.
-#[test]
-fn decision_cache_opt_out() {
-    let (p, t) = build_table(0xdead_0002);
-    let snap = p.read_snapshot();
-    let ts = snap.table(t).unwrap();
-    let f = Expr::cmp(2, CmpOp::Ge, 41.5).and(Expr::cmp(0, CmpOp::Ge, 2i64));
-    let opts = ScanOptions { threads: 1, decision_cache: false, ..Default::default() };
-    let (_, s1) = scan(ts, &[0], Some(&f), &opts).unwrap();
-    let (_, s2) = scan(ts, &[0], Some(&f), &opts).unwrap();
-    assert_eq!(s1.decision_cache_hits, 0);
-    assert_eq!(s2.decision_cache_hits, 0);
-    assert_eq!(s1.decision_cache_misses, 0, "opted out: not even counted");
-    assert_eq!(s2.decision_cache_misses, 0);
-}
-
 /// Pool metrics advance when a parallel scan over a large table runs, and
 /// small scans (at or below [`s2_exec::scan::SMALL_SCAN_INLINE_ROWS`]) stay
 /// inline on the calling thread even at high thread counts.

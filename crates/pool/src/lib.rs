@@ -1,17 +1,19 @@
-//! Morsel-driven parallelism: a process-wide worker pool shared by the
-//! query executor (`s2-exec`, which re-exports this crate as
+//! Morsel-driven parallelism: a process-wide scoped worker pool shared by
+//! the query executor (`s2-exec`, which re-exports this crate as
 //! `s2_exec::pool`) and parallel crash recovery (`s2-core`).
 //!
 //! The executor parallelizes work the way HyPer's morsel-driven model does:
 //! a query breaks into small self-contained tasks ("morsels" — here one
-//! columnstore segment, or one partition snapshot at the aggregator), the
-//! tasks go into per-worker queues, and idle workers *steal* from their
-//! peers so a skewed segment-size distribution cannot strand cores. The
-//! calling thread participates too — it drains queues while waiting — which
-//! keeps a 1-thread configuration strictly serial (zero pool overhead, no
-//! cross-thread handoff) and makes nested `run` calls (a partition-level
-//! task fanning its segments out) deadlock-free: a caller blocked on its
-//! own morsels executes queued work instead of sleeping.
+//! columnstore segment, or one partition snapshot at the aggregator), and
+//! every task goes into one FIFO queue. Workers pop the oldest job. The
+//! calling thread participates too: while it waits it pops the newest job,
+//! which is its own, so a nested `run` (a partition-level task fanning its
+//! segments out) drains its own morsels first and cannot deadlock, and a
+//! 1-thread configuration stays strictly serial (no pool involvement).
+//!
+//! `run` is scoped: its closure and items may borrow from the caller's
+//! stack, because `run` neither returns nor unwinds before every job it
+//! queued has finished.
 //!
 //! The pool is lazily initialized and sized by `S2_SCAN_THREADS` (env),
 //! falling back to `std::thread::available_parallelism`. Workers are
@@ -24,130 +26,42 @@
 
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, OnceLock};
-use std::time::Duration;
+use std::sync::OnceLock;
 
 use s2_common::sync::{rank, Condvar, Mutex};
 
-/// Hard ceiling on pool threads (queue slots are allocated up front).
+/// Hard ceiling on pool threads.
 pub const MAX_THREADS: usize = 32;
 
+/// A queued job, its borrow lifetime erased (see [`ScanPool::run`]).
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-struct Shared {
-    /// One deque per potential worker. Submission round-robins over the
-    /// spawned prefix; everyone steals from everyone.
-    queues: Vec<Mutex<VecDeque<Job>>>,
-    /// Sleep lock + condvar for idle workers.
-    idle: Mutex<()>,
-    ready: Condvar,
-    /// Jobs queued but not yet picked up (wakeup check).
-    pending: AtomicUsize,
-    /// Workers actually spawned.
-    spawned: AtomicUsize,
-}
-
-impl Shared {
-    /// Pop a job: `own` queue front first (FIFO for cache locality), then
-    /// steal from peers' backs. `own == usize::MAX` for submitting callers,
-    /// which have no home queue; their pops are not counted as steals.
-    fn pop(&self, own: usize) -> Option<Job> {
-        if own != usize::MAX {
-            if let Some(job) = self.queues[own].lock().pop_front() {
-                self.note_pop();
-                return Some(job);
-            }
-        }
-        let slots = self.spawned.load(Ordering::Acquire).max(1);
-        for k in 0..slots {
-            if k == own {
-                continue;
-            }
-            if let Some(job) = self.queues[k].lock().pop_back() {
-                self.note_pop();
-                if own != usize::MAX {
-                    s2_obs::counter!("exec.pool.steals").inc();
-                }
-                return Some(job);
-            }
-        }
-        None
-    }
-
-    fn note_pop(&self) {
-        self.pending.fetch_sub(1, Ordering::AcqRel);
-        s2_obs::gauge!("exec.pool.queue_depth").dec();
-    }
+struct Queue {
+    jobs: VecDeque<Job>,
+    /// Workers spawned so far.
+    workers: usize,
 }
 
 /// The shared scan worker pool. Use [`ScanPool::global`].
 pub struct ScanPool {
-    shared: Arc<Shared>,
-    /// Round-robin submission cursor.
-    next: AtomicUsize,
-    /// Guards worker spawning.
-    grow: Mutex<()>,
+    queue: Mutex<Queue>,
+    ready: Condvar,
 }
 
 impl ScanPool {
-    fn new() -> ScanPool {
-        ScanPool {
-            shared: Arc::new(Shared {
-                queues: (0..MAX_THREADS)
-                    .map(|_| Mutex::new(&rank::EXEC_POOL_QUEUE, VecDeque::new()))
-                    .collect(),
-                idle: Mutex::new(&rank::EXEC_POOL_IDLE, ()),
-                ready: Condvar::new(),
-                pending: AtomicUsize::new(0),
-                spawned: AtomicUsize::new(0),
-            }),
-            next: AtomicUsize::new(0),
-            grow: Mutex::new(&rank::EXEC_POOL_GROW, ()),
-        }
-    }
-
     /// The process-wide pool.
     pub fn global() -> &'static ScanPool {
         static POOL: OnceLock<ScanPool> = OnceLock::new();
-        POOL.get_or_init(ScanPool::new)
+        POOL.get_or_init(|| ScanPool {
+            queue: Mutex::new(&rank::EXEC_POOL_QUEUE, Queue { jobs: VecDeque::new(), workers: 0 }),
+            ready: Condvar::new(),
+        })
     }
 
     /// Workers currently spawned (excluding participating callers).
     pub fn workers(&self) -> usize {
-        self.shared.spawned.load(Ordering::Acquire)
-    }
-
-    /// Spawn workers until at least `target` exist (capped at [`MAX_THREADS`]).
-    fn ensure_workers(&self, target: usize) {
-        let target = target.min(MAX_THREADS);
-        if self.workers() >= target {
-            return;
-        }
-        let _g = self.grow.lock();
-        while self.shared.spawned.load(Ordering::Acquire) < target {
-            let id = self.shared.spawned.load(Ordering::Acquire);
-            let shared = Arc::clone(&self.shared);
-            std::thread::Builder::new()
-                .name(format!("s2-scan-{id}"))
-                .spawn(move || worker_loop(shared, id))
-                .expect("spawn scan worker");
-            self.shared.spawned.fetch_add(1, Ordering::Release);
-            s2_obs::gauge!("exec.pool.workers").inc();
-        }
-    }
-
-    fn submit(&self, job: Job) {
-        let slots = self.workers().max(1);
-        let q = self.next.fetch_add(1, Ordering::Relaxed) % slots;
-        self.shared.pending.fetch_add(1, Ordering::AcqRel);
-        s2_obs::gauge!("exec.pool.queue_depth").inc();
-        self.shared.queues[q].lock().push_back(job);
-        // Take the sleep lock so a worker between its pending-check and its
-        // wait cannot miss this notification.
-        let _g = self.shared.idle.lock();
-        self.shared.ready.notify_one();
+        self.queue.lock().workers
     }
 
     /// Execute `f` over `items` with up to `threads` executing threads (the
@@ -155,49 +69,76 @@ impl ScanPool {
     /// 1` or a single item short-circuits to a serial loop with no pool
     /// involvement at all.
     ///
-    /// Panics in `f` are forwarded to the caller after every item finished
-    /// or was drained.
-    pub fn run<I, T, F>(&self, threads: usize, items: Vec<I>, f: F) -> Vec<T>
+    /// `f` and the items may borrow from the caller. A panic in `f` is
+    /// re-raised on the caller, with its original payload, once every other
+    /// item has finished.
+    pub fn run<I, T, F>(&'static self, threads: usize, items: Vec<I>, f: F) -> Vec<T>
     where
-        I: Send + 'static,
-        T: Send + 'static,
-        F: Fn(I) -> T + Send + Sync + 'static,
+        I: Send,
+        T: Send,
+        F: Fn(I) -> T + Sync,
     {
         let n = items.len();
         if threads <= 1 || n <= 1 {
             return items.into_iter().map(f).collect();
         }
-        self.ensure_workers(threads - 1);
         s2_obs::counter!("exec.pool.runs").inc();
-        let f = Arc::new(f);
-        let (tx, rx) = mpsc::channel::<(usize, std::thread::Result<T>)>();
-        for (idx, item) in items.into_iter().enumerate() {
-            let f = Arc::clone(&f);
-            let tx = tx.clone();
-            self.submit(Box::new(move || {
-                let out = std::panic::catch_unwind(AssertUnwindSafe(|| f(item)));
-                s2_obs::counter!("exec.pool.morsels").inc();
-                let _ = tx.send((idx, out));
-            }));
-        }
-        drop(tx);
-        // Participate: execute queued morsels (ours or anyone's) instead of
-        // blocking, then wait for the stragglers running on workers.
         let mut results: Vec<Option<std::thread::Result<T>>> = (0..n).map(|_| None).collect();
-        let mut got = 0;
-        while got < n {
-            if let Some(job) = self.shared.pop(usize::MAX) {
-                s2_obs::counter!("exec.pool.caller_morsels").inc();
-                job();
-                while let Ok((idx, r)) = rx.try_recv() {
-                    results[idx] = Some(r);
-                    got += 1;
-                }
-            } else {
-                let (idx, r) = rx.recv().expect("scan pool result channel");
-                results[idx] = Some(r);
-                got += 1;
+        let (tx, rx) = mpsc::channel::<(usize, std::thread::Result<T>)>();
+        let f = &f;
+        let jobs: Vec<Job> = items
+            .into_iter()
+            .enumerate()
+            .map(|(idx, item)| {
+                let tx = tx.clone();
+                let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
+                    let out = std::panic::catch_unwind(AssertUnwindSafe(|| f(item)));
+                    s2_obs::counter!("exec.pool.morsels").inc();
+                    let _ = tx.send((idx, out));
+                });
+                // SAFETY: only the lifetime changes (same fat-pointer layout).
+                // `run` neither returns nor unwinds until every job it queued
+                // has finished: all of them are queued under one lock
+                // acquisition below, no job can unwind (it catches its item's
+                // panic), and `run` collects one result per job before it
+                // returns or re-raises a panic. So nothing a job borrows
+                // (`f`, `item`, `T`) is touched after `run` returns. After its
+                // send a job drops only its `Sender`, which drops no message:
+                // every one has been received by then.
+                unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Job>(job) }
+            })
+            .collect();
+        drop(tx);
+        {
+            let mut q = self.queue.lock();
+            while q.workers < (threads - 1).min(MAX_THREADS) {
+                std::thread::Builder::new()
+                    .name(format!("s2-scan-{}", q.workers))
+                    .spawn(move || self.worker_loop())
+                    .expect("spawn scan worker");
+                q.workers += 1;
+                s2_obs::gauge!("exec.pool.workers").inc();
             }
+            q.jobs.extend(jobs);
+        }
+        self.ready.notify_all();
+        // Participate: pop the newest job (our own unless another run queued
+        // since) instead of blocking; block only when the queue is empty.
+        for _ in 0..n {
+            let (idx, r) = loop {
+                if let Ok(done) = rx.try_recv() {
+                    break done;
+                }
+                let job = self.queue.lock().jobs.pop_back();
+                match job {
+                    Some(job) => {
+                        s2_obs::counter!("exec.pool.caller_morsels").inc();
+                        job();
+                    }
+                    None => break rx.recv().expect("a queued job sends before it drops"),
+                }
+            };
+            results[idx] = Some(r);
         }
         results
             .into_iter()
@@ -207,21 +148,19 @@ impl ScanPool {
             })
             .collect()
     }
-}
 
-fn worker_loop(shared: Arc<Shared>, id: usize) {
-    loop {
-        if let Some(job) = shared.pop(id) {
-            s2_obs::counter!("exec.pool.morsels").inc();
-            job();
-            continue;
+    fn worker_loop(&self) {
+        let mut q = self.queue.lock();
+        loop {
+            match q.jobs.pop_front() {
+                Some(job) => {
+                    drop(q);
+                    job();
+                    q = self.queue.lock();
+                }
+                None => q = self.ready.wait(q),
+            }
         }
-        let guard = shared.idle.lock();
-        if shared.pending.load(Ordering::Acquire) > 0 {
-            continue; // raced with a submit; retry the queues
-        }
-        // Timed wait so a missed wakeup can only ever cost one tick.
-        let _ = shared.ready.wait_timeout(guard, Duration::from_millis(50));
     }
 }
 
@@ -245,6 +184,7 @@ pub fn effective_threads(requested: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     #[test]
     fn serial_when_one_thread() {
@@ -262,25 +202,64 @@ mod tests {
     }
 
     #[test]
-    fn nested_runs_do_not_deadlock() {
-        let out = ScanPool::global().run(4, (0u64..8).collect(), |x| {
-            ScanPool::global().run(4, (0u64..8).collect(), move |y| x * 8 + y).iter().sum::<u64>()
-        });
-        let expect: Vec<u64> = (0..8).map(|x| (0..8).map(|y| x * 8 + y).sum()).collect();
+    fn borrows_caller_stack() {
+        let words: Vec<String> = (0..100).map(|i| format!("w{i}")).collect();
+        let weights: Vec<usize> = (0..100).map(|i| i % 7).collect();
+        let out = ScanPool::global()
+            .run(8, words.iter().enumerate().collect(), |(i, w)| w.len() * weights[i]);
+        let expect: Vec<usize> = words.iter().zip(&weights).map(|(w, k)| w.len() * k).collect();
         assert_eq!(out, expect);
     }
 
     #[test]
-    fn panic_propagates() {
-        let res = std::panic::catch_unwind(|| {
-            ScanPool::global().run(4, vec![0, 1, 2], |x| {
-                if x == 1 {
-                    panic!("boom");
+    fn panic_reaches_caller_after_every_other_item() {
+        struct SetOnDrop<'a>(&'a AtomicBool);
+        impl Drop for SetOnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::SeqCst);
+            }
+        }
+        let n = 16;
+        let done = AtomicUsize::new(0);
+        let unwinding = AtomicBool::new(false);
+        let res = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            // The caller runs the newest item, the panicking one, first. The
+            // others start only once it unwinds, and then take a while, so a
+            // `run` that re-raised the panic early would return before them.
+            ScanPool::global().run(4, (0..n).collect(), |x: usize| {
+                if x == n - 1 {
+                    let _guard = SetOnDrop(&unwinding);
+                    panic!("boom at {x}");
                 }
-                x
+                while !unwinding.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                std::thread::sleep(std::time::Duration::from_millis(2));
+                done.fetch_add(1, Ordering::SeqCst);
             })
+        }));
+        let payload = res.expect_err("the panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<String>().map(String::as_str), Some("boom at 15"));
+        assert_eq!(done.load(Ordering::SeqCst), n - 1);
+        assert_eq!(ScanPool::global().run(4, vec![1, 2, 3], |x| x + 1), vec![2, 3, 4]);
+    }
+
+    #[test]
+    fn nested_runs_from_concurrent_callers() {
+        let expect: Vec<u64> = (0..8).map(|x| (0..8).map(|y| x * 8 + y).sum()).collect();
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    let out = ScanPool::global().run(8, (0u64..8).collect(), |x| {
+                        ScanPool::global()
+                            .run(8, (0u64..8).collect(), |y| x * 8 + y)
+                            .iter()
+                            .sum::<u64>()
+                    });
+                    assert_eq!(out, expect);
+                });
+            }
         });
-        assert!(res.is_err());
     }
 
     #[test]

@@ -180,21 +180,17 @@ pub fn execute_with_stats(
             // back in partition order, so output is deterministic.
             // Small scans (by metadata estimate) stay serial: pool handoff
             // costs more than sub-morsel scans save.
-            let threads = s2_exec::effective_threads(opts.scan.threads);
             let est: usize =
                 snaps.iter().map(|s| s2_exec::scan::estimate_scan_rows(s, filter.as_ref())).sum();
-            let fan_out =
-                snaps.len() > 1 && threads > 1 && est > s2_exec::scan::SMALL_SCAN_INLINE_ROWS;
-            let parts: Vec<Result<(Batch, ScanStats)>> = if fan_out {
-                let projection = projection.clone();
-                let filter = filter.clone();
-                let scan_opts = opts.scan.clone();
-                s2_exec::ScanPool::global().run(threads, snaps, move |snap| {
-                    scan(&snap, &projection, filter.as_ref(), &scan_opts)
-                })
+            let threads = if est > s2_exec::scan::SMALL_SCAN_INLINE_ROWS {
+                s2_exec::effective_threads(opts.scan.threads)
             } else {
-                snaps.iter().map(|s| scan(s, projection, filter.as_ref(), &opts.scan)).collect()
+                1
             };
+            let parts: Vec<Result<(Batch, ScanStats)>> =
+                s2_exec::ScanPool::global().run(threads, snaps.iter().collect(), |snap| {
+                    scan(snap, projection, filter.as_ref(), &opts.scan)
+                });
             let mut batches = Vec::with_capacity(parts.len());
             for p in parts {
                 let (batch, s) = p?;

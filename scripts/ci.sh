@@ -34,11 +34,13 @@ cargo test -q --workspace --exclude s2-sim "${CARGO_FLAGS[@]}"
 
 echo "== parallel scan: tier-1 at 1 and 8 scan threads =="
 # The morsel executor must be invisible to correctness: the whole tier-1
-# suite runs pinned serial and heavily oversubscribed, and the s2-exec
-# tests additionally race each other across 8 test threads.
+# suite runs pinned serial and heavily oversubscribed, and the s2-exec and
+# s2-pool tests additionally race each other across 8 test threads (the
+# pool's borrowed jobs rely on `run` outliving every job it queued).
 S2_SCAN_THREADS=1 cargo test -q "${CARGO_FLAGS[@]}"
 S2_SCAN_THREADS=8 cargo test -q "${CARGO_FLAGS[@]}"
 cargo test -q -p s2-exec "${CARGO_FLAGS[@]}" -- --test-threads=8
+cargo test -q -p s2-pool "${CARGO_FLAGS[@]}" -- --test-threads=8
 
 echo "== sim =="
 # Every drill of the s2-sim table, seeded: crash (kill points over the
