@@ -420,9 +420,11 @@ mod tests {
     // ---------------------------------------------------------------- R5
     #[test]
     fn r5_checks_metric_names_at_registration_sites() {
-        let bad = "s2_obs::counter!(\"BadName\").inc();\ns2_obs::event(\"oneword\", d);";
+        // Only event sites: a metric name is L4's, so a bad one is reported once.
+        let bad = "s2_obs::counter!(\"BadName\").inc();\ns2_obs::event(\"oneword\", d);\n\
+                   ring.event(\"Bad.Name\", d);";
         let f = lint("crates/exec/src/pool.rs", bad);
-        assert_eq!(f.len(), 2, "{f:?}");
+        assert_eq!(f.iter().map(|x| x.line).collect::<Vec<_>>(), [2, 3], "{f:?}");
         assert!(f.iter().all(|x| x.rule == "metric-name"));
         let good = "s2_obs::counter!(\"exec.pool.morsels\").inc();\n\
                     s2_obs::event(\"blob.cache_pressure\", d);";

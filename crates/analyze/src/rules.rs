@@ -22,8 +22,8 @@ pub struct SafetyCommentRule {
     pub name: &'static str,
 }
 
-/// R5: string literals passed at metric/event registration sites must be
-/// `subsystem.noun_verb` style.
+/// R5: string literals passed at event sites must be `subsystem.noun_verb`
+/// style (metric registrations are L4's).
 pub struct MetricNameRule {
     pub id: &'static str,
     pub name: &'static str,
@@ -104,9 +104,10 @@ pub fn explain(id: &str) -> Option<&'static str> {
              line or the contiguous comment block above, stating the invariant relied on."
         }
         "R5" | "metric-name" => {
-            "R5 metric-name: string literals at metric/event registration sites must be \
+            "R5 metric-name: the event name at `s2_obs::event(`/`.event(` sites must be \
              dot-separated lower_snake segments (`subsystem.noun_verb`), so dashboards \
-             can group by prefix."
+             can group by prefix. Metric names at `counter!`/`gauge!`/`histogram!` \
+             sites are checked once, by L4 metric-registry."
         }
         "R6" | "raw-lock" => {
             "R6 raw-lock: `std::sync::{Mutex,RwLock,Condvar}` named outside \
@@ -175,7 +176,7 @@ pub fn all_rules() -> Vec<Rule> {
             kind: RuleKind::MetricName(MetricNameRule {
                 id: "R5",
                 name: "metric-name",
-                callsites: &["counter!(", "gauge!(", "histogram!(", "s2_obs::event(", ".event("],
+                callsites: &["s2_obs::event(", ".event("],
             }),
         },
         Rule { kind: RuleKind::RawLock(RawLockRule { id: "R6", name: "raw-lock" }) },

@@ -383,10 +383,10 @@ impl ResilientStore {
         key: &str,
         mut attempt: impl FnMut(&dyn ObjectStore) -> Result<T>,
     ) -> Result<T> {
-        // Mirrors `s2_common::retry::retry`, with one difference: a breaker
-        // rejection is synthesized here, not a real store attempt, so it
-        // returns immediately — an open breaker must cost microseconds, not
-        // a retry schedule's worth of backoff sleeps.
+        // The one retry loop. A breaker rejection is synthesized here, not a
+        // real store attempt, so it returns immediately — an open breaker
+        // must cost microseconds, not a retry schedule's worth of backoff
+        // sleeps.
         let salt = salt_from_key(key);
         // s2-lint: allow(wall-clock, retry deadlines are real elapsed time; sim covers this via FaultyStore)
         let started = Instant::now();
@@ -621,6 +621,78 @@ mod tests {
         assert!(b.allow(250), "lost token reissued after the probe timeout");
         b.on_success(251);
         assert_eq!(b.state(), CircuitState::Closed);
+    }
+
+    /// A `ResilientStore` over a breaker that never opens, so only the
+    /// retry policy decides.
+    fn retrying(max_attempts: u32, delay_ms: u64, deadline: Duration) -> ResilientStore {
+        ResilientStore::new(
+            Arc::new(MemoryStore::new()) as Arc<dyn ObjectStore>,
+            BlobHealth::with_config(
+                "retry",
+                BreakerConfig { failure_threshold: u32::MAX, ..cfg() },
+            ),
+            RetryPolicy {
+                max_attempts,
+                base_delay: Duration::from_millis(delay_ms),
+                max_delay: Duration::from_millis(delay_ms),
+                deadline,
+            },
+        )
+    }
+
+    #[test]
+    fn transient_failures_are_retried() {
+        let rs = retrying(5, 1, Duration::from_secs(1));
+        let mut calls = 0;
+        let got = rs.guarded("k", |_| {
+            calls += 1;
+            if calls <= 2 {
+                Err(Error::Unavailable("blip".into()))
+            } else {
+                Ok(99)
+            }
+        });
+        assert_eq!(got.unwrap(), 99);
+        assert_eq!(calls, 3);
+    }
+
+    #[test]
+    fn permanent_errors_are_not_retried() {
+        let rs = retrying(5, 1, Duration::from_secs(1));
+        let mut calls = 0;
+        let got: Result<()> = rs.guarded("k", |_| {
+            calls += 1;
+            Err(Error::Corruption("bad magic".into()))
+        });
+        assert!(matches!(got, Err(Error::Corruption(_))));
+        assert_eq!(calls, 1, "a permanent error must not be retried");
+    }
+
+    #[test]
+    fn attempt_budget_holds() {
+        let rs = retrying(3, 1, Duration::from_secs(1));
+        let mut calls = 0;
+        let got: Result<()> = rs.guarded("k", |_| {
+            calls += 1;
+            Err(Error::Unavailable("down".into()))
+        });
+        assert!(got.is_err());
+        assert_eq!(calls, 3);
+    }
+
+    #[test]
+    fn deadline_stops_the_retry_schedule() {
+        let rs = retrying(1000, 20, Duration::from_millis(60));
+        let t0 = Instant::now();
+        let mut calls = 0;
+        let got: Result<()> = rs.guarded("k", |_| {
+            calls += 1;
+            Err(Error::Unavailable("down".into()))
+        });
+        assert!(got.is_err());
+        assert!(calls < 10, "{calls} attempts inside a 60 ms deadline");
+        assert!(t0.elapsed() < Duration::from_millis(500), "deadline ignored");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! everything that talks to it must tolerate transient failure without
 //! wedging a worker or a query).
 //!
-//! Three pieces:
+//! Two pieces:
 //!
 //! - [`jittered_backoff`]: deterministic exponential backoff with
 //!   multiplicative jitter. The jitter draw is a pure function of
@@ -13,17 +13,15 @@
 //! - [`RetryPolicy`]: per-operation budget — max attempts, backoff shape,
 //!   and a hard deadline. The deadline is the "no query ever blocks longer
 //!   than its budget" half of the resilience contract.
-//! - [`retry`]: drives a fallible closure under a policy, consulting
-//!   [`Error::retry_class`] so permanent errors (corruption, bad arguments)
-//!   fail immediately instead of burning the budget.
+//!
+//! The one loop that drives a policy is the blob store's
+//! `ResilientStore::guarded`, which consults `Error::retry_class` so
+//! permanent errors fail immediately instead of burning the budget.
 //!
 //! The module keeps zero dependencies (std only), like the rest of this
 //! crate, so every workspace layer can share one retry vocabulary.
 
 use std::time::{Duration, Instant};
-
-use crate::error::RetryClass;
-use crate::Result;
 
 /// FNV-1a — cheap stable salt from a string key (e.g. an object key), so
 /// two uploaders retrying different keys jitter differently.
@@ -104,60 +102,7 @@ impl RetryPolicy {
     }
 }
 
-/// Outcome classification for [`retry`]'s bookkeeping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RetryOutcome {
-    /// First attempt succeeded.
-    FirstTry,
-    /// Succeeded after `retries` retries.
-    Retried(u32),
-}
-
-/// Run `op` under `policy`: transient errors are retried with jittered
-/// backoff until the attempt or deadline budget is exhausted; permanent
-/// errors (and budget exhaustion) return the last error. `salt`
-/// de-correlates concurrent retriers (see [`salt_from_key`]).
-pub fn retry<T>(
-    policy: &RetryPolicy,
-    salt: u64,
-    mut op: impl FnMut() -> Result<T>,
-) -> Result<(T, RetryOutcome)> {
-    let started = Instant::now();
-    let mut attempt = 0u32;
-    loop {
-        match op() {
-            Ok(v) => {
-                return Ok((
-                    v,
-                    if attempt == 0 {
-                        RetryOutcome::FirstTry
-                    } else {
-                        RetryOutcome::Retried(attempt)
-                    },
-                ))
-            }
-            Err(e) => {
-                let class = e.retry_class();
-                if class == RetryClass::Permanent || attempt + 1 >= policy.max_attempts {
-                    return Err(e);
-                }
-                // Contended errors (lock conflicts) retry on a short fixed
-                // tick — exponential spacing just delays the winner.
-                let sleep = match class {
-                    RetryClass::Contended => policy.base_delay,
-                    _ => policy.delay(attempt, salt),
-                };
-                if started.elapsed() + sleep > policy.deadline {
-                    return Err(e);
-                }
-                std::thread::sleep(sleep);
-                attempt += 1;
-            }
-        }
-    }
-}
-
-/// A deadline helper for loops that poll rather than call [`retry`] (e.g.
+/// A deadline helper for loops that poll rather than retry (e.g.
 /// the not-found-yet window on replica cold reads). Tracks one budget and
 /// answers "may I sleep `d` more?".
 #[derive(Debug, Clone, Copy)]
@@ -197,7 +142,6 @@ impl DeadlineBudget {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Error;
 
     #[test]
     fn backoff_grows_and_caps() {
@@ -219,72 +163,6 @@ mod tests {
         // Over a few salts at least one pair must differ (jitter is real).
         let d: Vec<Duration> = (0..8).map(|s| jittered_backoff(base, max, 2, s)).collect();
         assert!(d.iter().any(|x| *x != d[0]), "no jitter across salts: {d:?}");
-    }
-
-    #[test]
-    fn retry_succeeds_after_transient_failures() {
-        let mut left = 2;
-        let policy = RetryPolicy {
-            max_attempts: 5,
-            base_delay: Duration::from_millis(1),
-            max_delay: Duration::from_millis(2),
-            deadline: Duration::from_secs(1),
-        };
-        let (v, outcome) = retry(&policy, 7, || {
-            if left > 0 {
-                left -= 1;
-                Err(Error::Unavailable("blip".into()))
-            } else {
-                Ok(99)
-            }
-        })
-        .unwrap();
-        assert_eq!(v, 99);
-        assert_eq!(outcome, RetryOutcome::Retried(2));
-    }
-
-    #[test]
-    fn permanent_errors_fail_immediately() {
-        let mut calls = 0;
-        let policy = RetryPolicy::blob_default();
-        let r: Result<((), RetryOutcome)> = retry(&policy, 0, || {
-            calls += 1;
-            Err(Error::Corruption("bad magic".into()))
-        });
-        assert!(matches!(r, Err(Error::Corruption(_))));
-        assert_eq!(calls, 1, "permanent error must not be retried");
-    }
-
-    #[test]
-    fn attempt_budget_is_respected() {
-        let mut calls = 0u32;
-        let policy = RetryPolicy {
-            max_attempts: 3,
-            base_delay: Duration::from_millis(1),
-            max_delay: Duration::from_millis(1),
-            deadline: Duration::from_secs(1),
-        };
-        let r: Result<((), RetryOutcome)> = retry(&policy, 0, || {
-            calls += 1;
-            Err(Error::Unavailable("down".into()))
-        });
-        assert!(r.is_err());
-        assert_eq!(calls, 3);
-    }
-
-    #[test]
-    fn deadline_budget_cuts_retries_short() {
-        let policy = RetryPolicy {
-            max_attempts: 1000,
-            base_delay: Duration::from_millis(20),
-            max_delay: Duration::from_millis(20),
-            deadline: Duration::from_millis(60),
-        };
-        let t0 = Instant::now();
-        let r: Result<((), RetryOutcome)> =
-            retry(&policy, 0, || Err(Error::Unavailable("down".into())));
-        assert!(r.is_err());
-        assert!(t0.elapsed() < Duration::from_millis(500), "deadline ignored");
     }
 
     #[test]

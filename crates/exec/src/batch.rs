@@ -90,19 +90,29 @@ impl Batch {
     }
 
     /// Filter rows by `expr`, returning passing row indexes (of `sel`, when
-    /// given). Vectorized like [`Self::eval_expr`]; NULL verdicts drop.
+    /// given). Vectorized like [`Self::eval_expr`]; NULL verdicts drop. Each
+    /// top-level conjunct narrows the rows the next one sees, under the
+    /// conjunct rule ([`veval::narrow`]).
     pub fn filter(&self, expr: &Expr, sel: Option<&[u32]>) -> Result<Vec<u32>> {
-        match sel {
-            None => {
-                let mask = veval::filter_mask(&self.columns, self.rows(), expr)?;
-                Ok(mask.iter_ones().map(|r| r as u32).collect())
-            }
-            Some(sel) => {
-                let sub = self.gather(sel);
-                let mask = veval::filter_mask(&sub.columns, sel.len(), expr)?;
-                Ok(mask.iter_ones().map(|i| sel[i]).collect())
-            }
-        }
+        let conjuncts = expr.clone().split_conjuncts();
+        let steps = (0..conjuncts.len()).map(|i| vec![i]).collect();
+        // `None` = every row, evaluated in place.
+        let out = veval::narrow(steps, sel.map(<[u32]>::to_vec), |step, sel| {
+            let conjunct = &conjuncts[step[0]];
+            Ok(Some(match sel {
+                None => {
+                    let mask = veval::filter_mask(&self.columns, self.rows(), conjunct)?;
+                    mask.iter_ones().map(|i| i as u32).collect()
+                }
+                Some(sel) if sel.is_empty() => Vec::new(),
+                Some(sel) => {
+                    let cols = veval::gather_referenced(&self.columns, sel, conjunct);
+                    let mask = veval::filter_mask(&cols, sel.len(), conjunct)?;
+                    mask.iter_ones().map(|i| sel[i]).collect()
+                }
+            }))
+        })?;
+        Ok(out.unwrap_or_else(|| (0..self.rows() as u32).collect()))
     }
 }
 
@@ -212,6 +222,35 @@ mod tests {
         let b = batch();
         let sel = b.filter(&Expr::eq(1, "s0"), Some(&[0, 1, 2])).unwrap();
         assert_eq!(sel, vec![0]);
+    }
+
+    /// A conjunct's error counts only on rows every other conjunct accepts;
+    /// inside one conjunct every operand runs over every row.
+    #[test]
+    fn conjunct_errors_count_only_on_rows_the_others_accept() {
+        use crate::expr::ArithOp;
+        let rows: Vec<Row> = (0..200).map(|i| Row::new(vec![Value::Int(i % 7)])).collect();
+        let b = Batch::from_rows(&rows, &[0], &[DataType::Int64]).unwrap();
+        let div = Expr::Cmp(
+            CmpOp::Gt,
+            Box::new(Expr::Arith(
+                ArithOp::Div,
+                Box::new(Expr::Literal(Value::Int(100))),
+                Box::new(Expr::Column(0)),
+            )),
+            Box::new(Expr::Literal(Value::Int(5))),
+        );
+        let nonzero = Expr::cmp(0, CmpOp::Ne, 0i64);
+        for f in [nonzero.clone().and(div.clone()), div.clone().and(nonzero)] {
+            assert_eq!(b.filter(&f, None).unwrap().len(), 171, "{f:?}");
+            assert_eq!(b.filter(&f, Some(&[0, 1, 7, 8])).unwrap(), [1, 8]);
+        }
+        for f in [div.clone(), Expr::Or(vec![Expr::eq(0, 0i64), div])] {
+            assert_eq!(
+                b.filter(&f, None).unwrap_err().to_string(),
+                "invalid argument: division by zero"
+            );
+        }
     }
 
     #[test]

@@ -172,12 +172,6 @@ impl DecisionCache {
         s2_obs::gauge!("exec.scan.decision_cache_entries").set(inner.map.len() as i64);
     }
 
-    /// Drop every entry for `table` (table drop / tests).
-    pub fn invalidate_table(&self, table: usize) {
-        let mut inner = self.inner.lock();
-        inner.map.retain(|k, _| k.table != table);
-    }
-
     /// Entry count (tests, metrics).
     pub fn len(&self) -> usize {
         self.inner.lock().map.len()

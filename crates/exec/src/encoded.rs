@@ -11,15 +11,12 @@
 //!   `code-space -> slot` table memoizes the (tiny) set of distinct code
 //!   tuples; only a first-seen tuple pays the dictionary lookup that
 //!   builds the output key.
-//! - **RLE run arithmetic.** A global `SUM`/`AVG`/`COUNT` over a plain
-//!   run-length-encoded integer column multiplies each run's value by its
-//!   length instead of iterating rows — guarded by an exact-integer
-//!   shadow computation so the result is bit-identical to sequential f64
-//!   accumulation (any run that could round falls back to per-row adds).
 //! - **Typed lanes.** Every other key, every aggregate input and the
 //!   rowstore rows go through the shared `GroupTable`: the vectorized
 //!   evaluator ([`crate::veval`]) into typed key lanes and per-function
-//!   accumulators — the code `hash_aggregate` runs.
+//!   accumulators — the code `hash_aggregate` runs. There is no second
+//!   accumulation path: a global `COUNT`/`SUM` over an RLE column adds its
+//!   decoded rows like any other lane.
 //! - **Late materialization to nothing.** Projected columns that no group
 //!   key or aggregate references are never decoded
 //!   ([`ScanStats::decode_skipped_rows`]).
@@ -41,7 +38,7 @@ use s2_encoding::ColumnVector;
 
 use crate::batch::Batch;
 use crate::expr::Expr;
-use crate::kernels::{AggFunc, Aggregate, GroupTable, SlotMap};
+use crate::kernels::{Aggregate, GroupTable, SlotMap};
 use crate::scan::{self, ScanOptions, ScanStats};
 use crate::veval;
 
@@ -49,24 +46,6 @@ use crate::veval;
 /// dictionary group path will allocate a slot table for; larger spaces fall
 /// back to hash-keyed grouping.
 const MAX_GID_SPACE: usize = 1 << 16;
-
-/// Largest magnitude for which every integer partial sum is exactly
-/// representable in f64 (with margin): run-multiplied sums must stay inside
-/// this bound to be bit-identical to sequential accumulation.
-const MAX_EXACT_SUM: i128 = 1 << 52;
-
-/// How one aggregate consumes one segment.
-enum AggPlan {
-    /// `COUNT(col)` over a no-null column with every row selected: just add
-    /// the row count, decode nothing.
-    AddCount(u64),
-    /// Run-multiplied `SUM`/`AVG` over a no-null RLE integer column: the
-    /// final sum was precomputed exactly (see [`MAX_EXACT_SUM`]).
-    RunExact { sum: f64, count: u64 },
-    /// Evaluate the input per row (vectorized) and accumulate with a typed
-    /// lane.
-    PerRow,
-}
 
 /// Fused scan+aggregate over `snapshots` (one per partition, processed in
 /// order). Semantically identical — bit-for-bit, including group output
@@ -147,34 +126,19 @@ fn aggregate_segment(
     // A global aggregate has one slot; dictionary-coded keys get their
     // slots from the codes (no decode of the key columns); any other key
     // is grouped after decoding, below.
-    let global = group_by.is_empty();
-    let slots: Option<SlotMap> = if global {
+    let slots: Option<SlotMap> = if group_by.is_empty() {
         Some(gt.slots(&[], n)?)
     } else {
         dict_group_slots(seg, sel_ref, n, projection, group_by, gt)?.map(SlotMap::PerRow)
     };
 
-    // Plan each aggregate's fast path before deciding what to decode.
-    let plans: Vec<AggPlan> = aggregates
-        .iter()
-        .enumerate()
-        .map(|(ai, a)| plan_fast_agg(seg, sel_ref, n, projection, a, global, gt, ai))
-        .collect::<Result<_>>()?;
-
-    // Decode only what the per-row work references.
+    // Decode only what the group keys (when not code-slotted) and the
+    // aggregate inputs reference.
     let mut need = vec![false; projection.len()];
-    for (a, p) in aggregates.iter().zip(&plans) {
-        if matches!(p, AggPlan::PerRow) {
-            for c in a.input.referenced_columns() {
-                need[c] = true;
-            }
-        }
-    }
-    if slots.is_none() {
-        for g in group_by {
-            for c in g.referenced_columns() {
-                need[c] = true;
-            }
+    let keys = if slots.is_none() { group_by } else { &[] };
+    for e in keys.iter().chain(aggregates.iter().map(|a| &a.input)) {
+        for c in e.referenced_columns() {
+            need[c] = true;
         }
     }
     let cols: Vec<ColumnVector> = (0..projection.len())
@@ -188,71 +152,14 @@ fn aggregate_segment(
         })
         .collect::<Result<_>>()?;
 
-    // General grouping: typed key lanes into the group table, every
-    // aggregate per row (the fast plans need the single global slot).
+    // Other keys group over their decoded typed lanes.
     let Some(slots) = slots else {
         return gt.consume(&cols, n, group_by, aggregates);
     };
-    for ((acc, a), plan) in gt.accs.iter_mut().zip(aggregates).zip(&plans) {
-        match plan {
-            AggPlan::AddCount(c) => acc.add_count(0, *c),
-            AggPlan::RunExact { sum, count } => {
-                *acc.sum_mut(0) = *sum;
-                acc.add_count(0, *count);
-            }
-            AggPlan::PerRow => acc.update(veval::eval_vector(&cols, n, &a.input)?, &slots, n)?,
-        }
+    for (acc, a) in gt.accs.iter_mut().zip(aggregates) {
+        acc.update(veval::eval_vector(&cols, n, &a.input)?, &slots, n)?;
     }
     Ok(())
-}
-
-/// Decide whether one aggregate can consume this segment without any
-/// per-row work (see [`AggPlan`]). Requires a global aggregate with every
-/// row selected, a plain no-null column input, and — for the run path — an
-/// RLE column whose exact run-multiplied sum provably equals sequential
-/// f64 accumulation.
-#[allow(clippy::too_many_arguments)]
-fn plan_fast_agg(
-    seg: &SegmentSnap,
-    sel: Option<&[u32]>,
-    n: usize,
-    projection: &[usize],
-    a: &Aggregate,
-    global: bool,
-    gt: &mut GroupTable,
-    ai: usize,
-) -> Result<AggPlan> {
-    if !global || sel.is_some() {
-        return Ok(AggPlan::PerRow);
-    }
-    let Expr::Column(pos) = &a.input else { return Ok(AggPlan::PerRow) };
-    let reader = seg.core.reader.column(projection[*pos])?;
-    if reader.nulls().is_some() {
-        return Ok(AggPlan::PerRow);
-    }
-    match a.func {
-        AggFunc::Count => Ok(AggPlan::AddCount(n as u64)),
-        AggFunc::Sum | AggFunc::Avg => {
-            let Some(runs) = reader.runs() else { return Ok(AggPlan::PerRow) };
-            let cur = *gt.accs[ai].sum_mut(0);
-            // Sequential accumulation equals the exact integer result iff
-            // every partial sum stays exactly representable. Partials move
-            // monotonically within a run, so checking the accumulator at
-            // each run boundary bounds every per-row partial.
-            if cur.fract() != 0.0 || cur.abs() > MAX_EXACT_SUM as f64 {
-                return Ok(AggPlan::PerRow);
-            }
-            let mut acc = cur as i128;
-            for (v, start, end) in runs {
-                acc += v as i128 * (end - start) as i128;
-                if acc.abs() > MAX_EXACT_SUM {
-                    return Ok(AggPlan::PerRow);
-                }
-            }
-            Ok(AggPlan::RunExact { sum: acc as f64, count: n as u64 })
-        }
-        _ => Ok(AggPlan::PerRow),
-    }
 }
 
 /// Compute per-row group slots from dictionary codes, or `None` when any

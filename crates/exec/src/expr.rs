@@ -2,6 +2,8 @@
 //! execution engine. Column references are table ordinals; the scan binds
 //! them to decoded vectors, other operators to batch positions.
 
+use std::cmp::Ordering;
+
 use s2_common::{date, Error, Result, Value};
 
 /// Comparison operators.
@@ -21,6 +23,21 @@ pub enum CmpOp {
     Ge,
 }
 
+impl CmpOp {
+    /// Whether `a <op> b` holds, given `a.cmp(b)`.
+    #[inline]
+    pub(crate) fn holds(self, ord: Ordering) -> bool {
+        match self {
+            CmpOp::Eq => ord == Ordering::Equal,
+            CmpOp::Ne => ord != Ordering::Equal,
+            CmpOp::Lt => ord == Ordering::Less,
+            CmpOp::Le => ord != Ordering::Greater,
+            CmpOp::Gt => ord == Ordering::Greater,
+            CmpOp::Ge => ord != Ordering::Less,
+        }
+    }
+}
+
 /// Arithmetic operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArithOp {
@@ -32,6 +49,43 @@ pub enum ArithOp {
     Mul,
     /// `/`
     Div,
+}
+
+impl ArithOp {
+    /// Int ⊕ Int: wrapping, and division by zero is an error.
+    #[inline]
+    pub(crate) fn ints(self, x: i64, y: i64) -> Result<i64> {
+        Ok(match self {
+            ArithOp::Add => x.wrapping_add(y),
+            ArithOp::Sub => x.wrapping_sub(y),
+            ArithOp::Mul => x.wrapping_mul(y),
+            ArithOp::Div if y == 0 => {
+                return Err(Error::InvalidArgument("division by zero".into()))
+            }
+            ArithOp::Div => x / y,
+        })
+    }
+
+    /// Any other numeric pair, in f64 (IEEE division by zero).
+    #[inline]
+    pub(crate) fn doubles(self, x: f64, y: f64) -> f64 {
+        match self {
+            ArithOp::Add => x + y,
+            ArithOp::Sub => x - y,
+            ArithOp::Mul => x * y,
+            ArithOp::Div => x / y,
+        }
+    }
+
+    /// `a <op> b` over values: NULL propagates before any conversion, and a
+    /// string operand is `Value::as_double`'s error.
+    pub(crate) fn apply(self, a: &Value, b: &Value) -> Result<Value> {
+        Ok(match (a, b) {
+            (Value::Null, _) | (_, Value::Null) => Value::Null,
+            (Value::Int(x), Value::Int(y)) => Value::Int(self.ints(*x, *y)?),
+            _ => Value::Double(self.doubles(a.as_double()?, b.as_double()?)),
+        })
+    }
 }
 
 /// A scalar expression tree.
@@ -267,16 +321,7 @@ impl Expr {
                 if va.is_null() || vb.is_null() {
                     return Ok(Value::Null);
                 }
-                let ord = va.total_cmp(&vb);
-                let res = match op {
-                    CmpOp::Eq => ord == std::cmp::Ordering::Equal,
-                    CmpOp::Ne => ord != std::cmp::Ordering::Equal,
-                    CmpOp::Lt => ord == std::cmp::Ordering::Less,
-                    CmpOp::Le => ord != std::cmp::Ordering::Greater,
-                    CmpOp::Gt => ord == std::cmp::Ordering::Greater,
-                    CmpOp::Ge => ord != std::cmp::Ordering::Less,
-                };
-                Value::Int(res as i64)
+                Value::Int(op.holds(va.total_cmp(&vb)) as i64)
             }
             Expr::And(parts) => {
                 let mut saw_null = false;
@@ -325,38 +370,9 @@ impl Expr {
                 if v.is_null() {
                     return Ok(Value::Null);
                 }
-                Value::Int(like_match(v.as_str()?, pattern) as i64)
+                Value::Int(LikePattern::new(pattern).matches(v.as_str()?) as i64)
             }
-            Expr::Arith(op, a, b) => {
-                let va = a.eval(get)?;
-                let vb = b.eval(get)?;
-                if va.is_null() || vb.is_null() {
-                    return Ok(Value::Null);
-                }
-                match (&va, &vb) {
-                    (Value::Int(x), Value::Int(y)) => match op {
-                        ArithOp::Add => Value::Int(x.wrapping_add(*y)),
-                        ArithOp::Sub => Value::Int(x.wrapping_sub(*y)),
-                        ArithOp::Mul => Value::Int(x.wrapping_mul(*y)),
-                        ArithOp::Div => {
-                            if *y == 0 {
-                                return Err(Error::InvalidArgument("division by zero".into()));
-                            }
-                            Value::Int(x / y)
-                        }
-                    },
-                    _ => {
-                        let x = va.as_double()?;
-                        let y = vb.as_double()?;
-                        Value::Double(match op {
-                            ArithOp::Add => x + y,
-                            ArithOp::Sub => x - y,
-                            ArithOp::Mul => x * y,
-                            ArithOp::Div => x / y,
-                        })
-                    }
-                }
-            }
+            Expr::Arith(op, a, b) => op.apply(&a.eval(get)?, &b.eval(get)?)?,
             Expr::Case { when, else_ } => {
                 for (cond, result) in when {
                     if truthy(&cond.eval(get)?) {
@@ -377,10 +393,7 @@ impl Expr {
                 if v.is_null() {
                     return Ok(Value::Null);
                 }
-                let s = v.as_str()?;
-                let start = start.saturating_sub(1); // SQL is 1-based
-                let out: String = s.chars().skip(start).take(*len).collect();
-                Value::str(out)
+                Value::str(substr(v.as_str()?, *start, *len))
             }
         })
     }
@@ -401,32 +414,45 @@ pub(crate) fn truthy(v: &Value) -> bool {
     }
 }
 
-/// SQL LIKE matcher: `%` = any run, `_` = any single char. Iterative
-/// two-pointer algorithm with backtracking to the last `%`.
-pub fn like_match(s: &str, pattern: &str) -> bool {
-    let s: Vec<char> = s.chars().collect();
-    let p: Vec<char> = pattern.chars().collect();
-    let (mut si, mut pi) = (0usize, 0usize);
-    let mut star: Option<(usize, usize)> = None; // (pattern pos after %, s pos)
-    while si < s.len() {
-        if pi < p.len() && (p[pi] == '_' || p[pi] == s[si]) {
-            si += 1;
-            pi += 1;
-        } else if pi < p.len() && p[pi] == '%' {
-            star = Some((pi + 1, si));
-            pi += 1;
-        } else if let Some((sp, ss)) = star {
-            pi = sp;
-            si = ss + 1;
-            star = Some((sp, ss + 1));
-        } else {
-            return false;
+/// A compiled SQL LIKE pattern: `%` = any run, `_` = any single char.
+pub(crate) struct LikePattern(Vec<char>);
+
+impl LikePattern {
+    /// Compile `pattern` once for many matches.
+    pub(crate) fn new(pattern: &str) -> LikePattern {
+        LikePattern(pattern.chars().collect())
+    }
+
+    /// Whether `s` matches: an iterative two-pointer walk over `s`'s chars
+    /// (byte offsets, nothing collected) with backtracking to the last `%`.
+    pub(crate) fn matches(&self, s: &str) -> bool {
+        let p = &self.0;
+        let (mut si, mut pi) = (0usize, 0usize);
+        let mut star: Option<(usize, usize)> = None; // (pattern pos after %, s offset)
+        while let Some(c) = s[si..].chars().next() {
+            if pi < p.len() && (p[pi] == '_' || p[pi] == c) {
+                si += c.len_utf8();
+                pi += 1;
+            } else if pi < p.len() && p[pi] == '%' {
+                star = Some((pi + 1, si));
+                pi += 1;
+            } else if let Some((sp, ss)) = star {
+                let skipped = s[ss..].chars().next().map_or(0, char::len_utf8);
+                (pi, si) = (sp, ss + skipped);
+                star = Some((sp, si));
+            } else {
+                return false;
+            }
         }
+        p[pi..].iter().all(|&c| c == '%')
     }
-    while pi < p.len() && p[pi] == '%' {
-        pi += 1;
-    }
-    pi == p.len()
+}
+
+/// `SUBSTRING(s, start, len)` in chars: 1-based, and start 0 acts as 1.
+pub(crate) fn substr(s: &str, start: usize, len: usize) -> &str {
+    let from = s.char_indices().nth(start.saturating_sub(1)).map_or(s.len(), |(i, _)| i);
+    let rest = &s[from..];
+    &rest[..rest.char_indices().nth(len).map_or(rest.len(), |(i, _)| i)]
 }
 
 #[cfg(test)]
@@ -475,6 +501,7 @@ mod tests {
 
     #[test]
     fn like_patterns() {
+        let like_match = |s: &str, p: &str| LikePattern::new(p).matches(s);
         assert!(like_match("hello world", "hello%"));
         assert!(like_match("hello world", "%world"));
         assert!(like_match("hello world", "%lo wo%"));
@@ -485,6 +512,19 @@ mod tests {
         assert!(like_match("abc", "%%abc%%"));
         assert!(!like_match("special requests", "%special%deposits%"));
         assert!(like_match("special pending deposits", "%special%deposits%"));
+        // `_` takes one char, not one byte; backtracking steps whole chars.
+        assert!(like_match("größe", "gr_ße"));
+        assert!(like_match("€€x€", "%€x_"));
+        assert!(!like_match("€", "__"));
+    }
+
+    #[test]
+    fn substr_counts_chars_from_one() {
+        assert_eq!(substr("BRAZIL", 1, 3), "BRA");
+        assert_eq!(substr("BRAZIL", 0, 3), "BRA", "start 0 acts as 1");
+        assert_eq!(substr("BRAZIL", 5, 10), "IL");
+        assert_eq!(substr("BRAZIL", 9, 2), "");
+        assert_eq!(substr("größe", 3, 2), "öß");
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! produces `(probe row, build row)` id vectors and builds its output by
 //! typed bulk `gather`; residuals and aggregate inputs go through the
 //! vectorized evaluator ([`crate::veval`], so `AND`/`OR` do not
-//! short-circuit per row); accumulators are typed lanes indexed by group
-//! slot; sort compares typed cells.
+//! short-circuit per row); every aggregate feeds its typed input lane to
+//! `Acc::update`, the one accumulation path, whose accumulators are typed
+//! lanes indexed by group slot; sort compares typed cells.
 //!
 //! **Determinism rule.** Output never depends on hash values or thread
 //! count: join rows come out in ascending (probe row, build row) order,
@@ -257,24 +258,6 @@ impl Acc {
                 counts.push(0);
             }
             Acc::Extreme { best, .. } => best.push(Value::Null),
-        }
-    }
-
-    /// Add `n` non-NULL inputs to `slot` without looking at them (COUNT,
-    /// or the count half of a precomputed SUM / AVG).
-    pub(crate) fn add_count(&mut self, slot: usize, n: u64) {
-        match self {
-            Acc::Count(counts) | Acc::Sum { counts, .. } => counts[slot] += n,
-            Acc::Extreme { .. } => unreachable!("MIN/MAX has no count"),
-        }
-    }
-
-    /// The running sum of `slot`; mutable for the caller that advances it
-    /// exactly (RLE run arithmetic).
-    pub(crate) fn sum_mut(&mut self, slot: usize) -> &mut f64 {
-        match self {
-            Acc::Sum { sums, .. } => &mut sums[slot],
-            _ => unreachable!("only SUM/AVG keep a sum"),
         }
     }
 

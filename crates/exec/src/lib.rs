@@ -17,7 +17,7 @@ pub mod veval;
 pub use batch::Batch;
 pub use cache::DecisionCache;
 pub use encoded::scan_aggregate;
-pub use expr::{like_match, ArithOp, CmpOp, Expr};
+pub use expr::{ArithOp, CmpOp, Expr};
 pub use kernels::{
     hash_aggregate, hash_join, sort_batch, AggFunc, Aggregate, JoinTable, JoinType, SortDir,
 };

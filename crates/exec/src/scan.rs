@@ -11,14 +11,16 @@
 //!
 //! In step (2), every clause is answered by the vectorized evaluator
 //! ([`crate::veval`]), so a row is filtered the same way — same verdict,
-//! same error — whichever LSM level and encoding hold it. Clauses over
-//! dictionary/RLE columns evaluate once per segment over the code domain —
-//! one accept bit per dictionary entry or run ([`s2_encoding::CodePredicate`])
-//! — and every row is answered by a code lookup into that bitmap; remaining
-//! clauses, and every clause over rowstore rows, evaluate over decoded typed
-//! column lanes. Aggregations directly over a scan can additionally bypass
-//! materialization entirely via the fused encoded-domain path in
-//! [`crate::encoded`].
+//! same error — whichever LSM level and encoding hold it, and under the
+//! conjunct rule ([`crate::veval::narrow`]) a clause's error counts only on
+//! rows every other clause accepts, whatever order the planner picks.
+//! Clauses over dictionary/RLE columns evaluate once per segment over the
+//! code domain — one accept bit per dictionary entry or run
+//! ([`s2_encoding::CodePredicate`]) — and every row is answered by a code
+//! lookup into that bitmap; remaining clauses, and every clause over
+//! rowstore rows, evaluate over decoded typed column lanes. Aggregations
+//! directly over a scan can additionally bypass materialization entirely
+//! via the fused encoded-domain path in [`crate::encoded`].
 //!
 //! Parallelism: step (1) and the per-segment *skip* checks run on the
 //! calling thread (they are cheap and their order defines the stats), then
@@ -239,8 +241,9 @@ pub fn scan(
 
 /// Filter and project the live rowstore (L0) rows: `None` when no row
 /// passes. Clauses run through the same vectorized evaluator as decoded
-/// segment columns ([`eval_regular`]), so a predicate's outcome (rows or
-/// error) does not change when its rows are flushed.
+/// segment columns ([`eval_regular`]), under the same conjunct rule
+/// ([`Batch::filter`]), so a predicate's outcome (rows or error) does not
+/// change when its rows are flushed.
 pub(crate) fn rowstore_tail(
     schema: &Schema,
     rows: &[Row],
@@ -261,11 +264,10 @@ pub(crate) fn rowstore_tail(
     let types: Vec<DataType> = needed.iter().map(|&c| schema.column(c).data_type).collect();
     let mut batch = Batch::from_rows(rows, &needed, &types)?;
     let pos: HashMap<usize, usize> = needed.iter().enumerate().map(|(i, &c)| (c, i)).collect();
-    for clause in residual {
-        let remapped = clause.remap_columns(&|c| pos[&c]);
-        let mask = veval::filter_mask(&batch.columns, batch.rows(), &remapped)?;
-        stats.regular_filters += 1;
-        let sel: Vec<u32> = mask.iter_ones().map(|i| i as u32).collect();
+    if !residual.is_empty() {
+        let remapped = residual.iter().map(|c| c.remap_columns(&|c| pos[&c])).collect();
+        let sel = batch.filter(&Expr::And(remapped), None)?;
+        stats.regular_filters += residual.len();
         if sel.len() < batch.rows() {
             batch = batch.gather(&sel);
         }
@@ -498,7 +500,7 @@ impl ProbeAccum {
 pub(crate) fn apply_clauses(
     seg: &SegmentSnap,
     residual: &[Expr],
-    mut sel: Option<Vec<u32>>,
+    sel: Option<Vec<u32>>,
     opts: &ScanOptions,
     stats: &mut ScanStats,
     table_key: usize,
@@ -580,17 +582,25 @@ pub(crate) fn apply_clauses(
                 let mut scratch = ScanStats::default();
                 let out = match strategy {
                     ClauseStrategy::EncodedBitmap => {
-                        eval_encoded_bitmap(seg, clause, cols[0], Some(&sample), &mut scratch)?
+                        eval_encoded_bitmap(seg, clause, cols[0], Some(&sample), &mut scratch)
                     }
-                    ClauseStrategy::Regular => eval_regular(seg, clause, &cols, Some(&sample))?,
+                    ClauseStrategy::Regular => eval_regular(seg, clause, &cols, Some(&sample)),
                 };
                 let sample_cost = t0.elapsed().as_nanos() as f64;
                 let scale = sel_len(&sel).max(1) as f64 / sample.len().max(1) as f64;
                 let est_total_cost = if can_encode { sample_cost } else { sample_cost * scale };
-                let selectivity = out.len() as f64 / sample.len().max(1) as f64;
+                // A clause that errors on the sample is planned last: the
+                // conjunct rule decides whether its error counts.
+                let (selectivity, priority) = match out {
+                    Ok(out) => {
+                        let selectivity = out.len() as f64 / sample.len().max(1) as f64;
+                        (selectivity, (1.0 - selectivity) / est_total_cost.max(1.0))
+                    }
+                    Err(_) => (0.0, f64::NEG_INFINITY),
+                };
                 costed.push(Costed {
                     clause: PlannedClause { idx, strategy, selectivity },
-                    priority: (1.0 - selectivity) / est_total_cost.max(1.0),
+                    priority,
                 });
             }
             if opts.adaptive_reorder {
@@ -610,48 +620,48 @@ pub(crate) fn apply_clauses(
     // the cost of combining selection vectors clause by clause. Encoded
     // clauses are never grouped — running on compressed data beats grouping.
     const GROUP_PASS_RATE: f64 = 0.75;
-    let mut i = 0usize;
-    while i < planned.len() {
-        if sel.as_ref().is_some_and(Vec::is_empty) {
-            break;
-        }
-        let p = &planned[i];
-        if p.strategy == ClauseStrategy::EncodedBitmap {
-            let clause = &residual[p.idx];
-            let col = clause.referenced_columns()[0];
-            sel = Some(eval_encoded_bitmap(seg, clause, col, sel.as_deref(), stats)?);
-            stats.encoded_filters += 1;
-            i += 1;
-            continue;
-        }
-        // Collect a run of groupable regular clauses.
-        let mut group_end = i + 1;
-        if opts.adaptive_reorder && p.selectivity >= GROUP_PASS_RATE {
-            while group_end < planned.len()
-                && planned[group_end].strategy == ClauseStrategy::Regular
-                && planned[group_end].selectivity >= GROUP_PASS_RATE
-            {
-                group_end += 1;
+    let groupable = |p: &PlannedClause| {
+        opts.adaptive_reorder
+            && p.strategy == ClauseStrategy::Regular
+            && p.selectivity >= GROUP_PASS_RATE
+    };
+    let mut steps: Vec<Vec<usize>> = Vec::new();
+    for (i, p) in planned.iter().enumerate() {
+        match steps.last_mut() {
+            Some(run) if groupable(p) && run.last().is_some_and(|&j| groupable(&planned[j])) => {
+                run.push(i)
             }
+            _ => steps.push(vec![i]),
         }
-        if group_end - i >= 2 {
-            let combined = planned[i..group_end]
-                .iter()
-                .map(|q| residual[q.idx].clone())
-                .reduce(Expr::and)
-                .expect("at least two clauses");
-            let cols = combined.referenced_columns();
-            sel = Some(eval_regular(seg, &combined, &cols, sel.as_deref())?);
-            stats.group_filters += 1;
-        } else {
-            let clause = &residual[p.idx];
-            let cols = clause.referenced_columns();
-            sel = Some(eval_regular(seg, clause, &cols, sel.as_deref())?);
-            stats.regular_filters += 1;
-        }
-        i = group_end;
     }
-    Ok(sel)
+    veval::narrow(steps, sel, |step, sel| {
+        if sel.as_ref().is_some_and(Vec::is_empty) {
+            return Ok(Some(Vec::new()));
+        }
+        let sel = sel.as_deref();
+        Ok(Some(match step {
+            &[i] if planned[i].strategy == ClauseStrategy::EncodedBitmap => {
+                let clause = &residual[planned[i].idx];
+                let col = clause.referenced_columns()[0];
+                stats.encoded_filters += 1;
+                eval_encoded_bitmap(seg, clause, col, sel, stats)?
+            }
+            &[i] => {
+                let clause = &residual[planned[i].idx];
+                stats.regular_filters += 1;
+                eval_regular(seg, clause, &clause.referenced_columns(), sel)?
+            }
+            run => {
+                let combined = run
+                    .iter()
+                    .map(|&i| residual[planned[i].idx].clone())
+                    .reduce(Expr::and)
+                    .expect("a run of at least two clauses");
+                stats.group_filters += 1;
+                eval_regular(seg, &combined, &combined.referenced_columns(), sel)?
+            }
+        }))
+    })
 }
 
 /// Regular filter: decode the clause's columns for the selected rows, then

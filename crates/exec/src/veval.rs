@@ -1,44 +1,49 @@
-//! Vectorized expression evaluation over decoded column vectors.
+//! Vectorized expression evaluation over decoded column vectors: the one
+//! evaluation path of every operator above storage.
 //!
-//! Mirrors [`Expr::eval`]'s scalar semantics exactly — same three-valued
-//! logic, same Int→Double widening and `total_cmp` ordering, same error
-//! values — but runs column-at-a-time: comparisons and arithmetic over
-//! numeric lanes are tight loops over `&[i64]`/`&[f64]`, and boolean
-//! combinators fold tri-state byte vectors instead of building a `Value`
-//! per row. Nodes whose scalar semantics depend on per-row short-circuit
-//! (CASE) or per-row conversions (LIKE, IN, YEAR, SUBSTR) fall back to the
-//! scalar evaluator row-by-row, so results stay identical by construction.
+//! Every node keeps [`Expr::eval`]'s scalar semantics — three-valued logic,
+//! Int→Double widening, `total_cmp` ordering, the same values and the same
+//! error messages — but runs column-at-a-time without building a `Value`
+//! per row: comparisons and arithmetic are tight loops over
+//! `&[i64]`/`&[f64]`/`&str` lanes, predicates fold tri-state byte vectors,
+//! IN searches a list sorted once, LIKE runs a pattern compiled once, YEAR
+//! maps an Int lane and SUBSTR slices into a string arena.
 //!
-//! One deliberate divergence: `AND`/`OR` evaluate every operand over every
-//! row (no per-row short-circuit), so an expression whose scalar evaluation
-//! only avoids an error via short-circuit (e.g. a division by zero guarded
-//! by an earlier conjunct) can error here. Successful evaluations are
-//! byte-identical.
+//! **The rule inside an expression.** A node evaluates each operand over
+//! every row it sees, so `AND`/`OR` do not short-circuit per row: the
+//! expression's error is one that some operand raises on some of those
+//! rows, and the scalar evaluator raises it on that row too. CASE is the
+//! one lazy node: a condition runs only over the rows no earlier arm took,
+//! and a result only over the rows its condition took, so
+//! `CASE WHEN k = 0 THEN 0 ELSE 100 / k END` divides by no zero.
+//!
+//! **The rule between conjuncts** of a filter is [`narrow`]'s: a conjunct's
+//! error counts only on rows every other conjunct accepts.
 
 use std::borrow::Cow;
 
-use s2_common::{BitVec, DataType, Error, Result, Value};
+use s2_common::{date, BitVec, DataType, Result, Value};
 use s2_encoding::{ColumnVector, VectorBuilder};
 
-use crate::expr::{truthy, ArithOp, CmpOp, Expr};
+use crate::expr::{substr, truthy, ArithOp, CmpOp, Expr, LikePattern};
 
 const T_FALSE: u8 = 0;
 const T_TRUE: u8 = 1;
 const T_NULL: u8 = 2;
 
-/// Result of a vectorized evaluation: a constant, a borrowed decoded
-/// column, a typed lane, or per-row values.
+/// Result of a vectorized evaluation.
 #[derive(Debug)]
 pub enum EvalVec<'a> {
     /// Every row evaluates to this value.
     Scalar(Value),
     /// The expression is a bare column reference.
     Col(&'a ColumnVector),
-    /// Int lane (null rows hold 0, mirroring [`ColumnVector`]).
-    Int(Vec<i64>, Option<BitVec>),
-    /// Double lane (null rows hold 0.0).
-    Double(Vec<f64>, Option<BitVec>),
-    /// Generic per-row values (string producers, CASE results).
+    /// A computed typed lane (NULL rows hold 0, 0.0 or "").
+    Lane(ColumnVector),
+    /// Predicate verdicts, tri-state (0 = false, 1 = true, 2 = NULL); as
+    /// values they are `Int(0)`, `Int(1)` and `Null`.
+    Bool(Vec<u8>),
+    /// Per-row values: only a CASE whose arms produced different types.
     Vals(Vec<Value>),
 }
 
@@ -48,22 +53,31 @@ impl<'a> EvalVec<'a> {
         match self {
             EvalVec::Scalar(v) => v.clone(),
             EvalVec::Col(c) => c.value(row),
-            EvalVec::Int(v, nulls) => {
-                if nulls.as_ref().is_some_and(|n| n.get(row)) {
-                    Value::Null
-                } else {
-                    Value::Int(v[row])
-                }
-            }
-            EvalVec::Double(v, nulls) => {
-                if nulls.as_ref().is_some_and(|n| n.get(row)) {
-                    Value::Null
-                } else {
-                    Value::Double(v[row])
-                }
-            }
+            EvalVec::Lane(c) => c.value(row),
+            EvalVec::Bool(b) => match b[row] {
+                T_NULL => Value::Null,
+                t => Value::Int(t as i64),
+            },
             EvalVec::Vals(v) => v[row].clone(),
         }
+    }
+
+    /// The typed lane of a column reference or a computed lane.
+    fn lane(&self) -> Option<&ColumnVector> {
+        match self {
+            EvalVec::Col(c) => Some(c),
+            EvalVec::Lane(c) => Some(c),
+            _ => None,
+        }
+    }
+
+    /// Tri-state verdicts as the Int lane of their values; anything else as is.
+    fn normalize(self) -> EvalVec<'a> {
+        let EvalVec::Bool(b) = self else { return self };
+        let mut nulls = BitVec::zeros(b.len());
+        (0..b.len()).filter(|&r| b[r] == T_NULL).for_each(|r| nulls.set(r));
+        let values = b.iter().map(|&t| (t == T_TRUE) as i64).collect();
+        EvalVec::Lane(ColumnVector::Int { values, nulls: any_set(nulls) })
     }
 
     /// The `rows` values as one typed column. A lane that already has the
@@ -75,14 +89,9 @@ impl<'a> EvalVec<'a> {
     /// else `Double`, else `Int64` — also when every row is NULL).
     pub fn into_column(self, rows: usize, want: Option<DataType>) -> Result<Cow<'a, ColumnVector>> {
         let fits = |t: DataType| want.is_none_or(|w| w == t);
-        Ok(match self {
+        Ok(match self.normalize() {
             EvalVec::Col(c) if fits(c.data_type()) => Cow::Borrowed(c),
-            EvalVec::Int(values, nulls) if fits(DataType::Int64) => {
-                Cow::Owned(ColumnVector::Int { values, nulls })
-            }
-            EvalVec::Double(values, nulls) if fits(DataType::Double) => {
-                Cow::Owned(ColumnVector::Double { values, nulls })
-            }
+            EvalVec::Lane(c) if fits(c.data_type()) => Cow::Owned(c),
             other => {
                 let natural = || match &other {
                     EvalVec::Scalar(v) => v.data_type(),
@@ -113,76 +122,18 @@ pub(crate) fn widest_type(vals: &[Value]) -> Option<DataType> {
     })
 }
 
-/// Internal evaluation result; `Bool` keeps predicates in tri-state form
-/// (0 = false, 1 = true, 2 = null) until a consumer needs values.
-enum EV<'a> {
-    Scalar(Value),
-    Col(&'a ColumnVector),
-    Int(Vec<i64>, Option<BitVec>),
-    Double(Vec<f64>, Option<BitVec>),
-    Bool(Vec<u8>),
-    Vals(Vec<Value>),
-}
-
 /// Evaluate `expr` over `rows` rows of `cols` (column ordinals index
 /// `cols` directly — remap table ordinals before calling).
-pub fn eval_vector<'a>(cols: &'a [ColumnVector], rows: usize, expr: &Expr) -> Result<EvalVec<'a>> {
-    Ok(match eval(cols, rows, expr)? {
-        EV::Scalar(v) => EvalVec::Scalar(v),
-        EV::Col(c) => EvalVec::Col(c),
-        EV::Int(v, n) => EvalVec::Int(v, n),
-        EV::Double(v, n) => EvalVec::Double(v, n),
-        EV::Vals(v) => EvalVec::Vals(v),
-        EV::Bool(b) => {
-            // Predicates surface as Int(0/1) with nulls, matching the
-            // scalar evaluator's Value::Int / Value::Null outputs.
-            let mut nulls = BitVec::zeros(rows);
-            let mut any = false;
-            let vals = b
-                .iter()
-                .enumerate()
-                .map(|(r, &t)| {
-                    if t == T_NULL {
-                        nulls.set(r);
-                        any = true;
-                        0
-                    } else {
-                        t as i64
-                    }
-                })
-                .collect();
-            EvalVec::Int(vals, any.then_some(nulls))
-        }
-    })
-}
-
-/// Evaluate `expr` as a filter over `rows` rows: bit set where the
-/// predicate is true (NULL rows drop, like [`Expr::eval_bool`]).
-pub fn filter_mask(cols: &[ColumnVector], rows: usize, expr: &Expr) -> Result<BitVec> {
-    let b = to_bool(eval(cols, rows, expr)?, rows);
-    let mut mask = BitVec::zeros(rows);
-    for (r, &t) in b.iter().enumerate() {
-        if t == T_TRUE {
-            mask.set(r);
-        }
-    }
-    Ok(mask)
-}
-
-fn eval<'a>(cols: &'a [ColumnVector], n: usize, expr: &Expr) -> Result<EV<'a>> {
+pub fn eval_vector<'a>(cols: &'a [ColumnVector], n: usize, expr: &Expr) -> Result<EvalVec<'a>> {
     Ok(match expr {
-        Expr::Column(c) => EV::Col(&cols[*c]),
-        Expr::Literal(v) => EV::Scalar(v.clone()),
-        Expr::Cmp(op, a, b) => {
-            let va = eval(cols, n, a)?;
-            let vb = eval(cols, n, b)?;
-            cmp_ev(*op, va, vb, n)
-        }
+        Expr::Column(c) => EvalVec::Col(&cols[*c]),
+        Expr::Literal(v) => EvalVec::Scalar(v.clone()),
+        Expr::Cmp(op, a, b) => cmp_ev(*op, eval_vector(cols, n, a)?, eval_vector(cols, n, b)?, n),
         Expr::And(parts) | Expr::Or(parts) => {
             let is_and = matches!(expr, Expr::And(_));
             let mut out = vec![if is_and { T_TRUE } else { T_FALSE }; n];
             for p in parts {
-                let b = to_bool(eval(cols, n, p)?, n);
+                let b = to_bool(eval_vector(cols, n, p)?, n);
                 for r in 0..n {
                     match (is_and, b[r]) {
                         (true, T_FALSE) => out[r] = T_FALSE,
@@ -193,10 +144,10 @@ fn eval<'a>(cols: &'a [ColumnVector], n: usize, expr: &Expr) -> Result<EV<'a>> {
                     }
                 }
             }
-            EV::Bool(out)
+            EvalVec::Bool(out)
         }
         Expr::Not(x) => {
-            let mut b = to_bool(eval(cols, n, x)?, n);
+            let mut b = to_bool(eval_vector(cols, n, x)?, n);
             for t in &mut b {
                 *t = match *t {
                     T_FALSE => T_TRUE,
@@ -204,40 +155,277 @@ fn eval<'a>(cols: &'a [ColumnVector], n: usize, expr: &Expr) -> Result<EV<'a>> {
                     other => other,
                 };
             }
-            EV::Bool(b)
+            EvalVec::Bool(b)
         }
-        Expr::IsNull(x) => match eval(cols, n, x)? {
-            EV::Scalar(v) => EV::Scalar(Value::Int(v.is_null() as i64)),
-            EV::Col(c) => EV::Bool((0..n).map(|r| c.is_null(r) as u8).collect()),
-            EV::Int(_, nulls) | EV::Double(_, nulls) => match nulls {
-                Some(nu) => EV::Bool((0..n).map(|r| nu.get(r) as u8).collect()),
-                None => EV::Bool(vec![T_FALSE; n]),
-            },
-            EV::Bool(b) => EV::Bool(b.iter().map(|&t| (t == T_NULL) as u8).collect()),
-            EV::Vals(v) => EV::Bool(v.iter().map(|v| v.is_null() as u8).collect()),
+        Expr::IsNull(x) => match eval_vector(cols, n, x)? {
+            EvalVec::Scalar(v) => EvalVec::Scalar(Value::Int(v.is_null() as i64)),
+            EvalVec::Bool(b) => EvalVec::Bool(b.iter().map(|&t| (t == T_NULL) as u8).collect()),
+            EvalVec::Vals(v) => EvalVec::Bool(v.iter().map(|v| v.is_null() as u8).collect()),
+            lane => {
+                let c = lane.lane().expect("the other representations are lanes");
+                EvalVec::Bool((0..n).map(|r| c.is_null(r) as u8).collect())
+            }
         },
         Expr::Arith(op, a, b) => {
-            let va = eval(cols, n, a)?;
-            let vb = eval(cols, n, b)?;
-            arith_ev(*op, va, vb, n)?
+            arith_ev(*op, eval_vector(cols, n, a)?, eval_vector(cols, n, b)?, n)?
         }
-        // Per-row fallbacks: these nodes' scalar semantics hinge on
-        // per-row short-circuit (CASE) or conversions whose error
-        // behavior must track row order exactly — delegate to the
-        // scalar evaluator so results match by construction.
-        Expr::InList(..) | Expr::Like(..) => {
-            let mut out = vec![0u8; n];
-            for (r, slot) in out.iter_mut().enumerate() {
-                *slot = tri_of(&expr.eval(&|c| cols[c].value(r))?);
-            }
-            EV::Bool(out)
+        Expr::InList(x, list) => in_list(eval_vector(cols, n, x)?.normalize(), list, n),
+        Expr::Like(x, pattern) => {
+            let pattern = LikePattern::new(pattern);
+            unary(eval_vector(cols, n, x)?, n, DataType::Str, |c, n| {
+                EvalVec::Bool(lane_bool(n, c.nulls(), |r| pattern.matches(c.str_at(r))))
+            })?
         }
-        Expr::Case { .. } | Expr::Year(_) | Expr::Substr(..) => {
-            let mut out = Vec::with_capacity(n);
-            for r in 0..n {
-                out.push(expr.eval(&|c| cols[c].value(r))?);
+        Expr::Year(x) => unary(eval_vector(cols, n, x)?, n, DataType::Int64, |c, n| {
+            let values =
+                (0..n).map(|r| if c.is_null(r) { 0 } else { date::year_of(c.int_at(r)).into() });
+            EvalVec::Lane(ColumnVector::Int { values: values.collect(), nulls: c.nulls().cloned() })
+        })?,
+        Expr::Substr(x, start, len) => {
+            unary(eval_vector(cols, n, x)?, n, DataType::Str, |c, n| {
+                let mut b = VectorBuilder::new(DataType::Str, n);
+                for r in 0..n {
+                    if c.is_null(r) {
+                        b.push_null();
+                    } else {
+                        b.push_str(substr(c.str_at(r), *start, *len));
+                    }
+                }
+                EvalVec::Lane(b.finish())
+            })?
+        }
+        Expr::Case { when, else_ } => case(cols, n, when, else_)?,
+    })
+}
+
+/// Evaluate `expr` as a filter over `rows` rows: bit set where the
+/// predicate is true (NULL rows drop, like [`Expr::eval_bool`]).
+pub fn filter_mask(cols: &[ColumnVector], rows: usize, expr: &Expr) -> Result<BitVec> {
+    let b = to_bool(eval_vector(cols, rows, expr)?, rows);
+    let mut mask = BitVec::zeros(rows);
+    for (r, &t) in b.iter().enumerate() {
+        if t == T_TRUE {
+            mask.set(r);
+        }
+    }
+    Ok(mask)
+}
+
+/// The conjunct rule. `steps` narrow a selection `sel` in order, each step
+/// one or more conjuncts of a filter (by index); a step that errors is set
+/// aside and re-run, split into single conjuncts, once every other step has
+/// narrowed the selection — again and again, until a pass in which every
+/// remaining conjunct errors, whose first error is the filter's. So a
+/// conjunct's error counts only on rows that every other conjunct accepts:
+/// `k <> 0 AND 100 / k > 5` divides by no zero, in either written order.
+pub(crate) fn narrow<S>(
+    steps: Vec<Vec<usize>>,
+    mut sel: S,
+    mut step: impl FnMut(&[usize], &S) -> Result<S>,
+) -> Result<S> {
+    let mut pending = steps;
+    loop {
+        let stuck = pending.iter().all(|s| s.len() == 1);
+        let (mut failed, mut first_err) = (Vec::new(), None);
+        for s in &pending {
+            match step(s, &sel) {
+                Ok(next) => sel = next,
+                Err(e) => {
+                    first_err.get_or_insert(e);
+                    failed.extend(s.iter().map(|&c| vec![c]));
+                }
             }
-            EV::Vals(out)
+        }
+        match first_err {
+            None => return Ok(sel),
+            Some(e) if stuck && failed.len() == pending.len() => return Err(e),
+            Some(_) => pending = failed,
+        }
+    }
+}
+
+/// `cols` at `rows`, gathering only the columns `expr` references (the
+/// others are empty placeholders).
+pub(crate) fn gather_referenced(
+    cols: &[ColumnVector],
+    rows: &[u32],
+    expr: &Expr,
+) -> Vec<ColumnVector> {
+    let mut out = vec![ColumnVector::empty(DataType::Int64); cols.len()];
+    for c in expr.referenced_columns() {
+        out[c] = cols[c].gather(rows);
+    }
+    out
+}
+
+/// `expr` over the ascending `rows` of `cols`' `n` rows.
+fn eval_rows<'a>(
+    cols: &'a [ColumnVector],
+    n: usize,
+    rows: &[u32],
+    expr: &Expr,
+) -> Result<EvalVec<'a>> {
+    if rows.len() == n {
+        return eval_vector(cols, n, expr);
+    }
+    let sub = gather_referenced(cols, rows, expr);
+    Ok(match eval_vector(&sub, rows.len(), expr)? {
+        EvalVec::Col(c) => EvalVec::Lane(c.clone()),
+        EvalVec::Lane(c) => EvalVec::Lane(c),
+        EvalVec::Scalar(v) => EvalVec::Scalar(v),
+        EvalVec::Bool(b) => EvalVec::Bool(b),
+        EvalVec::Vals(v) => EvalVec::Vals(v),
+    })
+}
+
+/// Searched CASE, lazily: each condition runs over the rows no earlier arm
+/// took, each result over the rows its condition took, and the pieces are
+/// scattered back into row order — one typed lane when every row the arms
+/// produced has one type, per-row values otherwise (the scalar evaluator
+/// keeps each row's own type, which integer arithmetic and a typed column's
+/// error row can tell apart).
+fn case<'a>(
+    cols: &'a [ColumnVector],
+    n: usize,
+    when: &[(Expr, Expr)],
+    else_: &Expr,
+) -> Result<EvalVec<'a>> {
+    let mut open: Vec<u32> = (0..n as u32).collect();
+    let mut parts: Vec<(EvalVec<'a>, Vec<u32>)> = Vec::new();
+    for (cond, result) in when {
+        if open.is_empty() {
+            break;
+        }
+        let verdict = to_bool(eval_rows(cols, n, &open, cond)?, open.len());
+        let (mut taken, mut rest) = (Vec::new(), Vec::new());
+        for (&r, &t) in open.iter().zip(&verdict) {
+            if t == T_TRUE {
+                taken.push(r)
+            } else {
+                rest.push(r)
+            }
+        }
+        if !taken.is_empty() {
+            parts.push((eval_rows(cols, n, &taken, result)?, taken));
+            open = rest;
+        }
+    }
+    if !open.is_empty() {
+        parts.push((eval_rows(cols, n, &open, else_)?, open));
+    }
+    if parts.len() == 1 {
+        return Ok(parts.pop().expect("one part").0); // every row, in order
+    }
+    let mut kinds: Vec<DataType> = Vec::new();
+    let mut owner = vec![(0, 0); n];
+    for (p, (v, rows)) in parts.iter().enumerate() {
+        let produced: Vec<DataType> = match v {
+            EvalVec::Scalar(v) => v.data_type().into_iter().collect(),
+            EvalVec::Bool(b) => {
+                b.iter().any(|&t| t != T_NULL).then_some(DataType::Int64).into_iter().collect()
+            }
+            EvalVec::Vals(vals) => vals.iter().filter_map(Value::data_type).collect(),
+            lane => {
+                let c = lane.lane().expect("the other representations are lanes");
+                let all_null = c.nulls().is_some_and(|nu| nu.count_ones() == rows.len());
+                (!all_null).then_some(c.data_type()).into_iter().collect()
+            }
+        };
+        for t in produced {
+            if !kinds.contains(&t) {
+                kinds.push(t);
+            }
+        }
+        for (k, &r) in rows.iter().enumerate() {
+            owner[r as usize] = (p, k);
+        }
+    }
+    if kinds.len() > 1 {
+        return Ok(EvalVec::Vals(owner.iter().map(|&(p, k)| parts[p].0.value_at(k)).collect()));
+    }
+    let data_type = kinds.first().copied().unwrap_or(DataType::Int64);
+    let lanes = parts
+        .into_iter()
+        .map(|(v, rows)| Ok(v.into_column(rows.len(), Some(data_type))?.into_owned()))
+        .collect::<Result<Vec<_>>>()?;
+    let mut b = VectorBuilder::new(data_type, n);
+    for &(p, k) in &owner {
+        match &lanes[p] {
+            c if c.is_null(k) => b.push_null(),
+            ColumnVector::Int { values, .. } => b.push_int(values[k]),
+            ColumnVector::Double { values, .. } => b.push_double(values[k]),
+            c @ ColumnVector::Str { .. } => b.push_str(c.str_at(k)),
+        }
+    }
+    Ok(EvalVec::Lane(b.finish()))
+}
+
+/// A node over one string (LIKE, SUBSTR) or Int (YEAR) operand: `f` maps
+/// the operand, typed as `want`, to the result. A non-NULL row of another
+/// type is the scalar conversion's error (`Value::as_str`/`as_int`), raised
+/// at the first such row; a constant operand is mapped once.
+fn unary<'a>(
+    v: EvalVec<'_>,
+    n: usize,
+    want: DataType,
+    f: impl Fn(&ColumnVector, usize) -> EvalVec<'static>,
+) -> Result<EvalVec<'a>> {
+    let v = v.normalize();
+    let rows = if matches!(v, EvalVec::Scalar(_)) { n.min(1) } else { n };
+    let col = match v.lane().filter(|c| c.data_type() == want) {
+        Some(c) => Cow::Borrowed(c),
+        None => {
+            let mut b = VectorBuilder::new(want, rows);
+            for r in 0..rows {
+                let v = v.value_at(r);
+                match want {
+                    DataType::Int64 if !v.is_null() => _ = v.as_int()?,
+                    DataType::Str if !v.is_null() => _ = v.as_str()?,
+                    _ => {}
+                }
+                b.push(&v)?;
+            }
+            Cow::Owned(b.finish())
+        }
+    };
+    let out = f(&col, rows);
+    Ok(if rows < n { EvalVec::Scalar(out.value_at(0)) } else { out })
+}
+
+/// IN: a NULL operand is NULL; a NULL member matches nothing.
+fn in_list<'a>(v: EvalVec<'_>, list: &[Value], n: usize) -> EvalVec<'a> {
+    let tri = |v: &Value| if v.is_null() { T_NULL } else { list.contains(v) as u8 };
+    let c = match &v {
+        EvalVec::Scalar(v) if v.is_null() => return EvalVec::Scalar(Value::Null),
+        EvalVec::Scalar(v) => return EvalVec::Scalar(Value::Int(list.contains(v) as i64)),
+        EvalVec::Vals(vals) => return EvalVec::Bool(vals.iter().map(tri).collect()),
+        lane => lane.lane().expect("the other representations are lanes"),
+    };
+    // The members sorted once per type, searched with `Value`'s equality: an
+    // Int probe equals an Int or a Double it widens to, a Double probe a
+    // Double or a widened Int, a string only a string.
+    let mut ints: Vec<i64> = list.iter().filter_map(|m| m.as_int().ok()).collect();
+    let mut doubles: Vec<f64> = list
+        .iter()
+        .filter_map(|m| if let Value::Double(d) = m { Some(*d) } else { None })
+        .collect();
+    let mut widened: Vec<f64> =
+        doubles.iter().copied().chain(ints.iter().map(|&i| i as f64)).collect();
+    let mut strs: Vec<&str> = list.iter().filter_map(|m| m.as_str().ok()).collect();
+    ints.sort_unstable();
+    doubles.sort_unstable_by(f64::total_cmp);
+    widened.sort_unstable_by(f64::total_cmp);
+    strs.sort_unstable();
+    let has = |sorted: &[f64], x: f64| sorted.binary_search_by(|m| m.total_cmp(&x)).is_ok();
+    EvalVec::Bool(match c {
+        ColumnVector::Int { values, nulls } => lane_bool(n, nulls.as_ref(), |r| {
+            ints.binary_search(&values[r]).is_ok() || has(&doubles, values[r] as f64)
+        }),
+        ColumnVector::Double { values, nulls } => {
+            lane_bool(n, nulls.as_ref(), |r| has(&widened, values[r]))
+        }
+        ColumnVector::Str { nulls, .. } => {
+            lane_bool(n, nulls.as_ref(), |r| strs.binary_search(&c.str_at(r)).is_ok())
         }
     })
 }
@@ -251,27 +439,30 @@ fn tri_of(v: &Value) -> u8 {
 }
 
 /// Collapse any representation to tri-state booleans.
-fn to_bool(ev: EV<'_>, n: usize) -> Vec<u8> {
+fn to_bool(ev: EvalVec<'_>, n: usize) -> Vec<u8> {
     match ev {
-        EV::Bool(b) => b,
-        EV::Scalar(v) => vec![tri_of(&v); n],
-        EV::Int(v, nulls) => lane_bool(n, nulls.as_ref(), |r| v[r] != 0),
-        EV::Double(v, nulls) => lane_bool(n, nulls.as_ref(), |r| v[r] != 0.0),
-        EV::Col(c) => match c {
+        EvalVec::Bool(b) => b,
+        EvalVec::Scalar(v) => vec![tri_of(&v); n],
+        EvalVec::Vals(v) => v.iter().map(tri_of).collect(),
+        lane => match lane.lane().expect("the other representations are lanes") {
             ColumnVector::Int { values, nulls } => lane_bool(n, nulls.as_ref(), |r| values[r] != 0),
             ColumnVector::Double { values, nulls } => {
                 lane_bool(n, nulls.as_ref(), |r| values[r] != 0.0)
             }
-            ColumnVector::Str { nulls, .. } => {
+            c @ ColumnVector::Str { nulls, .. } => {
                 lane_bool(n, nulls.as_ref(), |r| !c.str_at(r).is_empty())
             }
         },
-        EV::Vals(v) => v.iter().map(tri_of).collect(),
     }
 }
 
 fn lane_bool(n: usize, nulls: Option<&BitVec>, f: impl Fn(usize) -> bool) -> Vec<u8> {
     (0..n).map(|r| if nulls.is_some_and(|nu| nu.get(r)) { T_NULL } else { f(r) as u8 }).collect()
+}
+
+/// A NULL bitmap as a lane keeps it: `None` when no row is NULL.
+fn any_set(nulls: BitVec) -> Option<BitVec> {
+    (nulls.count_ones() > 0).then_some(nulls)
 }
 
 /// One side of a numeric comparison/arithmetic: a lane or a constant.
@@ -317,15 +508,15 @@ impl Num<'_> {
     }
 }
 
-fn num_side<'a>(ev: &'a EV<'_>) -> Option<Num<'a>> {
+fn num_side<'a>(ev: &'a EvalVec<'_>) -> Option<Num<'a>> {
     match ev {
-        EV::Scalar(Value::Int(i)) => Some(Num::CI(*i)),
-        EV::Scalar(Value::Double(d)) => Some(Num::CD(*d)),
-        EV::Int(v, nulls) => Some(Num::I(v, nulls.as_ref())),
-        EV::Double(v, nulls) => Some(Num::D(v, nulls.as_ref())),
-        EV::Col(ColumnVector::Int { values, nulls }) => Some(Num::I(values, nulls.as_ref())),
-        EV::Col(ColumnVector::Double { values, nulls }) => Some(Num::D(values, nulls.as_ref())),
-        _ => None,
+        EvalVec::Scalar(Value::Int(i)) => Some(Num::CI(*i)),
+        EvalVec::Scalar(Value::Double(d)) => Some(Num::CD(*d)),
+        ev => match ev.lane()? {
+            ColumnVector::Int { values, nulls } => Some(Num::I(values, nulls.as_ref())),
+            ColumnVector::Double { values, nulls } => Some(Num::D(values, nulls.as_ref())),
+            ColumnVector::Str { .. } => None,
+        },
     }
 }
 
@@ -352,88 +543,22 @@ impl StrSide<'_> {
     }
 }
 
-fn str_side<'a>(ev: &'a EV<'_>) -> Option<StrSide<'a>> {
+fn str_side<'a>(ev: &'a EvalVec<'_>) -> Option<StrSide<'a>> {
     match ev {
-        EV::Scalar(Value::Str(s)) => Some(StrSide::C(s.as_ref())),
-        EV::Col(c @ ColumnVector::Str { .. }) => Some(StrSide::V(c)),
-        _ => None,
+        EvalVec::Scalar(Value::Str(s)) => Some(StrSide::C(s.as_ref())),
+        ev => ev.lane().filter(|c| c.data_type() == DataType::Str).map(StrSide::V),
     }
 }
 
-/// Rewrite tri-state booleans as an Int lane so comparison/arith sides
-/// only deal with typed lanes.
-fn normalize(ev: EV<'_>) -> EV<'_> {
-    match ev {
-        EV::Bool(b) => {
-            let mut nulls = BitVec::zeros(b.len());
-            let mut any = false;
-            let vals = b
-                .iter()
-                .enumerate()
-                .map(|(r, &t)| {
-                    if t == T_NULL {
-                        nulls.set(r);
-                        any = true;
-                        0
-                    } else {
-                        t as i64
-                    }
-                })
-                .collect();
-            EV::Int(vals, any.then_some(nulls))
-        }
-        other => other,
-    }
-}
-
-fn cmp_res(op: CmpOp, ord: std::cmp::Ordering) -> bool {
-    use std::cmp::Ordering::*;
-    match op {
-        CmpOp::Eq => ord == Equal,
-        CmpOp::Ne => ord != Equal,
-        CmpOp::Lt => ord == Less,
-        CmpOp::Le => ord != Greater,
-        CmpOp::Gt => ord == Greater,
-        CmpOp::Ge => ord != Less,
-    }
-}
-
-fn value_of(ev: &EV<'_>, r: usize) -> Value {
-    match ev {
-        EV::Scalar(v) => v.clone(),
-        EV::Col(c) => c.value(r),
-        EV::Int(v, nulls) => {
-            if nulls.as_ref().is_some_and(|nu| nu.get(r)) {
-                Value::Null
-            } else {
-                Value::Int(v[r])
-            }
-        }
-        EV::Double(v, nulls) => {
-            if nulls.as_ref().is_some_and(|nu| nu.get(r)) {
-                Value::Null
-            } else {
-                Value::Double(v[r])
-            }
-        }
-        EV::Bool(b) => match b[r] {
-            T_NULL => Value::Null,
-            t => Value::Int(t as i64),
-        },
-        EV::Vals(v) => v[r].clone(),
-    }
-}
-
-fn cmp_ev<'a>(op: CmpOp, a: EV<'a>, b: EV<'a>, n: usize) -> EV<'a> {
+fn cmp_ev<'a>(op: CmpOp, a: EvalVec<'a>, b: EvalVec<'a>, n: usize) -> EvalVec<'a> {
     // A null constant operand nulls every row before any comparison.
-    if matches!(a, EV::Scalar(Value::Null)) || matches!(b, EV::Scalar(Value::Null)) {
-        return EV::Bool(vec![T_NULL; n]);
+    if matches!(a, EvalVec::Scalar(Value::Null)) || matches!(b, EvalVec::Scalar(Value::Null)) {
+        return EvalVec::Bool(vec![T_NULL; n]);
     }
-    if let (EV::Scalar(x), EV::Scalar(y)) = (&a, &b) {
-        return EV::Scalar(Value::Int(cmp_res(op, x.total_cmp(y)) as i64));
+    if let (EvalVec::Scalar(x), EvalVec::Scalar(y)) = (&a, &b) {
+        return EvalVec::Scalar(Value::Int(op.holds(x.total_cmp(y)) as i64));
     }
-    let a = normalize(a);
-    let b = normalize(b);
+    let (a, b) = (a.normalize(), b.normalize());
     let mut out = vec![0u8; n];
     if let (Some(x), Some(y)) = (num_side(&a), num_side(&b)) {
         let both_int = x.is_int() && y.is_int();
@@ -442,149 +567,92 @@ fn cmp_ev<'a>(op: CmpOp, a: EV<'a>, b: EV<'a>, n: usize) -> EV<'a> {
                 *slot = T_NULL;
             } else {
                 let ord = if both_int { x.i(r).cmp(&y.i(r)) } else { x.d(r).total_cmp(&y.d(r)) };
-                *slot = cmp_res(op, ord) as u8;
+                *slot = op.holds(ord) as u8;
             }
         }
     } else if let (Some(x), Some(y)) = (str_side(&a), str_side(&b)) {
         for (r, slot) in out.iter_mut().enumerate() {
             *slot =
-                if x.null(r) || y.null(r) { T_NULL } else { cmp_res(op, x.s(r).cmp(y.s(r))) as u8 };
+                if x.null(r) || y.null(r) { T_NULL } else { op.holds(x.s(r).cmp(y.s(r))) as u8 };
         }
     } else {
         // Mixed-rank operands: fall back to Value::total_cmp per row.
         for (r, slot) in out.iter_mut().enumerate() {
-            let (va, vb) = (value_of(&a, r), value_of(&b, r));
+            let (va, vb) = (a.value_at(r), b.value_at(r));
             *slot = if va.is_null() || vb.is_null() {
                 T_NULL
             } else {
-                cmp_res(op, va.total_cmp(&vb)) as u8
+                op.holds(va.total_cmp(&vb)) as u8
             };
         }
     }
-    EV::Bool(out)
+    EvalVec::Bool(out)
 }
 
-/// Scalar arithmetic core — the exact body of [`Expr::eval`]'s Arith arm.
-fn scalar_arith(op: ArithOp, va: &Value, vb: &Value) -> Result<Value> {
-    if va.is_null() || vb.is_null() {
-        return Ok(Value::Null);
-    }
-    Ok(match (va, vb) {
-        (Value::Int(x), Value::Int(y)) => match op {
-            ArithOp::Add => Value::Int(x.wrapping_add(*y)),
-            ArithOp::Sub => Value::Int(x.wrapping_sub(*y)),
-            ArithOp::Mul => Value::Int(x.wrapping_mul(*y)),
-            ArithOp::Div => {
-                if *y == 0 {
-                    return Err(Error::InvalidArgument("division by zero".into()));
-                }
-                Value::Int(x / y)
-            }
-        },
-        _ => {
-            let x = va.as_double()?;
-            let y = vb.as_double()?;
-            Value::Double(match op {
-                ArithOp::Add => x + y,
-                ArithOp::Sub => x - y,
-                ArithOp::Mul => x * y,
-                ArithOp::Div => x / y,
-            })
-        }
-    })
-}
-
-fn arith_ev<'a>(op: ArithOp, a: EV<'a>, b: EV<'a>, n: usize) -> Result<EV<'a>> {
+fn arith_ev<'a>(op: ArithOp, a: EvalVec<'a>, b: EvalVec<'a>, n: usize) -> Result<EvalVec<'a>> {
     // A null constant operand short-circuits every row to NULL (the
     // scalar evaluator null-checks before any conversion can error).
-    if matches!(a, EV::Scalar(Value::Null)) || matches!(b, EV::Scalar(Value::Null)) {
-        return Ok(EV::Scalar(Value::Null));
+    if matches!(a, EvalVec::Scalar(Value::Null)) || matches!(b, EvalVec::Scalar(Value::Null)) {
+        return Ok(EvalVec::Scalar(Value::Null));
     }
-    if let (EV::Scalar(x), EV::Scalar(y)) = (&a, &b) {
-        return Ok(EV::Scalar(scalar_arith(op, x, y)?));
+    if let (EvalVec::Scalar(x), EvalVec::Scalar(y)) = (&a, &b) {
+        return Ok(EvalVec::Scalar(op.apply(x, y)?));
     }
-    let a = normalize(a);
-    let b = normalize(b);
+    let (a, b) = (a.normalize(), b.normalize());
     if let (Some(x), Some(y)) = (num_side(&a), num_side(&b)) {
         let mut nulls = BitVec::zeros(n);
-        let mut any = false;
-        if x.is_int() && y.is_int() {
+        let lane = if x.is_int() && y.is_int() {
             let mut out = vec![0i64; n];
             for (r, slot) in out.iter_mut().enumerate() {
                 if x.null(r) || y.null(r) {
                     nulls.set(r);
-                    any = true;
-                    continue;
+                } else {
+                    *slot = op.ints(x.i(r), y.i(r))?;
                 }
-                let (xi, yi) = (x.i(r), y.i(r));
-                *slot = match op {
-                    ArithOp::Add => xi.wrapping_add(yi),
-                    ArithOp::Sub => xi.wrapping_sub(yi),
-                    ArithOp::Mul => xi.wrapping_mul(yi),
-                    ArithOp::Div => {
-                        if yi == 0 {
-                            return Err(Error::InvalidArgument("division by zero".into()));
-                        }
-                        xi / yi
-                    }
-                };
             }
-            return Ok(EV::Int(out, any.then_some(nulls)));
-        }
-        let mut out = vec![0f64; n];
-        for (r, slot) in out.iter_mut().enumerate() {
-            if x.null(r) || y.null(r) {
-                nulls.set(r);
-                any = true;
-                continue;
+            ColumnVector::Int { values: out, nulls: any_set(nulls) }
+        } else {
+            let mut out = vec![0f64; n];
+            for (r, slot) in out.iter_mut().enumerate() {
+                if x.null(r) || y.null(r) {
+                    nulls.set(r);
+                } else {
+                    *slot = op.doubles(x.d(r), y.d(r));
+                }
             }
-            let (xd, yd) = (x.d(r), y.d(r));
-            *slot = match op {
-                ArithOp::Add => xd + yd,
-                ArithOp::Sub => xd - yd,
-                ArithOp::Mul => xd * yd,
-                ArithOp::Div => xd / yd,
-            };
-        }
-        return Ok(EV::Double(out, any.then_some(nulls)));
+            ColumnVector::Double { values: out, nulls: any_set(nulls) }
+        };
+        return Ok(EvalVec::Lane(lane));
     }
-    // A string operand (or mixed Vals): replicate scalar conversion errors
-    // row by row.
-    let mut out = Vec::with_capacity(n);
-    for r in 0..n {
-        out.push(scalar_arith(op, &value_of(&a, r), &value_of(&b, r))?);
-    }
-    Ok(EV::Vals(out))
+    // A string operand or per-row values: the scalar rule row by row.
+    let out = (0..n).map(|r| op.apply(&a.value_at(r), &b.value_at(r)));
+    Ok(EvalVec::Vals(out.collect::<Result<_>>()?))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use s2_common::DataType;
-    use s2_encoding::VectorBuilder;
+    use s2_common::date::days_from_ymd;
 
     fn col(vals: &[Value], dt: DataType) -> ColumnVector {
-        let mut b = VectorBuilder::new(dt, vals.len());
-        for v in vals {
-            if v.is_null() {
-                b.push_null();
-            } else {
-                b.push(v).unwrap();
-            }
-        }
-        b.finish()
+        ColumnVector::from_values(vals, dt).unwrap()
     }
 
     /// Assert the vectorized result equals the scalar evaluator's, row by
-    /// row, on both values and filter verdicts.
+    /// row — the same values of the same types (`Debug`) and the same filter
+    /// verdicts — or, when it errors, that the scalar path raises that error
+    /// on some row.
     fn check(cols: &[ColumnVector], rows: usize, e: &Expr) {
         let get_row = |r: usize| move |c: usize| cols[c].value(r);
-        let vec_res = eval_vector(cols, rows, e);
-        match vec_res {
+        match eval_vector(cols, rows, e) {
             Ok(ev) => {
                 for r in 0..rows {
                     let scalar = e.eval(&get_row(r)).unwrap();
-                    assert_eq!(ev.value_at(r), scalar, "row {r} of {e:?}");
+                    assert_eq!(
+                        format!("{:?}", ev.value_at(r)),
+                        format!("{scalar:?}"),
+                        "row {r} of {e:?}"
+                    );
                 }
                 let mask = filter_mask(cols, rows, e).unwrap();
                 for r in 0..rows {
@@ -592,41 +660,55 @@ mod tests {
                 }
             }
             Err(err) => {
-                // The scalar path must also fail on some row with the
-                // same message (order may differ under short-circuit).
+                // Order may differ: AND/OR do not short-circuit here.
                 let scalar_errs: Vec<String> = (0..rows)
                     .filter_map(|r| e.eval(&get_row(r)).err().map(|e| e.to_string()))
                     .collect();
                 assert!(
                     scalar_errs.contains(&err.to_string()),
-                    "vector error {err} not produced by scalar path"
+                    "vector error {err} not produced by scalar path for {e:?}"
                 );
             }
         }
     }
 
+    /// 0 Int (NULLs, zeros), 1 Double (NULLs), 2 Str (NULLs, ""), 3 Str with
+    /// multi-byte chars (NULLs), 4 Int dates (NULLs).
     fn test_cols() -> Vec<ColumnVector> {
         let n = 37;
-        let ints: Vec<Value> = (0..n)
-            .map(|i| if i % 7 == 0 { Value::Null } else { Value::Int(i as i64 % 9 - 4) })
-            .collect();
-        let doubles: Vec<Value> = (0..n)
-            .map(|i| if i % 5 == 0 { Value::Null } else { Value::Double(i as f64 / 3.0 - 4.0) })
-            .collect();
-        let strs: Vec<Value> = (0..n)
-            .map(|i| {
-                if i % 11 == 0 {
-                    Value::Null
-                } else {
-                    Value::str(["", "air", "mail", "ship"][i % 4])
-                }
-            })
-            .collect();
+        let nth = |every: usize, f: &dyn Fn(usize) -> Value| -> Vec<Value> {
+            (0..n).map(|i| if i % every == 0 { Value::Null } else { f(i) }).collect()
+        };
         vec![
-            col(&ints, DataType::Int64),
-            col(&doubles, DataType::Double),
-            col(&strs, DataType::Str),
+            col(&nth(7, &|i| Value::Int(i as i64 % 9 - 4)), DataType::Int64),
+            col(&nth(5, &|i| Value::Double(i as f64 / 3.0 - 4.0)), DataType::Double),
+            col(&nth(11, &|i| Value::str(["", "air", "mail", "ship"][i % 4])), DataType::Str),
+            col(
+                &nth(6, &|i| Value::str(["größe", "€uro", "", "a€b", "gruße"][i % 5])),
+                DataType::Str,
+            ),
+            col(
+                &nth(8, &|i| Value::Int(days_from_ymd(1992 + i as i32 % 7, 1 + i as u32 % 12, 28))),
+                DataType::Int64,
+            ),
         ]
+    }
+
+    fn lit(v: impl Into<Value>) -> Box<Expr> {
+        Box::new(Expr::Literal(v.into()))
+    }
+
+    fn c(i: usize) -> Box<Expr> {
+        Box::new(Expr::Column(i))
+    }
+
+    /// `CASE WHEN c = 0 THEN 0 ELSE 100 / c END`: only CASE's laziness keeps
+    /// it from dividing by zero.
+    fn guarded_div(col: usize) -> Expr {
+        Expr::Case {
+            when: vec![(Expr::eq(col, 0i64), Expr::Literal(Value::Int(0)))],
+            else_: Box::new(Expr::Arith(ArithOp::Div, lit(100i64), c(col))),
+        }
     }
 
     #[test]
@@ -640,17 +722,9 @@ mod tests {
             check(&cols, n, &Expr::cmp(2, op, "air")); // str vs str
                                                        // column vs column, including mixed ranks
             for (a, b) in [(0, 0), (0, 1), (1, 1), (2, 2), (0, 2)] {
-                check(
-                    &cols,
-                    n,
-                    &Expr::Cmp(op, Box::new(Expr::Column(a)), Box::new(Expr::Column(b))),
-                );
+                check(&cols, n, &Expr::Cmp(op, c(a), c(b)));
             }
-            check(
-                &cols,
-                n,
-                &Expr::Cmp(op, Box::new(Expr::Column(0)), Box::new(Expr::Literal(Value::Null))),
-            );
+            check(&cols, n, &Expr::Cmp(op, c(0), lit(Value::Null)));
         }
     }
 
@@ -664,7 +738,7 @@ mod tests {
         check(&cols, n, &Expr::And(vec![c1.clone(), c2.clone(), c3.clone()]));
         check(&cols, n, &Expr::Or(vec![c1.clone(), c2.clone(), c3.clone()]));
         check(&cols, n, &Expr::Not(Box::new(c1.clone())));
-        check(&cols, n, &Expr::IsNull(Box::new(Expr::Column(0))));
+        check(&cols, n, &Expr::IsNull(c(0)));
         check(&cols, n, &Expr::IsNull(Box::new(c2.clone())));
         check(&cols, n, &Expr::And(vec![]));
         check(&cols, n, &Expr::Or(vec![]));
@@ -676,104 +750,137 @@ mod tests {
         let cols = test_cols();
         let n = cols[0].len();
         for op in [ArithOp::Add, ArithOp::Sub, ArithOp::Mul] {
-            check(&cols, n, &Expr::Arith(op, Box::new(Expr::Column(0)), Box::new(Expr::Column(0))));
-            check(&cols, n, &Expr::Arith(op, Box::new(Expr::Column(0)), Box::new(Expr::Column(1))));
-            check(
-                &cols,
-                n,
-                &Expr::Arith(
-                    op,
-                    Box::new(Expr::Column(1)),
-                    Box::new(Expr::Literal(Value::Double(2.5))),
-                ),
-            );
-            check(
-                &cols,
-                n,
-                &Expr::Arith(op, Box::new(Expr::Column(0)), Box::new(Expr::Literal(Value::Int(3)))),
-            );
+            check(&cols, n, &Expr::Arith(op, c(0), c(0)));
+            check(&cols, n, &Expr::Arith(op, c(0), c(1)));
+            check(&cols, n, &Expr::Arith(op, c(1), lit(2.5)));
+            check(&cols, n, &Expr::Arith(op, c(0), lit(3i64)));
         }
         // Division by a nonzero constant, double division, null constant.
-        check(
-            &cols,
-            n,
-            &Expr::Arith(
-                ArithOp::Div,
-                Box::new(Expr::Column(0)),
-                Box::new(Expr::Literal(Value::Int(2))),
-            ),
-        );
-        check(
-            &cols,
-            n,
-            &Expr::Arith(
-                ArithOp::Div,
-                Box::new(Expr::Column(1)),
-                Box::new(Expr::Literal(Value::Double(0.0))),
-            ),
-        );
-        check(
-            &cols,
-            n,
-            &Expr::Arith(
-                ArithOp::Mul,
-                Box::new(Expr::Column(0)),
-                Box::new(Expr::Literal(Value::Null)),
-            ),
-        );
-        // Int division by zero errors identically.
-        check(
-            &cols,
-            n,
-            &Expr::Arith(
-                ArithOp::Div,
-                Box::new(Expr::Column(0)),
-                Box::new(Expr::Literal(Value::Int(0))),
-            ),
-        );
-        // String operand errors identically.
-        check(
-            &cols,
-            n,
-            &Expr::Arith(
-                ArithOp::Add,
-                Box::new(Expr::Column(2)),
-                Box::new(Expr::Literal(Value::Int(1))),
-            ),
-        );
+        check(&cols, n, &Expr::Arith(ArithOp::Div, c(0), lit(2i64)));
+        check(&cols, n, &Expr::Arith(ArithOp::Div, c(1), lit(0.0)));
+        check(&cols, n, &Expr::Arith(ArithOp::Mul, c(0), lit(Value::Null)));
+        // Int division by zero and a string operand error identically.
+        check(&cols, n, &Expr::Arith(ArithOp::Div, c(0), lit(0i64)));
+        check(&cols, n, &Expr::Arith(ArithOp::Add, c(2), lit(1i64)));
     }
 
     #[test]
-    fn rowwise_fallback_nodes_match_scalar() {
+    fn in_like_year_substr_case_match_scalar() {
         let cols = test_cols();
         let n = cols[0].len();
+        let mixed = vec![Value::Int(1), Value::Int(-2), Value::Double(0.0), Value::Null];
+        check(&cols, n, &Expr::InList(c(0), mixed.clone()));
         check(
             &cols,
             n,
-            &Expr::InList(
-                Box::new(Expr::Column(0)),
-                vec![Value::Int(1), Value::Int(-2), Value::Double(0.0)],
-            ),
+            &Expr::InList(c(1), vec![Value::Int(-3), Value::Double(-2.0), Value::Null]),
         );
         check(
             &cols,
             n,
-            &Expr::InList(Box::new(Expr::Column(2)), vec![Value::str("air"), Value::str("ship")]),
+            &Expr::InList(c(2), vec![Value::str("air"), Value::str("ship"), Value::Null]),
         );
-        check(&cols, n, &Expr::Like(Box::new(Expr::Column(2)), "%ai%".into()));
-        check(&cols, n, &Expr::Substr(Box::new(Expr::Column(2)), 2, 2));
+        check(&cols, n, &Expr::InList(c(3), vec![Value::str("€uro"), Value::Int(1)]));
+        check(&cols, n, &Expr::InList(lit(1i64), mixed.clone()));
+        check(&cols, n, &Expr::InList(lit(Value::Null), mixed));
+        for pattern in ["%ai%", "_i%", "a_r", "%", "", "%€%", "gr_ße", "__", "%e"] {
+            check(&cols, n, &Expr::Like(c(2), pattern.into()));
+            check(&cols, n, &Expr::Like(c(3), pattern.into()));
+        }
+        check(&cols, n, &Expr::Like(lit("mail"), "m%".into()));
+        for (start, len) in [(2, 2), (0, 3), (1, 0), (4, 9), (9, 2)] {
+            check(&cols, n, &Expr::Substr(c(2), start, len));
+            check(&cols, n, &Expr::Substr(c(3), start, len));
+        }
+        check(&cols, n, &Expr::Year(c(4)));
+        check(&cols, n, &Expr::Year(c(0)));
+        check(&cols, n, &Expr::Year(lit(days_from_ymd(1995, 6, 15))));
+        let case =
+            |when: Vec<(Expr, Expr)>, else_: Expr| Expr::Case { when, else_: Box::new(else_) };
+        // Int / Double / NULL arms keep each row's own type.
         check(
             &cols,
             n,
-            &Expr::Case {
-                when: vec![
+            &case(
+                vec![
                     (Expr::eq(2, "air"), Expr::Literal(Value::Int(10))),
                     (Expr::cmp(0, CmpOp::Gt, 0i64), Expr::Column(1)),
                 ],
-                else_: Box::new(Expr::Literal(Value::Null)),
-            },
+                Expr::Literal(Value::Null),
+            ),
         );
-        check(&cols, n, &Expr::Year(Box::new(Expr::Column(0))));
+        check(&cols, n, &guarded_div(0));
+        check(&cols, n, &Expr::Cmp(CmpOp::Gt, Box::new(guarded_div(0)), lit(5i64)));
+        // Strings and numbers; one arm taking every row; no arm taking any.
+        check(
+            &cols,
+            n,
+            &case(vec![(Expr::cmp(0, CmpOp::Gt, 0i64), Expr::Column(2))], Expr::Column(0)),
+        );
+        check(
+            &cols,
+            n,
+            &case(vec![(Expr::Literal(Value::Int(1)), Expr::Column(3))], Expr::Column(0)),
+        );
+        check(
+            &cols,
+            n,
+            &case(vec![(Expr::Literal(Value::Int(0)), Expr::Column(3))], Expr::Column(4)),
+        );
+        check(&cols, n, &case(vec![], Expr::Substr(c(3), 2, 1)));
+        // A nested CASE as a condition.
+        check(&cols, n, &case(vec![(guarded_div(0), Expr::Year(c(4)))], Expr::Column(0)));
+    }
+
+    #[test]
+    fn mistyped_operands_error_like_scalar() {
+        let cols = test_cols();
+        let n = cols[0].len();
+        let mixed = Expr::Case {
+            when: vec![(Expr::cmp(0, CmpOp::Gt, 0i64), Expr::Column(2))],
+            else_: lit(7i64),
+        };
+        for e in [
+            Expr::Like(c(0), "%1%".into()),
+            Expr::Substr(c(0), 1, 2),
+            Expr::Substr(c(1), 1, 2),
+            Expr::Year(c(1)),
+            Expr::Year(c(2)),
+            Expr::Like(Box::new(mixed.clone()), "%".into()),
+            Expr::Year(Box::new(mixed)),
+            Expr::Like(lit(3i64), "3".into()),
+        ] {
+            assert!(eval_vector(&cols, n, &e).is_err(), "{e:?} must error");
+            check(&cols, n, &e);
+        }
+        // With no row there is nothing to convert.
+        assert!(eval_vector(&cols, 0, &Expr::Year(c(1))).is_ok());
+    }
+
+    /// CASE is lazy per row; AND/OR inside its condition are not.
+    #[test]
+    fn case_is_lazy_and_its_conditions_are_not() {
+        let k: Vec<Value> = (0..200).map(|i| Value::Int(i % 7)).collect();
+        let cols = [col(&k, DataType::Int64)];
+        let passing =
+            filter_mask(&cols, 200, &Expr::Cmp(CmpOp::Gt, Box::new(guarded_div(0)), lit(5i64)));
+        assert_eq!(passing.unwrap().count_ones(), 171);
+        let or = Expr::Or(vec![
+            Expr::eq(0, 0i64),
+            Expr::Cmp(CmpOp::Gt, Box::new(Expr::Arith(ArithOp::Div, lit(100i64), c(0))), lit(5i64)),
+        ]);
+        let wrapped = Expr::Cmp(
+            CmpOp::Eq,
+            Box::new(Expr::Case {
+                when: vec![(or.clone(), Expr::Literal(Value::Int(1)))],
+                else_: lit(0i64),
+            }),
+            lit(1i64),
+        );
+        for e in [or, wrapped] {
+            let err = filter_mask(&cols, 200, &e).unwrap_err();
+            assert_eq!(err.to_string(), "invalid argument: division by zero", "{e:?}");
+        }
     }
 
     #[test]
@@ -786,53 +893,93 @@ mod tests {
         };
         let cols = test_cols();
         let n = cols[0].len();
-        for _ in 0..300 {
+        for _ in 0..400 {
             let e = random_expr(&mut next, 3);
             check(&cols, n, &e);
         }
     }
 
-    /// Random type-correct expression over the three test columns.
-    /// Division and string-typed arith operands are excluded so scalar
-    /// short-circuit cannot dodge errors the vectorized path hits.
-    fn random_expr(next: &mut dyn FnMut() -> usize, depth: usize) -> Expr {
-        let numeric = |next: &mut dyn FnMut() -> usize| match next() % 4 {
+    /// A numeric operand over [`test_cols`]: columns, literals, YEAR, the
+    /// guarded division, CASE with Int/Double/NULL arms, arithmetic.
+    fn numeric(next: &mut dyn FnMut() -> usize, depth: usize) -> Expr {
+        match next() % if depth == 0 { 6 } else { 8 } {
             0 => Expr::Column(0),
             1 => Expr::Column(1),
             2 => Expr::Literal(Value::Int(next() as i64 % 7 - 3)),
-            _ => Expr::Literal(Value::Double(next() as f64 % 5.0 - 2.0)),
-        };
+            3 => Expr::Literal(Value::Double(next() as f64 % 5.0 - 2.0)),
+            4 => Expr::Year(c(4)),
+            5 => guarded_div(0),
+            6 => Expr::Case {
+                when: vec![
+                    (random_expr(next, depth - 1), numeric(next, depth - 1)),
+                    (random_expr(next, depth - 1), Expr::Literal(Value::Null)),
+                ],
+                else_: Box::new(numeric(next, depth - 1)),
+            },
+            _ => Expr::Arith(
+                [ArithOp::Add, ArithOp::Sub, ArithOp::Mul][next() % 3],
+                Box::new(numeric(next, depth - 1)),
+                Box::new(numeric(next, depth - 1)),
+            ),
+        }
+    }
+
+    /// A string operand: plain and multi-byte columns, SUBSTR (start 0 and
+    /// past the end), a CASE over strings.
+    fn string(next: &mut dyn FnMut() -> usize, depth: usize) -> Expr {
+        match next() % if depth == 0 { 3 } else { 4 } {
+            0 => Expr::Column(2),
+            1 => Expr::Column(3),
+            2 => Expr::Substr(c(2 + next() % 2), [0, 1, 2, 9][next() % 4], [0, 1, 3][next() % 3]),
+            _ => Expr::Case {
+                when: vec![(random_expr(next, depth - 1), string(next, depth - 1))],
+                else_: lit("air"),
+            },
+        }
+    }
+
+    /// Random error-free predicate over the test columns: no division
+    /// outside the guarded CASE and no mistyped operand, so scalar
+    /// short-circuit cannot dodge an error the vectorized path hits.
+    fn random_expr(next: &mut dyn FnMut() -> usize, depth: usize) -> Expr {
         if depth == 0 {
             return Expr::cmp(next() % 2, CmpOp::Gt, next() as i64 % 5 - 2);
         }
-        match next() % 8 {
+        let op = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge][next() % 6];
+        match next() % 10 {
             0 => Expr::Cmp(
-                [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge][next() % 6],
-                Box::new(numeric(next)),
-                Box::new(numeric(next)),
+                op,
+                Box::new(numeric(next, depth - 1)),
+                Box::new(numeric(next, depth - 1)),
             ),
             1 => Expr::And((0..(next() % 3 + 1)).map(|_| random_expr(next, depth - 1)).collect()),
             2 => Expr::Or((0..(next() % 3 + 1)).map(|_| random_expr(next, depth - 1)).collect()),
             3 => Expr::Not(Box::new(random_expr(next, depth - 1))),
-            4 => Expr::IsNull(Box::new(numeric(next))),
+            4 => Expr::IsNull(Box::new(numeric(next, depth - 1))),
             5 => Expr::Cmp(
-                [CmpOp::Eq, CmpOp::Lt, CmpOp::Ge][next() % 3],
-                Box::new(Expr::Column(2)),
-                Box::new(Expr::Literal(Value::str(["", "air", "mail", "zzz"][next() % 4]))),
+                op,
+                Box::new(string(next, depth - 1)),
+                lit(["", "air", "mail", "zzz", "€uro"][next() % 5]),
             ),
-            6 => Expr::Cmp(
-                CmpOp::Gt,
-                Box::new(Expr::Arith(
-                    [ArithOp::Add, ArithOp::Sub, ArithOp::Mul][next() % 3],
-                    Box::new(numeric(next)),
-                    Box::new(numeric(next)),
-                )),
-                Box::new(numeric(next)),
+            6 => Expr::InList(
+                Box::new(numeric(next, depth - 1)),
+                vec![
+                    Value::Int(0),
+                    Value::Int(1),
+                    Value::Null,
+                    Value::Double(1.5),
+                    Value::Double(-3.0),
+                ],
             ),
-            _ => Expr::InList(
-                Box::new(numeric(next)),
-                vec![Value::Int(0), Value::Int(1), Value::Null, Value::Double(1.5)],
+            7 => Expr::InList(
+                Box::new(string(next, depth - 1)),
+                vec![Value::str("air"), Value::Null, Value::str("größe"), Value::str("")],
             ),
+            8 => Expr::Like(
+                Box::new(string(next, depth - 1)),
+                ["%a%", "_i%", "a_r", "%", "", "%€%", "gr_ße", "__"][next() % 8].into(),
+            ),
+            _ => Expr::Cmp(op, Box::new(Expr::Year(c(4))), lit(1994 + next() as i64 % 4)),
         }
     }
 }

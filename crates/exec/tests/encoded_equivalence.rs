@@ -134,8 +134,8 @@ fn rows_dbg(b: &Batch) -> Vec<String> {
 }
 
 /// Filters spanning every clause strategy: compiled dict/RLE bitmaps,
-/// vectorized regular clauses, group filters, per-row fallbacks (LIKE,
-/// IN), null semantics, and index-probe interactions.
+/// vectorized regular clauses, group filters, LIKE and IN, null semantics,
+/// and index-probe interactions.
 fn filter_suite() -> Vec<Option<Expr>> {
     vec![
         None,
@@ -167,17 +167,27 @@ const GUARD_ID: i64 = 1_000_000;
 const GUARD_RUNS: i64 = -7;
 const GUARD_SPARSE: i64 = 10_000_019;
 
+/// `100 / (col - v) > 5`: divides by zero on a row holding `v`.
+fn divides_by(col: usize, v: i64) -> Expr {
+    let lit = |i: i64| Box::new(Expr::Literal(Value::Int(i)));
+    let arith = |op, a, b| Box::new(Expr::Arith(op, a, b));
+    let col_minus_v = arith(s2_exec::ArithOp::Sub, Box::new(Expr::Column(col)), lit(v));
+    Expr::Cmp(CmpOp::Gt, arith(s2_exec::ArithOp::Div, lit(100), col_minus_v), lit(5))
+}
+
 /// `col = v OR 100 / (col - v) > 5`: only a per-row `OR` short-circuit keeps
 /// a row holding `v` from dividing by zero, and the vectorized evaluator has
 /// none — so the scan errors, wherever and however encoded that row lives.
 fn guarded_division(col: usize, v: i64) -> Expr {
-    let lit = |i: i64| Box::new(Expr::Literal(Value::Int(i)));
-    let arith = |op, a, b| Box::new(Expr::Arith(op, a, b));
-    let col_minus_v = arith(s2_exec::ArithOp::Sub, Box::new(Expr::Column(col)), lit(v));
-    Expr::Or(vec![
-        Expr::eq(col, v),
-        Expr::Cmp(CmpOp::Gt, arith(s2_exec::ArithOp::Div, lit(100), col_minus_v), lit(5)),
-    ])
+    Expr::Or(vec![Expr::eq(col, v), divides_by(col, v)])
+}
+
+/// `col <> v AND 100 / (col - v) > 5`, in both written orders: the conjunct
+/// rule counts the division's error only on rows `col <> v` accepts, so
+/// neither order errors, at any level and under any clause plan.
+fn conjunct_guarded_division(col: usize, v: i64) -> [Expr; 2] {
+    let ne = Expr::cmp(col, CmpOp::Ne, v);
+    [ne.clone().and(divides_by(col, v)), divides_by(col, v).and(ne)]
 }
 
 /// A scan's observable outcome: rendered rows, or the error message.
@@ -210,9 +220,11 @@ proptest! {
 
     /// Flush invariance: `scan` and `scan_aggregate` return the same rows —
     /// or the same error — whether the tail rows sit in the rowstore or in
-    /// a freshly flushed segment, for the whole filter suite plus a guarded
-    /// division that a tail row trips on a bit-packed, a dictionary and an
-    /// RLE column.
+    /// a freshly flushed segment (with a cold and then a warm decision
+    /// cache), with adaptive reordering on and off, for the whole filter
+    /// suite plus divisions by zero that a tail row trips on a bit-packed, a
+    /// dictionary and an RLE column: guarded by `OR` they error everywhere,
+    /// guarded by a conjunct they error nowhere.
     #[test]
     fn flush_does_not_change_scan_outcome(seed in any::<u64>()) {
         let (p, t) = build_table(seed);
@@ -237,37 +249,52 @@ proptest! {
             Aggregate { func: AggFunc::Count, input: Expr::Literal(Value::Int(1)) },
             Aggregate { func: AggFunc::Sum, input: Expr::Column(2) },
         ];
-        let mut filters = filter_suite();
-        for (col, v) in [(0, GUARD_ID), (6, GUARD_SPARSE), (3, GUARD_RUNS)] {
-            filters.push(Some(guarded_division(col, v)));
-        }
-        let run = |filter: &Option<Expr>| {
+        let guards = [(0, GUARD_ID), (6, GUARD_SPARSE), (3, GUARD_RUNS)];
+        let suite = filter_suite();
+        let or_guarded: Vec<Option<Expr>> =
+            guards.iter().map(|&(c, v)| Some(guarded_division(c, v))).collect();
+        let and_guarded: Vec<Option<Expr>> =
+            guards.iter().flat_map(|&(c, v)| conjunct_guarded_division(c, v)).map(Some).collect();
+        let filters: Vec<&Option<Expr>> =
+            suite.iter().chain(&or_guarded).chain(&and_guarded).collect();
+        let run = |filter: &Option<Expr>, adaptive_reorder: bool| {
+            let o = ScanOptions { adaptive_reorder, ..opts() };
             let snap = p.read_snapshot();
             let ts = snap.table(t).unwrap();
-            let rows = outcome(scan(ts, &proj, filter.as_ref(), &opts()));
+            let rows = outcome(scan(ts, &proj, filter.as_ref(), &o));
             let agg = outcome(scan_aggregate(
                 std::slice::from_ref(ts),
                 &proj,
                 filter.as_ref(),
                 &group_by,
                 &aggregates,
-                &opts(),
+                &o,
             ));
             (rows, agg)
         };
-        let before: Vec<_> = filters.iter().map(run).collect();
+        let all_runs = || {
+            filters.iter().flat_map(|f| [true, false].map(|a| run(f, a))).collect::<Vec<_>>()
+        };
+        let before = all_runs();
         prop_assert!(p.flush_table(t, true).unwrap() > 0, "the tail flushes into a segment");
-        for (filter, before) in filters.iter().zip(&before) {
-            prop_assert_eq!(before, &run(filter), "filter {:?}", filter);
+        for cache in ["cold", "warm"] {
+            let after = all_runs();
+            for (i, (before, after)) in before.iter().zip(&after).enumerate() {
+                prop_assert_eq!(before, after, "{} cache, filter {:?}", cache, filters[i / 2]);
+            }
         }
-        for guarded in &before[filter_suite().len()..] {
-            prop_assert!(guarded.0.is_err() && guarded.1.is_err(), "{:?}", guarded);
+        let guarded = &before[2 * suite.len()..];
+        let (or_runs, and_runs) = guarded.split_at(2 * or_guarded.len());
+        for r in or_runs {
+            prop_assert!(r.0.is_err() && r.1.is_err(), "{:?}", r);
+        }
+        for r in and_runs {
+            prop_assert!(r.0.is_ok() && r.1.is_ok(), "{:?}", r);
         }
     }
 
-    /// Aggregates: the fused encoded aggregation (dict-code groups, RLE
-    /// run arithmetic, typed lanes, rowstore tail) is byte-identical to
-    /// scan + hash_aggregate.
+    /// Aggregates: the fused encoded aggregation (dict-code groups, typed
+    /// lanes, rowstore tail) is byte-identical to scan + hash_aggregate.
     #[test]
     fn aggregate_fused_matches_hash(seed in any::<u64>()) {
         let (p, t) = build_table(seed);
@@ -286,9 +313,15 @@ proptest! {
         let agg = |f: AggFunc, input: Expr| Aggregate { func: f, input };
         // (group_by over projection positions, aggregates, filter)
         let cases: Vec<(Vec<Expr>, Vec<Aggregate>, Option<Expr>)> = vec![
-            // Global aggregates, every function, including RLE sums.
+            // Global aggregates, every function, including COUNT / SUM / AVG
+            // over an RLE column (3) and a no-null column (0).
             (vec![], vec![
                 agg(AggFunc::Count, Expr::Literal(Value::Int(1))),
+                agg(AggFunc::Count, Expr::Column(0)),
+                agg(AggFunc::Count, Expr::Column(3)),
+                agg(AggFunc::Sum, Expr::Column(0)),
+                agg(AggFunc::Avg, Expr::Column(0)),
+                agg(AggFunc::Avg, Expr::Column(3)),
                 agg(AggFunc::Sum, Expr::Column(3)),
                 agg(AggFunc::Sum, Expr::Column(2)),
                 agg(AggFunc::Avg, Expr::Column(5)),
@@ -352,10 +385,10 @@ proptest! {
     }
 }
 
-/// RLE sums whose exact-integer guard must reject (partials past 2^52):
-/// the fused path falls back to per-row adds and stays identical.
+/// RLE sums whose partials leave f64's exact-integer range (past 2^52) round
+/// exactly as scan + hash_aggregate's row-order adds do.
 #[test]
-fn rle_sum_overflow_guard_falls_back() {
+fn rle_sum_past_exact_range_matches_hash() {
     let p = Partition::new("po", Arc::new(Log::in_memory()), Arc::new(MemFileStore::new()));
     let schema = Schema::new(vec![
         ColumnDef::new("id", DataType::Int64),
@@ -446,6 +479,72 @@ fn null_first_groups_keep_their_lane_types() {
         assert_eq!(rows_dbg(&hashed), rows_dbg(&fused));
         assert!(fused.columns.iter().skip(1).all(|c| c.data_type() != DataType::Double));
     }
+}
+
+/// The conjunct rule at every level: over 200 rows with `k = i % 7`,
+/// `k <> 0 AND 100 / k > 5` keeps 171 rows in both written orders —
+/// unflushed, flushed with a cold and a warm decision cache, adaptive
+/// reordering on and off, through `scan` and `scan_aggregate` — and so
+/// does the CASE-guarded division; a bare or `OR`-guarded division errors
+/// everywhere.
+#[test]
+fn conjunct_rule_holds_at_every_level() {
+    let p = Partition::new("pc", Arc::new(Log::in_memory()), Arc::new(MemFileStore::new()));
+    let schema = Schema::new(vec![
+        ColumnDef::new("id", DataType::Int64),
+        ColumnDef::new("k", DataType::Int64),
+    ])
+    .unwrap();
+    let topts = TableOptions::new().with_sort_key(vec![0]).with_unique("pk", vec![0]);
+    let t = p.create_table("conj", schema, topts).unwrap();
+    let mut txn = p.begin();
+    for i in 0..200i64 {
+        txn.insert(t, Row::new(vec![Value::Int(i), Value::Int(i % 7)])).unwrap();
+    }
+    txn.commit().unwrap();
+    let [kept_a, kept_b] = conjunct_guarded_division(1, 0);
+    let case_guarded = Expr::Cmp(
+        CmpOp::Gt,
+        Box::new(Expr::Case {
+            when: vec![(Expr::eq(1, 0i64), Expr::Literal(Value::Int(0)))],
+            else_: Box::new(Expr::Arith(
+                s2_exec::ArithOp::Div,
+                Box::new(Expr::Literal(Value::Int(100))),
+                Box::new(Expr::Column(1)),
+            )),
+        }),
+        Box::new(Expr::Literal(Value::Int(5))),
+    );
+    let count = [Aggregate { func: AggFunc::Count, input: Expr::Literal(Value::Int(1)) }];
+    let check = |level: &str| {
+        for adaptive_reorder in [true, false] {
+            let o = ScanOptions { adaptive_reorder, ..opts() };
+            let snap = p.read_snapshot();
+            let ts = snap.table(t).unwrap();
+            let run = |f: &Expr| scan(ts, &[0, 1], Some(f), &o);
+            let agg = |f: &Expr| {
+                scan_aggregate(std::slice::from_ref(ts), &[0, 1], Some(f), &[], &count, &o)
+            };
+            for f in [&kept_a, &kept_b, &case_guarded] {
+                let at = format!("{level}, adaptive {adaptive_reorder}: {f:?}");
+                assert_eq!(run(f).expect(&at).0.rows(), 171, "{at}");
+                assert_eq!(agg(f).expect(&at).0.value(0, 0), Value::Int(171), "{at}");
+            }
+            for f in [divides_by(1, 0), guarded_division(1, 0)] {
+                let at = format!("{level}, adaptive {adaptive_reorder}: {f:?}");
+                assert_eq!(
+                    outcome(run(&f)).unwrap_err(),
+                    "invalid argument: division by zero",
+                    "{at}"
+                );
+                assert!(agg(&f).is_err(), "{at}");
+            }
+        }
+    };
+    check("unflushed");
+    p.flush_table(t, true).unwrap();
+    check("flushed, cold cache");
+    check("flushed, warm cache");
 }
 
 /// Only live rows decide whether a scan fails: a dictionary entry that

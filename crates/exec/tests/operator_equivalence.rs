@@ -229,7 +229,7 @@ impl Gen {
 /// Doubles that meet every equality edge: integral values equal to the int
 /// keys, both zeros, NaN, a fraction.
 const DOUBLES: [f64; 8] = [0.0, -0.0, 1.0, 2.0, 3.0, f64::NAN, 2.5, -7.0];
-const STRS: [&str; 5] = ["", "a", "ab", "b", "zz"];
+const STRS: [&str; 6] = ["", "a", "ab", "b", "zz", "é€a"];
 
 /// Columns: 0 Int key, 1 Double key, 2 Str key, 3 Int payload (distinct),
 /// 4 second Int key. Every key column has NULLs (about one row in six) and
@@ -390,18 +390,32 @@ proptest! {
         }
     }
 
-    /// `Batch::filter` / `Batch::eval_expr` against scalar `Expr::eval` on
-    /// error-free expression trees.
+    /// `Batch::filter` / `Batch::eval_expr` against scalar `Expr::eval`: the
+    /// same rows and values, or — for a tree with a mistyped operand — an
+    /// error the scalar path raises on some row.
     #[test]
     fn filter_and_project_match_scalar_eval(seed in any::<u64>()) {
         let mut g = Gen(seed);
         let rows = g.pick(&[0usize, 1, 33]);
         let batch = gen_batch(&mut g, rows, false);
         for _ in 0..20 {
-            let e = random_expr(&mut g, 3);
-            let scalar: Vec<Value> = (0..rows)
-                .map(|r| e.eval(&|c| batch.value(c, r)).unwrap())
-                .collect();
+            let e = random_expr(&mut g, 3, true);
+            let scalar: Result<Vec<Value>> =
+                (0..rows).map(|r| e.eval(&|c| batch.value(c, r))).collect();
+            let scalar = match scalar {
+                Ok(values) => values,
+                Err(_) => {
+                    let errs: Vec<String> = (0..rows)
+                        .filter_map(|r| e.eval(&|c| batch.value(c, r)).err())
+                        .map(|e| e.to_string())
+                        .collect();
+                    let got = batch.filter(&e, None).unwrap_err().to_string();
+                    prop_assert!(errs.contains(&got), "{:?}: {} not in {:?}", e, got, errs);
+                    let got = batch.eval_expr(&e, DataType::Int64).unwrap_err().to_string();
+                    prop_assert!(errs.contains(&got), "{:?}: {} not in {:?}", e, got, errs);
+                    continue;
+                }
+            };
             let passing: Vec<u32> = (0..rows as u32)
                 .filter(|&r| e.eval_bool(&|c| batch.value(c, r as usize)).unwrap())
                 .collect();
@@ -434,43 +448,103 @@ proptest! {
     }
 }
 
-/// Random type-correct expression over [`gen_batch`]'s columns. No division
-/// and no arithmetic on strings, so nothing errors and scalar short-circuit
-/// cannot hide an error the vectorized evaluator would raise.
-fn random_expr(g: &mut Gen, depth: usize) -> Expr {
-    let numeric = |g: &mut Gen| match g.below(6) {
+/// `CASE WHEN c = 0 THEN 0 ELSE 100 / c END`: CASE's laziness alone keeps
+/// it from dividing by zero.
+fn guarded_div(c: usize) -> Expr {
+    Expr::Case {
+        when: vec![(Expr::Cmp(CmpOp::Eq, col(c), lit(0i64)), Expr::Literal(Value::Int(0)))],
+        else_: Box::new(Expr::Arith(ArithOp::Div, lit(100i64), col(c))),
+    }
+}
+
+/// A numeric operand over [`gen_batch`]'s columns: columns, literals, YEAR
+/// over an int column, the guarded division, CASE with Int/Double/NULL arms.
+fn numeric(g: &mut Gen, depth: usize) -> Expr {
+    match g.below(if depth == 0 { 8 } else { 9 }) {
         0 => Expr::Column(0),
         1 => Expr::Column(1),
         2 => Expr::Column(3),
         3 => Expr::Column(4),
         4 => Expr::Literal(Value::Int(g.below(7) as i64 - 3)),
-        _ => Expr::Literal(Value::Double(g.pick(&DOUBLES))),
-    };
+        5 => Expr::Literal(Value::Double(g.pick(&DOUBLES))),
+        6 => Expr::Year(col(3)),
+        7 => guarded_div(g.pick(&[0, 4])),
+        _ => Expr::Case {
+            when: vec![
+                (random_expr(g, depth - 1, false), numeric(g, depth - 1)),
+                (random_expr(g, depth - 1, false), Expr::Literal(Value::Null)),
+            ],
+            else_: Box::new(numeric(g, depth - 1)),
+        },
+    }
+}
+
+/// A string operand: the string column, SUBSTR (start 0, past the end,
+/// multi-byte), a CASE over strings.
+fn string(g: &mut Gen, depth: usize) -> Expr {
+    match g.below(if depth == 0 { 2 } else { 3 }) {
+        0 => Expr::Column(2),
+        1 => Expr::Substr(col(2), g.pick(&[0, 1, 2, 4]), g.pick(&[0, 1, 2])),
+        _ => Expr::Case {
+            when: vec![(random_expr(g, depth - 1, false), string(g, depth - 1))],
+            else_: lit(g.pick(&STRS)),
+        },
+    }
+}
+
+/// Random expression tree over [`gen_batch`]'s columns. Division only under
+/// CASE's guard and no arithmetic on strings, so only a mistyped operand
+/// (LIKE or SUBSTR over a number, YEAR over a double) errors — and only
+/// where `may_err` allows it: never under AND/OR, whose scalar
+/// short-circuit could hide an error the vectorized evaluator raises.
+fn random_expr(g: &mut Gen, depth: usize, may_err: bool) -> Expr {
     let ops = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
     if depth == 0 {
-        return Expr::Cmp(g.pick(&ops), Box::new(numeric(g)), Box::new(numeric(g)));
+        return Expr::Cmp(g.pick(&ops), Box::new(numeric(g, 0)), Box::new(numeric(g, 0)));
     }
-    let kids = |g: &mut Gen| (0..1 + g.below(3)).map(|_| random_expr(g, depth - 1)).collect();
-    match g.below(10) {
+    let kids =
+        |g: &mut Gen| (0..1 + g.below(3)).map(|_| random_expr(g, depth - 1, false)).collect();
+    match g.below(if may_err { 14 } else { 12 }) {
         0 => Expr::And(kids(g)),
         1 => Expr::Or(kids(g)),
-        2 => Expr::Not(Box::new(random_expr(g, depth - 1))),
-        3 => Expr::IsNull(Box::new(numeric(g))),
-        4 => Expr::Cmp(g.pick(&ops), col(2), lit(g.pick(&STRS))),
+        2 => Expr::Not(Box::new(random_expr(g, depth - 1, may_err))),
+        3 => Expr::IsNull(Box::new(numeric(g, depth - 1))),
+        4 => Expr::Cmp(g.pick(&ops), Box::new(string(g, depth - 1)), lit(g.pick(&STRS))),
         5 => Expr::Arith(
             g.pick(&[ArithOp::Add, ArithOp::Sub, ArithOp::Mul]),
-            Box::new(numeric(g)),
-            Box::new(numeric(g)),
+            Box::new(numeric(g, depth - 1)),
+            Box::new(numeric(g, depth - 1)),
         ),
-        6 => {
-            Expr::InList(Box::new(numeric(g)), vec![Value::Int(0), Value::Null, Value::Double(2.5)])
-        }
-        7 => Expr::Like(col(2), "%a%".into()),
-        8 => Expr::Case {
-            when: vec![(random_expr(g, depth - 1), Expr::Column(2))],
+        6 => Expr::InList(
+            Box::new(numeric(g, depth - 1)),
+            vec![
+                Value::Int(0),
+                Value::Null,
+                Value::Double(2.5),
+                Value::Int(-1),
+                Value::Double(-0.0),
+            ],
+        ),
+        7 => Expr::InList(
+            Box::new(string(g, depth - 1)),
+            vec![Value::str("a"), Value::Null, Value::str("é€a"), Value::str("")],
+        ),
+        8 => Expr::Like(
+            Box::new(string(g, depth - 1)),
+            g.pick(&["%a%", "_", "a_", "%b", "", "%", "é%", "_€_"]).into(),
+        ),
+        9 => Expr::Case {
+            when: vec![(random_expr(g, depth - 1, may_err), string(g, depth - 1))],
             else_: lit("other"),
         },
-        _ => Expr::Substr(col(2), 1, 1),
+        10 => Expr::Cmp(g.pick(&ops), Box::new(numeric(g, depth)), Box::new(numeric(g, depth - 1))),
+        11 => string(g, depth),
+        12 => match g.below(3) {
+            0 => Expr::Like(Box::new(numeric(g, depth - 1)), "%1%".into()),
+            1 => Expr::Substr(Box::new(numeric(g, depth - 1)), 1, 2),
+            _ => Expr::Year(col(1)),
+        },
+        _ => Expr::Cmp(CmpOp::Gt, Box::new(random_expr(g, depth - 1, may_err)), lit(0i64)),
     }
 }
 

@@ -14,4 +14,4 @@ pub mod postings;
 
 pub use global::{GlobalIndex, HashLevel, LevelInput};
 pub use inverted::{InvertedIndex, InvertedIndexBuilder, INVERTED_MAGIC};
-pub use postings::{encode_postings, intersect, union, PostingsReader, BLOCK_SIZE};
+pub use postings::{encode_postings, intersect, PostingsReader, BLOCK_SIZE};

@@ -217,17 +217,6 @@ pub fn intersect(mut readers: Vec<PostingsReader<'_>>) -> Result<Vec<u32>> {
     Ok(out)
 }
 
-/// Union several postings lists (OR over indexed filters), deduplicated.
-pub fn union(mut readers: Vec<PostingsReader<'_>>) -> Result<Vec<u32>> {
-    let mut all = Vec::new();
-    for r in &mut readers {
-        all.extend(r.collect_remaining()?);
-    }
-    all.sort_unstable();
-    all.dedup();
-    Ok(all)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,16 +298,6 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(got, small);
-    }
-
-    #[test]
-    fn union_dedups() {
-        let a = encode(&[1, 3, 5]);
-        let b = encode(&[3, 4, 5, 6]);
-        let got =
-            union(vec![PostingsReader::open(&a, 0).unwrap(), PostingsReader::open(&b, 0).unwrap()])
-                .unwrap();
-        assert_eq!(got, vec![1, 3, 4, 5, 6]);
     }
 
     #[test]

@@ -189,26 +189,6 @@ impl RowStore {
         }
     }
 
-    /// Visit every key from `from` onward with a visible row at `read_ts`.
-    /// Return `false` from `f` to stop early.
-    pub fn for_each_visible_from(
-        &self,
-        from: &[Value],
-        read_ts: Timestamp,
-        self_txn: Option<TxnId>,
-        mut f: impl FnMut(&[Value], &Row) -> bool,
-    ) {
-        for node in self.list.iter_from(Some(from)) {
-            if let Some(v) = node.payload.chain.visible(read_ts, self_txn) {
-                if let Some(row) = &v.data {
-                    if !f(&node.key, row) {
-                        return;
-                    }
-                }
-            }
-        }
-    }
-
     /// Commit `txn`'s versions on the given keys at `commit_ts` and release
     /// their row locks.
     pub fn commit(&self, txn: TxnId, commit_ts: Timestamp, keys: &[Vec<Value>]) {
@@ -346,22 +326,6 @@ mod tests {
         let mut seen = Vec::new();
         rs.for_each_visible(25, None, |key, _| seen.push(key[0].as_int().unwrap()));
         assert_eq!(seen, vec![1, 3]);
-    }
-
-    #[test]
-    fn scan_from_prefix() {
-        let rs = RowStore::new();
-        for i in 0..10 {
-            rs.write(1, &k(i), Some(row(i, "v"))).unwrap();
-        }
-        let keys: Vec<Vec<Value>> = (0..10).map(k).collect();
-        rs.commit(1, 10, &keys);
-        let mut seen = Vec::new();
-        rs.for_each_visible_from(&k(7), 10, None, |key, _| {
-            seen.push(key[0].as_int().unwrap());
-            true
-        });
-        assert_eq!(seen, vec![7, 8, 9]);
     }
 
     #[test]
