@@ -530,6 +530,42 @@ impl TableSnapshot {
             .collect();
         Ok(Some(IndexProbe { segments, rowstore }))
     }
+
+    /// Index probe for the rows whose column `col` equals any of `vals`
+    /// (an IN list or a join's key set): each distinct non-NULL value
+    /// probes the segments' index once, and one pass over the rowstore
+    /// keeps the rows holding a member, in rowstore order — each matching
+    /// row once, however often the list names its value. `None` when `col`
+    /// is not indexed.
+    pub fn index_probe_any(&self, col: usize, vals: &[Value]) -> Result<Option<IndexProbe>> {
+        if !self.table.columns_indexed(&[col]) {
+            return Ok(None);
+        }
+        let mut members: Vec<&Value> = vals.iter().filter(|v| !v.is_null()).collect();
+        members.sort_unstable();
+        members.dedup();
+        let mut by_segment: HashMap<u64, (Arc<SegmentCore>, Vec<u32>)> = HashMap::new();
+        for v in &members {
+            for (core, rows) in self.version.probe(&[col], std::slice::from_ref(*v))? {
+                by_segment.entry(core.meta.id).or_insert_with(|| (core, Vec::new())).1.extend(rows);
+            }
+        }
+        let segments = by_segment
+            .into_values()
+            .map(|(core, mut rows)| {
+                rows.sort_unstable();
+                rows.dedup();
+                (core, rows)
+            })
+            .collect();
+        let rowstore: Vec<(Vec<Value>, Row)> = self
+            .rowstore_rows()
+            .iter()
+            .filter(|(_, row)| members.binary_search(&row.get(col)).is_ok())
+            .cloned()
+            .collect();
+        Ok(Some(IndexProbe { segments, rowstore }))
+    }
 }
 
 // The parallel scan executor ships snapshots and segments across threads;

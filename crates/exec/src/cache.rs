@@ -28,6 +28,7 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 use s2_common::sync::{rank, Mutex};
+use s2_common::Value;
 
 use crate::expr::Expr;
 
@@ -101,16 +102,75 @@ pub fn global() -> &'static DecisionCache {
     GLOBAL.get_or_init(DecisionCache::default)
 }
 
-/// Fingerprint a residual filter plus the planning-relevant option. Uses
-/// the structural `Debug` form — stable within a process, which is the
-/// cache's lifetime.
+/// Fingerprint a residual filter plus the planning-relevant option: a
+/// structural hash of each clause's tree (a join key filter contributes the
+/// content hash it computed at build), so no clause is formatted or its
+/// key set walked.
 pub fn fingerprint(residual: &[Expr], use_encoded: bool) -> u64 {
     let mut h = DefaultHasher::new();
     for clause in residual {
-        format!("{clause:?}").hash(&mut h);
+        hash_expr(clause, &mut h);
     }
     use_encoded.hash(&mut h);
     h.finish()
+}
+
+fn hash_expr(e: &Expr, h: &mut DefaultHasher) {
+    std::mem::discriminant(e).hash(h);
+    match e {
+        Expr::Column(c) => c.hash(h),
+        Expr::Literal(v) => hash_value(v, h),
+        Expr::Cmp(op, a, b) => {
+            std::mem::discriminant(op).hash(h);
+            hash_expr(a, h);
+            hash_expr(b, h);
+        }
+        Expr::Arith(op, a, b) => {
+            std::mem::discriminant(op).hash(h);
+            hash_expr(a, h);
+            hash_expr(b, h);
+        }
+        Expr::And(parts) | Expr::Or(parts) => {
+            parts.len().hash(h);
+            parts.iter().for_each(|p| hash_expr(p, h));
+        }
+        Expr::Not(x) | Expr::IsNull(x) | Expr::Year(x) => hash_expr(x, h),
+        Expr::InList(x, list) => {
+            hash_expr(x, h);
+            list.len().hash(h);
+            list.iter().for_each(|v| hash_value(v, h));
+        }
+        Expr::Like(x, pattern) => {
+            hash_expr(x, h);
+            pattern.hash(h);
+        }
+        Expr::Case { when, else_ } => {
+            when.len().hash(h);
+            for (c, r) in when {
+                hash_expr(c, h);
+                hash_expr(r, h);
+            }
+            hash_expr(else_, h);
+        }
+        Expr::Substr(x, start, len) => {
+            hash_expr(x, h);
+            (start, len).hash(h);
+        }
+        Expr::KeyFilter(x, kf) => {
+            hash_expr(x, h);
+            kf.content_hash().hash(h);
+        }
+    }
+}
+
+/// A literal by type and bits (`Int(1)` and `Double(1.0)` differ).
+fn hash_value(v: &Value, h: &mut DefaultHasher) {
+    match v {
+        Value::Null => 0u8.hash(h),
+        Value::Int(i) => (1u8, i).hash(h),
+        Value::Double(d) => (2u8, d.to_bits()).hash(h),
+        Value::Str(s) => (3u8, s.as_ref() as &str).hash(h),
+    }
 }
 
 impl DecisionCache {
@@ -232,5 +292,31 @@ mod tests {
         assert_ne!(a, b);
         assert_ne!(a, c);
         assert_eq!(a, fingerprint(&[Expr::eq(0, 1i64)], true));
+        assert_ne!(a, fingerprint(&[Expr::eq(0, 1.0)], true), "literal type counts");
+    }
+
+    #[test]
+    fn fingerprint_is_structural() {
+        use crate::keyfilter::KeyFilter;
+        use s2_encoding::ColumnVector;
+        use std::sync::Arc;
+        let in_list = |members: &[i64]| {
+            let vals = members.iter().map(|&m| Value::Int(m)).collect();
+            vec![Expr::InList(Box::new(Expr::Column(2)), vals), Expr::eq(0, "x")]
+        };
+        let key_set = |keys: &[i64]| {
+            let lane = ColumnVector::Int { values: keys.to_vec(), nulls: None };
+            vec![Expr::KeyFilter(Box::new(Expr::Column(1)), Arc::new(KeyFilter::build(&lane)))]
+        };
+        let fp = |clauses: Vec<Expr>| fingerprint(&clauses, true);
+        assert_eq!(fp(in_list(&[1, 2, 3])), fp(in_list(&[1, 2, 3])));
+        assert_ne!(fp(in_list(&[1, 2, 3])), fp(in_list(&[1, 2, 4])), "one IN member");
+        assert_ne!(fp(in_list(&[1, 2, 3])), fp(in_list(&[1, 2])));
+        assert_eq!(fp(key_set(&[5, 9, 7])), fp(key_set(&[9, 7, 5])), "equal key sets");
+        assert_ne!(fp(key_set(&[5, 9, 7])), fp(key_set(&[5, 9, 8])), "one key");
+        let like = |p: &str| vec![Expr::Like(Box::new(Expr::Column(0)), p.into())];
+        assert_ne!(fp(like("%a")), fp(like("%b")));
+        let and = |x: i64| vec![Expr::And(vec![Expr::eq(0, 1i64), Expr::eq(1, x)])];
+        assert_ne!(fp(and(1)), fp(and(2)), "a literal deep in the tree");
     }
 }

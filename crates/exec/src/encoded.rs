@@ -71,8 +71,8 @@ pub fn scan_aggregate(
         let prep = scan::prepare_scan(snapshot, filter, opts, &mut stats)?;
         let table_key = Arc::as_ptr(&snapshot.table) as usize;
         for m in prep.morsels {
-            let sel =
-                scan::apply_clauses(m.seg, &prep.residual, m.sel, opts, &mut stats, table_key)?;
+            let residual = (prep.residual.as_slice(), prep.fingerprint);
+            let sel = scan::apply_clauses(m.seg, residual, m.sel, opts, &mut stats, table_key)?;
             if sel.as_ref().is_some_and(Vec::is_empty) {
                 continue;
             }

@@ -3,8 +3,11 @@
 //! them to decoded vectors, other operators to batch positions.
 
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 use s2_common::{date, Error, Result, Value};
+
+use crate::keyfilter::KeyFilter;
 
 /// Comparison operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,6 +125,9 @@ pub enum Expr {
     Year(Box<Expr>),
     /// SUBSTRING(expr, start (1-based), len).
     Substr(Box<Expr>, usize, usize),
+    /// Membership in a join's key set ([`KeyFilter`]): true for any value
+    /// the join may match, NULL for a NULL operand. Clones share the set.
+    KeyFilter(Box<Expr>, Arc<KeyFilter>),
 }
 
 impl Expr {
@@ -188,7 +194,7 @@ impl Expr {
             Expr::Not(x) | Expr::IsNull(x) | Expr::Year(x) | Expr::Substr(x, _, _) => {
                 x.collect_columns(out)
             }
-            Expr::InList(x, _) | Expr::Like(x, _) => x.collect_columns(out),
+            Expr::InList(x, _) | Expr::Like(x, _) | Expr::KeyFilter(x, _) => x.collect_columns(out),
             Expr::Case { when, else_ } => {
                 for (c, r) in when {
                     c.collect_columns(out);
@@ -222,12 +228,26 @@ impl Expr {
         None
     }
 
+    /// If this is a key filter over a column, return (column, filter).
+    pub fn as_key_filter(&self) -> Option<(usize, &KeyFilter)> {
+        if let Expr::KeyFilter(e, kf) = self {
+            if let Expr::Column(c) = e.as_ref() {
+                return Some((*c, kf));
+            }
+        }
+        None
+    }
+
     /// If this clause bounds a single column by literals, return
     /// (column, lower, upper) — both bounds inclusive-ized for min/max
     /// segment elimination (which only needs a conservative answer).
     pub fn as_column_range(&self) -> Option<(usize, Option<Value>, Option<Value>)> {
         if let Some((c, v)) = self.as_eq_literal() {
             return Some((c, Some(v.clone()), Some(v)));
+        }
+        if let Some((c, kf)) = self.as_key_filter() {
+            let (lo, hi) = kf.range()?;
+            return Some((c, Some(lo.clone()), Some(hi.clone())));
         }
         if let Expr::Cmp(op, a, b) = self {
             let (col, lit, op) = match (a.as_ref(), b.as_ref()) {
@@ -307,6 +327,7 @@ impl Expr {
             },
             Expr::Year(x) => Expr::Year(Box::new(x.remap_columns(f))),
             Expr::Substr(x, a, b) => Expr::Substr(Box::new(x.remap_columns(f)), *a, *b),
+            Expr::KeyFilter(x, kf) => Expr::KeyFilter(Box::new(x.remap_columns(f)), kf.clone()),
         }
     }
 
@@ -394,6 +415,13 @@ impl Expr {
                     return Ok(Value::Null);
                 }
                 Value::str(substr(v.as_str()?, *start, *len))
+            }
+            Expr::KeyFilter(x, kf) => {
+                let v = x.eval(get)?;
+                if v.is_null() {
+                    return Ok(Value::Null);
+                }
+                Value::Int(kf.contains(&v) as i64)
             }
         })
     }

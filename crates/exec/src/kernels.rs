@@ -11,11 +11,11 @@
 //! `Acc::update`, the one accumulation path, whose accumulators are typed
 //! lanes indexed by group slot; sort compares typed cells.
 //!
-//! **Determinism rule.** Output never depends on hash values or thread
-//! count: join rows come out in ascending (probe row, build row) order,
-//! groups in first-seen order, and every accumulator is fed its rows in
-//! input order (f64 addition is not associative, so this fixes the sums
-//! bit for bit).
+//! **Determinism rule.** Output never depends on hash values, thread
+//! count or the input the join table was built on: join rows come out in
+//! ascending (left row, right row) order, groups in first-seen order, and
+//! every accumulator is fed its rows in input order (f64 addition is not
+//! associative, so this fixes the sums bit for bit).
 
 use std::cmp::Ordering;
 
@@ -60,7 +60,7 @@ pub fn hash_join(
 /// chain, `next[row]` the following one; rows are linked in ascending
 /// order, so a probe meets its matches in build-row order.
 pub struct JoinTable<'a> {
-    right: &'a Batch,
+    built: &'a Batch,
     keys: Vec<&'a ColumnVector>,
     hashes: Vec<u64>,
     heads: Vec<u32>,
@@ -68,10 +68,10 @@ pub struct JoinTable<'a> {
 }
 
 impl<'a> JoinTable<'a> {
-    /// Hash `right`'s key columns and link its rows (NULL keys stay out).
-    pub fn build(right: &'a Batch, right_keys: &[usize]) -> JoinTable<'a> {
-        let rows = right.rows();
-        let keys: Vec<&ColumnVector> = right_keys.iter().map(|&c| &right.columns[c]).collect();
+    /// Hash `built`'s key columns and link its rows (NULL keys stay out).
+    pub fn build(built: &'a Batch, keys: &[usize]) -> JoinTable<'a> {
+        let rows = built.rows();
+        let keys: Vec<&ColumnVector> = keys.iter().map(|&c| &built.columns[c]).collect();
         let hashes = hash_rows(&keys, rows);
         let nulls = null_lanes(&keys);
         let mut heads = vec![NO_ROW; (rows * 2).next_power_of_two()];
@@ -85,11 +85,12 @@ impl<'a> JoinTable<'a> {
             next[row] = heads[bucket];
             heads[bucket] = row as u32;
         }
-        JoinTable { right, keys, hashes, heads, next }
+        JoinTable { built, keys, hashes, heads, next }
     }
 
-    /// Probe with `left`, apply `residual` to the matching pairs, and build
-    /// the output by gathering both sides.
+    /// Join `left` with the batch this table was built on as the right
+    /// input: `left` probes, `residual` filters the matching pairs, and the
+    /// output gathers both sides.
     pub fn probe(
         &self,
         left: &Batch,
@@ -97,99 +98,145 @@ impl<'a> JoinTable<'a> {
         join_type: JoinType,
         residual: Option<&Expr>,
     ) -> Result<Batch> {
-        if left_keys.len() != self.keys.len() {
-            return Err(Error::InvalidArgument("join key arity mismatch".into()));
-        }
+        self.check_arity(left_keys)?;
         // Semi/Anti only ask whether a match exists; without a residual the
         // first key match answers that.
         let first_only = residual.is_none() && matches!(join_type, JoinType::Semi | JoinType::Anti);
-        let (mut lidx, mut ridx) = self.matching_pairs(left, left_keys, first_only);
-        if let Some(residual) = residual {
-            // Combined row: columns 0..left.width() are left, then right.
-            // Only the columns the residual reads are gathered.
-            let mut cols =
-                vec![ColumnVector::empty(DataType::Int64); left.width() + self.right.width()];
-            for c in residual.referenced_columns() {
-                cols[c] = match c.checked_sub(left.width()) {
-                    None => left.columns[c].gather(&lidx),
-                    Some(rc) => self.right.columns[rc].gather(&ridx),
-                };
-            }
-            let mask = veval::filter_mask(&cols, lidx.len(), residual)?;
-            let keep = |idx: &[u32]| mask.iter_ones().map(|p| idx[p]).collect::<Vec<u32>>();
-            (lidx, ridx) = (keep(&lidx), keep(&ridx));
-        }
-        match join_type {
-            JoinType::Inner => {}
-            JoinType::Semi => lidx.dedup(),
-            // Walk the left rows against the (ascending) matched ones.
-            JoinType::Left | JoinType::Anti => {
-                let (matched_l, matched_r) = (std::mem::take(&mut lidx), std::mem::take(&mut ridx));
-                let mut p = 0;
-                for li in 0..left.rows() as u32 {
-                    let start = p;
-                    while p < matched_l.len() && matched_l[p] == li {
-                        p += 1;
-                    }
-                    if p == start {
-                        lidx.push(li);
-                        ridx.push(NO_ROW);
-                    } else if join_type == JoinType::Left {
-                        lidx.extend_from_slice(&matched_l[start..p]);
-                        ridx.extend_from_slice(&matched_r[start..p]);
-                    }
-                }
-            }
-        }
-        let mut columns: Vec<ColumnVector> = left.columns.iter().map(|c| c.gather(&lidx)).collect();
-        match join_type {
-            JoinType::Inner => columns.extend(self.right.columns.iter().map(|c| c.gather(&ridx))),
-            JoinType::Left => {
-                columns.extend(self.right.columns.iter().map(|c| c.gather_padded(&ridx)))
-            }
-            JoinType::Semi | JoinType::Anti => {}
-        }
-        Ok(Batch::new(columns))
+        let (lidx, ridx) = self.matching_pairs(left, left_keys, first_only);
+        assemble(left, self.built, lidx, ridx, join_type, residual)
     }
 
-    /// `(left row, right row)` ids of every key match, ascending in both;
-    /// with `first_only`, the first match of each left row.
+    /// Inner join with the batch this table was built on as the *left*
+    /// input: `right` probes, and a counting sort by left row puts the
+    /// pairs back into ascending (left row, right row) order, so the output
+    /// is byte for byte the one a table built on `right` produces.
+    pub fn probe_inner_from_right(
+        &self,
+        right: &Batch,
+        right_keys: &[usize],
+        residual: Option<&Expr>,
+    ) -> Result<Batch> {
+        self.check_arity(right_keys)?;
+        let (ridx, lidx) = self.matching_pairs(right, right_keys, false);
+        // Stable placement by left row: a left row's right rows keep their
+        // ascending probe order.
+        let mut start = vec![0u32; self.built.rows() + 1];
+        for &l in &lidx {
+            start[l as usize + 1] += 1;
+        }
+        for i in 1..start.len() {
+            start[i] += start[i - 1];
+        }
+        let (mut l_sorted, mut r_sorted) = (vec![0u32; lidx.len()], vec![0u32; lidx.len()]);
+        for (&l, &r) in lidx.iter().zip(&ridx) {
+            let slot = &mut start[l as usize];
+            (l_sorted[*slot as usize], r_sorted[*slot as usize]) = (l, r);
+            *slot += 1;
+        }
+        assemble(self.built, right, l_sorted, r_sorted, JoinType::Inner, residual)
+    }
+
+    fn check_arity(&self, probe_keys: &[usize]) -> Result<()> {
+        if probe_keys.len() != self.keys.len() {
+            return Err(Error::InvalidArgument("join key arity mismatch".into()));
+        }
+        Ok(())
+    }
+
+    /// `(probe row, built row)` ids of every key match, ascending in both;
+    /// with `first_only`, the first match of each probe row.
     fn matching_pairs(
         &self,
-        left: &Batch,
-        left_keys: &[usize],
+        probe: &Batch,
+        probe_keys: &[usize],
         first_only: bool,
     ) -> (Vec<u32>, Vec<u32>) {
-        let rows = left.rows();
-        let keys: Vec<&ColumnVector> = left_keys.iter().map(|&c| &left.columns[c]).collect();
+        let rows = probe.rows();
+        let keys: Vec<&ColumnVector> = probe_keys.iter().map(|&c| &probe.columns[c]).collect();
         let hashes = hash_rows(&keys, rows);
         let nulls = null_lanes(&keys);
         let mask = self.heads.len() - 1;
-        let (mut lidx, mut ridx) = (Vec::new(), Vec::new());
-        for (li, &hash) in hashes.iter().enumerate() {
-            if nulls.iter().any(|n| n.get(li)) {
+        let (mut pidx, mut bidx) = (Vec::new(), Vec::new());
+        for (pi, &hash) in hashes.iter().enumerate() {
+            if nulls.iter().any(|n| n.get(pi)) {
                 continue;
             }
-            let mut ri = self.heads[hash as usize & mask];
-            while ri != NO_ROW {
-                let r = ri as usize;
+            let mut bi = self.heads[hash as usize & mask];
+            while bi != NO_ROW {
+                let b = bi as usize;
                 // Equal hashes first: keys that compare equal but hash apart
                 // (ints beyond 2^53 against their rounded double) stay
                 // unmatched, as in a table keyed on the full hash.
-                if self.hashes[r] == hash
-                    && keys.iter().zip(&self.keys).all(|(l, rk)| cell_eq(l, li, rk, r))
+                if self.hashes[b] == hash
+                    && keys.iter().zip(&self.keys).all(|(p, bk)| cell_eq(p, pi, bk, b))
                 {
-                    lidx.push(li as u32);
-                    ridx.push(ri);
+                    pidx.push(pi as u32);
+                    bidx.push(bi);
                     if first_only {
                         break;
                     }
                 }
-                ri = self.next[r];
+                bi = self.next[b];
             }
         }
-        (lidx, ridx)
+        (pidx, bidx)
     }
+}
+
+/// The join output from the ascending `(left row, right row)` key matches:
+/// `residual` keeps the pairs it accepts, the join type decides what an
+/// unmatched left row yields, and both sides are gathered.
+fn assemble(
+    left: &Batch,
+    right: &Batch,
+    mut lidx: Vec<u32>,
+    mut ridx: Vec<u32>,
+    join_type: JoinType,
+    residual: Option<&Expr>,
+) -> Result<Batch> {
+    if let Some(residual) = residual {
+        // Combined row: columns 0..left.width() are left, then right.
+        // Only the columns the residual reads are gathered.
+        let mut cols = vec![ColumnVector::empty(DataType::Int64); left.width() + right.width()];
+        for c in residual.referenced_columns() {
+            cols[c] = match c.checked_sub(left.width()) {
+                None => left.columns[c].gather(&lidx),
+                Some(rc) => right.columns[rc].gather(&ridx),
+            };
+        }
+        let mask = veval::filter_mask(&cols, lidx.len(), residual)?;
+        let keep = |idx: &[u32]| mask.iter_ones().map(|p| idx[p]).collect::<Vec<u32>>();
+        (lidx, ridx) = (keep(&lidx), keep(&ridx));
+    }
+    match join_type {
+        JoinType::Inner => {}
+        JoinType::Semi => lidx.dedup(),
+        // Walk the left rows against the (ascending) matched ones.
+        JoinType::Left | JoinType::Anti => {
+            let (matched_l, matched_r) = (std::mem::take(&mut lidx), std::mem::take(&mut ridx));
+            let mut p = 0;
+            for li in 0..left.rows() as u32 {
+                let start = p;
+                while p < matched_l.len() && matched_l[p] == li {
+                    p += 1;
+                }
+                if p == start {
+                    lidx.push(li);
+                    ridx.push(NO_ROW);
+                } else if join_type == JoinType::Left {
+                    lidx.extend_from_slice(&matched_l[start..p]);
+                    ridx.extend_from_slice(&matched_r[start..p]);
+                }
+            }
+        }
+    }
+    let mut columns: Vec<ColumnVector> = left.columns.iter().map(|c| c.gather(&lidx)).collect();
+    match join_type {
+        JoinType::Inner => columns.extend(right.columns.iter().map(|c| c.gather(&ridx))),
+        JoinType::Left => columns.extend(right.columns.iter().map(|c| c.gather_padded(&ridx))),
+        JoinType::Semi | JoinType::Anti => {}
+    }
+    Ok(Batch::new(columns))
 }
 
 /// Aggregate functions.

@@ -10,6 +10,7 @@ pub mod cache;
 pub mod encoded;
 pub mod expr;
 pub mod kernels;
+pub mod keyfilter;
 mod keys;
 pub mod scan;
 pub mod veval;
@@ -21,6 +22,7 @@ pub use expr::{ArithOp, CmpOp, Expr};
 pub use kernels::{
     hash_aggregate, hash_join, sort_batch, AggFunc, Aggregate, JoinTable, JoinType, SortDir,
 };
+pub use keyfilter::KeyFilter;
 // The worker pool lives in the leaf crate `s2-pool` (so s2-core's parallel
 // recovery can use it too); re-exported here to keep `s2_exec::pool::*`
 // paths working.

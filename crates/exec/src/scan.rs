@@ -63,6 +63,10 @@ const SAMPLE_ROWS: usize = 1024;
 /// the table size").
 const INDEX_KEY_DIVISOR: usize = 64;
 
+/// A join key filter is dropped on a segment whose sample it passes at
+/// more than this rate (see [`apply_clauses`]).
+const KEY_FILTER_DROP_PASS_RATE: f64 = 0.9;
+
 /// Knobs controlling the adaptive machinery — each maps to an ablation bench.
 #[derive(Debug, Clone)]
 pub struct ScanOptions {
@@ -160,6 +164,8 @@ impl SegMorsel<'_> {
 pub(crate) struct ScanPrep<'a> {
     /// Conjuncts not answered by the index probe.
     pub(crate) residual: Vec<Expr>,
+    /// The residual's decision-cache fingerprint.
+    pub(crate) fingerprint: u64,
     /// Surviving segments with their initial selections, in segment order.
     pub(crate) morsels: Vec<SegMorsel<'a>>,
     /// Live rowstore (L0) rows — probe-matched when a probe ran.
@@ -199,7 +205,7 @@ pub fn scan(
     let proj_types: Vec<DataType> =
         projection.iter().map(|&c| schema.column(c).data_type).collect();
 
-    let ScanPrep { residual, morsels, rowstore_rows } =
+    let ScanPrep { residual, fingerprint, morsels, rowstore_rows } =
         prepare_scan(snapshot, filter, opts, &mut stats)?;
 
     // ---- per-segment filtering + materialization (morsel-parallel) ------
@@ -214,7 +220,7 @@ pub fn scan(
     };
     let fragments: Vec<Result<(Option<Batch>, ScanStats)>> =
         ScanPool::global().run(threads, morsels, |m| {
-            scan_segment(m.seg, m.sel, &residual, opts, projection, table_key)
+            scan_segment(m.seg, m.sel, (&residual, fingerprint), opts, projection, table_key)
         });
 
     // Deterministic reassembly: fragments arrive in segment order.
@@ -290,10 +296,30 @@ pub(crate) fn prepare_scan<'a>(
     opts: &ScanOptions,
     stats: &mut ScanStats,
 ) -> Result<ScanPrep<'a>> {
-    let conjuncts: Vec<Expr> = match filter {
+    let mut conjuncts: Vec<Expr> = match filter {
         None => Vec::new(),
         Some(f) => f.clone().split_conjuncts(),
     };
+    // A join key set holding every value the segments' ranges allow would
+    // pass every segment row: leave it out (the join re-checks the keys of
+    // any rowstore row it would have rejected).
+    conjuncts.retain(|c| match c.as_key_filter() {
+        Some((col, kf)) => {
+            !segments_range(snapshot, col).is_some_and(|(lo, hi)| kf.covers(&lo, &hi))
+        }
+        None => true,
+    });
+
+    // An empty join key set passes no row: every segment is eliminated.
+    if conjuncts.iter().any(|c| c.as_key_filter().is_some_and(|(_, kf)| kf.is_empty())) {
+        stats.segments_skipped_minmax += snapshot.segments.len();
+        return Ok(ScanPrep {
+            residual: conjuncts,
+            fingerprint: 0,
+            morsels: Vec::new(),
+            rowstore_rows: Vec::new(),
+        });
+    }
 
     // ---- step 1a: secondary-index probe --------------------------------
     let total_rows = snapshot.live_row_count().max(1);
@@ -321,28 +347,18 @@ pub(crate) fn prepare_scan<'a>(
                 stats.index_filters += eq_cols.len();
             }
         } else {
-            // IN-list probe on one indexed column, subject to the key budget.
+            // IN-list or join key-set probe on one indexed column, subject
+            // to the key budget.
             for (i, c) in conjuncts.iter().enumerate() {
-                if let Some((col, vals)) = c.as_in_list() {
-                    if vals.len() <= key_budget && snapshot.table.columns_indexed(&[col]) {
-                        let mut merged = ProbeAccum::default();
-                        let mut all_found = true;
-                        for v in vals {
-                            match snapshot.index_probe(&[col], std::slice::from_ref(v))? {
-                                Some(p) => merged.absorb(p),
-                                None => {
-                                    all_found = false;
-                                    break;
-                                }
-                            }
-                        }
-                        if all_found {
-                            probe_result = Some(merged.finish());
-                            consumed = vec![i];
-                            stats.index_filters += 1;
-                            break;
-                        }
-                    }
+                let Some((col, vals)) = probe_members(c, snapshot) else { continue };
+                if vals.len() > key_budget {
+                    continue;
+                }
+                if let Some(probe) = snapshot.index_probe_any(col, vals)? {
+                    probe_result = Some(probe);
+                    consumed = vec![i];
+                    stats.index_filters += 1;
+                    break;
                 }
             }
         }
@@ -354,6 +370,8 @@ pub(crate) fn prepare_scan<'a>(
         .filter(|(i, _)| !consumed.contains(i))
         .map(|(_, c)| c.clone())
         .collect();
+    let fingerprint =
+        if residual.is_empty() { 0 } else { cache::fingerprint(&residual, opts.use_encoded) };
 
     // Ranges for min/max elimination come from *all* conjuncts.
     let ranges: Vec<(usize, Option<Value>, Option<Value>)> =
@@ -414,7 +432,41 @@ pub(crate) fn prepare_scan<'a>(
         None => snapshot.rowstore_rows().iter().map(|(_, r)| r.clone()).collect(),
     };
 
-    Ok(ScanPrep { residual, morsels, rowstore_rows })
+    Ok(ScanPrep { residual, fingerprint, morsels, rowstore_rows })
+}
+
+/// The members of an IN list, or of a join key set small enough to be
+/// exact whose keys have the column's type (the index then finds exactly
+/// the rows the join matches), with the column they test. A key set must
+/// also be selective: at most `1 / INDEX_KEY_DIVISOR` of the column's
+/// numeric value range, or its probes (each walking every posting of one
+/// value) cost more than the scan they replace.
+fn probe_members<'e>(clause: &'e Expr, snapshot: &TableSnapshot) -> Option<(usize, &'e [Value])> {
+    if let Some(members) = clause.as_in_list() {
+        return Some(members);
+    }
+    let (col, kf) = clause.as_key_filter()?;
+    let same_type = kf.key_type() == snapshot.schema().column(col).data_type;
+    let selective = match segments_range(snapshot, col) {
+        Some((Value::Int(lo), Value::Int(hi))) => {
+            (kf.keys() as i128) * (INDEX_KEY_DIVISOR as i128) <= hi as i128 - lo as i128 + 1
+        }
+        _ => true,
+    };
+    (same_type && selective && kf.key_type() != DataType::Double).then_some((col, kf.values()?))
+}
+
+/// Min and max of column `col` over the segments' metadata (`None` when
+/// no segment holds a non-NULL value of it).
+fn segments_range(snapshot: &TableSnapshot, col: usize) -> Option<(Value, Value)> {
+    let mut out: Option<(Value, Value)> = None;
+    for (lo, hi) in snapshot.segments.iter().filter_map(|s| s.core.meta.min_max[col].as_ref()) {
+        out = Some(match out {
+            None => (lo.clone(), hi.clone()),
+            Some((a, b)) => (a.min(lo.clone()), b.max(hi.clone())),
+        });
+    }
+    out
 }
 
 /// Filter and materialize one segment morsel. Runs on any pool thread; all
@@ -422,7 +474,7 @@ pub(crate) fn prepare_scan<'a>(
 fn scan_segment(
     seg: &SegmentSnap,
     sel: Option<Vec<u32>>,
-    residual: &[Expr],
+    residual: (&[Expr], u64),
     opts: &ScanOptions,
     projection: &[usize],
     table_key: usize,
@@ -462,44 +514,16 @@ pub(crate) fn record_scan_stats(stats: &ScanStats) {
     s2_obs::counter!("exec.scan.decode_skipped_rows").add(stats.decode_skipped_rows as u64);
 }
 
-/// Accumulates several [`s2_core::IndexProbe`] results into one (used to
-/// union the probes of an IN-list's values).
-#[derive(Default)]
-struct ProbeAccum {
-    segments: HashMap<u64, (std::sync::Arc<s2_core::SegmentCore>, Vec<u32>)>,
-    rowstore: Vec<(Vec<Value>, Row)>,
-}
-
-impl ProbeAccum {
-    fn absorb(&mut self, p: s2_core::IndexProbe) {
-        for (core, rows) in p.segments {
-            self.segments.entry(core.meta.id).or_insert_with(|| (core, Vec::new())).1.extend(rows);
-        }
-        // Probe values are distinct, so rowstore matches cannot repeat.
-        self.rowstore.extend(p.rowstore);
-    }
-
-    fn finish(self) -> s2_core::IndexProbe {
-        let segments = self
-            .segments
-            .into_values()
-            .map(|(core, mut rows)| {
-                rows.sort_unstable();
-                rows.dedup();
-                (core, rows)
-            })
-            .collect();
-        s2_core::IndexProbe { segments, rowstore: self.rowstore }
-    }
-}
-
 /// Evaluate residual clauses over one segment with per-segment strategy
 /// choice and adaptive ordering. The plan (clause order, per-clause
-/// strategy, sampled selectivities) is remembered in the decision cache so
-/// a repeated query skips the sampling pass.
+/// strategy, sampled selectivities) is remembered in the decision cache,
+/// keyed by the residual's fingerprint, so a repeated query skips the
+/// sampling pass. A join key filter whose sample kept more than
+/// [`KEY_FILTER_DROP_PASS_RATE`] of the rows is not run on the segment: the
+/// join re-checks every key, so it would only cost time.
 pub(crate) fn apply_clauses(
     seg: &SegmentSnap,
-    residual: &[Expr],
+    (residual, fp): (&[Expr], u64),
     sel: Option<Vec<u32>>,
     opts: &ScanOptions,
     stats: &mut ScanStats,
@@ -514,7 +538,6 @@ pub(crate) fn apply_clauses(
     // Cache lookup: only adaptive plans are cached (non-adaptive planning
     // does no sampling, so there is nothing worth remembering).
     let use_cache = opts.adaptive_reorder;
-    let fp = cache::fingerprint(residual, opts.use_encoded);
     let deleted = seg.deleted.count_ones();
     let cached: Option<Vec<PlannedClause>> = if use_cache {
         cache::global().get(table_key, seg.core.meta.id, fp, deleted)
@@ -613,6 +636,13 @@ pub(crate) fn apply_clauses(
             plan
         }
     };
+
+    let droppable = |p: &PlannedClause| {
+        opts.adaptive_reorder
+            && p.selectivity > KEY_FILTER_DROP_PASS_RATE
+            && residual[p.idx].as_key_filter().is_some()
+    };
+    let planned: Vec<PlannedClause> = planned.into_iter().filter(|p| !droppable(p)).collect();
 
     // Group filter (paper §5.2's fourth strategy): when adjacent clauses in
     // the chosen order are all non-selective ("most rows pass each individual
@@ -852,6 +882,29 @@ mod tests {
         let (batch, _) =
             scan(snap.table(t).unwrap(), &[0], Some(&f), &ScanOptions::default()).unwrap();
         assert_eq!(batch.rows(), 3);
+    }
+
+    #[test]
+    fn in_list_repeated_member_returns_each_row_once() {
+        let (p, t) = setup();
+        let snap = p.read_snapshot();
+        // 310 is a rowstore row, 42 a segment row: each comes back once
+        // however often (and in whichever numeric type) the list names it.
+        for members in [
+            vec![Value::Int(310), Value::Int(310)],
+            vec![Value::Int(310), Value::Double(310.0)],
+            vec![Value::Int(42), Value::Int(310), Value::Double(42.0), Value::Int(310)],
+        ] {
+            let f = Expr::InList(Box::new(Expr::Column(0)), members.clone());
+            let rows = |use_index| {
+                let opts = ScanOptions { use_index, ..Default::default() };
+                let (batch, stats) = scan(snap.table(t).unwrap(), &[0], Some(&f), &opts).unwrap();
+                assert_eq!(stats.index_filters > 0, use_index, "{members:?}");
+                (0..batch.rows()).map(|i| batch.value(0, i)).collect::<Vec<_>>()
+            };
+            assert_eq!(rows(true), rows(false), "{members:?}");
+            assert_eq!(rows(true).len(), members.len() / 2, "{members:?}");
+        }
     }
 
     #[test]

@@ -26,6 +26,7 @@ use s2_common::{date, BitVec, DataType, Result, Value};
 use s2_encoding::{ColumnVector, VectorBuilder};
 
 use crate::expr::{substr, truthy, ArithOp, CmpOp, Expr, LikePattern};
+use crate::keyfilter::KeyFilter;
 
 const T_FALSE: u8 = 0;
 const T_TRUE: u8 = 1;
@@ -195,6 +196,7 @@ pub fn eval_vector<'a>(cols: &'a [ColumnVector], n: usize, expr: &Expr) -> Resul
             })?
         }
         Expr::Case { when, else_ } => case(cols, n, when, else_)?,
+        Expr::KeyFilter(x, kf) => key_filter(eval_vector(cols, n, x)?.normalize(), kf, n),
     })
 }
 
@@ -428,6 +430,22 @@ fn in_list<'a>(v: EvalVec<'_>, list: &[Value], n: usize) -> EvalVec<'a> {
             lane_bool(n, nulls.as_ref(), |r| strs.binary_search(&c.str_at(r)).is_ok())
         }
     })
+}
+
+/// Key-set membership: a NULL operand is NULL; a lane is tested in one
+/// typed pass ([`KeyFilter`]).
+fn key_filter<'a>(v: EvalVec<'_>, kf: &KeyFilter, n: usize) -> EvalVec<'a> {
+    let tri = |v: &Value| if v.is_null() { T_NULL } else { kf.contains(v) as u8 };
+    match &v {
+        EvalVec::Scalar(v) if v.is_null() => EvalVec::Scalar(Value::Null),
+        EvalVec::Scalar(v) => EvalVec::Scalar(Value::Int(kf.contains(v) as i64)),
+        EvalVec::Vals(vals) => EvalVec::Bool(vals.iter().map(tri).collect()),
+        lane => {
+            let c = lane.lane().expect("the other representations are lanes");
+            let hits = kf.hits(c);
+            EvalVec::Bool(lane_bool(n, c.nulls(), |r| hits[r]))
+        }
+    }
 }
 
 fn tri_of(v: &Value) -> u8 {

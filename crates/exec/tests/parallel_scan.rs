@@ -206,45 +206,60 @@ fn plan_suite() -> Vec<Plan> {
         plans.push(join(join_type, None));
         plans.push(join(join_type, Some(id_below_weight.clone())));
     }
+    // Nested joins: the small `rt` slice runs first and its ids travel down
+    // through a Sort and an Inner (or the preserved side of a Left) join to
+    // the `rt` scan two levels below; grouped `rt` keys filter by `dim`.
+    let small_rt = || Plan::scan("rt", vec![0, 2], Some(Expr::cmp(2, CmpOp::Lt, 100.0)));
+    for below in [JoinType::Inner, JoinType::Left] {
+        plans.push(join(below, None).sort(vec![(2, SortDir::Asc)], None).join(
+            small_rt(),
+            vec![0],
+            vec![0],
+        ));
+    }
+    let grouped = Plan::Aggregate {
+        input: Box::new(rt()),
+        group_by: vec![Expr::Column(1)],
+        aggregates: vec![agg(AggFunc::Sum, 2)],
+    };
+    plans.push(grouped.join_full(dim(), vec![0], vec![0], JoinType::Semi, None));
     plans
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Threads = 1 vs 8 over join, aggregate and sort plans, with the join
-    /// index filter on (build side pushed into the probe scan) and off
-    /// (plain hash join): identical batches, identical join-strategy and
-    /// scan counters, identical operator calls and rows out.
+    /// Threads = 1 vs 8 over join, aggregate and sort plans, nested joins
+    /// whose key filters travel two levels included: identical batches,
+    /// identical join-strategy and scan counters, identical operator calls
+    /// and rows out.
     #[test]
     fn plans_agree_at_one_and_eight_threads(seed in any::<u64>()) {
         let (p, _) = build_table(seed);
         add_dim_table(&p);
         let snap = p.read_snapshot();
         for plan in plan_suite() {
-            for join_index_threshold in [0usize, 128] {
-                let run = |threads: usize| {
-                    let opts = ExecOptions { scan: opts_with_threads(threads), join_index_threshold };
-                    let mut stats = ExecStats::default();
-                    let batch = execute_with_stats(&plan, &snap, &opts, &mut stats).unwrap();
-                    (batch, stats)
-                };
-                run(1); // warm the decision cache: both runs replay one sampled plan
-                let (b1, s1) = run(1);
-                let (b8, s8) = run(8);
-                prop_assert_eq!(b1.rows(), b8.rows(), "plan {:?}", plan);
-                for i in 0..b1.rows() {
-                    prop_assert_eq!(format!("{:?}", b1.row(i)), format!("{:?}", b8.row(i)));
-                }
-                prop_assert_eq!(&s1.scan, &s8.scan, "plan {:?}", plan);
-                prop_assert_eq!(
-                    (s1.hash_joins, s1.join_index_filters),
-                    (s8.hash_joins, s8.join_index_filters)
-                );
-                for kind in OpKind::ALL {
-                    let (o1, o8) = (s1.op(kind), s8.op(kind));
-                    prop_assert_eq!((o1.calls, o1.rows_out), (o8.calls, o8.rows_out), "{:?}", kind);
-                }
+            let run = |threads: usize| {
+                let opts = ExecOptions { scan: opts_with_threads(threads) };
+                let mut stats = ExecStats::default();
+                let batch = execute_with_stats(&plan, &snap, &opts, &mut stats).unwrap();
+                (batch, stats)
+            };
+            run(1); // warm the decision cache: both runs replay one sampled plan
+            let (b1, s1) = run(1);
+            let (b8, s8) = run(8);
+            prop_assert_eq!(b1.rows(), b8.rows(), "plan {:?}", plan);
+            for i in 0..b1.rows() {
+                prop_assert_eq!(format!("{:?}", b1.row(i)), format!("{:?}", b8.row(i)));
+            }
+            prop_assert_eq!(&s1.scan, &s8.scan, "plan {:?}", plan);
+            prop_assert_eq!(
+                (s1.hash_joins, s1.join_index_filters),
+                (s8.hash_joins, s8.join_index_filters)
+            );
+            for kind in OpKind::ALL {
+                let (o1, o8) = (s1.op(kind), s8.op(kind));
+                prop_assert_eq!((o1.calls, o1.rows_out), (o8.calls, o8.rows_out), "{:?}", kind);
             }
         }
     }

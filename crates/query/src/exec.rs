@@ -1,23 +1,44 @@
 //! The plan executor.
 //!
-//! Notable adaptivity (paper §5.1): small build sides turn equi-joins into
-//! *join index filters* — the build side's distinct keys are pushed into the
-//! probe side's scan as an IN-list, which the adaptive scan answers with
-//! secondary-index probes when cheap and falls back to a full scan (and the
-//! join to a plain hash join) when the key count is too high. The index
-//! filter has no false positives, and the hash join afterwards re-verifies
-//! equality anyway.
+//! **Joins** (paper §5.1's adaptive join, one path). At every join the input
+//! the shared estimator ([`crate::stats`]) puts smaller runs first
+//! ([`stats::runs_first`]). Each of its key lanes becomes a typed
+//! [`KeyFilter`] that travels down the other input's plan to the scan
+//! producing that key column, where it is one more scan clause: min/max
+//! segment elimination (an empty set eliminates every segment), a
+//! secondary-index probe for a small exact set, evaluation once per
+//! dictionary entry on encoded columns, and the `(1-P)/cost` ranking and
+//! decision cache — and a scan drops it on segments where it keeps nearly
+//! every row. Filters travel through `Filter`, a bare-column `Project`, both
+//! inputs of an Inner join, the left (preserved) input of Left/Semi/Anti, an
+//! `Aggregate`'s group-by columns and a `Sort` without a limit; never
+//! through a `Limit` or a top-N. A filter reaches the left input of its own
+//! join only for Inner and Semi joins (Left and Anti joins must see every
+//! unmatched left row). A filter never rejects a key the join would match
+//! and the join re-checks every pair, so where filters land changes how
+//! many rows flow, never the result.
+//!
+//! The hash table is built on the input that came out smaller for Inner
+//! joins, and on the right input for Left/Semi/Anti; a table built on the
+//! left input restores ascending (left row, right row) output order, so
+//! the output — and every f64 sum above it — is the same either way.
 
-use std::collections::HashSet;
+use std::borrow::Cow;
+use std::cell::RefCell;
+use std::collections::HashMap;
 use std::fmt::Write;
 use std::sync::Arc;
 use std::time::Instant;
 
 use s2_common::{Result, Value};
 use s2_core::TableSnapshot;
-use s2_exec::{hash_aggregate, scan, sort_batch, Batch, Expr, JoinTable, ScanOptions, ScanStats};
+use s2_exec::{
+    hash_aggregate, scan, sort_batch, Batch, Expr, JoinTable, JoinType, KeyFilter, ScanOptions,
+    ScanStats,
+};
 
 use crate::plan::Plan;
+use crate::stats::{self, Side, TableStats};
 
 /// Source of table snapshots for a query: a single partition or (in the
 /// cluster layer) an aggregator that unions partitions.
@@ -27,20 +48,11 @@ pub trait QueryContext {
     fn snapshots(&self, table: &str) -> Result<Vec<Arc<TableSnapshot>>>;
 }
 
-/// Execution tuning knobs.
-#[derive(Debug, Clone)]
+/// Execution options.
+#[derive(Debug, Clone, Default)]
 pub struct ExecOptions {
     /// Options forwarded to every table scan.
     pub scan: ScanOptions,
-    /// Build sides at or below this row count are pushed into the probe
-    /// scan as a join index filter. 0 disables the optimization.
-    pub join_index_threshold: usize,
-}
-
-impl Default for ExecOptions {
-    fn default() -> Self {
-        ExecOptions { scan: ScanOptions::default(), join_index_threshold: 128 }
-    }
 }
 
 /// The operator kinds a query's time is attributed to (index into
@@ -106,9 +118,10 @@ pub struct OpStat {
 pub struct ExecStats {
     /// Aggregated scan counters.
     pub scan: ScanStats,
-    /// Joins executed as join index filters.
+    /// Joins whose first side's key set reached at least one scan of the
+    /// other side (join index filters).
     pub join_index_filters: usize,
-    /// Joins executed as plain hash joins.
+    /// Joins no key set of which reached a scan: plain hash joins.
     pub hash_joins: usize,
     /// Per-operator-kind self time and rows out, indexed by [`OpKind`].
     /// Every operator adds its own share after its inputs have added
@@ -168,172 +181,286 @@ pub fn execute_with_stats(
     opts: &ExecOptions,
     stats: &mut ExecStats,
 ) -> Result<Batch> {
-    match plan {
-        Plan::Scan { table, projection, filter } => {
-            let started = Instant::now();
-            let snaps = ctx.snapshots(table)?;
-            // Scatter: partition snapshots fan into the shared morsel pool,
-            // like the paper's leaves ("leaf nodes ... are responsible for
-            // the bulk of compute"). Each partition scan then fans its own
-            // segments into the same pool (nested runs are deadlock-free:
-            // the waiting caller drains queued morsels itself). Results come
-            // back in partition order, so output is deterministic.
-            // Small scans (by metadata estimate) stay serial: pool handoff
-            // costs more than sub-morsel scans save.
-            let est: usize =
-                snaps.iter().map(|s| s2_exec::scan::estimate_scan_rows(s, filter.as_ref())).sum();
-            let threads = if est > s2_exec::scan::SMALL_SCAN_INLINE_ROWS {
-                s2_exec::effective_threads(opts.scan.threads)
-            } else {
-                1
-            };
-            let parts: Vec<Result<(Batch, ScanStats)>> =
-                s2_exec::ScanPool::global().run(threads, snaps.iter().collect(), |snap| {
-                    scan(snap, projection, filter.as_ref(), &opts.scan)
-                });
-            let mut batches = Vec::with_capacity(parts.len());
-            for p in parts {
-                let (batch, s) = p?;
-                stats.scan.merge(&s);
-                batches.push(batch);
-            }
-            let out = Batch::concat(batches)?;
-            stats.record(OpKind::Scan, started, out.rows());
-            Ok(out)
-        }
-        Plan::Filter { input, predicate } => {
-            let batch = execute_with_stats(input, ctx, opts, stats)?;
-            let started = Instant::now();
-            let sel = batch.filter(predicate, None)?;
-            let out = if sel.len() == batch.rows() { batch } else { batch.gather(&sel) };
-            stats.record(OpKind::Filter, started, out.rows());
-            Ok(out)
-        }
-        Plan::Project { input, exprs } => {
-            let batch = execute_with_stats(input, ctx, opts, stats)?;
-            let started = Instant::now();
-            let mut cols = Vec::with_capacity(exprs.len());
-            for (e, t) in exprs {
-                cols.push(batch.eval_expr(e, *t)?);
-            }
-            let out = Batch::new(cols);
-            stats.record(OpKind::Project, started, out.rows());
-            Ok(out)
-        }
-        Plan::Join { left, right, left_keys, right_keys, join_type, residual } => {
-            let right_batch = execute_with_stats(right, ctx, opts, stats)?;
-            // Adaptive join index filter: push the (small) build side's keys
-            // into a probe-side scan.
-            // Only Inner/Semi joins may restrict the probe side: Left and
-            // Anti joins must still see unmatched probe rows.
-            let filter_ok = matches!(join_type, s2_exec::JoinType::Inner | s2_exec::JoinType::Semi);
-            let left_plan = if filter_ok {
-                maybe_push_join_filter(left, &right_batch, left_keys, right_keys, opts, stats)
-            } else {
-                None
-            };
-            let left_batch = match &left_plan {
-                Some(pushed) => execute_with_stats(pushed, ctx, opts, stats)?,
-                None => execute_with_stats(left, ctx, opts, stats)?,
-            };
-            if left_plan.is_none() {
-                stats.hash_joins += 1;
-            }
-            let started = Instant::now();
-            let table = JoinTable::build(&right_batch, right_keys);
-            let us = stats.record(OpKind::JoinBuild, started, right_batch.rows());
-            s2_exec::obs::histogram!("query.join.build_us").record(us);
-            let started = Instant::now();
-            let out = table.probe(&left_batch, left_keys, *join_type, residual.as_ref())?;
-            let us = stats.record(OpKind::JoinProbe, started, out.rows());
-            s2_exec::obs::histogram!("query.join.probe_us").record(us);
-            Ok(out)
-        }
-        Plan::Aggregate { input, group_by, aggregates } => {
-            // Aggregate-over-scan fuses into the encoded-domain path: group
-            // keys on dictionary codes, typed accumulation lanes, no
-            // intermediate batch. Bit-identical to scan + hash_aggregate.
-            let (started, out) = if let Plan::Scan { table, projection, filter } = input.as_ref() {
-                let started = Instant::now();
-                let snaps = ctx.snapshots(table)?;
-                let (batch, s) = s2_exec::scan_aggregate(
-                    &snaps,
-                    projection,
-                    filter.as_ref(),
-                    group_by,
-                    aggregates,
-                    &opts.scan,
-                )?;
-                stats.scan.merge(&s);
-                (started, batch)
-            } else {
-                let batch = execute_with_stats(input, ctx, opts, stats)?;
-                let started = Instant::now();
-                (started, hash_aggregate(&batch, group_by, aggregates)?)
-            };
-            let us = stats.record(OpKind::Aggregate, started, out.rows());
-            s2_exec::obs::histogram!("query.aggregate_us").record(us);
-            Ok(out)
-        }
-        Plan::Sort { input, keys, limit } => {
-            let batch = execute_with_stats(input, ctx, opts, stats)?;
-            let started = Instant::now();
-            let out = sort_batch(&batch, keys, *limit);
-            stats.record(OpKind::Sort, started, out.rows());
-            Ok(out)
-        }
-        Plan::Limit { input, n } => {
-            let batch = execute_with_stats(input, ctx, opts, stats)?;
-            let started = Instant::now();
-            let sel: Vec<u32> = (0..batch.rows().min(*n) as u32).collect();
-            let out = batch.gather(&sel);
-            stats.record(OpKind::Sort, started, out.rows());
-            Ok(out)
-        }
+    let mut exec =
+        Executor { ctx, opts, stats, tables: RefCell::new(HashMap::new()), reached: Vec::new() };
+    exec.run(plan, Vec::new())
+}
+
+/// A key filter on its way down a plan: `pos` is the column it tests, as a
+/// position of the current node's output; `join` indexes
+/// [`Executor::reached`].
+#[derive(Clone)]
+struct Pushed {
+    pos: usize,
+    filter: Arc<KeyFilter>,
+    join: usize,
+}
+
+impl Pushed {
+    fn at(&self, pos: usize) -> Pushed {
+        Pushed { pos, ..self.clone() }
     }
 }
 
-/// If the join qualifies, return a rewritten probe-side plan whose scan
-/// carries an IN-list of the build side's distinct keys.
-fn maybe_push_join_filter(
-    left: &Plan,
-    right_batch: &Batch,
-    left_keys: &[usize],
-    right_keys: &[usize],
-    opts: &ExecOptions,
-    stats: &mut ExecStats,
-) -> Option<Plan> {
-    if opts.join_index_threshold == 0
-        || left_keys.len() != 1
-        || right_batch.rows() == 0
-        || right_batch.rows() > opts.join_index_threshold
-    {
-        return None;
+struct Executor<'a> {
+    ctx: &'a dyn QueryContext,
+    opts: &'a ExecOptions,
+    stats: &'a mut ExecStats,
+    /// Table statistics for the estimator, collected once per table.
+    tables: RefCell<HashMap<String, Option<Arc<TableStats>>>>,
+    /// Per join that pushed key filters: whether one reached a scan.
+    reached: Vec<bool>,
+}
+
+impl Executor<'_> {
+    fn table_stats(&self, table: &str) -> Option<Arc<TableStats>> {
+        if let Some(s) = self.tables.borrow().get(table) {
+            return s.clone();
+        }
+        let s = self.ctx.snapshots(table).ok().map(|snaps| Arc::new(TableStats::collect(&snaps)));
+        self.tables.borrow_mut().insert(table.to_string(), s.clone());
+        s
     }
-    let Plan::Scan { table, projection, filter } = left else {
-        return None;
-    };
-    // Map the probe key from batch position to table ordinal.
-    let table_col = *projection.get(left_keys[0])?;
-    let mut keys: HashSet<Value> = HashSet::new();
-    for ri in 0..right_batch.rows() {
-        let v = right_batch.value(right_keys[0], ri);
-        if !v.is_null() {
-            keys.insert(v);
+
+    fn estimate(&self, plan: &Plan) -> stats::Estimate {
+        stats::estimate(plan, &|t| self.table_stats(t))
+    }
+
+    /// Execute `plan`, with `pushed` key filters over its output columns.
+    fn run(&mut self, plan: &Plan, pushed: Vec<Pushed>) -> Result<Batch> {
+        match plan {
+            Plan::Scan { table, projection, filter } => {
+                let filter = self.with_key_filters(filter, projection, &pushed);
+                self.scan(table, projection, filter.as_ref().as_ref())
+            }
+            Plan::Filter { input, predicate } => {
+                let batch = self.run(input, pushed)?;
+                let started = Instant::now();
+                let sel = batch.filter(predicate, None)?;
+                let out = if sel.len() == batch.rows() { batch } else { batch.gather(&sel) };
+                self.stats.record(OpKind::Filter, started, out.rows());
+                Ok(out)
+            }
+            Plan::Project { input, exprs } => {
+                let through = pushed
+                    .iter()
+                    .filter_map(|p| match exprs[p.pos].0 {
+                        Expr::Column(c) => Some(p.at(c)),
+                        _ => None,
+                    })
+                    .collect();
+                let batch = self.run(input, through)?;
+                let started = Instant::now();
+                let mut cols = Vec::with_capacity(exprs.len());
+                for (e, t) in exprs {
+                    cols.push(batch.eval_expr(e, *t)?);
+                }
+                let out = Batch::new(cols);
+                self.stats.record(OpKind::Project, started, out.rows());
+                Ok(out)
+            }
+            Plan::Join { left, right, left_keys, right_keys, join_type, residual } => {
+                let left_width = left.width();
+                let (mut into_left, mut into_right) = (Vec::new(), Vec::new());
+                for p in pushed {
+                    if p.pos < left_width {
+                        into_left.push(p);
+                    } else if *join_type == JoinType::Inner {
+                        into_right.push(p.at(p.pos - left_width));
+                    }
+                }
+                let first = stats::runs_first(&self.estimate(left), &self.estimate(right));
+                let (first_plan, first_keys, other_plan, other_keys) = match first {
+                    Side::Left => (left, left_keys, right, right_keys),
+                    Side::Right => (right, right_keys, left, left_keys),
+                };
+                let (first_pushed, mut other_pushed) = match first {
+                    Side::Left => (into_left, into_right),
+                    Side::Right => (into_right, into_left),
+                };
+                let first_batch = self.run(first_plan, first_pushed)?;
+                // Left and Anti joins keep unmatched left rows: nothing may
+                // filter their left input.
+                let may_filter =
+                    first == Side::Left || matches!(join_type, JoinType::Inner | JoinType::Semi);
+                let join = self.reached.len();
+                self.reached.push(false);
+                let started = Instant::now();
+                if may_filter {
+                    for (&fk, &ok) in first_keys.iter().zip(other_keys.iter()) {
+                        let filter = Arc::new(KeyFilter::build(&first_batch.columns[fk]));
+                        other_pushed.push(Pushed { pos: ok, filter, join });
+                    }
+                }
+                let filter_ns = started.elapsed().as_nanos() as u64;
+                let other_batch = self.run(other_plan, other_pushed)?;
+                if self.reached[join] {
+                    self.stats.join_index_filters += 1;
+                } else {
+                    self.stats.hash_joins += 1;
+                }
+                let (left_batch, right_batch) = match first {
+                    Side::Left => (first_batch, other_batch),
+                    Side::Right => (other_batch, first_batch),
+                };
+                self.join(
+                    &left_batch,
+                    &right_batch,
+                    left_keys,
+                    right_keys,
+                    *join_type,
+                    residual,
+                    filter_ns,
+                )
+            }
+            Plan::Aggregate { input, group_by, aggregates } => {
+                let through: Vec<Pushed> = pushed
+                    .iter()
+                    .filter_map(|p| match group_by.get(p.pos) {
+                        Some(Expr::Column(c)) => Some(p.at(*c)),
+                        _ => None,
+                    })
+                    .collect();
+                // Aggregate-over-scan fuses into the encoded-domain path:
+                // group keys on dictionary codes, typed accumulation lanes,
+                // no intermediate batch. Bit-identical to scan +
+                // hash_aggregate.
+                let (started, out) =
+                    if let Plan::Scan { table, projection, filter } = input.as_ref() {
+                        let filter = self.with_key_filters(filter, projection, &through);
+                        let started = Instant::now();
+                        let snaps = self.ctx.snapshots(table)?;
+                        let (batch, s) = s2_exec::scan_aggregate(
+                            &snaps,
+                            projection,
+                            filter.as_ref().as_ref(),
+                            group_by,
+                            aggregates,
+                            &self.opts.scan,
+                        )?;
+                        self.stats.scan.merge(&s);
+                        (started, batch)
+                    } else {
+                        let batch = self.run(input, through)?;
+                        let started = Instant::now();
+                        (started, hash_aggregate(&batch, group_by, aggregates)?)
+                    };
+                let us = self.stats.record(OpKind::Aggregate, started, out.rows());
+                s2_exec::obs::histogram!("query.aggregate_us").record(us);
+                Ok(out)
+            }
+            Plan::Sort { input, keys, limit } => {
+                // A top-N keeps the first rows of its whole input: filtering
+                // that input would let other rows in.
+                let through = if limit.is_none() { pushed } else { Vec::new() };
+                let batch = self.run(input, through)?;
+                let started = Instant::now();
+                let out = sort_batch(&batch, keys, *limit);
+                self.stats.record(OpKind::Sort, started, out.rows());
+                Ok(out)
+            }
+            Plan::Limit { input, n } => {
+                let batch = self.run(input, Vec::new())?;
+                let started = Instant::now();
+                let sel: Vec<u32> = (0..batch.rows().min(*n) as u32).collect();
+                let out = batch.gather(&sel);
+                self.stats.record(OpKind::Sort, started, out.rows());
+                Ok(out)
+            }
         }
     }
-    if keys.is_empty() || keys.len() > opts.join_index_threshold {
-        return None;
+
+    /// `filter` with one key-filter clause per pushed filter (projection
+    /// positions mapped to table ordinals), marking their joins reached.
+    fn with_key_filters<'f>(
+        &mut self,
+        filter: &'f Option<Expr>,
+        projection: &[usize],
+        pushed: &[Pushed],
+    ) -> Cow<'f, Option<Expr>> {
+        if pushed.is_empty() {
+            return Cow::Borrowed(filter);
+        }
+        let mut out = filter.clone();
+        for p in pushed {
+            self.reached[p.join] = true;
+            let clause =
+                Expr::KeyFilter(Box::new(Expr::Column(projection[p.pos])), p.filter.clone());
+            out = Some(match out {
+                Some(f) => f.and(clause),
+                None => clause,
+            });
+        }
+        Cow::Owned(out)
     }
-    let mut key_list: Vec<Value> = keys.into_iter().collect();
-    key_list.sort();
-    let in_list = Expr::InList(Box::new(Expr::Column(table_col)), key_list);
-    let new_filter = match filter {
-        Some(f) => Some(f.clone().and(in_list)),
-        None => Some(in_list),
-    };
-    stats.join_index_filters += 1;
-    Some(Plan::Scan { table: table.clone(), projection: projection.clone(), filter: new_filter })
+
+    fn scan(&mut self, table: &str, projection: &[usize], filter: Option<&Expr>) -> Result<Batch> {
+        let started = Instant::now();
+        let snaps = self.ctx.snapshots(table)?;
+        // Scatter: partition snapshots fan into the shared morsel pool,
+        // like the paper's leaves ("leaf nodes ... are responsible for the
+        // bulk of compute"). Each partition scan then fans its own segments
+        // into the same pool (nested runs are deadlock-free: the waiting
+        // caller drains queued morsels itself). Results come back in
+        // partition order, so output is deterministic. Small scans (by
+        // metadata estimate) stay serial: pool handoff costs more than
+        // sub-morsel scans save.
+        let est: usize = snaps.iter().map(|s| s2_exec::scan::estimate_scan_rows(s, filter)).sum();
+        let threads = if est > s2_exec::scan::SMALL_SCAN_INLINE_ROWS {
+            s2_exec::effective_threads(self.opts.scan.threads)
+        } else {
+            1
+        };
+        let opts = &self.opts.scan;
+        let parts: Vec<Result<(Batch, ScanStats)>> =
+            s2_exec::ScanPool::global()
+                .run(threads, snaps.iter().collect(), |snap| scan(snap, projection, filter, opts));
+        let mut batches = Vec::with_capacity(parts.len());
+        for p in parts {
+            let (batch, s) = p?;
+            self.stats.scan.merge(&s);
+            batches.push(batch);
+        }
+        let out = Batch::concat(batches)?;
+        self.stats.record(OpKind::Scan, started, out.rows());
+        Ok(out)
+    }
+
+    /// Hash-join two executed inputs: an Inner join builds on the smaller
+    /// batch, the others on the right one. `filter_ns` (the key filters'
+    /// build) is charged to the build.
+    #[allow(clippy::too_many_arguments)]
+    fn join(
+        &mut self,
+        left: &Batch,
+        right: &Batch,
+        left_keys: &[usize],
+        right_keys: &[usize],
+        join_type: JoinType,
+        residual: &Option<Expr>,
+        filter_ns: u64,
+    ) -> Result<Batch> {
+        let build_left = join_type == JoinType::Inner && left.rows() < right.rows();
+        let started = Instant::now();
+        let table = if build_left {
+            JoinTable::build(left, left_keys)
+        } else {
+            JoinTable::build(right, right_keys)
+        };
+        let built_rows = if build_left { left.rows() } else { right.rows() };
+        let us = self.stats.record(OpKind::JoinBuild, started, built_rows);
+        self.stats.ops[OpKind::JoinBuild as usize].self_ns += filter_ns;
+        s2_exec::obs::histogram!("query.join.build_us").record(us);
+        let started = Instant::now();
+        let out = if build_left {
+            table.probe_inner_from_right(right, right_keys, residual.as_ref())?
+        } else {
+            table.probe(left, left_keys, join_type, residual.as_ref())?
+        };
+        let us = self.stats.record(OpKind::JoinProbe, started, out.rows());
+        s2_exec::obs::histogram!("query.join.probe_us").record(us);
+        Ok(out)
+    }
 }
 
 /// Render a batch as aligned text rows (examples and debugging).

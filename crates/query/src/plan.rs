@@ -139,4 +139,20 @@ impl Plan {
     pub fn limit(self, n: usize) -> Plan {
         Plan::Limit { input: Box::new(self), n }
     }
+
+    /// Number of output columns.
+    pub fn width(&self) -> usize {
+        match self {
+            Plan::Scan { projection, .. } => projection.len(),
+            Plan::Filter { input, .. } | Plan::Sort { input, .. } | Plan::Limit { input, .. } => {
+                input.width()
+            }
+            Plan::Project { exprs, .. } => exprs.len(),
+            Plan::Join { left, right, join_type, .. } => match join_type {
+                JoinType::Inner | JoinType::Left => left.width() + right.width(),
+                JoinType::Semi | JoinType::Anti => left.width(),
+            },
+            Plan::Aggregate { group_by, aggregates, .. } => group_by.len() + aggregates.len(),
+        }
+    }
 }

@@ -1,13 +1,13 @@
 //! Query-engine integration tests: plans spanning scans, joins (including
-//! the adaptive join index filter), aggregation and sorting over real
-//! unified-table data.
+//! the join key filters the smaller side pushes into the other side's
+//! scans), aggregation and sorting over real unified-table data.
 
 use std::sync::Arc;
 
 use s2_common::schema::ColumnDef;
 use s2_common::{DataType, Row, Schema, TableOptions, Value};
 use s2_core::{MemFileStore, Partition};
-use s2_exec::{AggFunc, Aggregate, CmpOp, Expr, JoinType, SortDir};
+use s2_exec::{hash_join, scan, AggFunc, Aggregate, CmpOp, Expr, JoinType, ScanOptions, SortDir};
 use s2_query::{execute, execute_with_stats, ExecOptions, ExecStats, Plan};
 use s2_wal::Log;
 
@@ -102,13 +102,53 @@ fn join_index_filter_fires_for_small_build_side() {
     assert_eq!(stats.join_index_filters, 1);
     assert_eq!(stats.hash_joins, 0);
 
-    // Disabled -> plain hash join, same result.
-    let opts = ExecOptions { join_index_threshold: 0, ..Default::default() };
-    let mut stats2 = ExecStats::default();
-    let out2 = execute_with_stats(&plan, &snap, &opts, &mut stats2).unwrap();
-    assert_eq!(out2.rows(), 175);
-    assert_eq!(stats2.join_index_filters, 0);
-    assert_eq!(stats2.hash_joins, 1);
+    // The 7 customer keys filtered the orders scan down to their orders.
+    assert_eq!(stats.scan.rows_output, 7 + 175, "{:?}", stats.scan);
+
+    // Two unfiltered scans and the plain hash-join kernel: same batch.
+    let opts = ScanOptions::default();
+    let orders = scan(snap.table_by_name("orders").unwrap(), &[0, 1, 2], None, &opts).unwrap().0;
+    let eu = Expr::eq(2, "EU");
+    let customers =
+        scan(snap.table_by_name("customers").unwrap(), &[0, 2], Some(&eu), &opts).unwrap().0;
+    let naive = hash_join(&orders, &customers, &[1], &[0], JoinType::Inner, None).unwrap();
+    assert_eq!(format!("{:?}", out.columns), format!("{:?}", naive.columns));
+
+    // The same keys against the orders primary key, a column they cover
+    // sparsely (7 of 500 ids): the scan answers them with index probes.
+    let plan = Plan::scan("orders", vec![0, 1, 2], None).join(
+        Plan::scan("customers", vec![0, 2], Some(Expr::eq(2, "EU"))),
+        vec![0],
+        vec![0],
+    );
+    let mut stats = ExecStats::default();
+    let out = execute_with_stats(&plan, &snap, &ExecOptions::default(), &mut stats).unwrap();
+    assert!(stats.scan.index_filters >= 1, "{:?}", stats.scan);
+    assert!(stats.scan.segments_skipped_index >= 1, "{:?}", stats.scan);
+    let naive = hash_join(&orders, &customers, &[0], &[0], JoinType::Inner, None).unwrap();
+    assert_eq!(out.rows(), 7);
+    assert_eq!(format!("{:?}", out.columns), format!("{:?}", naive.columns));
+}
+
+#[test]
+fn empty_first_side_skips_every_segment_of_the_other_scan() {
+    let p = setup();
+    let snap = p.read_snapshot();
+    let orders_segments = snap.table_by_name("orders").unwrap().segments.len();
+    assert!(orders_segments >= 2);
+    // No customer is in region "MARS": the customers side runs first, comes
+    // out empty, and its empty key set eliminates every orders segment.
+    let plan = Plan::scan("orders", vec![0, 1, 2], None).join(
+        Plan::scan("customers", vec![0, 2], Some(Expr::eq(2, "MARS"))),
+        vec![1],
+        vec![0],
+    );
+    let mut stats = ExecStats::default();
+    let out = execute_with_stats(&plan, &snap, &ExecOptions::default(), &mut stats).unwrap();
+    assert_eq!(out.rows(), 0);
+    assert_eq!(stats.scan.segments_skipped_minmax, orders_segments, "{:?}", stats.scan);
+    assert_eq!(stats.join_index_filters, 1);
+    assert_eq!(out.width(), 5);
 }
 
 #[test]

@@ -1,18 +1,21 @@
-//! `EXPLAIN` rendering: an indented plan tree annotated with the planner's
-//! cardinality estimates and the §5 clause-ranking numbers.
+//! `EXPLAIN` rendering: an indented plan tree annotated with the shared
+//! cardinality estimator's numbers ([`s2_query::stats`], the ones the
+//! executor decides by) and the §5 clause-ranking numbers.
 
 use std::fmt::Write as _;
 
 use s2_exec::{AggFunc, Expr, JoinType, SortDir};
+use s2_query::stats::{estimate, eval_cost, runs_first, Side};
 use s2_query::Plan;
 
 use crate::planner::Catalog;
-use crate::stats::eval_cost;
 
-/// Render `plan` as an indented tree. Scan nodes show the projected column
-/// names, the table's live row count and the estimated surviving rows, plus
-/// one line per filter conjunct with its estimated selectivity, cost and
-/// `(1-P)/cost` rank (the order the conjuncts run in).
+/// Render `plan` as an indented tree. Every node shows the estimator's
+/// `est=` rows. Scan nodes also show the projected column names and the
+/// table's live row count, plus one line per filter conjunct with its
+/// estimated selectivity, cost and `(1-P)/cost` rank (the order the
+/// conjuncts run in); join nodes show which input runs first (its key set
+/// then filters the other input's scans).
 pub fn explain_plan(plan: &Plan, cat: &Catalog<'_>) -> String {
     let mut out = String::new();
     render(plan, cat, 0, &mut out);
@@ -25,14 +28,14 @@ fn indent(out: &mut String, depth: usize) {
     }
 }
 
-fn render(plan: &Plan, cat: &Catalog<'_>, depth: usize, out: &mut String) -> f64 {
+fn render(plan: &Plan, cat: &Catalog<'_>, depth: usize, out: &mut String) {
+    let lookup = |t: &str| cat.stats(t);
+    let est = estimate(plan, &lookup).rows;
+    indent(out, depth);
     match plan {
         Plan::Scan { table, projection, filter } => {
             let info = cat.get(table).ok();
-            let (rows, stats) = match &info {
-                Some(i) => (i.stats.rows, Some(&i.stats)),
-                None => (0.0, None),
-            };
+            let rows = info.as_ref().map_or(0.0, |i| i.stats.rows);
             let cols: Vec<String> = projection
                 .iter()
                 .map(|&ord| match &info {
@@ -44,11 +47,6 @@ fn render(plan: &Plan, cat: &Catalog<'_>, depth: usize, out: &mut String) -> f64
                     None => format!("#{ord}"),
                 })
                 .collect();
-            let est = match (stats, filter) {
-                (Some(s), f) => s.filtered_rows(f.as_ref()),
-                (None, _) => rows,
-            };
-            indent(out, depth);
             let _ = writeln!(out, "Scan {table} [{}] rows={rows:.0} est={est:.0}", cols.join(", "));
             if let Some(f) = filter {
                 let conjuncts: Vec<&Expr> = match f {
@@ -57,8 +55,9 @@ fn render(plan: &Plan, cat: &Catalog<'_>, depth: usize, out: &mut String) -> f64
                 };
                 for c in conjuncts {
                     indent(out, depth + 1);
-                    match stats {
-                        Some(s) => {
+                    match &info {
+                        Some(i) => {
+                            let s = &i.stats;
                             let sel = s.selectivity(c);
                             let cost = eval_cost(c, &s.types);
                             let _ = writeln!(
@@ -74,38 +73,21 @@ fn render(plan: &Plan, cat: &Catalog<'_>, depth: usize, out: &mut String) -> f64
                     }
                 }
             }
-            est
         }
         Plan::Filter { input, predicate } => {
-            // Render children first into a scratch buffer so the node line
-            // can carry the estimate.
-            let mut child = String::new();
-            let in_est = render(input, cat, depth + 1, &mut child);
-            let est = in_est * 0.33;
-            indent(out, depth);
             let _ = writeln!(out, "Filter {} est={est:.0}", fmt_expr(predicate));
-            out.push_str(&child);
-            est
+            render(input, cat, depth + 1, out);
         }
         Plan::Project { input, exprs } => {
-            let mut child = String::new();
-            let est = render(input, cat, depth + 1, &mut child);
-            indent(out, depth);
             let rendered: Vec<String> = exprs.iter().map(|(e, _)| fmt_expr(e)).collect();
             let _ = writeln!(out, "Project [{}] est={est:.0}", rendered.join(", "));
-            out.push_str(&child);
-            est
+            render(input, cat, depth + 1, out);
         }
         Plan::Join { left, right, left_keys, right_keys, join_type, residual } => {
-            let mut lbuf = String::new();
-            let mut rbuf = String::new();
-            let lest = render(left, cat, depth + 1, &mut lbuf);
-            let rest = render(right, cat, depth + 1, &mut rbuf);
-            let est = match join_type {
-                JoinType::Inner | JoinType::Left => lest.max(rest),
-                JoinType::Semi | JoinType::Anti => lest * 0.5,
+            let first = match runs_first(&estimate(left, &lookup), &estimate(right, &lookup)) {
+                Side::Left => "left",
+                Side::Right => "right",
             };
-            indent(out, depth);
             let kind = match join_type {
                 JoinType::Inner => "Inner",
                 JoinType::Left => "Left",
@@ -118,16 +100,15 @@ fn render(plan: &Plan, cat: &Catalog<'_>, depth: usize, out: &mut String) -> f64
                 Some(r) => format!(" residual {}", fmt_expr(r)),
                 None => String::new(),
             };
-            let _ = writeln!(out, "HashJoin {kind} keys=[{}]{res} est={est:.0}", keys.join(", "));
-            out.push_str(&lbuf);
-            out.push_str(&rbuf);
-            est
+            let _ = writeln!(
+                out,
+                "HashJoin {kind} keys=[{}]{res} first={first} est={est:.0}",
+                keys.join(", ")
+            );
+            render(left, cat, depth + 1, out);
+            render(right, cat, depth + 1, out);
         }
         Plan::Aggregate { input, group_by, aggregates } => {
-            let mut child = String::new();
-            let in_est = render(input, cat, depth + 1, &mut child);
-            let est = if group_by.is_empty() { 1.0 } else { (in_est / 4.0).max(1.0) };
-            indent(out, depth);
             let groups: Vec<String> = group_by.iter().map(fmt_expr).collect();
             let aggs: Vec<String> = aggregates
                 .iter()
@@ -139,17 +120,9 @@ fn render(plan: &Plan, cat: &Catalog<'_>, depth: usize, out: &mut String) -> f64
                 groups.join(", "),
                 aggs.join(", ")
             );
-            out.push_str(&child);
-            est
+            render(input, cat, depth + 1, out);
         }
         Plan::Sort { input, keys, limit } => {
-            let mut child = String::new();
-            let in_est = render(input, cat, depth + 1, &mut child);
-            let est = match limit {
-                Some(n) => in_est.min(*n as f64),
-                None => in_est,
-            };
-            indent(out, depth);
             let rendered: Vec<String> = keys
                 .iter()
                 .map(|(k, d)| {
@@ -161,17 +134,11 @@ fn render(plan: &Plan, cat: &Catalog<'_>, depth: usize, out: &mut String) -> f64
                 None => String::new(),
             };
             let _ = writeln!(out, "Sort [{}]{lim} est={est:.0}", rendered.join(", "));
-            out.push_str(&child);
-            est
+            render(input, cat, depth + 1, out);
         }
         Plan::Limit { input, n } => {
-            let mut child = String::new();
-            let in_est = render(input, cat, depth + 1, &mut child);
-            let est = in_est.min(*n as f64);
-            indent(out, depth);
             let _ = writeln!(out, "Limit {n} est={est:.0}");
-            out.push_str(&child);
-            est
+            render(input, cat, depth + 1, out);
         }
     }
 }
@@ -237,5 +204,6 @@ pub fn fmt_expr(e: &Expr) -> String {
         }
         Expr::Year(inner) => format!("YEAR({})", fmt_expr(inner)),
         Expr::Substr(inner, s, l) => format!("SUBSTR({}, {s}, {l})", fmt_expr(inner)),
+        Expr::KeyFilter(inner, kf) => format!("({} IN KEYS({} keys))", fmt_expr(inner), kf.keys()),
     }
 }

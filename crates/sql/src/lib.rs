@@ -5,7 +5,7 @@
 //! ([`optimize`]): constant folding, predicate pushdown into `Scan.filter`,
 //! projection pruning, and cost-based join ordering plus §5-style
 //! `(1 - P) / cost` clause ranking fed by segment min/max metadata and row
-//! counts ([`stats`]).
+//! counts ([`stats`], the estimator `s2-query` shares with the executor).
 //!
 //! Entry points: [`plan`] compiles SQL text into an executable plan,
 //! [`query`] plans and runs it against any [`QueryContext`], and
@@ -18,7 +18,7 @@ pub mod lexer;
 mod optimize;
 pub mod parser;
 pub mod planner;
-pub mod stats;
+pub use s2_query::stats;
 
 use std::time::Instant;
 

@@ -5,14 +5,14 @@ use s2_exec::Expr;
 use s2_query::Plan;
 
 use crate::planner::Catalog;
-use crate::stats::TableStats;
+use s2_query::stats::TableStats;
 
 /// Fold constant subexpressions bottom-up. Only pure scalar operators over
 /// literal operands fold; anything that errors at fold time (e.g. division
 /// by zero) is left in place so the failure stays a runtime error.
 pub fn fold_expr(e: Expr) -> Expr {
     let folded = match e {
-        Expr::Column(_) | Expr::Literal(_) => return e,
+        Expr::Column(_) | Expr::Literal(_) | Expr::KeyFilter(..) => return e,
         Expr::Cmp(op, a, b) => Expr::Cmp(op, Box::new(fold_expr(*a)), Box::new(fold_expr(*b))),
         Expr::And(parts) => Expr::And(parts.into_iter().map(fold_expr).collect()),
         Expr::Or(parts) => Expr::Or(parts.into_iter().map(fold_expr).collect()),

@@ -20,7 +20,7 @@ use s2_exec::{AggFunc, Aggregate, CmpOp, Expr, JoinType, SortDir};
 use s2_query::{Plan, QueryContext};
 
 use crate::ast::{FuncName, JoinKind, OrderItem, Select, SelectItem, SqlExpr, TableRef};
-use crate::stats::TableStats;
+use s2_query::stats::{self, TableStats};
 
 /// Virtual column ids encode (relation index, field ordinal) so expressions
 /// can be bound before batch positions are known.
@@ -38,7 +38,7 @@ pub struct TableInfo {
     /// (column name, type) in ordinal order.
     pub fields: Vec<(String, DataType)>,
     /// Merged statistics.
-    pub stats: TableStats,
+    pub stats: Arc<TableStats>,
 }
 
 /// Caching resolver from table names to schema + statistics, backed by the
@@ -52,6 +52,12 @@ impl<'a> Catalog<'a> {
     /// Build a catalog over `ctx`.
     pub fn new(ctx: &'a dyn QueryContext) -> Catalog<'a> {
         Catalog { ctx, cache: RefCell::new(HashMap::new()) }
+    }
+
+    /// The statistics of one table (`None` when it cannot be resolved): the
+    /// shared estimator's lookup.
+    pub fn stats(&self, name: &str) -> Option<Arc<TableStats>> {
+        self.get(name).ok().map(|info| Arc::clone(&info.stats))
     }
 
     /// Resolve one table, caching the result for the planning session.
@@ -68,7 +74,7 @@ impl<'a> Catalog<'a> {
         let info = Arc::new(TableInfo {
             name: name.to_string(),
             fields,
-            stats: TableStats::collect(&snaps),
+            stats: Arc::new(TableStats::collect(&snaps)),
         });
         self.cache.borrow_mut().insert(name.to_string(), Arc::clone(&info));
         Ok(info)
@@ -81,8 +87,6 @@ pub(crate) struct LoweredSelect {
     pub plan: Plan,
     /// Output (name, type) per column.
     pub fields: Vec<(String, DataType)>,
-    /// Rough output cardinality estimate.
-    pub est_rows: f64,
 }
 
 enum Source {
@@ -300,11 +304,9 @@ impl<'a, 'c> Planner<'a, 'c> {
         let mut chain_types: Vec<DataType> = Vec::new();
         let mut width = 0usize;
         let mut plan: Option<Plan> = None;
-        let mut est = 0.0f64;
         for (step, &ri) in chain.iter().enumerate() {
             let rel = &self.rels[ri];
             let proj = &projections[ri];
-            let rel_est = self.rel_est(rel, ri);
             let rplan = self.build_rel(rel, proj);
             let rel_width = proj.len();
             let self_pos = |v: usize| -> Result<usize> {
@@ -320,7 +322,6 @@ impl<'a, 'c> Planner<'a, 'c> {
                 }
                 width = rel_width;
                 plan = Some(rplan);
-                est = rel_est;
                 continue;
             }
             let mut left_keys = Vec::new();
@@ -357,11 +358,6 @@ impl<'a, 'c> Planner<'a, 'c> {
                     .expect("chain started")
                     .join_full(rplan, left_keys, right_keys, jt, residual),
             );
-            est = match jt {
-                JoinType::Inner => est.max(rel_est),
-                JoinType::Left => est.max(rel_est),
-                JoinType::Semi | JoinType::Anti => est,
-            };
             if rel.visible_after_join() {
                 for (idx, &ord) in proj.iter().enumerate() {
                     positions.insert(vcol(ri, ord), width + idx);
@@ -377,7 +373,6 @@ impl<'a, 'c> Planner<'a, 'c> {
                 post.iter().map(|e| map_columns(e, &|v| self.position_of(&positions, v))).collect();
             let pred = and_all(mapped?).expect("nonempty post filter");
             plan = plan.filter(pred);
-            est *= 0.33;
         }
 
         // Aggregation (or DISTINCT, which is an aggregate with no outputs).
@@ -412,7 +407,6 @@ impl<'a, 'c> Planner<'a, 'c> {
                     AggFunc::Min | AggFunc::Max => infer_type(&a.input, &chain_types)?,
                 });
             }
-            est = if groups_mapped.is_empty() { 1.0 } else { (est / 4.0).max(1.0) };
             plan = plan.aggregate(groups_mapped, aggs_mapped);
             if let Some(h) = having_rewritten {
                 plan = plan.filter(h);
@@ -456,11 +450,7 @@ impl<'a, 'c> Planner<'a, 'c> {
         } else if let Some(n) = sel.limit {
             plan = plan.limit(n as usize);
         }
-        if let Some(n) = sel.limit {
-            est = est.min(n as f64);
-        }
-
-        Ok(LoweredSelect { plan, fields, est_rows: est })
+        Ok(LoweredSelect { plan, fields })
     }
 
     fn collect_rels(&mut self, sel: &Select) -> Result<()> {
@@ -563,7 +553,7 @@ impl<'a, 'c> Planner<'a, 'c> {
                 let filter = and_all(rel.pushed.clone());
                 info.stats.filtered_rows(filter.as_ref())
             }
-            Source::Derived(l) => l.est_rows,
+            Source::Derived(l) => stats::estimate(&l.plan, &|t| self.cat.stats(t)).rows,
         }
     }
 
@@ -976,6 +966,7 @@ pub(crate) fn map_columns(e: &Expr, f: &dyn Fn(usize) -> Result<usize>) -> Resul
         },
         Expr::Year(inner) => Expr::Year(Box::new(map_columns(inner, f)?)),
         Expr::Substr(inner, s, l) => Expr::Substr(Box::new(map_columns(inner, f)?), *s, *l),
+        Expr::KeyFilter(inner, kf) => Expr::KeyFilter(Box::new(map_columns(inner, f)?), kf.clone()),
     })
 }
 
@@ -999,6 +990,7 @@ fn infer_opt(e: &Expr, inputs: &[DataType]) -> Result<Option<DataType>> {
         | Expr::IsNull(_)
         | Expr::InList(..)
         | Expr::Like(..)
+        | Expr::KeyFilter(..)
         | Expr::Year(_) => Some(DataType::Int64),
         Expr::Substr(..) => Some(DataType::Str),
         Expr::Arith(_, a, b) => {

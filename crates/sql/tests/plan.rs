@@ -170,6 +170,41 @@ fn explain_shows_ranked_filters_and_costs() {
 }
 
 #[test]
+fn explain_join_shows_the_side_that_runs_first_and_its_estimate() {
+    let p = setup();
+    let text = p
+        .read_snapshot()
+        .explain(
+            "SELECT o_id, c_name FROM orders JOIN customers ON o_cust = c_id \
+             WHERE c_region = 'EU'",
+        )
+        .unwrap();
+    // 20 customers at the flat 0.1 string-equality selectivity: 2 rows, so
+    // the customers side runs first. Join: 500 · 2 / max(ndv) where o_cust
+    // spans 20 values and c_id's 20 are capped by the side's 2 rows.
+    assert!(text.contains("HashJoin Inner keys=[#1=#0] first=right est=50"), "{text}");
+    assert!(text.contains("Scan customers [c_id, c_name] rows=20 est=2"), "{text}");
+}
+
+#[test]
+fn in_list_with_a_repeated_member_returns_the_row_once() {
+    let p = setup();
+    // A fresh order stays in the rowstore, where the index probe answers it.
+    let orders = p.table_by_name("orders").unwrap().id;
+    let mut txn = p.begin();
+    let row = vec![Value::Int(900), Value::Int(1), Value::Double(1.0), Value::str("open")];
+    txn.insert(orders, Row::new(row)).unwrap();
+    txn.commit().unwrap();
+    for list in ["900, 900", "900, 900.0", "900, 7, 900, 7.0"] {
+        let sql = format!("SELECT o_id FROM orders WHERE o_id IN ({list}) ORDER BY o_id");
+        let out = run(&p, &sql);
+        let want = if list.contains('7') { 2 } else { 1 };
+        assert_eq!(out.rows(), want, "{sql}");
+        assert_eq!(out.value(0, out.rows() - 1), Value::Int(900), "{sql}");
+    }
+}
+
+#[test]
 fn explain_statement_returns_plan_column() {
     let p = setup();
     let out = run(&p, "EXPLAIN SELECT o_id FROM orders WHERE o_cust = 1");

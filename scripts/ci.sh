@@ -98,13 +98,18 @@ echo "== operators =="
 # row-at-a-time Value reference model kept in the test (byte-identical rows,
 # row and group order included), and threads=1 vs 8 equality of join,
 # aggregate and sort plans — also raced across 8 test threads and with the
-# process-wide scan pool pinned serial and oversubscribed.
+# process-wide scan pool pinned serial and oversubscribed. join_filters runs
+# random join trees (pushed join key filters, either build side) against
+# unfiltered scans joined by the plain hash-join kernel, at the same counts.
 cargo test -q -p s2-exec --test operator_equivalence --test parallel_scan "${CARGO_FLAGS[@]}"
+cargo test -q -p s2-query --test join_filters "${CARGO_FLAGS[@]}"
 cargo test -q -p s2-exec --test operator_equivalence --test parallel_scan "${CARGO_FLAGS[@]}" \
     -- --test-threads=8
+cargo test -q -p s2-query --test join_filters "${CARGO_FLAGS[@]}" -- --test-threads=8
 for threads in 1 8; do
     S2_SCAN_THREADS=$threads cargo test -q -p s2-exec --test operator_equivalence \
         --test parallel_scan "${CARGO_FLAGS[@]}"
+    S2_SCAN_THREADS=$threads cargo test -q -p s2-query --test join_filters "${CARGO_FLAGS[@]}"
 done
 
 echo "== ledger =="
