@@ -121,7 +121,7 @@ fn sum_value(vals: &[i64]) -> Value {
 }
 
 fn gen_case(rng: &mut StdRng, d: &Data) -> Case {
-    match rng.random_range(0..7u32) {
+    match rng.random_range(0..9u32) {
         // Projection + conjunctive filter + sort direction + optional limit.
         0 => {
             let x = rng.random_range(-100..100i64);
@@ -224,6 +224,55 @@ fn gen_case(rng: &mut StdRng, d: &Data) -> Case {
                      ORDER BY grp"
                 ),
                 expect,
+            }
+        }
+        // A join under a cross-table OR: each side gets the filter the OR
+        // implies for it (`v > x OR v < y` on t, a name IN list on u).
+        6 => {
+            let (x, y) = (rng.random_range(-100..100i64), rng.random_range(-100..100i64));
+            let (a, b) = (rng.random_range(0..10i64), rng.random_range(0..10i64));
+            let (name_a, name_b) = (format!("group-{a}"), format!("group-{b}"));
+            let rows: Vec<(i64, String)> =
+                d.t.iter()
+                    .filter_map(|r| {
+                        let (_, n) = d.u.iter().find(|(id, _)| *id == r.1)?;
+                        ((r.2 > x && *n == name_a) || (r.2 < y && *n == name_b))
+                            .then(|| (r.0, n.clone()))
+                    })
+                    .collect();
+            Case {
+                sql: format!(
+                    "SELECT k, name FROM t JOIN u ON grp = id \
+                     WHERE (v > {x} AND name = '{name_a}') OR (v < {y} AND name = '{name_b}') \
+                     ORDER BY k"
+                ),
+                expect: rows.into_iter().map(|(k, n)| vec![Value::Int(k), Value::str(n)]).collect(),
+            }
+        }
+        // The LEFT JOIN form: only the preserved side t gets a derived
+        // filter; `name IS NULL` keeps the rows with no group below g.
+        7 => {
+            let (x, y) = (rng.random_range(-100..100i64), rng.random_range(-100..100i64));
+            let (a, g) = (rng.random_range(0..10i64), rng.random_range(0..10i64));
+            let name_a = format!("group-{a}");
+            let rows: Vec<(i64, Option<String>)> =
+                d.t.iter()
+                    .filter_map(|r| {
+                        let n = d.u.iter().find(|(id, _)| *id == r.1 && *id < g).map(|(_, n)| n);
+                        let keep = (r.2 > x && n == Some(&name_a)) || (r.2 < y && n.is_none());
+                        keep.then(|| (r.0, n.cloned()))
+                    })
+                    .collect();
+            Case {
+                sql: format!(
+                    "SELECT k, name FROM t LEFT JOIN u ON grp = id AND id < {g} \
+                     WHERE (v > {x} AND name = '{name_a}') OR (v < {y} AND name IS NULL) \
+                     ORDER BY k"
+                ),
+                expect: rows
+                    .into_iter()
+                    .map(|(k, n)| vec![Value::Int(k), n.map_or(Value::Null, Value::str)])
+                    .collect(),
             }
         }
         // CASE expression in the projection.

@@ -2,7 +2,8 @@
 //!
 //! Pipeline: [`lexer`] → [`parser`] → [`ast`] → name resolution and typing →
 //! lowering to [`s2_query::Plan`] ([`planner`]) → plan rewrites
-//! ([`optimize`]): constant folding, predicate pushdown into `Scan.filter`,
+//! ([`optimize`]): constant folding, predicate pushdown into `Scan.filter`
+//! (with the per-relation filters a cross-relation OR implies),
 //! projection pruning, and cost-based join ordering plus §5-style
 //! `(1 - P) / cost` clause ranking fed by segment min/max metadata and row
 //! counts ([`stats`], the estimator `s2-query` shares with the executor).

@@ -3,11 +3,12 @@
 //!
 //! The lowering performs the classical logical optimizations inline:
 //! single-relation WHERE/ON conjuncts are pushed into `Scan.filter` (table
-//! ordinals), base-table projections are pruned to the demanded column set,
-//! equality conjuncts become hash-join keys, and comma-separated FROM lists
-//! are join-ordered by cost (largest filtered relation drives, smallest
-//! connected relation builds next — the §5 `(1-P)/cost` estimates feed the
-//! per-relation cardinalities). Explicit `JOIN ... ON` chains keep their
+//! ordinals), and so is the filter a cross-relation OR implies for each
+//! relation it constrains in every disjunct; base-table projections are
+//! pruned to the demanded column set, equality conjuncts become hash-join
+//! keys, and comma-separated FROM lists are join-ordered by cost (largest
+//! filtered relation drives, smallest connected relation builds next — the
+//! §5 `(1-P)/cost` estimates feed the per-relation cardinalities). Explicit `JOIN ... ON` chains keep their
 //! syntactic order so a query author (and the plan-equivalence tests) can
 //! pin a join tree exactly.
 
@@ -144,7 +145,8 @@ impl<'a, 'c> Planner<'a, 'c> {
         self.collect_rels(sel)?;
         let outer_mask: Vec<bool> = self.rels.iter().map(Rel::visible_after_join).collect();
 
-        // ON clauses: keys, residuals and self-only pushdowns per relation.
+        // ON clauses: keys, residuals and self-only pushdowns per relation,
+        // plus what an OR residual implies for the relation it joins.
         let mut keys: Vec<Vec<(usize, usize)>> = vec![Vec::new(); self.rels.len()];
         let mut residuals: Vec<Vec<Expr>> = vec![Vec::new(); self.rels.len()];
         for i in 0..self.rels.len() {
@@ -160,13 +162,18 @@ impl<'a, 'c> Planner<'a, 'c> {
                 } else if let Some(pair) = self.key_pair(&lowered, i) {
                     keys[i].push(pair);
                 } else {
+                    if let Some(implied) = self.implied_filter(&lowered, i) {
+                        self.push_down(i, implied);
+                    }
                     residuals[i].push(lowered);
                 }
             }
         }
 
         // WHERE: single-relation conjuncts push down; comma-style equality
-        // conjuncts become join edges; the rest filter after the joins.
+        // conjuncts become join edges; the rest filter after the joins, and
+        // an OR among them also filters each relation a written conjunct on
+        // it would reach by what it implies for that relation.
         let mut post: Vec<Expr> = Vec::new();
         let mut edges: Vec<Edge> = Vec::new();
         if let Some(w) = &sel.where_ {
@@ -183,6 +190,14 @@ impl<'a, 'c> Planner<'a, 'c> {
                 } else if let Some(edge) = self.equi_edge(&lowered, &rset) {
                     edges.push(edge);
                 } else {
+                    for &r in &rset {
+                        if self.rels[r].kind == JoinKind::Left {
+                            continue;
+                        }
+                        if let Some(implied) = self.implied_filter(&lowered, r) {
+                            self.push_down(r, implied);
+                        }
+                    }
                     post.push(lowered);
                 }
             }
@@ -499,6 +514,60 @@ impl<'a, 'c> Planner<'a, 'c> {
         // tables keep output positions (ordinal == position there).
         let remapped = map_columns(&lowered, &|v| Ok(v & ORD_MASK)).expect("infallible remap");
         self.rels[rel].pushed.push(remapped);
+    }
+
+    /// The filter a cross-relation OR implies for relation `rel` (DESIGN.md
+    /// §12, derived filters): for `D1 OR … OR Dk` where `rel` has conjuncts
+    /// of its own that cannot fail ([`Planner::cannot_fail`]) in every `Di`,
+    /// `OR_i (those conjuncts of Di)`. Every row the OR keeps passes it, so
+    /// `rel` may be filtered by it before the join while the OR stays where
+    /// it is, and it raises no error of its own.
+    fn implied_filter(&self, e: &Expr, rel: usize) -> Option<Expr> {
+        let Expr::Or(disjuncts) = e else { return None };
+        let mut parts: Vec<Expr> = Vec::new();
+        for d in disjuncts {
+            let own: Vec<Expr> = crate::optimize::fold_expr(d.clone())
+                .split_conjuncts()
+                .into_iter()
+                .filter(|c| rels_of(c).into_iter().eq([rel]) && self.cannot_fail(c))
+                .collect();
+            let part = and_all(own)?;
+            if !parts.contains(&part) {
+                parts.push(part);
+            }
+        }
+        Some(or_of(parts))
+    }
+
+    /// Whether `e` evaluates without error on every row: one column compared
+    /// with literals of a compatible type (`= <> < <= > >=`, BETWEEN, IN,
+    /// LIKE on a string column, IS NULL), and AND, OR and NOT of those.
+    fn cannot_fail(&self, e: &Expr) -> bool {
+        let column_type = |x: &Expr| match x {
+            Expr::Column(v) => Some(self.field_type(v >> REL_SHIFT, v & ORD_MASK)),
+            _ => None,
+        };
+        let fits = |t: DataType, v: &Value| match v.data_type() {
+            None => true,
+            Some(DataType::Str) => t == DataType::Str,
+            Some(_) => t != DataType::Str,
+        };
+        match e {
+            Expr::And(parts) | Expr::Or(parts) => parts.iter().all(|p| self.cannot_fail(p)),
+            Expr::Not(inner) => self.cannot_fail(inner),
+            Expr::IsNull(inner) => column_type(inner).is_some(),
+            Expr::Like(inner, _) => column_type(inner) == Some(DataType::Str),
+            Expr::InList(inner, vals) => {
+                column_type(inner).is_some_and(|t| vals.iter().all(|v| fits(t, v)))
+            }
+            Expr::Cmp(_, a, b) => match (a.as_ref(), b.as_ref()) {
+                (col, Expr::Literal(v)) | (Expr::Literal(v), col) => {
+                    column_type(col).is_some_and(|t| fits(t, v))
+                }
+                _ => false,
+            },
+            _ => false,
+        }
     }
 
     /// `left_prefix.col = self.col` in an ON clause becomes a hash-key pair
@@ -920,6 +989,33 @@ fn or_flat(a: Expr, b: Expr) -> Expr {
         }
         (x, y) => Expr::Or(vec![x, y]),
     }
+}
+
+/// The disjunction of `parts`: one IN list when every part is an equality
+/// or an IN list on the same column, else their flattened OR.
+fn or_of(parts: Vec<Expr>) -> Expr {
+    fn members(e: &Expr) -> Option<(&Expr, &[Value])> {
+        match e {
+            Expr::Cmp(CmpOp::Eq, a, b) => match (a.as_ref(), b.as_ref()) {
+                (col @ Expr::Column(_), Expr::Literal(v))
+                | (Expr::Literal(v), col @ Expr::Column(_)) => Some((col, std::slice::from_ref(v))),
+                _ => None,
+            },
+            Expr::InList(col, vals) if matches!(col.as_ref(), Expr::Column(_)) => Some((col, vals)),
+            _ => None,
+        }
+    }
+    let lists: Option<Vec<(&Expr, &[Value])>> = parts.iter().map(members).collect();
+    if let Some(lists) = lists.filter(|l| l.iter().all(|(col, _)| *col == l[0].0)) {
+        let mut vals: Vec<Value> = Vec::new();
+        for v in lists.iter().flat_map(|(_, vs)| vs.iter()) {
+            if !vals.contains(v) {
+                vals.push(v.clone());
+            }
+        }
+        return Expr::InList(Box::new(lists[0].0.clone()), vals);
+    }
+    parts.into_iter().reduce(or_flat).expect("one part per disjunct")
 }
 
 /// Fold a conjunct list into one expression (flattening nested ANDs the same

@@ -96,4 +96,47 @@ fn tpch_sql_explains_show_pushdown_and_cost_annotations() {
     assert!(text.contains("HashJoin Inner"), "{text}");
     assert!(text.contains("Scan customer"), "{text}");
     assert!(text.contains("est="), "{text}");
+
+    // Q7: the post-join nation OR implies each alias's own IN list, so both
+    // nation scans filter before the joins; the OR itself stays above them.
+    let tpch::sql::SqlForm::Single(q7) = tpch::sql::query_sql(7).unwrap() else {
+        panic!("q7 is single-statement")
+    };
+    let text = s2_sql::explain(&ctx, q7).unwrap();
+    // (members in the order the disjuncts name them: n1 FRANCE first, n2
+    // GERMANY first)
+    for nation_in in [
+        "filter (#1 IN (Str(\"FRANCE\"), Str(\"GERMANY\")))",
+        "filter (#1 IN (Str(\"GERMANY\"), Str(\"FRANCE\")))",
+    ] {
+        assert_eq!(text.matches(nation_in).count(), 1, "{nation_in}:\n{text}");
+    }
+    assert!(text.contains("Filter (("), "the OR stays a post-join filter:\n{text}");
+
+    // Q19: the three-way OR gives `part` the OR of its three conjunctions
+    // and `lineitem` the OR of its three `l_quantity` ranges.
+    let tpch::sql::SqlForm::Single(q19) = tpch::sql::query_sql(19).unwrap() else {
+        panic!("q19 is single-statement")
+    };
+    let text = s2_sql::explain(&ctx, q19).unwrap();
+    let part = text.split("Scan part").nth(1).unwrap_or_else(|| panic!("part scan:\n{text}"));
+    assert!(
+        part.contains(
+            "filter (((#3 = Str(\"Brand#12\")) AND (#6 IN (Str(\"SM CASE\"), Str(\"SM BOX\"), \
+             Str(\"SM PACK\"), Str(\"SM PKG\"))) AND (#5 >= Int(1)) AND (#5 <= Int(5))) OR"
+        ),
+        "part carries its derived OR:\n{text}"
+    );
+    assert_eq!(part.matches("Brand#").count(), 3, "one part per disjunct:\n{text}");
+    let lineitem = text.split("Scan lineitem").nth(1).expect("lineitem scan");
+    let lineitem = lineitem.split("Scan part").next().expect("lineitem filters");
+    assert!(
+        lineitem.contains(
+            "filter (((#4 >= Double(1.0)) AND (#4 <= Double(11.0))) OR \
+             ((#4 >= Double(10.0)) AND (#4 <= Double(20.0))) OR \
+             ((#4 >= Double(20.0)) AND (#4 <= Double(30.0))))"
+        ),
+        "lineitem carries its l_quantity ranges:\n{text}"
+    );
+    assert!(text.contains("Filter (((#5 = Str(\"Brand#12\"))"), "the OR stays:\n{text}");
 }
