@@ -8,7 +8,7 @@
 //! typed bulk `gather`; residuals and aggregate inputs go through the
 //! vectorized evaluator ([`crate::veval`], so `AND`/`OR` do not
 //! short-circuit per row); every aggregate feeds its typed input lane to
-//! `Acc::update`, the one accumulation path, whose accumulators are typed
+//! `Acc::feed`, the one accumulation path, whose accumulators are typed
 //! lanes indexed by group slot; sort compares typed cells.
 //!
 //! **Determinism rule.** Output never depends on hash values, thread
@@ -17,6 +17,7 @@
 //! every accumulator is fed its rows in input order (f64 addition is not
 //! associative, so this fixes the sums bit for bit).
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 
 use s2_common::{BitVec, DataType, Error, Result, Value};
@@ -270,6 +271,48 @@ pub(crate) enum SlotMap {
     PerRow(Vec<u32>),
 }
 
+/// One aggregate's input over a run of rows, in the form its accumulator
+/// reads it. `C` is the lane: a `Cow` straight from the evaluator, or
+/// whatever owned handle a caller keeps it in until [`Acc::feed`].
+pub(crate) enum AccInput<C> {
+    /// COUNT of a NULL constant: no row counts.
+    Nothing,
+    /// COUNT of a non-NULL constant (COUNT(*)): every row counts.
+    EveryRow,
+    /// A typed lane, one cell per row.
+    Lane(C),
+}
+
+impl<'a> AccInput<Cow<'a, ColumnVector>> {
+    /// Resolve `func`'s evaluated input over `n` rows. This is the only
+    /// step of an update that can fail; [`Acc::feed`] cannot.
+    pub(crate) fn new(func: AggFunc, input: EvalVec<'a>, n: usize) -> Result<Self> {
+        Ok(match (func, input) {
+            (AggFunc::Count, EvalVec::Scalar(v)) if v.is_null() => AccInput::Nothing,
+            (AggFunc::Count, EvalVec::Scalar(_)) => AccInput::EveryRow,
+            (_, input) => AccInput::Lane(input.into_column(n, None)?),
+        })
+    }
+}
+
+impl<C> AccInput<C> {
+    pub(crate) fn map<D>(self, f: impl FnOnce(C) -> D) -> AccInput<D> {
+        match self {
+            AccInput::Nothing => AccInput::Nothing,
+            AccInput::EveryRow => AccInput::EveryRow,
+            AccInput::Lane(c) => AccInput::Lane(f(c)),
+        }
+    }
+
+    pub(crate) fn as_ref(&self) -> AccInput<&C> {
+        match self {
+            AccInput::Nothing => AccInput::Nothing,
+            AccInput::EveryRow => AccInput::EveryRow,
+            AccInput::Lane(c) => AccInput::Lane(c),
+        }
+    }
+}
+
 /// One aggregate's accumulators, one entry per group slot. Each variant
 /// keeps only what its function's output reads.
 pub(crate) enum Acc {
@@ -309,18 +352,16 @@ impl Acc {
     }
 
     /// Feed rows `0..n` of `input` to their slots, in row order.
-    pub(crate) fn update(&mut self, input: EvalVec<'_>, slots: &SlotMap, n: usize) -> Result<()> {
-        let col = match (&*self, input) {
-            // COUNT over a constant (COUNT(*)) has no lane to look at.
-            (Acc::Count(_), EvalVec::Scalar(v)) if v.is_null() => return Ok(()),
-            (Acc::Count(_), EvalVec::Scalar(_)) => None,
-            (_, input) => Some(input.into_column(n, None)?),
+    pub(crate) fn feed(&mut self, input: AccInput<&ColumnVector>, slots: &SlotMap, n: usize) {
+        let col = match input {
+            AccInput::Nothing => return,
+            AccInput::EveryRow => None,
+            AccInput::Lane(col) => Some(col),
         };
         match slots {
-            SlotMap::Uniform(s) => self.update_lane(col.as_deref(), n, |_| *s as usize),
-            SlotMap::PerRow(v) => self.update_lane(col.as_deref(), n, |i| v[i] as usize),
+            SlotMap::Uniform(s) => self.update_lane(col, n, |_| *s as usize),
+            SlotMap::PerRow(v) => self.update_lane(col, n, |i| v[i] as usize),
         }
-        Ok(())
     }
 
     /// The typed accumulation loops (`col: None` = every row is a non-NULL
@@ -499,8 +540,9 @@ impl KeyStore {
 /// The one grouping structure: first-seen typed keys, an open-addressing
 /// table from key hash to group slot, and one [`Acc`] per aggregate. Shared
 /// by [`hash_aggregate`] and the fused scan path (`crate::encoded`), which
-/// feeds it segment by segment and then the rowstore rows — slots are
-/// handed out in first-seen order across all of them.
+/// hands out slots morsel by morsel in scan order — so in first-seen order
+/// across all of them — and feeds each accumulator its morsels in that
+/// order.
 pub(crate) struct GroupTable {
     keys: Vec<KeyStore>,
     hashes: Vec<u64>,
@@ -554,7 +596,7 @@ impl GroupTable {
     }
 
     /// The slot of one key given as values (the dictionary-code path
-    /// resolves each first-seen code tuple once per segment).
+    /// resolves each morsel's distinct code tuples, in first-seen order).
     pub(crate) fn slot_of(&mut self, key: &[Value]) -> Result<u32> {
         let cols = key
             .iter()
@@ -613,7 +655,8 @@ impl GroupTable {
         let lanes: Vec<&ColumnVector> = lanes.iter().map(|l| &**l).collect();
         let slots = self.slots(&lanes, n)?;
         for (acc, a) in self.accs.iter_mut().zip(aggregates) {
-            acc.update(veval::eval_vector(cols, n, &a.input)?, &slots, n)?;
+            let input = AccInput::new(a.func, veval::eval_vector(cols, n, &a.input)?, n)?;
+            acc.feed(input.as_ref().map(|c| &**c), &slots, n);
         }
         Ok(())
     }

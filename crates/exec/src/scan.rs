@@ -54,6 +54,18 @@ use crate::veval;
 /// point regressed 2.4× at threads≥2 before this gate).
 pub const SMALL_SCAN_INLINE_ROWS: usize = 4096;
 
+/// Executing threads for scan work over `candidate_rows` rows: one (inline
+/// on the calling thread) at or below [`SMALL_SCAN_INLINE_ROWS`], else the
+/// pool size `opts.threads` resolves to. The one inline gate for segment
+/// morsels, fused-aggregate morsels and the query layer's partition fan-out.
+pub fn scan_threads(candidate_rows: usize, opts: &ScanOptions) -> usize {
+    if candidate_rows > SMALL_SCAN_INLINE_ROWS {
+        pool::effective_threads(opts.threads)
+    } else {
+        1
+    }
+}
+
 /// Rows sampled per segment for §5.2 clause costing.
 const SAMPLE_ROWS: usize = 1024;
 
@@ -213,11 +225,7 @@ pub fn scan(
     // across tables).
     let table_key = Arc::as_ptr(&snapshot.table) as usize;
     let candidate_rows: usize = morsels.iter().map(SegMorsel::candidate_rows).sum();
-    let threads = if candidate_rows > SMALL_SCAN_INLINE_ROWS {
-        pool::effective_threads(opts.threads)
-    } else {
-        1
-    };
+    let threads = scan_threads(candidate_rows, opts);
     let fragments: Vec<Result<(Option<Batch>, ScanStats)>> =
         ScanPool::global().run(threads, morsels, |m| {
             scan_segment(m.seg, m.sel, (&residual, fingerprint), opts, projection, table_key)

@@ -10,16 +10,23 @@
 //! rewrites segments under new ids, and after deletes change a segment's
 //! visible row set.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 use s2_common::schema::ColumnDef;
 use s2_common::{DataType, Row, Schema, TableOptions, Value};
 use s2_core::{MemFileStore, Partition};
-use s2_exec::expr::CmpOp;
-use s2_exec::{scan, AggFunc, Aggregate, Batch, Expr, JoinType, ScanOptions, ScanStats, SortDir};
+use s2_exec::expr::{ArithOp, CmpOp};
+use s2_exec::{
+    hash_aggregate, scan, scan_aggregate, AggFunc, Aggregate, Batch, Expr, JoinType, ScanOptions,
+    ScanStats, SortDir,
+};
 use s2_query::{execute_with_stats, ExecOptions, ExecStats, OpKind, Plan};
 use s2_wal::Log;
+
+/// Held by the tests that read `exec.pool.morsels`: one of them asserts
+/// that the counter does *not* move, which a concurrent pool user breaks.
+static POOL_COUNTER: Mutex<()> = Mutex::new(());
 
 /// Deterministic splitmix64 for seed-derived table shapes.
 fn next(state: &mut u64) -> u64 {
@@ -376,6 +383,7 @@ fn decision_cache_invalidated_by_deletes() {
 /// inline on the calling thread even at high thread counts.
 #[test]
 fn pool_metrics_advance() {
+    let _counter = POOL_COUNTER.lock().unwrap_or_else(|e| e.into_inner());
     // Small table: a few hundred rows across several segments -> inline.
     let (p_small, t_small) = build_table(0xdead_0003);
     let snap = p_small.read_snapshot();
@@ -425,4 +433,162 @@ fn pool_metrics_advance() {
     scan(ts, &[0, 1, 2], Some(&f), &opts_with_threads(4)).unwrap();
     let after = s2_obs::global().snapshot().counter("exec.pool.morsels");
     assert!(after > before, "parallel scan must execute morsels on the pool: {before} -> {after}");
+}
+
+/// A table well above the small-scan inline gate, so the fused aggregate
+/// runs on the pool: 10 segments from one flush, deletes, and a rowstore
+/// tail of at least 10 rows whose `grp` is "tail".
+///   0 id     Int     sequential (sort key, pk)
+///   1 grp    Str     5 distinct                -> dictionary codes
+///   2 k      Int     6 distinct, NULLs
+///   3 d      Double  4 distinct, NULLs
+///   4 amount Double  0..1429, in sevenths (so f64 sums depend on order)
+///   5 q      Int     1..=5, except 0 on one row of the second-to-last
+///                    segment (never deleted)
+fn build_wide_table(seed: u64) -> (Arc<Partition>, u32) {
+    let mut rng = seed;
+    let p = Partition::new("pw", Arc::new(Log::in_memory()), Arc::new(MemFileStore::new()));
+    let schema = Schema::new(vec![
+        ColumnDef::new("id", DataType::Int64),
+        ColumnDef::new("grp", DataType::Str),
+        ColumnDef::nullable("k", DataType::Int64),
+        ColumnDef::nullable("d", DataType::Double),
+        ColumnDef::new("amount", DataType::Double),
+        ColumnDef::new("q", DataType::Int64),
+    ])
+    .unwrap();
+    let seg_rows = 600 + (next(&mut rng) % 300) as i64;
+    let opts = TableOptions::new()
+        .with_sort_key(vec![0])
+        .with_unique("pk", vec![0])
+        .with_segment_rows(seg_rows as usize);
+    let t = p.create_table("wide", schema, opts).unwrap();
+    let rows = 10 * seg_rows;
+    let zero_at = 8 * seg_rows + (next(&mut rng) % seg_rows as u64) as i64;
+    let row = |id: i64, grp: &str, rng: &mut u64| {
+        let k = match next(rng) % 7 {
+            0 => Value::Null,
+            v => Value::Int(v as i64),
+        };
+        let d = match next(rng) % 5 {
+            0 => Value::Null,
+            v => Value::Double(v as f64 * 0.3),
+        };
+        let q = if id == zero_at { 0 } else { 1 + id % 5 };
+        let amount = Value::Double((next(rng) % 10_000) as f64 / 7.0);
+        Row::new(vec![Value::Int(id), Value::str(grp), k, d, amount, Value::Int(q)])
+    };
+    let mut txn = p.begin();
+    for id in 0..rows {
+        let grp = ["a", "b", "c", "d", "e"][(next(&mut rng) % 5) as usize];
+        txn.insert(t, row(id, grp, &mut rng)).unwrap();
+    }
+    txn.commit().unwrap();
+    p.flush_table(t, true).unwrap();
+    let mut txn = p.begin();
+    for _ in 0..next(&mut rng) % (rows as u64 / 20) {
+        let victim = (next(&mut rng) % rows as u64) as i64;
+        if victim != zero_at {
+            txn.delete_unique(t, &[Value::Int(victim)]).unwrap();
+        }
+    }
+    txn.commit().unwrap();
+    let mut txn = p.begin();
+    for id in rows..rows + 10 + (next(&mut rng) % 40) as i64 {
+        txn.insert(t, row(id, "tail", &mut rng)).unwrap();
+    }
+    txn.commit().unwrap();
+    (p, t)
+}
+
+/// Every row of a batch, in order, by `Debug`.
+fn rows_dbg(b: &Batch) -> Vec<String> {
+    (0..b.rows()).map(|i| format!("{:?}", b.row(i))).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The fused aggregate on the pool: at 1, 2 and 8 threads, global and
+    /// grouped (dictionary-coded `Str` keys, `Int`/`Double` keys with NULLs,
+    /// a computed key), every function and an expression input, it returns
+    /// the rows of `hash_aggregate(scan(..))`, byte for byte and in order.
+    /// An input that divides by zero in a late segment, beside another that
+    /// fails only on the rowstore tail, fails with the earlier error in scan
+    /// order at every thread count. (`hash_aggregate` over the whole batch
+    /// reports the other one: it evaluates one aggregate over every row
+    /// before the next, where the fused path goes morsel by morsel.)
+    #[test]
+    fn fused_aggregate_on_the_pool_matches_hash_aggregate(seed in any::<u64>()) {
+        let _counter = POOL_COUNTER.lock().unwrap_or_else(|e| e.into_inner());
+        let (p, t) = build_wide_table(seed);
+        let snap = p.read_snapshot();
+        let ts = snap.table(t).unwrap();
+        let snaps = [Arc::clone(ts)];
+        let projection = [0, 1, 2, 3, 4, 5];
+        let col = |c| Box::new(Expr::Column(c));
+        let agg = |func, input| Aggregate { func, input };
+        let aggregates = vec![
+            agg(AggFunc::Count, Expr::Literal(Value::Int(1))),
+            agg(AggFunc::Sum, Expr::Column(4)),
+            agg(AggFunc::Avg, Expr::Column(3)),
+            agg(AggFunc::Min, Expr::Column(2)),
+            agg(AggFunc::Max, Expr::Column(1)),
+            agg(AggFunc::Count, Expr::Column(2)),
+            agg(AggFunc::Sum, Expr::Arith(ArithOp::Mul, col(4), col(3))),
+        ];
+        let group_bys = vec![
+            vec![],
+            vec![Expr::Column(1)],
+            vec![Expr::Column(2)],
+            vec![Expr::Column(3)],
+            vec![Expr::Column(1), Expr::Column(2)],
+            vec![Expr::Arith(ArithOp::Mul, col(2), Box::new(Expr::Literal(Value::Int(2))))],
+        ];
+        let filters = [None, Some(Expr::cmp(4, CmpOp::Lt, 1300.0))];
+        let outcome = |group_by: &[Expr], aggs: &[Aggregate], filter: Option<&Expr>, threads| {
+            let opts = opts_with_threads(threads);
+            scan_aggregate(&snaps, &projection, filter, group_by, aggs, &opts)
+                .map(|(b, _)| rows_dbg(&b))
+                .map_err(|e| e.to_string())
+        };
+        let reference = |group_by: &[Expr], aggs: &[Aggregate], filter: Option<&Expr>| {
+            let (batch, _) = scan(ts, &projection, filter, &opts_with_threads(1)).unwrap();
+            hash_aggregate(&batch, group_by, aggs).map(|b| rows_dbg(&b)).map_err(|e| e.to_string())
+        };
+
+        let morsels_before = s2_obs::global().snapshot().counter("exec.pool.morsels");
+        for filter in &filters {
+            for group_by in &group_bys {
+                let expect = reference(group_by, &aggregates, filter.as_ref());
+                prop_assert!(expect.is_ok(), "{:?}", expect);
+                for threads in [1, 2, 8] {
+                    let got = outcome(group_by, &aggregates, filter.as_ref(), threads);
+                    prop_assert_eq!(
+                        &got, &expect, "threads {} group_by {:?} filter {:?}",
+                        threads, group_by, filter
+                    );
+                }
+            }
+        }
+        let morsels_after = s2_obs::global().snapshot().counter("exec.pool.morsels");
+        prop_assert!(morsels_after > morsels_before, "the fused aggregate never reached the pool");
+
+        // `id / q` divides by zero on one late segment row; the CASE's
+        // string arm fails `* 2.0` on the tail rows only, later in scan order.
+        let tail_str = Expr::Case {
+            when: vec![(Expr::eq(1, "tail"), Expr::Column(1))],
+            else_: col(4),
+        };
+        let failing = vec![
+            agg(AggFunc::Sum, Expr::Arith(ArithOp::Mul, Box::new(tail_str), Box::new(Expr::Literal(Value::Double(2.0))))),
+            agg(AggFunc::Sum, Expr::Arith(ArithOp::Div, col(0), col(5))),
+        ];
+        let expect = Err("invalid argument: division by zero".to_string());
+        for group_by in [&group_bys[0], &group_bys[1], &group_bys[5]] {
+            for threads in [1, 2, 8] {
+                prop_assert_eq!(&outcome(group_by, &failing, None, threads), &expect);
+            }
+        }
+    }
 }

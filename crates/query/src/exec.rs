@@ -322,9 +322,9 @@ impl Executor<'_> {
                     })
                     .collect();
                 // Aggregate-over-scan fuses into the encoded-domain path:
-                // group keys on dictionary codes, typed accumulation lanes,
-                // no intermediate batch. Bit-identical to scan +
-                // hash_aggregate.
+                // every partition's morsels on the pool, group keys on
+                // dictionary codes, no intermediate batch. Bit-identical to
+                // scan + hash_aggregate at every thread count.
                 let (started, out) =
                     if let Plan::Scan { table, projection, filter } = input.as_ref() {
                         let filter = self.with_key_filters(filter, projection, &through);
@@ -406,12 +406,8 @@ impl Executor<'_> {
         // metadata estimate) stay serial: pool handoff costs more than
         // sub-morsel scans save.
         let est: usize = snaps.iter().map(|s| s2_exec::scan::estimate_scan_rows(s, filter)).sum();
-        let threads = if est > s2_exec::scan::SMALL_SCAN_INLINE_ROWS {
-            s2_exec::effective_threads(self.opts.scan.threads)
-        } else {
-            1
-        };
         let opts = &self.opts.scan;
+        let threads = s2_exec::scan::scan_threads(est, opts);
         let parts: Vec<Result<(Batch, ScanStats)>> =
             s2_exec::ScanPool::global()
                 .run(threads, snaps.iter().collect(), |snap| scan(snap, projection, filter, opts));
