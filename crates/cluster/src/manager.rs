@@ -78,7 +78,6 @@ impl WorkspaceManager {
             return Err(Error::InvalidArgument(format!("workspace {name:?} already attached")));
         }
         self.wait_provisionable()?;
-        // s2-lint: allow(wall-clock, provisioning latency is operator telemetry)
         let start = std::time::Instant::now();
         let ws = Arc::new(Workspace::provision_with_tuning(
             name,
@@ -130,7 +129,6 @@ impl WorkspaceManager {
         }
         s2_obs::counter!("workspace.provision_pauses").inc();
         s2_obs::event("workspace.provision_pause", "blob outage: provisioning paused".to_string());
-        // s2-lint: allow(wall-clock, bounded operator-facing wait on breaker recovery)
         let deadline = std::time::Instant::now() + self.cfg.provision_wait;
         loop {
             if health.health() != StoreHealth::Outage {
@@ -205,7 +203,6 @@ impl WorkspaceManager {
     /// masters' current positions.
     pub fn catch_up_all(&self, timeout: Duration) -> bool {
         let fleet: Vec<Arc<Workspace>> = self.workspaces.lock().values().cloned().collect();
-        // s2-lint: allow(wall-clock, caller-facing deadline split across the fleet)
         let deadline = std::time::Instant::now() + timeout;
         let mut ok = true;
         for ws in fleet {

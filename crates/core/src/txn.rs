@@ -49,6 +49,14 @@ pub enum RowLocation {
     Segment(Arc<SegmentCore>, u32),
 }
 
+/// Where [`Txn::find_live_by_unique`] found the latest live row.
+enum Latest {
+    /// A live rowstore version, this transaction's own writes included.
+    Rowstore(Row),
+    /// A live segment row.
+    Segment(Arc<SegmentCore>, u32),
+}
+
 /// An interactive read-write transaction on one partition.
 pub struct Txn {
     partition: Arc<Partition>,
@@ -184,11 +192,22 @@ impl Txn {
 
     /// Latest live row under a unique key: rowstore first (including our own
     /// uncommitted writes), then the columnstore via the unique index.
-    fn find_live_by_unique(
-        &self,
-        table: &Arc<Table>,
-        key: &[Value],
-    ) -> Result<Option<RowLocation>> {
+    ///
+    /// Rows move between the levels under a lock-free reader: a move
+    /// commits the rowstore copy before it publishes the segment's delete
+    /// bit, a flush publishes the new segment before it retires the rowstore
+    /// copy. So the read is validated: load the table version, read the
+    /// rowstore, load the version again, and retry if a publish came in
+    /// between. With no publish across the rowstore read, a row that read
+    /// missed is still live in the version's segments, and a rowstore copy
+    /// it found retired was already in them.
+    fn find_live_by_unique(&self, table: &Table, key: &[Value]) -> Result<Option<Latest>> {
+        let Some(cols) = &table.unique_cols else {
+            return Err(Error::InvalidArgument(format!(
+                "table {:?} has no unique key",
+                table.name
+            )));
+        };
         // Rowstore delete markers do NOT mean "row deleted": a flush leaves a
         // marker behind when it moves a row into a segment, and a logical
         // delete of a segment row always sets the segment's deleted bit as
@@ -196,33 +215,36 @@ impl Txn {
         // immediately; a marker or a miss falls through to the segment probe,
         // whose deleted bits are the source of truth.
         //
-        // DML reads use latest-committed (not snapshot) visibility. Reading
-        // at TS_MAX_COMMITTED instead of `commit_ts()` matters: a competing
-        // writer resolves its versions and releases the row lock *before*
-        // the partition publishes the new commit timestamp, and since we
-        // hold the row lock, "every committed version" is exactly "every
+        // Reads use latest-committed (not snapshot) visibility. Reading at
+        // TS_MAX_COMMITTED instead of `commit_ts()` matters to DML, which
+        // holds the row lock: a competing writer resolves its versions and
+        // releases the row lock *before* the partition publishes the new
+        // commit timestamp, so "every committed version" is exactly "every
         // version the previous lock holder wrote".
         let latest = s2_common::TS_MAX_COMMITTED;
-        if let Some(Some(_)) = table.rowstore.read().get(key, latest, Some(self.id)) {
-            return Ok(Some(RowLocation::Rowstore(key.to_vec())));
-        }
-        // s2-lint: allow(unwrap, callers guard on table.unique_cols.is_some() before resolving by unique key)
-        let cols = table.unique_cols.as_ref().expect("caller checked");
-        let hits = table.index_probe_latest(cols, key)?;
-        for (core, rows) in hits {
-            if let Some(&r) = rows.first() {
-                return Ok(Some(RowLocation::Segment(core, r)));
+        loop {
+            let version = table.version();
+            if let Some(Some(row)) = table.rowstore.read().get(key, latest, Some(self.id)) {
+                return Ok(Some(Latest::Rowstore(row)));
             }
+            // Park here = a reorganization publishes between the two loads.
+            s2_common::fault::crash_point("core.unique.read");
+            if !Arc::ptr_eq(&version, &table.version()) {
+                continue;
+            }
+            let hits = version.probe(cols, key)?;
+            return Ok(hits
+                .into_iter()
+                .find_map(|(core, rows)| rows.first().map(|&r| Latest::Segment(core, r))));
         }
-        Ok(None)
     }
 
     /// Guarantee the row at `loc` is modifiable in the rowstore: segment rows
     /// go through a move transaction (paper §4.2) which locks them for us.
-    fn ensure_in_rowstore(&mut self, table: &Arc<Table>, loc: RowLocation) -> Result<()> {
+    fn ensure_in_rowstore(&mut self, table: &Arc<Table>, loc: Latest) -> Result<()> {
         match loc {
-            RowLocation::Rowstore(_) => Ok(()), // already there; key locked above
-            RowLocation::Segment(core, off) => {
+            Latest::Rowstore(_) => Ok(()), // already there; key locked above
+            Latest::Segment(core, off) => {
                 let moved = self.partition.move_rows(self.id, table, &[(core, off)])?;
                 for (key, _) in moved {
                     self.note_lock(table.id, key);
@@ -237,28 +259,11 @@ impl Txn {
     pub fn get_unique(&self, table_id: TableId, key: &[Value]) -> Result<Option<Row>> {
         self.check_active()?;
         let table = self.partition.table(table_id)?;
-        if table.unique_cols.is_none() {
-            return Err(Error::InvalidArgument(format!(
-                "table {:?} has no unique key",
-                table.name
-            )));
-        }
-        let latest = s2_common::TS_MAX_COMMITTED;
-        // Same marker and latest-committed semantics as find_live_by_unique:
-        // only a live rowstore version short-circuits; markers fall through
-        // to the segments.
-        if let Some(Some(row)) = table.rowstore.read().get(key, latest, Some(self.id)) {
-            return Ok(Some(row));
-        }
-        // s2-lint: allow(unwrap, callers guard on table.unique_cols.is_some() before resolving by unique key)
-        let cols = table.unique_cols.as_ref().expect("checked");
-        let hits = table.index_probe_latest(cols, key)?;
-        for (core, rows) in hits {
-            if let Some(&r) = rows.first() {
-                return Ok(Some(core.reader.row(r as usize)?));
-            }
-        }
-        Ok(None)
+        Ok(match self.find_live_by_unique(&table, key)? {
+            None => None,
+            Some(Latest::Rowstore(row)) => Some(row),
+            Some(Latest::Segment(core, r)) => Some(core.reader.row(r as usize)?),
+        })
     }
 
     /// Update the row under a unique key with `new_row`. Returns false when

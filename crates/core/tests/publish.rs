@@ -8,6 +8,10 @@
 //!   latest-committed read that checks the rowstore, then the segments);
 //! - on a replica, every key the same way, plus `live_row_count` of a fresh
 //!   read snapshot, which must equal the count before or after the record.
+//!
+//! The other way round, a `Txn::get_unique` parked at `core.unique.read`
+//! (after its rowstore read, before it reloads the table version) while a
+//! move carries its row from a segment to the rowstore must still find it.
 
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -33,15 +37,16 @@ enum Stage {
     Released,
 }
 
-/// Parks the first thread that reaches `core.publish` until released.
+/// Parks the first thread that reaches `site` until released.
 struct Park {
+    site: &'static str,
     stage: Mutex<Stage>,
     cv: Condvar,
 }
 
 impl FaultHook for Park {
     fn evaluate(&self, site: &str) -> FaultAction {
-        if site == "core.publish" {
+        if site == self.site {
             let mut stage = self.stage.lock().unwrap();
             if *stage == Stage::Armed {
                 *stage = Stage::Parked;
@@ -60,8 +65,8 @@ impl FaultHook for Park {
 struct Parking(Arc<Park>);
 
 impl Parking {
-    fn install() -> Parking {
-        let park = Arc::new(Park { stage: Mutex::new(Stage::Armed), cv: Condvar::new() });
+    fn install(site: &'static str) -> Parking {
+        let park = Arc::new(Park { site, stage: Mutex::new(Stage::Armed), cv: Condvar::new() });
         fault::install(Arc::clone(&park) as Arc<dyn FaultHook>);
         Parking(park)
     }
@@ -74,7 +79,7 @@ impl Parking {
             .cv
             .wait_timeout_while(stage, Duration::from_secs(10), |s| *s == Stage::Armed)
             .unwrap();
-        assert!(*stage == Stage::Parked, "no thread reached core.publish");
+        assert!(*stage == Stage::Parked, "no thread reached {}", self.0.site);
     }
 
     fn release(&self) {
@@ -154,7 +159,7 @@ fn read_while_parked<T: Send + 'static>(
     n: i64,
     worker: impl FnOnce() -> T + Send + 'static,
 ) -> (Vec<i64>, usize, T) {
-    let parking = Parking::install();
+    let parking = Parking::install("core.publish");
     let worker = std::thread::spawn(worker);
     parking.wait_parked();
     let missing = unreadable(p, t, n);
@@ -267,4 +272,34 @@ fn replica_move_apply_is_atomic() {
         .unwrap());
     txn.commit().unwrap();
     replica_case(&files, &master, t, 32, applied);
+}
+
+#[test]
+fn unique_read_finds_a_row_moved_under_it() {
+    let _serial = serial();
+    let files = Arc::new(MemFileStore::new());
+    let p = partition(&files);
+    let t = kv_table(&p);
+    insert(&p, t, 0..32);
+    assert!(p.flush_table(t, true).unwrap() >= 1);
+    let parking = Parking::install("core.unique.read");
+    let reader_p = Arc::clone(&p);
+    let reader = std::thread::spawn(move || {
+        let txn = reader_p.begin();
+        let row = txn.get_unique(t, &[Value::Int(7)]).unwrap();
+        txn.rollback();
+        row
+    });
+    parking.wait_parked();
+    // The reader has missed key 7 in the rowstore. Updating the segment row
+    // moves it there (paper §4.2) and sets its delete bit, all before the
+    // reader looks at the segments.
+    let mut txn = p.begin();
+    assert!(txn
+        .update_unique(t, &[Value::Int(7)], Row::new(vec![Value::Int(7), Value::Int(-7)]))
+        .unwrap());
+    txn.commit().unwrap();
+    drop(parking);
+    let row = reader.join().unwrap();
+    assert_eq!(row, Some(Row::new(vec![Value::Int(7), Value::Int(-7)])), "read mid-move");
 }

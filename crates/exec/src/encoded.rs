@@ -4,8 +4,9 @@
 //!
 //! [`scan_aggregate`] evaluates `GROUP BY` + aggregates directly over the
 //! scan, without materializing the intermediate projection batch. Its
-//! morsels — every surviving segment of every partition snapshot, then
-//! that partition's rowstore (L0) tail — go through three phases:
+//! morsels are the plain scan's one list ([`scan::morsels`]: every
+//! surviving segment of every partition snapshot, then that partition's
+//! rowstore (L0) tail), and go through three phases:
 //!
 //! 1. **Per-morsel work, on the pool.** Each morsel runs its filter
 //!    clauses ([`scan::apply_clauses`]), computes morsel-local group ids,
@@ -45,7 +46,7 @@ use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
-use s2_common::{DataType, Result, Row, Schema, Value};
+use s2_common::{Result, Value};
 use s2_core::{SegmentSnap, TableSnapshot};
 use s2_encoding::ColumnVector;
 
@@ -53,7 +54,7 @@ use crate::batch::Batch;
 use crate::expr::Expr;
 use crate::kernels::{AccInput, Aggregate, GroupTable, SlotMap};
 use crate::pool::ScanPool;
-use crate::scan::{self, ScanOptions, ScanStats, SegMorsel};
+use crate::scan::{self, ScanOptions, ScanStats, Step};
 use crate::veval;
 
 /// Largest flat code-space (product of per-column `dict_len + 1`) the
@@ -66,8 +67,8 @@ const WAVE_MORSELS_PER_THREAD: usize = 4;
 
 /// Fused scan+aggregate over `snapshots` (one per partition, processed in
 /// order). Semantically identical — bit-for-bit, including group output
-/// order and f64 rounding — to scanning each snapshot, concatenating, and
-/// running [`crate::kernels::hash_aggregate`]; `group_by` and the aggregate
+/// order and f64 rounding — to [`scan::scan_partitions`] followed by
+/// [`crate::kernels::hash_aggregate`]; `group_by` and the aggregate
 /// inputs are expressions over *projection positions*, `filter` over table
 /// ordinals, exactly as in that pipeline.
 pub fn scan_aggregate(
@@ -79,38 +80,8 @@ pub fn scan_aggregate(
     opts: &ScanOptions,
 ) -> Result<(Batch, ScanStats)> {
     let mut stats = ScanStats::default();
-    // Caller-side front halves. A partition that fails here fails the scan
-    // only after every morsel before it (in scan order) succeeded.
     let mut parts = Vec::with_capacity(snapshots.len());
-    let mut part_morsels = Vec::with_capacity(snapshots.len());
-    let mut prepare_err = None;
-    for snapshot in snapshots {
-        stats.segments_total += snapshot.segments.len();
-        let prep = match scan::prepare_scan(snapshot, filter, opts, &mut stats) {
-            Ok(prep) => prep,
-            Err(e) => {
-                prepare_err = Some(e);
-                break;
-            }
-        };
-        let schema = snapshot.schema();
-        parts.push(Part {
-            residual: prep.residual,
-            fingerprint: prep.fingerprint,
-            rowstore_rows: prep.rowstore_rows,
-            schema,
-            proj_types: projection.iter().map(|&c| schema.column(c).data_type).collect(),
-            table_key: Arc::as_ptr(&snapshot.table) as usize,
-        });
-        part_morsels.push(prep.morsels);
-    }
-    let mut steps = Vec::new();
-    for (part, morsels) in parts.iter().zip(part_morsels) {
-        steps.extend(morsels.into_iter().map(|m| Step::Segment(part, m)));
-        steps.push(Step::Tail(part));
-    }
-    let candidate_rows: usize = steps.iter().map(Step::candidate_rows).sum();
-    let threads = scan::scan_threads(candidate_rows, opts);
+    let (steps, threads) = scan::morsels(&mut parts, snapshots, filter, opts, &mut stats);
     let wave = threads * WAVE_MORSELS_PER_THREAD;
 
     let pool = ScanPool::global();
@@ -161,42 +132,12 @@ pub fn scan_aggregate(
         });
         fold_us += t.elapsed().as_micros() as u64;
     }
-    if let Some(e) = prepare_err {
-        return Err(e);
-    }
     let batch = gt.finish()?;
     s2_obs::histogram!("exec.agg.scan_us").record(scan_us);
     s2_obs::histogram!("exec.agg.slots_us").record(slots_us);
     s2_obs::histogram!("exec.agg.fold_us").record(fold_us);
     scan::record_scan_stats(&stats);
     Ok((batch, stats))
-}
-
-/// What every morsel of one partition shares.
-struct Part<'a> {
-    residual: Vec<Expr>,
-    fingerprint: u64,
-    rowstore_rows: Vec<Row>,
-    schema: &'a Schema,
-    proj_types: Vec<DataType>,
-    /// The table's Arc address: the decision cache's table key.
-    table_key: usize,
-}
-
-/// One morsel, in scan order.
-enum Step<'a> {
-    Segment(&'a Part<'a>, SegMorsel<'a>),
-    /// The partition's live rowstore rows.
-    Tail(&'a Part<'a>),
-}
-
-impl Step<'_> {
-    fn candidate_rows(&self) -> usize {
-        match self {
-            Step::Segment(_, m) => m.candidate_rows(),
-            Step::Tail(part) => part.rowstore_rows.len(),
-        }
-    }
 }
 
 /// A lane a morsel hands back: a decoded projected column by position, or
@@ -260,9 +201,7 @@ fn evaluate(
     let mut stats = ScanStats::default();
     let (n, cols, dict) = match step {
         Step::Segment(part, m) => {
-            let residual = (part.residual.as_slice(), part.fingerprint);
-            let sel =
-                scan::apply_clauses(m.seg, residual, m.sel, opts, &mut stats, part.table_key)?;
+            let sel = scan::apply_clauses(part, m.seg, m.sel, opts, &mut stats)?;
             let n = sel.as_ref().map_or(m.seg.core.meta.row_count, Vec::len);
             if n == 0 {
                 return Ok((stats, None));
@@ -290,23 +229,19 @@ fn evaluate(
                         m.seg.core.reader.column(projection[pos])?.decode_vector(sel)
                     } else {
                         stats.decode_skipped_rows += n;
-                        Ok(ColumnVector::empty(part.proj_types[pos]))
+                        Ok(ColumnVector::empty(part.schema.column(projection[pos]).data_type))
                     }
                 })
                 .collect::<Result<Vec<_>>>()?;
             (n, cols, dict)
         }
         Step::Tail(part) => {
-            let tail = scan::rowstore_tail(
-                part.schema,
-                &part.rowstore_rows,
-                &part.residual,
-                projection,
-                &mut stats,
-            )?;
-            let Some(tail) = tail else { return Ok((stats, None)) };
+            let Some(tail) = scan::rowstore_tail(part, projection, &mut stats)? else {
+                return Ok((stats, None));
+            };
             (tail.rows(), tail.columns, None)
         }
+        Step::Failed(e) => return Err(e),
     };
     let keys = match dict {
         Some(keys) => keys,

@@ -32,5 +32,5 @@ pub use keyfilter::KeyFilter;
 pub use s2_obs as obs;
 pub use s2_pool as pool;
 pub use s2_pool::{effective_threads, ScanPool};
-pub use scan::{scan, ScanOptions, ScanStats};
+pub use scan::{scan, scan_partitions, ScanOptions, ScanStats};
 pub use veval::{eval_vector, filter_mask, EvalVec};

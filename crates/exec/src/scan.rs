@@ -23,22 +23,25 @@
 //! via the fused encoded-domain path in [`crate::encoded`].
 //!
 //! Parallelism: step (1) and the per-segment *skip* checks run on the
-//! calling thread (they are cheap and their order defines the stats), then
-//! each surviving segment becomes one morsel on the shared [`crate::pool`]
-//! — filtered, decoded and materialized independently — and the fragments
-//! are reassembled **in segment order**, so results are byte-identical at
-//! every thread count. Scans whose candidate rows fit in a single morsel
-//! ([`SMALL_SCAN_INLINE_ROWS`]) skip the pool and run inline: pool handoff
-//! costs more than it saves on sub-morsel work. Rowstore (L0) rows are
-//! always handled on the calling thread: OLTP point reads never touch the
-//! pool. The §5.2 sampling pass is amortized by the per-segment
-//! [`crate::cache`] of planning decisions.
+//! calling thread for every partition snapshot (they are cheap and their
+//! order defines the stats). What survives is one flat morsel list
+//! ([`morsels`]): partition by partition, each surviving segment, then the
+//! partition's rowstore (L0) tail. The list goes through one `run` on the
+//! shared [`crate::pool`] — each morsel filtered, decoded and materialized
+//! independently — and the fragments are reassembled **in list order**, so
+//! results are byte-identical at every thread count. The fused aggregate
+//! ([`crate::encoded`]) runs the same list. Scans whose candidate rows fit
+//! in a single morsel ([`SMALL_SCAN_INLINE_ROWS`]) skip the pool and run
+//! inline: pool handoff costs more than it saves on sub-morsel work. The
+//! §5.2 sampling pass is amortized by the per-segment [`crate::cache`] of
+//! planning decisions.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use s2_common::{DataType, Result, Row, Schema, Value};
+use s2_common::{DataType, Error, Result, Row, Schema, Value};
 use s2_core::{SegmentSnap, TableSnapshot};
 use s2_encoding::{CodePredicate, ColumnVector};
 
@@ -56,8 +59,8 @@ pub const SMALL_SCAN_INLINE_ROWS: usize = 4096;
 
 /// Executing threads for scan work over `candidate_rows` rows: one (inline
 /// on the calling thread) at or below [`SMALL_SCAN_INLINE_ROWS`], else the
-/// pool size `opts.threads` resolves to. The one inline gate for segment
-/// morsels, fused-aggregate morsels and the query layer's partition fan-out.
+/// pool size `opts.threads` resolves to. The one inline gate, for plain
+/// scans and fused aggregates alike.
 pub fn scan_threads(candidate_rows: usize, opts: &ScanOptions) -> usize {
     if candidate_rows > SMALL_SCAN_INLINE_ROWS {
         pool::effective_threads(opts.threads)
@@ -88,7 +91,7 @@ pub struct ScanOptions {
     pub use_encoded: bool,
     /// Dynamically reorder filter clauses by `(1-P)/cost`.
     pub adaptive_reorder: bool,
-    /// Executing threads for segment morsels and partition fan-out
+    /// Executing threads for scan morsels
     /// (0 = `S2_SCAN_THREADS` env, falling back to available parallelism;
     /// 1 = strictly serial on the calling thread).
     pub threads: usize,
@@ -163,46 +166,84 @@ pub(crate) struct SegMorsel<'a> {
     pub(crate) sel: Option<Vec<u32>>,
 }
 
-impl SegMorsel<'_> {
-    /// Rows still under consideration.
-    pub(crate) fn candidate_rows(&self) -> usize {
-        self.sel.as_ref().map_or(self.seg.core.meta.row_count, Vec::len)
-    }
-}
-
-/// The caller-thread front half of a scan: index probes, residual-clause
-/// extraction, per-segment skip checks and rowstore row collection.
-/// Shared by [`scan`] and the fused aggregation path (`crate::encoded`).
-pub(crate) struct ScanPrep<'a> {
+/// What every morsel of one partition snapshot shares: the caller-thread
+/// front half of its scan (index probe, residual-clause extraction,
+/// rowstore row collection).
+pub(crate) struct Part<'a> {
     /// Conjuncts not answered by the index probe.
     pub(crate) residual: Vec<Expr>,
     /// The residual's decision-cache fingerprint.
     pub(crate) fingerprint: u64,
-    /// Surviving segments with their initial selections, in segment order.
-    pub(crate) morsels: Vec<SegMorsel<'a>>,
+    /// The snapshot's table schema.
+    pub(crate) schema: &'a Schema,
+    /// The table's Arc address: the decision cache's table key (segment ids
+    /// repeat across tables).
+    pub(crate) table_key: usize,
     /// Live rowstore (L0) rows — probe-matched when a probe ran.
     pub(crate) rowstore_rows: Vec<Row>,
 }
 
-/// Conservative candidate-row estimate for a scan, from metadata only
-/// (min/max range elimination plus deleted counts — no index probe, no
-/// filter evaluation). The query layer uses this to keep small scans off
-/// the partition fan-out path.
-pub fn estimate_scan_rows(snapshot: &TableSnapshot, filter: Option<&Expr>) -> usize {
-    let ranges: Vec<(usize, Option<Value>, Option<Value>)> = match filter {
-        None => Vec::new(),
-        Some(f) => f.clone().split_conjuncts().iter().filter_map(Expr::as_column_range).collect(),
-    };
-    let seg_rows: usize = snapshot
-        .segments
-        .iter()
-        .filter(|seg| {
-            let meta = &seg.core.meta;
-            ranges.iter().all(|(c, lo, hi)| meta.may_overlap_range(*c, lo.as_ref(), hi.as_ref()))
-        })
-        .map(|seg| seg.core.meta.row_count - seg.deleted.count_ones())
-        .sum();
-    seg_rows + snapshot.rowstore_rows().len()
+/// One morsel of a scan, in scan order.
+pub(crate) enum Step<'p, 'a> {
+    /// A surviving segment of the partition.
+    Segment(&'p Part<'a>, SegMorsel<'a>),
+    /// The partition's live rowstore rows.
+    Tail(&'p Part<'a>),
+    /// The next partition's front half failed: its error counts after every
+    /// morsel before it.
+    Failed(Error),
+}
+
+impl Step<'_, '_> {
+    /// Rows still under consideration.
+    fn candidate_rows(&self) -> usize {
+        match self {
+            Step::Segment(_, m) => m.sel.as_ref().map_or(m.seg.core.meta.row_count, Vec::len),
+            Step::Tail(part) => part.rowstore_rows.len(),
+            Step::Failed(_) => 0,
+        }
+    }
+}
+
+/// The one morsel list of a scan over `snapshots` (one per partition), with
+/// the executing threads its candidate rows call for ([`scan_threads`]):
+/// partition by partition, each surviving segment, then the partition's
+/// rowstore tail. Every partition's front half runs here, on the calling
+/// thread, into `parts`, which the steps borrow; segment, skip and index
+/// counters land in `stats`. A partition whose front half fails ends the
+/// list with [`Step::Failed`].
+pub(crate) fn morsels<'p, 'a, S: Borrow<TableSnapshot>>(
+    parts: &'p mut Vec<Part<'a>>,
+    snapshots: &'a [S],
+    filter: Option<&Expr>,
+    opts: &ScanOptions,
+    stats: &mut ScanStats,
+) -> (Vec<Step<'p, 'a>>, usize) {
+    let mut segments = Vec::with_capacity(snapshots.len());
+    let mut failed = None;
+    for snapshot in snapshots {
+        let snapshot = snapshot.borrow();
+        stats.segments_total += snapshot.segments.len();
+        match prepare_scan(snapshot, filter, opts, stats) {
+            Ok((part, morsels)) => {
+                parts.push(part);
+                segments.push(morsels);
+            }
+            Err(e) => {
+                failed = Some(Step::Failed(e));
+                break;
+            }
+        }
+    }
+    let parts: &'p Vec<Part<'a>> = parts;
+    let mut steps = Vec::new();
+    for (part, morsels) in parts.iter().zip(segments) {
+        steps.extend(morsels.into_iter().map(|m| Step::Segment(part, m)));
+        steps.push(Step::Tail(part));
+    }
+    steps.extend(failed);
+    let candidate_rows = steps.iter().map(Step::candidate_rows).sum();
+    (steps, scan_threads(candidate_rows, opts))
 }
 
 /// Scan `snapshot`, returning the projected columns of rows passing `filter`.
@@ -212,59 +253,63 @@ pub fn scan(
     filter: Option<&Expr>,
     opts: &ScanOptions,
 ) -> Result<(Batch, ScanStats)> {
-    let mut stats = ScanStats { segments_total: snapshot.segments.len(), ..Default::default() };
-    let schema = snapshot.schema().clone();
-    let proj_types: Vec<DataType> =
-        projection.iter().map(|&c| schema.column(c).data_type).collect();
+    scan_partitions(std::slice::from_ref(snapshot), projection, filter, opts)
+}
 
-    let ScanPrep { residual, fingerprint, morsels, rowstore_rows } =
-        prepare_scan(snapshot, filter, opts, &mut stats)?;
+/// Scan every snapshot of `snapshots` (one per partition of a table) as one
+/// morsel list on the pool. The rows and stats are those of one [`scan`] per
+/// snapshot, concatenated and summed in snapshot order, and the first error
+/// in that order wins.
+pub fn scan_partitions<S: Borrow<TableSnapshot>>(
+    snapshots: &[S],
+    projection: &[usize],
+    filter: Option<&Expr>,
+    opts: &ScanOptions,
+) -> Result<(Batch, ScanStats)> {
+    let mut stats = ScanStats::default();
+    let mut parts = Vec::with_capacity(snapshots.len());
+    let (steps, threads) = morsels(&mut parts, snapshots, filter, opts, &mut stats);
+    let fragments = ScanPool::global().run(threads, steps, |step| {
+        let mut stats = ScanStats::default();
+        let batch = match step {
+            Step::Segment(part, m) => scan_segment(part, m, opts, projection, &mut stats)?,
+            Step::Tail(part) => rowstore_tail(part, projection, &mut stats)?,
+            Step::Failed(e) => return Err(e),
+        };
+        Ok((batch, stats))
+    });
 
-    // ---- per-segment filtering + materialization (morsel-parallel) ------
-    // The table's Arc address keys the decision cache (segment ids repeat
-    // across tables).
-    let table_key = Arc::as_ptr(&snapshot.table) as usize;
-    let candidate_rows: usize = morsels.iter().map(SegMorsel::candidate_rows).sum();
-    let threads = scan_threads(candidate_rows, opts);
-    let fragments: Vec<Result<(Option<Batch>, ScanStats)>> =
-        ScanPool::global().run(threads, morsels, |m| {
-            scan_segment(m.seg, m.sel, (&residual, fingerprint), opts, projection, table_key)
-        });
-
-    // Deterministic reassembly: fragments arrive in segment order.
+    // Deterministic reassembly: fragments arrive in scan order.
     let mut out_batches: Vec<Batch> = Vec::new();
     for fragment in fragments {
         let (batch, frag_stats) = fragment?;
         stats.merge(&frag_stats);
-        if let Some(batch) = batch {
-            out_batches.push(batch);
-        }
+        out_batches.extend(batch);
     }
-
-    // ---- rowstore level (always on the calling thread) -------------------
-    out_batches.extend(rowstore_tail(&schema, &rowstore_rows, &residual, projection, &mut stats)?);
-
-    let result = if out_batches.is_empty() {
-        Batch::empty(&proj_types)
-    } else {
-        Batch::concat(out_batches)?
+    let result = match snapshots.first() {
+        Some(snapshot) if out_batches.is_empty() => {
+            let schema = snapshot.borrow().schema();
+            let types: Vec<DataType> =
+                projection.iter().map(|&c| schema.column(c).data_type).collect();
+            Batch::empty(&types)
+        }
+        _ => Batch::concat(out_batches)?,
     };
     record_scan_stats(&stats);
     Ok((result, stats))
 }
 
-/// Filter and project the live rowstore (L0) rows: `None` when no row
-/// passes. Clauses run through the same vectorized evaluator as decoded
+/// Filter and project a partition's live rowstore (L0) rows: `None` when no
+/// row passes. Clauses run through the same vectorized evaluator as decoded
 /// segment columns ([`eval_regular`]), under the same conjunct rule
 /// ([`Batch::filter`]), so a predicate's outcome (rows or error) does not
 /// change when its rows are flushed.
 pub(crate) fn rowstore_tail(
-    schema: &Schema,
-    rows: &[Row],
-    residual: &[Expr],
+    part: &Part,
     projection: &[usize],
     stats: &mut ScanStats,
 ) -> Result<Option<Batch>> {
+    let (rows, residual) = (&part.rowstore_rows, &part.residual);
     if rows.is_empty() {
         return Ok(None);
     }
@@ -275,7 +320,7 @@ pub(crate) fn rowstore_tail(
     }
     needed.sort_unstable();
     needed.dedup();
-    let types: Vec<DataType> = needed.iter().map(|&c| schema.column(c).data_type).collect();
+    let types: Vec<DataType> = needed.iter().map(|&c| part.schema.column(c).data_type).collect();
     let mut batch = Batch::from_rows(rows, &needed, &types)?;
     let pos: HashMap<usize, usize> = needed.iter().enumerate().map(|(i, &c)| (c, i)).collect();
     if !residual.is_empty() {
@@ -295,15 +340,19 @@ pub(crate) fn rowstore_tail(
     Ok(Some(Batch::new(cols)))
 }
 
-/// Run the caller-thread front half of a scan: split the filter, probe
-/// secondary indexes, apply per-segment skip checks, and collect the live
-/// rowstore rows. Counters for skips and index filters land in `stats`.
-pub(crate) fn prepare_scan<'a>(
+/// Run the caller-thread front half of one snapshot's scan: split the
+/// filter, probe secondary indexes, apply per-segment skip checks, and
+/// collect the live rowstore rows. Returns the partition's shared part and
+/// its surviving segments in segment order. Counters for skips and index
+/// filters land in `stats`.
+fn prepare_scan<'a>(
     snapshot: &'a TableSnapshot,
     filter: Option<&Expr>,
     opts: &ScanOptions,
     stats: &mut ScanStats,
-) -> Result<ScanPrep<'a>> {
+) -> Result<(Part<'a>, Vec<SegMorsel<'a>>)> {
+    let schema = snapshot.schema();
+    let table_key = Arc::as_ptr(&snapshot.table) as usize;
     let mut conjuncts: Vec<Expr> = match filter {
         None => Vec::new(),
         Some(f) => f.clone().split_conjuncts(),
@@ -321,12 +370,14 @@ pub(crate) fn prepare_scan<'a>(
     // An empty join key set passes no row: every segment is eliminated.
     if conjuncts.iter().any(|c| c.as_key_filter().is_some_and(|(_, kf)| kf.is_empty())) {
         stats.segments_skipped_minmax += snapshot.segments.len();
-        return Ok(ScanPrep {
+        let part = Part {
             residual: conjuncts,
             fingerprint: 0,
-            morsels: Vec::new(),
+            schema,
+            table_key,
             rowstore_rows: Vec::new(),
-        });
+        };
+        return Ok((part, Vec::new()));
     }
 
     // ---- step 1a: secondary-index probe --------------------------------
@@ -440,7 +491,7 @@ pub(crate) fn prepare_scan<'a>(
         None => snapshot.rowstore_rows().iter().map(|(_, r)| r.clone()).collect(),
     };
 
-    Ok(ScanPrep { residual, fingerprint, morsels, rowstore_rows })
+    Ok((Part { residual, fingerprint, schema, table_key, rowstore_rows }, morsels))
 }
 
 /// The members of an IN list, or of a join key set small enough to be
@@ -477,30 +528,27 @@ fn segments_range(snapshot: &TableSnapshot, col: usize) -> Option<(Value, Value)
     out
 }
 
-/// Filter and materialize one segment morsel. Runs on any pool thread; all
-/// state it touches is shared and immutable.
+/// Filter and materialize one segment morsel: `None` when no row passes.
+/// Runs on any pool thread; all state it touches is shared and immutable.
 fn scan_segment(
-    seg: &SegmentSnap,
-    sel: Option<Vec<u32>>,
-    residual: (&[Expr], u64),
+    part: &Part,
+    m: SegMorsel,
     opts: &ScanOptions,
     projection: &[usize],
-    table_key: usize,
-) -> Result<(Option<Batch>, ScanStats)> {
-    let mut stats = ScanStats::default();
-    let sel = apply_clauses(seg, residual, sel, opts, &mut stats, table_key)?;
+    stats: &mut ScanStats,
+) -> Result<Option<Batch>> {
+    let sel = apply_clauses(part, m.seg, m.sel, opts, stats)?;
     if sel.as_ref().is_some_and(Vec::is_empty) {
-        return Ok((None, stats));
+        return Ok(None);
     }
-    let n_out = sel.as_ref().map_or(seg.core.meta.row_count, Vec::len);
-    stats.rows_output += n_out;
+    stats.rows_output += sel.as_ref().map_or(m.seg.core.meta.row_count, Vec::len);
 
     // Step 3: late materialization of the projection.
     let mut cols = Vec::with_capacity(projection.len());
     for &c in projection {
-        cols.push(seg.core.reader.column(c)?.decode_vector(sel.as_deref())?);
+        cols.push(m.seg.core.reader.column(c)?.decode_vector(sel.as_deref())?);
     }
-    Ok((Some(Batch::new(cols)), stats))
+    Ok(Some(Batch::new(cols)))
 }
 
 /// Fold one scan's [`ScanStats`] into the global metrics registry, so
@@ -530,13 +578,13 @@ pub(crate) fn record_scan_stats(stats: &ScanStats) {
 /// [`KEY_FILTER_DROP_PASS_RATE`] of the rows is not run on the segment: the
 /// join re-checks every key, so it would only cost time.
 pub(crate) fn apply_clauses(
+    part: &Part,
     seg: &SegmentSnap,
-    (residual, fp): (&[Expr], u64),
     sel: Option<Vec<u32>>,
     opts: &ScanOptions,
     stats: &mut ScanStats,
-    table_key: usize,
 ) -> Result<Option<Vec<u32>>> {
+    let (residual, fp, table_key) = (&part.residual, part.fingerprint, part.table_key);
     if residual.is_empty() {
         return Ok(sel);
     }

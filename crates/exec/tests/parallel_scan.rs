@@ -21,7 +21,7 @@ use s2_exec::{
     hash_aggregate, scan, scan_aggregate, AggFunc, Aggregate, Batch, Expr, JoinType, ScanOptions,
     ScanStats, SortDir,
 };
-use s2_query::{execute_with_stats, ExecOptions, ExecStats, OpKind, Plan};
+use s2_query::{execute, execute_with_stats, ExecOptions, ExecStats, OpKind, Plan, UnionContext};
 use s2_wal::Log;
 
 /// Held by the tests that read `exec.pool.morsels`: one of them asserts
@@ -39,7 +39,7 @@ fn next(state: &mut u64) -> u64 {
 
 /// Build a partition with a multi-segment table derived from `seed`:
 /// several flushed batches (small segments), randomized deletes, and a
-/// rowstore tail that never hits the pool.
+/// rowstore tail.
 fn build_table(seed: u64) -> (Arc<Partition>, u32) {
     let mut rng = seed;
     let p = Partition::new("pp", Arc::new(Log::in_memory()), Arc::new(MemFileStore::new()));
@@ -83,7 +83,7 @@ fn build_table(seed: u64) -> (Arc<Partition>, u32) {
         let _ = txn.delete_unique(t, &[Value::Int(victim)]).unwrap();
     }
     txn.commit().unwrap();
-    // Rowstore tail (stays on the calling thread).
+    // Rowstore tail.
     let mut txn = p.begin();
     for _ in 0..(next(&mut rng) % 30) {
         txn.insert(
@@ -438,14 +438,14 @@ fn pool_metrics_advance() {
 /// A table well above the small-scan inline gate, so the fused aggregate
 /// runs on the pool: 10 segments from one flush, deletes, and a rowstore
 /// tail of at least 10 rows whose `grp` is "tail".
-///   0 id     Int     sequential (sort key, pk)
+///   0 id     Int     sequential from `base` (sort key, pk)
 ///   1 grp    Str     5 distinct                -> dictionary codes
 ///   2 k      Int     6 distinct, NULLs
 ///   3 d      Double  4 distinct, NULLs
 ///   4 amount Double  0..1429, in sevenths (so f64 sums depend on order)
 ///   5 q      Int     1..=5, except 0 on one row of the second-to-last
 ///                    segment (never deleted)
-fn build_wide_table(seed: u64) -> (Arc<Partition>, u32) {
+fn build_wide_table(seed: u64, base: i64) -> (Arc<Partition>, u32) {
     let mut rng = seed;
     let p = Partition::new("pw", Arc::new(Log::in_memory()), Arc::new(MemFileStore::new()));
     let schema = Schema::new(vec![
@@ -464,7 +464,7 @@ fn build_wide_table(seed: u64) -> (Arc<Partition>, u32) {
         .with_segment_rows(seg_rows as usize);
     let t = p.create_table("wide", schema, opts).unwrap();
     let rows = 10 * seg_rows;
-    let zero_at = 8 * seg_rows + (next(&mut rng) % seg_rows as u64) as i64;
+    let zero_at = base + 8 * seg_rows + (next(&mut rng) % seg_rows as u64) as i64;
     let row = |id: i64, grp: &str, rng: &mut u64| {
         let k = match next(rng) % 7 {
             0 => Value::Null,
@@ -479,7 +479,7 @@ fn build_wide_table(seed: u64) -> (Arc<Partition>, u32) {
         Row::new(vec![Value::Int(id), Value::str(grp), k, d, amount, Value::Int(q)])
     };
     let mut txn = p.begin();
-    for id in 0..rows {
+    for id in base..base + rows {
         let grp = ["a", "b", "c", "d", "e"][(next(&mut rng) % 5) as usize];
         txn.insert(t, row(id, grp, &mut rng)).unwrap();
     }
@@ -487,14 +487,14 @@ fn build_wide_table(seed: u64) -> (Arc<Partition>, u32) {
     p.flush_table(t, true).unwrap();
     let mut txn = p.begin();
     for _ in 0..next(&mut rng) % (rows as u64 / 20) {
-        let victim = (next(&mut rng) % rows as u64) as i64;
+        let victim = base + (next(&mut rng) % rows as u64) as i64;
         if victim != zero_at {
             txn.delete_unique(t, &[Value::Int(victim)]).unwrap();
         }
     }
     txn.commit().unwrap();
     let mut txn = p.begin();
-    for id in rows..rows + 10 + (next(&mut rng) % 40) as i64 {
+    for id in base + rows..base + rows + 10 + (next(&mut rng) % 40) as i64 {
         txn.insert(t, row(id, "tail", &mut rng)).unwrap();
     }
     txn.commit().unwrap();
@@ -521,7 +521,7 @@ proptest! {
     #[test]
     fn fused_aggregate_on_the_pool_matches_hash_aggregate(seed in any::<u64>()) {
         let _counter = POOL_COUNTER.lock().unwrap_or_else(|e| e.into_inner());
-        let (p, t) = build_wide_table(seed);
+        let (p, t) = build_wide_table(seed, 0);
         let snap = p.read_snapshot();
         let ts = snap.table(t).unwrap();
         let snaps = [Arc::clone(ts)];
@@ -589,6 +589,104 @@ proptest! {
             for threads in [1, 2, 8] {
                 prop_assert_eq!(&outcome(group_by, &failing, None, threads), &expect);
             }
+        }
+    }
+}
+
+/// Ids of partition `i` of the multi-partition table start at `i * PART_IDS`.
+const PART_IDS: i64 = 1_000_000;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// A plain scan over 3–4 partition snapshots, each above the inline
+    /// gate with deletes and a live rowstore tail, run through the executor
+    /// at 1, 2 and 8 threads: the rows are the serial concatenation of one
+    /// `scan` per snapshot, in order, the stats their sum, and the morsels
+    /// reach the pool. The rows come in partition, segment, tail order (an
+    /// `id` check that does not go through `scan`). A clause failing on
+    /// partition 0's rowstore tail fails the scan before one failing on a
+    /// segment of partition 1, at every thread count.
+    #[test]
+    fn multi_partition_scan_matches_per_partition_scans(seed in any::<u64>(), parts in 3i64..=4) {
+        let _counter = POOL_COUNTER.lock().unwrap_or_else(|e| e.into_inner());
+        let snaps: Vec<_> = (0..parts)
+            .map(|i| {
+                let (p, t) = build_wide_table(seed ^ i as u64, i * PART_IDS);
+                Arc::clone(p.read_snapshot().table(t).unwrap())
+            })
+            .collect();
+        let mut ctx = UnionContext::new();
+        ctx.add_table("wide", snaps.clone());
+        let reference = |projection: &[usize], filter: Option<&Expr>| {
+            let (mut rows, mut stats) = (Vec::new(), ScanStats::default());
+            for ts in &snaps {
+                let (b, s) = scan(ts, projection, filter, &opts_with_threads(1))
+                    .map_err(|e| e.to_string())?;
+                rows.extend(rows_dbg(&b));
+                stats.merge(&s);
+            }
+            Ok((rows, stats))
+        };
+        let run = |projection: &[usize], filter: Option<&Expr>, threads| {
+            let plan = Plan::scan("wide", projection.to_vec(), filter.cloned());
+            let opts = ExecOptions { scan: opts_with_threads(threads) };
+            let mut stats = ExecStats::default();
+            execute_with_stats(&plan, &ctx, &opts, &mut stats)
+                .map(|b| (rows_dbg(&b), stats.scan))
+                .map_err(|e| e.to_string())
+        };
+
+        let projections = [vec![0, 1, 2, 3, 4, 5], vec![4, 1]];
+        let filters = [None, Some(Expr::cmp(4, CmpOp::Lt, 1300.0)), Some(Expr::eq(1, "b"))];
+        let morsels_before = s2_obs::global().snapshot().counter("exec.pool.morsels");
+        for projection in &projections {
+            for filter in &filters {
+                // Warm the decision cache so every run replays one sampled plan.
+                reference(projection, filter.as_ref()).unwrap();
+                let expect = reference(projection, filter.as_ref());
+                prop_assert!(expect.is_ok(), "{:?}", expect);
+                for threads in [1, 2, 8] {
+                    prop_assert_eq!(
+                        &run(projection, filter.as_ref(), threads), &expect,
+                        "threads {} projection {:?} filter {:?}", threads, projection, filter
+                    );
+                }
+            }
+        }
+        let morsels_after = s2_obs::global().snapshot().counter("exec.pool.morsels");
+        prop_assert!(morsels_after > morsels_before, "the multi-partition scan never reached the pool");
+
+        // Without `scan`: one sorted flush laid out each partition's
+        // segments in `id` order and its tail holds its largest ids, so
+        // partition, segment, tail order is ascending `id`.
+        let plan = Plan::scan("wide", vec![0], None);
+        let batch = execute(&plan, &ctx, &ExecOptions { scan: opts_with_threads(8) }).unwrap();
+        let ids: Vec<Value> = (0..batch.rows()).map(|i| batch.value(0, i)).collect();
+        prop_assert!(ids.windows(2).all(|w| w[0].total_cmp(&w[1]).is_lt()), "rows out of scan order");
+        prop_assert_eq!(ids.len(), snaps.iter().map(|ts| ts.live_row_count()).sum::<usize>());
+
+        // Partitions 1.. divide `id` by `q`, which is 0 on one segment row of
+        // each; partition 0 multiplies `grp` by 2.0 on its tail rows only.
+        let col = |c| Box::new(Expr::Column(c));
+        let case = Expr::Case {
+            when: vec![
+                (Expr::cmp(0, CmpOp::Ge, PART_IDS), Expr::Arith(ArithOp::Div, col(0), col(5))),
+                (
+                    Expr::eq(1, "tail"),
+                    Expr::Arith(ArithOp::Mul, col(1), Box::new(Expr::Literal(Value::Double(2.0)))),
+                ),
+            ],
+            else_: Box::new(Expr::Literal(Value::Int(1))),
+        };
+        let failing = Expr::Cmp(CmpOp::Gt, Box::new(case), Box::new(Expr::Literal(Value::Int(-1))));
+        let expect = reference(&[0], Some(&failing));
+        prop_assert!(
+            matches!(&expect, Err(e) if !e.contains("division by zero")),
+            "partition 0's tail error must come first: {:?}", expect
+        );
+        for threads in [1, 2, 8] {
+            prop_assert_eq!(&run(&[0], Some(&failing), threads), &expect, "threads {}", threads);
         }
     }
 }

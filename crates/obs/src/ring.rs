@@ -42,7 +42,6 @@ pub struct EventRing {
 fn wall_clock_ms() -> u64 {
     // A pre-1970 system clock is a host misconfiguration worth surfacing,
     // not something to silently report as 0.
-    // s2-lint: allow(wall-clock, default event-ring clock; sim overrides via set_clock)
     match SystemTime::now().duration_since(UNIX_EPOCH) {
         Ok(d) => d.as_millis() as u64,
         Err(e) => panic!("system clock is before the Unix epoch: {e}"),

@@ -4,12 +4,13 @@
 //!
 //! The executor parallelizes work the way HyPer's morsel-driven model does:
 //! a query breaks into small self-contained tasks ("morsels" — here one
-//! columnstore segment, or one partition snapshot at the aggregator), and
-//! every task goes into one FIFO queue. Workers pop the oldest job. The
-//! calling thread participates too: while it waits it pops the newest job,
-//! which is its own, so a nested `run` (a partition-level task fanning its
-//! segments out) drains its own morsels first and cannot deadlock, and a
-//! 1-thread configuration stays strictly serial (no pool involvement).
+//! columnstore segment, or one partition's rowstore tail, from every
+//! partition of the table at once), and every task goes into one FIFO
+//! queue. Workers pop the oldest job. The calling thread participates too:
+//! while it waits it pops the newest job, which is its own unless another
+//! `run` queued since. So a `run` called from inside a job drains its own
+//! jobs first and cannot deadlock, and a 1-thread configuration stays
+//! strictly serial (no pool involvement).
 //!
 //! `run` is scoped: its closure and items may borrow from the caller's
 //! stack, because `run` neither returns nor unwinds before every job it

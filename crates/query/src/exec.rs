@@ -33,8 +33,8 @@ use std::time::Instant;
 use s2_common::{Result, Value};
 use s2_core::TableSnapshot;
 use s2_exec::{
-    hash_aggregate, scan, sort_batch, Batch, Expr, JoinTable, JoinType, KeyFilter, ScanOptions,
-    ScanStats,
+    hash_aggregate, scan_partitions, sort_batch, Batch, Expr, JoinTable, JoinType, KeyFilter,
+    ScanOptions, ScanStats,
 };
 
 use crate::plan::Plan;
@@ -397,27 +397,12 @@ impl Executor<'_> {
     fn scan(&mut self, table: &str, projection: &[usize], filter: Option<&Expr>) -> Result<Batch> {
         let started = Instant::now();
         let snaps = self.ctx.snapshots(table)?;
-        // Scatter: partition snapshots fan into the shared morsel pool,
-        // like the paper's leaves ("leaf nodes ... are responsible for the
-        // bulk of compute"). Each partition scan then fans its own segments
-        // into the same pool (nested runs are deadlock-free: the waiting
-        // caller drains queued morsels itself). Results come back in
-        // partition order, so output is deterministic. Small scans (by
-        // metadata estimate) stay serial: pool handoff costs more than
-        // sub-morsel scans save.
-        let est: usize = snaps.iter().map(|s| s2_exec::scan::estimate_scan_rows(s, filter)).sum();
-        let opts = &self.opts.scan;
-        let threads = s2_exec::scan::scan_threads(est, opts);
-        let parts: Vec<Result<(Batch, ScanStats)>> =
-            s2_exec::ScanPool::global()
-                .run(threads, snaps.iter().collect(), |snap| scan(snap, projection, filter, opts));
-        let mut batches = Vec::with_capacity(parts.len());
-        for p in parts {
-            let (batch, s) = p?;
-            self.stats.scan.merge(&s);
-            batches.push(batch);
-        }
-        let out = Batch::concat(batches)?;
+        // Every partition snapshot's surviving segments and rowstore tail
+        // go through one morsel run, like the paper's leaves ("leaf nodes
+        // ... are responsible for the bulk of compute"); rows come back in
+        // partition order.
+        let (out, s) = scan_partitions(&snaps, projection, filter, &self.opts.scan)?;
+        self.stats.scan.merge(&s);
         self.stats.record(OpKind::Scan, started, out.rows());
         Ok(out)
     }

@@ -118,4 +118,20 @@ echo "== ledger =="
 # the engine's public API. `ledger compare` is the perf comparator.
 cargo test "${CARGO_FLAGS[@]}" --manifest-path ledger/Cargo.toml
 
+echo "== ledger hang guard =="
+# Each workload once at full size for 2 s: a hang or a gross slowdown fails
+# here. Each bound is 3x the wall time (set-up included) measured on the
+# 2-vCPU reference host when this stage was added: oltp_tpcc 7.5 s,
+# olap_tpch 20.4 s, htap_ch 9.5 s, restart 9.7 s.
+cargo build -q --release "${CARGO_FLAGS[@]}" --manifest-path ledger/Cargo.toml
+for guard in oltp_tpcc:23 olap_tpch:62 htap_ch:29 restart:30; do
+    workload="${guard%:*}" bound="${guard#*:}"
+    if ! out=$(timeout "$bound" cargo run -q --release "${CARGO_FLAGS[@]}" \
+        --manifest-path ledger/Cargo.toml -- --workload "$workload" --seed 42 --seconds 2 \
+        --trace 0) || [[ "$out" != *'"correct":true'* ]]; then
+        echo "ledger $workload: failed, incorrect or over ${bound} s"
+        exit 1
+    fi
+done
+
 echo "CI green."
